@@ -29,6 +29,7 @@ from .packing import (
     Background,
     _check_hyperbolic_sizes,
     _edge_lengths_arrays,
+    triangle_inequality_violations,
 )
 
 #: below this semiperimeter the factored hyperbolic cosine ratio is used
@@ -53,11 +54,6 @@ class GeneralizedAngles:
     @property
     def total(self) -> float:
         return float(self.values.sum())
-
-
-def _violates_strict(lengths: np.ndarray) -> np.ndarray:
-    x0, x1, x2 = lengths[:, 0], lengths[:, 1], lengths[:, 2]
-    return (x0 + x1 <= x2) | (x0 + x2 <= x1) | (x1 + x2 <= x0)
 
 
 def _cos_ratios(background: Background, lengths: np.ndarray) -> np.ndarray:
@@ -104,7 +100,7 @@ def extended_angles_batch(
     if background is Background.HYPERBOLIC:
         _check_hyperbolic_sizes(lengths, "lengths")
     angles = clamped_arccos(_cos_ratios(background, lengths))
-    degenerate = _violates_strict(lengths)
+    degenerate = triangle_inequality_violations(lengths)
     if degenerate.any():
         # Pin degenerate rows to exactly (pi, 0, 0); the clamp already does
         # this except for rounding in the strict-boundary row.
@@ -173,7 +169,7 @@ def angle_jacobians_batch(
     lengths = _triangle_lengths_from_radii(background, radii, inversive)
     if background is Background.HYPERBOLIC:
         _check_hyperbolic_sizes(lengths, "lengths")
-    if _violates_strict(lengths).any():
+    if triangle_inequality_violations(lengths).any():
         raise BoundaryError(
             "angle derivatives are undefined on or beyond the degenerate boundary"
         )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -49,21 +48,6 @@ _FLOW_EXIT = {
     "left_admissible": _EXIT_LEFT_OR_DIVERGED,
     "diverged": _EXIT_LEFT_OR_DIVERGED,
 }
-
-
-def _apply_thread_cap() -> None:
-    """Honor CPFLOW_THREADS as a cap on internal (BLAS) parallelism."""
-    cap = os.environ.get("CPFLOW_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(cap))
-    except Exception:
-        pass
 
 
 class _Run:
@@ -114,10 +98,11 @@ def _cmd_curvature(args, run: _Run) -> int:
     metric = surface.require_metric()
     run.config = {"extended": bool(args.extended)}
 
-    admissible, violations = is_admissible(surface.complex, metric)
     curv = extended_curvature(surface.complex, metric) if args.extended else curvature(
         surface.complex, metric
     )
+    violations = curv.degenerate.nonzero()[0].tolist()
+    admissible = not violations
     defect = gauss_bonnet_defect(surface.complex, metric)
 
     print(f"background      {surface.background.value}")
@@ -374,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     run = _Run(args.command, args)
     try:

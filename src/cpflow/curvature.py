@@ -12,95 +12,104 @@ per-face angle defects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .angles import angle_jacobians_batch, extended_angles_batch
 from .complexes import SurfaceComplex
-from .errors import BoundaryError, NotAdmissibleError
+from .errors import BoundaryError, ConfigError, DomainError, NotAdmissibleError
 from .packing import (
     Background,
     PackingMetric,
     _edge_lengths_arrays,
-    face_lengths,
-    triangle_inequality_violations,
+    all_edge_lengths,
+    is_admissible,
     u_to_radii_array,
 )
 
 
 @dataclass(frozen=True)
 class CurvatureVector:
-    """Per-vertex curvature, degeneracy flag and total area."""
+    """Per-vertex curvature, degeneracy flag, total area and degenerate-face mask."""
 
     values: np.ndarray
     extended: bool       # True iff some face was degenerate
     total_area: float    # hyperbolic area; 0 in euclidean background
+    degenerate: np.ndarray = field(compare=False)  # (F,) degenerate-face mask
 
     @property
     def total(self) -> float:
         return float(self.values.sum())
 
 
-def _vertex_angle_sums(complex: SurfaceComplex, angles: np.ndarray) -> np.ndarray:
-    return np.bincount(
+def _curvature_kernel(
+    complex: SurfaceComplex, background: Background, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-edge lengths -> (curvature, (F, 3) face angles, degenerate-face mask)."""
+    angles, degenerate = extended_angles_batch(
+        background, lengths[complex.face_opposite_edges]
+    )
+    angle_sums = np.bincount(
         complex.faces.ravel(), weights=angles.ravel(), minlength=complex.vertex_count
     )
+    return 2.0 * np.pi - angle_sums, angles, degenerate
 
 
-def _assemble(
-    complex: SurfaceComplex, metric: PackingMetric, angles: np.ndarray, degenerate: np.ndarray
-) -> CurvatureVector:
-    values = 2.0 * np.pi - _vertex_angle_sums(complex, angles)
+def _not_admissible(degenerate: np.ndarray) -> NotAdmissibleError:
+    faces = np.nonzero(degenerate)[0].tolist()
+    return NotAdmissibleError(f"metric violates triangle inequalities in faces {faces}", faces)
+
+
+def _curvature_vector(complex: SurfaceComplex, metric: PackingMetric) -> CurvatureVector:
+    values, angles, degenerate = _curvature_kernel(
+        complex, metric.background, all_edge_lengths(complex, metric)
+    )
     if metric.background is Background.HYPERBOLIC:
-        defects = np.maximum(0.0, np.pi - angles.sum(axis=1))
-        area = float(defects.sum())
+        area = float(np.maximum(0.0, np.pi - angles.sum(axis=1)).sum())
     else:
         area = 0.0
-    return CurvatureVector(values=values, extended=bool(degenerate.any()), total_area=area)
+    return CurvatureVector(values, bool(degenerate.any()), area, degenerate)
 
 
 def make_curvature_evaluator(
     complex: SurfaceComplex, background: Background, inversive: np.ndarray
 ):
-    """Extended curvature as a plain function of raw u-values.
+    """Extended curvature and degenerate-face mask as a function of raw u-values.
 
-    Precomputes the gather indices and skips per-call metric construction;
-    the returned callable produces bit-identical values to
-    ``extended_curvature`` and is what the flow and potential inner loops
-    use.
+    Validates the inversive distances once (ConfigError on a wrong shape,
+    DomainError on values that are non-finite or <= -1) and skips per-call
+    metric construction; the returned callable maps u to ``(K, mask)`` with
+    values bit-identical to ``extended_curvature``.  It is what the flow,
+    potential and residual paths use.
     """
     inv = np.asarray(inversive, dtype=float)
+    if inv.shape != (complex.edge_count,):
+        raise ConfigError("inversive array does not match the edge count")
+    if not np.all(np.isfinite(inv)) or np.any(inv <= -1):
+        raise DomainError("inversive distances must be finite and > -1")
     tail, head = complex.edges[:, 0], complex.edges[:, 1]
-    opposite = complex.face_opposite_edges
 
-    def evaluate(u_values: np.ndarray) -> np.ndarray:
+    def evaluate(u_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         radii = u_to_radii_array(u_values, background)
         lengths = _edge_lengths_arrays(background, radii[tail], radii[head], inv)
-        angles, _ = extended_angles_batch(background, lengths[opposite])
-        return 2.0 * np.pi - _vertex_angle_sums(complex, angles)
+        values, _, degenerate = _curvature_kernel(complex, background, lengths)
+        return values, degenerate
 
     return evaluate
 
 
 def extended_curvature(complex: SurfaceComplex, metric: PackingMetric) -> CurvatureVector:
     """Curvature from the extended angles, defined for all positive radii."""
-    lengths = face_lengths(complex, metric)
-    angles, degenerate = extended_angles_batch(metric.background, lengths)
-    return _assemble(complex, metric, angles, degenerate)
+    return _curvature_vector(complex, metric)
 
 
 def curvature(complex: SurfaceComplex, metric: PackingMetric) -> CurvatureVector:
     """Classical curvature; requires the metric to be admissible."""
-    lengths = face_lengths(complex, metric)
-    bad = triangle_inequality_violations(lengths)
-    if bad.any():
-        violators = [int(f) for f in np.nonzero(bad)[0]]
-        raise NotAdmissibleError(
-            f"metric violates triangle inequalities in faces {violators}", violators
-        )
-    angles, degenerate = extended_angles_batch(metric.background, lengths)
-    return _assemble(complex, metric, angles, degenerate)
+    curv = _curvature_vector(complex, metric)
+    if curv.extended:
+        raise _not_admissible(curv.degenerate)
+    return curv
 
 
 def gauss_bonnet_defect(complex: SurfaceComplex, metric: PackingMetric) -> float:
@@ -124,8 +133,7 @@ def curvature_jacobian(complex: SurfaceComplex, metric: PackingMetric) -> np.nda
     try:
         face_jac = angle_jacobians_batch(metric.background, radii_tri, inv_tri)
     except BoundaryError:
-        lengths = face_lengths(complex, metric)
-        bad = [int(f) for f in np.nonzero(triangle_inequality_violations(lengths))[0]]
+        _, bad = is_admissible(complex, metric)
         raise BoundaryError(
             f"curvature Jacobian undefined: degenerate or boundary faces {bad}"
         ) from None

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import SurfaceComplex
-from .curvature import (
-    curvature,
-    curvature_jacobian,
-    extended_curvature,
-    make_curvature_evaluator,
-)
+from .curvature import _not_admissible, curvature_jacobian, make_curvature_evaluator
 from .errors import (
     ConfigError,
     DomainError,
@@ -132,12 +127,7 @@ def residual(
     target: np.ndarray | None = None,
 ) -> float:
     """Max-norm residual max_i |K_i(u) - target_i| of the extended curvature."""
-    inv = np.asarray(inversive, dtype=float)
-    metric = PackingMetric(
-        u.background, inv, u_to_radii_array(u.values, u.background),
-        permissive=bool(np.any(inv < 0)),
-    )
-    values = extended_curvature(complex, metric).values
+    values, _ = make_curvature_evaluator(complex, u.background, inversive)(u.values)
     tgt = np.zeros_like(values) if target is None else np.asarray(target, dtype=float)
     return float(np.max(np.abs(values - tgt)))
 
@@ -159,26 +149,17 @@ def run_flow(
     """
     target = _validate_config(config, complex.vertex_count)
     background = u0.background
-    inv = np.asarray(inversive, dtype=float)
-    if len(inv) != complex.edge_count:
-        raise ConfigError("inversive array does not match the edge count")
-    permissive = bool(np.any(inv < 0))
     classical = config.variant == "classical"
-
-    # Validates radii/inversive invariants once up front.
-    PackingMetric(background, inv, u_to_radii_array(u0.values, background), permissive)
-    evaluate = make_curvature_evaluator(complex, background, inv)
+    evaluate = make_curvature_evaluator(complex, background, inversive)
 
     def curvature_values(u_arr: np.ndarray) -> np.ndarray:
-        if classical:
-            metric = PackingMetric(
-                background, inv, u_to_radii_array(u_arr, background), permissive
-            )
-            return curvature(complex, metric).values
-        return evaluate(u_arr)
+        values, degenerate = evaluate(u_arr)
+        if classical and degenerate.any():
+            raise _not_admissible(degenerate)
+        return values
 
     ctx = (
-        PotentialContext(complex, inv, u0, target)
+        PotentialContext(complex, inversive, u0, target)
         if config.record_potential
         else None
     )

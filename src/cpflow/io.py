@@ -191,7 +191,10 @@ def load_target(path, n_vertices: int) -> np.ndarray:
     _check_fields(doc, _TARGET_FIELDS, "target file")
     if "target" not in doc:
         raise ParseError("target file is missing the 'target' field")
-    target = np.asarray(doc["target"], dtype=float)
+    try:
+        target = np.asarray(doc["target"], dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError("'target' must be a list of numbers") from None
     if target.shape != (n_vertices,):
         raise ParseError(f"'target' must list {n_vertices} values, got {target.size}")
     if not np.all(np.isfinite(target)):
@@ -208,11 +211,14 @@ def load_subsets(path, n_vertices: int) -> list[frozenset]:
     """Parse an explicit vertex-subset list for obstruction checks."""
     doc = _load_json(path)
     _check_fields(doc, _SUBSETS_FIELDS, "subsets file")
-    if "subsets" not in doc or not isinstance(doc["subsets"], list):
-        raise ParseError("subsets file must carry a 'subsets' list")
+    if "subsets" not in doc or not isinstance(doc["subsets"], list) or not doc["subsets"]:
+        raise ParseError("subsets file must carry a nonempty 'subsets' list")
     out = []
     for raw in doc["subsets"]:
-        members = frozenset(int(v) for v in raw)
+        try:
+            members = frozenset(int(v) for v in raw)
+        except (TypeError, ValueError):
+            raise ParseError(f"subset {raw!r} is not a list of vertex indices") from None
         if not members or len(members) >= n_vertices:
             raise ParseError(f"subset {sorted(members)} is not a nonempty proper subset")
         if any(v < 0 or v >= n_vertices for v in members):

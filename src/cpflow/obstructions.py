@@ -20,14 +20,18 @@ from typing import Iterable
 
 import numpy as np
 
-from .angles import angle_jacobian_u, clamped_arccos, extended_angles_batch
+from .angles import (
+    _triangle_lengths_from_radii,
+    angle_jacobian_u,
+    clamped_arccos,
+    extended_angles_batch,
+)
 from .complexes import SurfaceComplex, _subcomplex_counts, link_pairs, normalize_subset
 from .curvature import curvature, extended_curvature
 from .errors import ConfigError, DomainError, NotFoundError
 from .packing import (
     Background,
     PackingMetric,
-    _edge_lengths_arrays,
     radii_to_u_array,
     u_to_radii_array,
 )
@@ -85,6 +89,8 @@ def _default_subsets(complex: SurfaceComplex, subset_cap: int | None) -> list[fr
     """Default enumeration policy: an explicit cap wins; otherwise all
     subsets on small complexes and size <= 3 on larger ones."""
     if subset_cap is not None:
+        if subset_cap < 1:
+            raise ConfigError(f"subset cap must be at least 1, got {subset_cap}")
         return enumerate_subsets(complex, max_size=subset_cap)
     if complex.vertex_count <= EXHAUSTIVE_VERTEX_LIMIT:
         return enumerate_subsets(complex)
@@ -266,16 +272,10 @@ def triangle_angle_space(inversive) -> TriangleAngleSpace:
 
 
 def _triangle_angles(radii: np.ndarray, inversive: np.ndarray) -> np.ndarray:
-    lengths = np.empty(3)
-    for m in range(3):
-        j, k = (m + 1) % 3, (m + 2) % 3
-        lengths[m] = _edge_lengths_arrays(
-            Background.HYPERBOLIC,
-            np.asarray([radii[j]]),
-            np.asarray([radii[k]]),
-            np.asarray([inversive[m]]),
-        )[0]
-    angles, _ = extended_angles_batch(Background.HYPERBOLIC, lengths.reshape(1, 3))
+    lengths = _triangle_lengths_from_radii(
+        Background.HYPERBOLIC, np.reshape(radii, (1, 3)), np.reshape(inversive, (1, 3))
+    )
+    angles, _ = extended_angles_batch(Background.HYPERBOLIC, lengths)
     return angles[0]
 
 

@@ -14,7 +14,6 @@ admissible targets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -55,8 +54,9 @@ class PotentialContext:
     def __post_init__(self):
         inv = np.asarray(self.inversive, dtype=float)
         object.__setattr__(self, "inversive", inv)
-        if len(inv) != self.complex.edge_count:
-            raise ConfigError("inversive array does not match the edge count")
+        # Validates the inversive distances once, for every later evaluation.
+        evaluate = make_curvature_evaluator(self.complex, self.background, inv)
+        object.__setattr__(self, "_evaluate", evaluate)
         if len(self.basepoint.values) != self.complex.vertex_count:
             raise ConfigError("basepoint does not match the vertex count")
         tgt = (
@@ -71,21 +71,6 @@ class PotentialContext:
     @property
     def background(self) -> Background:
         return self.basepoint.background
-
-    @cached_property
-    def _evaluate(self):
-        # Validate the inversive distances once, then use the fast path.
-        PackingMetric(
-            self.background,
-            self.inversive,
-            u_to_radii_array(self.basepoint.values, self.background),
-            permissive=bool(np.any(self.inversive < 0)),
-        )
-        return make_curvature_evaluator(self.complex, self.background, self.inversive)
-
-
-def _curvature_values(ctx: PotentialContext, u_values: np.ndarray) -> np.ndarray:
-    return ctx._evaluate(u_values)
 
 
 def _adaptive_simpson(
@@ -148,7 +133,7 @@ def segment_integral(
         return 0.0
 
     def integrand(s: float) -> float:
-        k = _curvature_values(ctx, u_from + s * direction)
+        k, _ = ctx._evaluate(u_from + s * direction)
         return float((k - ctx.target) @ direction)
 
     return _adaptive_simpson(integrand, tolerance)
@@ -165,7 +150,7 @@ def potential_gradient(ctx: PotentialContext, u: UCoords) -> np.ndarray:
     """Gradient of the potential at u; exactly curvature minus target."""
     if u.background is not ctx.background:
         raise ConfigError("u-coordinates and context use different backgrounds")
-    return _curvature_values(ctx, u.values) - ctx.target
+    return ctx._evaluate(u.values)[0] - ctx.target
 
 
 @dataclass
@@ -233,7 +218,7 @@ def _line_search(ctx, u, direction, grad, residual):
         if _domain_ok(ctx.background, trial):
             scale = abs(s * slope)
             if scale < 1e-9:
-                k_trial = _curvature_values(ctx, trial)
+                k_trial, _ = ctx._evaluate(trial)
                 if float(np.max(np.abs(k_trial - ctx.target))) < residual:
                     return trial
             else:
@@ -275,7 +260,7 @@ def newton_solve(
     u = u_init.values.copy()
     report = NewtonReport()
     for iteration in range(max_iter + 1):
-        grad = _curvature_values(ctx, u) - ctx.target
+        grad = ctx._evaluate(u)[0] - ctx.target
         residual = float(np.max(np.abs(grad)))
         report.iterations = iteration
         report.residual = residual

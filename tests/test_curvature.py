@@ -66,11 +66,15 @@ def test_forced_degenerate_face(tetra):
     assert err.value.faces  # offending faces are reported
     curv = extended_curvature(tetra, metric)
     assert curv.extended
-    # the degenerate face {0,2,3} contributes a straight angle at vertex 0
+    # the degenerate-face mask is the strict triangle test, and names the
+    # faces the classical curvature refused
     from cpflow import extended_angles
-    from cpflow.packing import face_lengths
+    from cpflow.packing import face_lengths, triangle_inequality_violations
 
     lengths = face_lengths(tetra, metric)
+    assert curv.degenerate.tolist() == triangle_inequality_violations(lengths).tolist()
+    assert np.nonzero(curv.degenerate)[0].tolist() == err.value.faces
+    # the degenerate face {0,2,3} contributes a straight angle at vertex 0
     degenerate_face = tetra.faces.tolist().index([0, 2, 3])
     angles = extended_angles(HYP, lengths[degenerate_face])
     assert angles.degenerate

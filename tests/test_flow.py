@@ -64,6 +64,8 @@ def test_config_validation(genus2):
             genus2, inversive, u0,
             FlowConfig(variant="prescribed", target=np.zeros(3)),
         )
+    with pytest.raises(ConfigError):
+        run_flow(genus2, inversive[:-1], u0, FlowConfig())
 
 
 def test_fixed_point_start(zero_curvature_genus2):
@@ -85,6 +87,8 @@ def test_residual_definitions(genus2, rng):
         np.max(np.abs(values)), rel=1e-12
     )
     assert residual(genus2, metric.inversive, u, target=values) <= 1e-12
+    with pytest.raises(ConfigError):
+        residual(genus2, metric.inversive[:-1], u)
 
 
 def test_prescribed_recovery_and_integrator_independence(genus2, rng):

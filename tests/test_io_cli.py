@@ -340,6 +340,30 @@ def test_cli_check_subsets_file(workdir):
     assert report["subset_count"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["solve", "--target-file", "in.json"], {"format": 1, "target": ["x", 0.0, 0.0, 0.0]}),
+        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": [5]}),
+        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": [["a"]]}),
+        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": []}),
+        (["check", "--subset-cap", "0"], None),
+        (["check", "--subset-cap", "-1"], None),
+    ],
+    ids=["target-not-numbers", "subset-not-list", "subset-not-indices", "no-subsets",
+         "cap-zero", "cap-negative"],
+)
+def test_cli_rejects_bad_inputs(workdir, capsys, argv, doc):
+    _write(workdir / "t.json", _tetra_doc(inversive=1.0))
+    if doc is not None:
+        _write(workdir / "in.json", doc)
+    assert main([argv[0], "t.json", *argv[1:], "--report", "r.json"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (workdir / "r.json").exists()
+    manifest = json.loads((workdir / f"t.{argv[0]}.manifest.json").read_text())
+    assert manifest["status"].startswith(("parse_error", "config_error"))
+
+
 def test_cli_parse_error_exit_code(workdir, capsys):
     bad = workdir / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
