@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .curvature import curvature, extended_curvature, gauss_bonnet_defect
+from .curvature import _defect, curvature, extended_curvature, gauss_bonnet_defect
 from .errors import ConfigError, CPFlowError, ParseError
 from .flow import FlowConfig, run_flow
 from .io import (
@@ -103,7 +103,8 @@ def _cmd_curvature(args, run: _Run) -> int:
     )
     violations = curv.degenerate.nonzero()[0].tolist()
     admissible = not violations
-    defect = gauss_bonnet_defect(surface.complex, metric)
+    # A curvature that passed the classical call equals the extended one.
+    defect = _defect(surface.complex, metric.background, curv)
 
     print(f"background      {surface.background.value}")
     print(f"vertices        {surface.complex.vertex_count}")

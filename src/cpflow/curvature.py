@@ -112,11 +112,15 @@ def curvature(complex: SurfaceComplex, metric: PackingMetric) -> CurvatureVector
     return curv
 
 
+def _defect(complex: SurfaceComplex, background: Background, curv: CurvatureVector) -> float:
+    """Gauss-Bonnet defect of an already computed extended curvature."""
+    lam = background.area_weight
+    return curv.total - 2.0 * np.pi * complex.euler_characteristic - lam * curv.total_area
+
+
 def gauss_bonnet_defect(complex: SurfaceComplex, metric: PackingMetric) -> float:
     """sum(K) - 2 pi chi - lambda * Area; a numerical health check, ~0 always."""
-    curv = extended_curvature(complex, metric)
-    lam = metric.background.area_weight
-    return curv.total - 2.0 * np.pi * complex.euler_characteristic - lam * curv.total_area
+    return _defect(complex, metric.background, extended_curvature(complex, metric))
 
 
 def curvature_jacobian(complex: SurfaceComplex, metric: PackingMetric) -> np.ndarray:

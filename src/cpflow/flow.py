@@ -148,6 +148,8 @@ def run_flow(
     state.
     """
     target = _validate_config(config, complex.vertex_count)
+    if len(u0.values) != complex.vertex_count:
+        raise ConfigError("u0 does not match the vertex count")
     background = u0.background
     classical = config.variant == "classical"
     evaluate = make_curvature_evaluator(complex, background, inversive)

@@ -215,10 +215,11 @@ def load_subsets(path, n_vertices: int) -> list[frozenset]:
         raise ParseError("subsets file must carry a nonempty 'subsets' list")
     out = []
     for raw in doc["subsets"]:
-        try:
-            members = frozenset(int(v) for v in raw)
-        except (TypeError, ValueError):
-            raise ParseError(f"subset {raw!r} is not a list of vertex indices") from None
+        if not isinstance(raw, list) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in raw
+        ):
+            raise ParseError(f"subset {raw!r} is not a list of vertex indices")
+        members = frozenset(raw)
         if not members or len(members) >= n_vertices:
             raise ParseError(f"subset {sorted(members)} is not a nonempty proper subset")
         if any(v < 0 or v >= n_vertices for v in members):

@@ -66,6 +66,10 @@ def test_config_validation(genus2):
         )
     with pytest.raises(ConfigError):
         run_flow(genus2, inversive[:-1], u0, FlowConfig())
+    long_u0 = _u(np.ones(genus2.vertex_count + 2))
+    for record in (True, False):
+        with pytest.raises(ConfigError):
+            run_flow(genus2, inversive, long_u0, FlowConfig(record_potential=record))
 
 
 def test_fixed_point_start(zero_curvature_genus2):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 from pathlib import Path
 
@@ -152,6 +153,23 @@ def test_cli_curvature(workdir, capsys):
     assert manifest["status"] == "ok"
     assert manifest["input_digest"].startswith("sha256:")
     assert manifest["outputs"]["report"] == "out.json"
+
+
+@pytest.mark.parametrize("flags", [[], ["--extended"]])
+def test_cli_curvature_evaluates_once(workdir, monkeypatch, flags):
+    # The package re-exports the function `curvature`, which hides the module.
+    curvature_module = importlib.import_module("cpflow.curvature")
+    kernel = curvature_module._curvature_kernel
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(curvature_module, "_curvature_kernel", counted)
+    surface = _write(workdir / "tetra.json", _tetra_doc(inversive=1.0))
+    assert main(["curvature", str(surface), *flags, "--report", "out.json"]) == 0
+    assert len(passes) == 1
 
 
 def test_cli_curvature_missing_radii(workdir, capsys):
@@ -347,11 +365,14 @@ def test_cli_check_subsets_file(workdir):
         (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": [5]}),
         (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": [["a"]]}),
         (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": []}),
+        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": ["12"]}),
+        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": [[1.7]]}),
+        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": [[True, 3]]}),
         (["check", "--subset-cap", "0"], None),
         (["check", "--subset-cap", "-1"], None),
     ],
     ids=["target-not-numbers", "subset-not-list", "subset-not-indices", "no-subsets",
-         "cap-zero", "cap-negative"],
+         "subset-string", "subset-fraction", "subset-boolean", "cap-zero", "cap-negative"],
 )
 def test_cli_rejects_bad_inputs(workdir, capsys, argv, doc):
     _write(workdir / "t.json", _tetra_doc(inversive=1.0))
