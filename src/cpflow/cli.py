@@ -15,7 +15,6 @@ final status.  Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from .curvature import _defect, curvature, extended_curvature, gauss_bonnet_defe
 from .errors import ConfigError, CPFlowError, ParseError
 from .flow import FlowConfig, run_flow
 from .io import (
+    _write_json,
     load_subsets,
     load_surface,
     load_target,
@@ -32,8 +32,8 @@ from .io import (
     write_trace_csv,
     write_trace_json,
 )
-from .obstructions import check_curvature_bounds, check_zero_curvature_obstructions
-from .packing import Background, from_u, is_admissible, to_u
+from .obstructions import _with_observed, check_zero_curvature_obstructions
+from .packing import Background, from_u, to_u
 from .potential import PotentialContext, newton_solve
 
 _EXIT_OK = 0
@@ -73,12 +73,15 @@ class _Run:
         )
 
 
-def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def _save_radii(args, run: _Run, surface, radii) -> None:
+    """``--radii-out``: the input surface file with the given radii."""
+    save_surface(args.radii_out, surface.complex, surface.background, surface.inversive,
+                 radii, surface.permissive)
+    run.outputs["radii"] = str(args.radii_out)
 
 
-def _report_records(report) -> list[dict]:
-    return [
+def _report_section(report) -> dict:
+    records = [
         {
             "subset": list(r.subset),
             "bound": r.bound,
@@ -87,6 +90,7 @@ def _report_records(report) -> list[dict]:
         }
         for r in report.records
     ]
+    return {"verdict": report.verdict, "records": records}
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +196,7 @@ def _cmd_flow(args, run: _Run) -> int:
         run.outputs["trace_json"] = str(args.trace_json)
     if args.radii_out:
         final = from_u(result.final_u, surface.inversive, surface.permissive)
-        save_surface(
-            args.radii_out,
-            surface.complex,
-            surface.background,
-            surface.inversive,
-            final.radii,
-            surface.permissive,
-        )
-        run.outputs["radii"] = str(args.radii_out)
+        _save_radii(args, run, surface, final.radii)
     return _FLOW_EXIT[result.status]
 
 
@@ -235,15 +231,7 @@ def _cmd_solve(args, run: _Run) -> int:
     )
     run.outputs["report"] = str(report_path)
     if args.radii_out:
-        save_surface(
-            args.radii_out,
-            surface.complex,
-            surface.background,
-            surface.inversive,
-            solution.radii,
-            surface.permissive,
-        )
-        run.outputs["radii"] = str(args.radii_out)
+        _save_radii(args, run, surface, solution.radii)
     run.status = "ok"
     return _EXIT_OK
 
@@ -261,24 +249,19 @@ def _cmd_check(args, run: _Run) -> int:
     payload = {
         "format": 1,
         "subset_count": len(zero_report.records),
-        "zero_curvature_necessary": {
-            "verdict": zero_report.verdict,
-            "records": _report_records(zero_report),
-        },
+        "zero_curvature_necessary": _report_section(zero_report),
         "curvature_bounds": None,
     }
 
+    # The bounds report is the zero report with observed sums, for an
+    # admissible hyperbolic metric only.
     metric = surface.metric
     if metric is not None and surface.background is Background.HYPERBOLIC:
-        admissible, _ = is_admissible(surface.complex, metric)
-        if admissible:
-            bounds_report = check_curvature_bounds(
-                surface.complex, metric, subsets, args.subset_cap
+        curv = extended_curvature(surface.complex, metric)
+        if not curv.extended:
+            payload["curvature_bounds"] = _report_section(
+                _with_observed(zero_report, curv.values)
             )
-            payload["curvature_bounds"] = {
-                "verdict": bounds_report.verdict,
-                "records": _report_records(bounds_report),
-            }
 
     print(f"subsets checked            {payload['subset_count']}")
     print(f"zero-curvature necessary   {zero_report.verdict}")

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .complexes import SurfaceComplex, build_complex
 from .errors import CPFlowError, ParseError
 from .packing import Background, PackingMetric
@@ -25,29 +26,28 @@ FORMAT_VERSION = 1
 _SURFACE_FIELDS = {"format", "background", "faces", "inversive", "radii", "permissive"}
 _TARGET_FIELDS = {"format", "target"}
 _SUBSETS_FIELDS = {"format", "subsets"}
+_NUMBER = (int, float)
 
 
 @dataclass(frozen=True)
 class SurfaceInput:
-    """Parsed surface file: complex plus (optionally radii-bearing) metric data."""
+    """Parsed surface file: complex, inversive distances and, when the file
+    carries radii, the validated packing metric."""
 
     complex: SurfaceComplex
     background: Background
     inversive: np.ndarray
-    radii: np.ndarray | None
     permissive: bool
+    metric: PackingMetric | None
 
     @property
-    def metric(self) -> PackingMetric | None:
-        if self.radii is None:
-            return None
-        return PackingMetric(self.background, self.inversive, self.radii, self.permissive)
+    def radii(self) -> np.ndarray | None:
+        return None if self.metric is None else self.metric.radii
 
     def require_metric(self) -> PackingMetric:
-        metric = self.metric
-        if metric is None:
+        if self.metric is None:
             raise ParseError("surface file has no 'radii' field, required here")
-        return metric
+        return self.metric
 
 
 def _check_fields(doc: dict, allowed: set, what: str) -> None:
@@ -58,6 +58,19 @@ def _check_fields(doc: dict, allowed: set, what: str) -> None:
         raise ParseError(f"{what} has unknown fields: {sorted(unknown)}")
     if doc.get("format") != FORMAT_VERSION:
         raise ParseError(f"{what} must declare \"format\": {FORMAT_VERSION}")
+
+
+def _is_list_of(raw, kind) -> bool:
+    """Whether ``raw`` is a JSON list of ``kind`` values; booleans never pass."""
+    return isinstance(raw, list) and all(
+        isinstance(v, kind) and not isinstance(v, bool) for v in raw
+    )
+
+
+def _write_json(path, doc: dict, sort_keys: bool = False) -> None:
+    """Every JSON file the program writes: two-space indent, trailing newline."""
+    text = json.dumps(doc, indent=2, sort_keys=sort_keys)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _load_json(path) -> dict:
@@ -75,7 +88,7 @@ def _parse_inversive(raw, complex: SurfaceComplex) -> np.ndarray:
     """Inversive field: scalar, full/sparse edge list, or default + overrides."""
     n_edges = complex.edge_count
 
-    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+    if _is_list_of([raw], _NUMBER):
         return np.full(n_edges, float(raw))
 
     default = None
@@ -84,8 +97,8 @@ def _parse_inversive(raw, complex: SurfaceComplex) -> np.ndarray:
         unknown = set(raw) - {"default", "edges"}
         if unknown:
             raise ParseError(f"'inversive' has unknown fields: {sorted(unknown)}")
-        if "default" not in raw:
-            raise ParseError("'inversive' object form requires a 'default'")
+        if not _is_list_of([raw.get("default")], _NUMBER):
+            raise ParseError("'inversive' object form requires a numeric 'default'")
         default = float(raw["default"])
         entries = raw.get("edges", [])
 
@@ -95,9 +108,15 @@ def _parse_inversive(raw, complex: SurfaceComplex) -> np.ndarray:
     values = np.full(n_edges, np.nan if default is None else default)
     seen = set()
     for entry in entries:
-        if not isinstance(entry, dict) or set(entry) != {"edge", "value"}:
+        if (
+            not isinstance(entry, dict)
+            or set(entry) != {"edge", "value"}
+            or not _is_list_of(entry["edge"], int)
+            or len(entry["edge"]) != 2
+            or not _is_list_of([entry["value"]], _NUMBER)
+        ):
             raise ParseError("each inversive entry must be {\"edge\": [i, j], \"value\": v}")
-        i, j = (int(v) for v in entry["edge"])
+        i, j = entry["edge"]
         key = (min(i, j), max(i, j))
         if key not in complex.edge_index:
             raise ParseError(f"inversive entry names a non-edge {list(key)}")
@@ -128,27 +147,34 @@ def load_surface(path) -> SurfaceInput:
             f"'background' must be 'euclidean' or 'hyperbolic', got {doc['background']!r}"
         ) from None
 
-    permissive = bool(doc.get("permissive", False))
+    permissive = doc.get("permissive", False)
+    if not isinstance(permissive, bool):
+        raise ParseError(f"'permissive' must be true or false, got {permissive!r}")
+    faces = doc["faces"]
+    if not isinstance(faces, list) or not all(_is_list_of(face, int) for face in faces):
+        raise ParseError("'faces' must be a list of vertex-index lists")
     try:
-        complex = build_complex(doc["faces"])
+        complex = build_complex(faces)
         inversive = _parse_inversive(doc["inversive"], complex)
-        radii = None
+        metric = None
         if "radii" in doc:
+            if not _is_list_of(doc["radii"], _NUMBER):
+                raise ParseError("'radii' must be a list of numbers")
             radii = np.asarray(doc["radii"], dtype=float)
             if radii.shape != (complex.vertex_count,):
                 raise ParseError(
                     f"'radii' must list {complex.vertex_count} values, got {radii.size}"
                 )
-            # Validate against the metric invariants right away.
-            PackingMetric(background, inversive, radii, permissive)
+            metric = PackingMetric(background, inversive, radii, permissive)
         else:
+            # Validate the inversive distances against the metric invariants.
             PackingMetric(background, inversive, np.ones(complex.vertex_count), permissive)
     except ParseError:
         raise
-    except (CPFlowError, TypeError, ValueError) as exc:
+    except (CPFlowError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"invalid surface file: {exc}") from None
 
-    return SurfaceInput(complex, background, inversive, radii, permissive)
+    return SurfaceInput(complex, background, inversive, permissive, metric)
 
 
 def surface_document(
@@ -181,8 +207,7 @@ def surface_document(
 
 
 def save_surface(path, complex, background, inversive, radii, permissive=False) -> None:
-    doc = surface_document(complex, background, inversive, radii, permissive)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, surface_document(complex, background, inversive, radii, permissive))
 
 
 def load_target(path, n_vertices: int) -> np.ndarray:
@@ -191,10 +216,12 @@ def load_target(path, n_vertices: int) -> np.ndarray:
     _check_fields(doc, _TARGET_FIELDS, "target file")
     if "target" not in doc:
         raise ParseError("target file is missing the 'target' field")
+    if not _is_list_of(doc["target"], _NUMBER):
+        raise ParseError("'target' must be a list of numbers")
     try:
         target = np.asarray(doc["target"], dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError("'target' must be a list of numbers") from None
+    except OverflowError:
+        raise ParseError("'target' values must be finite") from None
     if target.shape != (n_vertices,):
         raise ParseError(f"'target' must list {n_vertices} values, got {target.size}")
     if not np.all(np.isfinite(target)):
@@ -203,8 +230,7 @@ def load_target(path, n_vertices: int) -> np.ndarray:
 
 
 def save_target(path, target) -> None:
-    doc = {"format": FORMAT_VERSION, "target": [float(x) for x in target]}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, {"format": FORMAT_VERSION, "target": [float(x) for x in target]})
 
 
 def load_subsets(path, n_vertices: int) -> list[frozenset]:
@@ -215,9 +241,7 @@ def load_subsets(path, n_vertices: int) -> list[frozenset]:
         raise ParseError("subsets file must carry a nonempty 'subsets' list")
     out = []
     for raw in doc["subsets"]:
-        if not isinstance(raw, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in raw
-        ):
+        if not _is_list_of(raw, int):
             raise ParseError(f"subset {raw!r} is not a list of vertex indices")
         members = frozenset(raw)
         if not members or len(members) >= n_vertices:
@@ -276,7 +300,7 @@ def write_trace_json(path, n_vertices: int, trace) -> None:
         for s in trace
     ]
     doc = {"format": FORMAT_VERSION, "columns": trace_header(n_vertices), "samples": rows}
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -297,16 +321,10 @@ def write_manifest(path, command: str, config: dict, input_path, outputs: dict, 
         "format": FORMAT_VERSION,
         "command": command,
         "config": config,
-        "tool_version": _tool_version(),
+        "tool_version": __version__,
         "input": str(input_path),
         "input_digest": file_digest(input_path),
         "outputs": outputs,
         "status": status,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _tool_version() -> str:
-    from . import __version__
-
-    return __version__
+    _write_json(path, doc, sort_keys=True)

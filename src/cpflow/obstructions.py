@@ -90,18 +90,6 @@ def enumerate_subsets(
     return out
 
 
-def _default_subsets(complex: SurfaceComplex, subset_cap: int | None) -> list[frozenset]:
-    """Default enumeration policy: an explicit cap wins; otherwise all
-    subsets on small complexes and size <= 3 on larger ones."""
-    if subset_cap is not None:
-        if subset_cap < 1:
-            raise ConfigError(f"subset cap must be at least 1, got {subset_cap}")
-        return enumerate_subsets(complex, max_size=subset_cap)
-    if complex.vertex_count <= EXHAUSTIVE_VERTEX_LIMIT:
-        return enumerate_subsets(complex)
-    return enumerate_subsets(complex, max_size=DEFAULT_SUBSET_CAP)
-
-
 def subset_lower_bound(
     complex: SurfaceComplex, inversive: np.ndarray, subset: Iterable[int]
 ) -> float:
@@ -155,10 +143,13 @@ def _subset_lower_bounds(
     return bounds
 
 
-def _resolve_subsets(complex, subsets, subset_cap) -> list[frozenset]:
-    if subsets is None:
-        return _default_subsets(complex, subset_cap)
-    return [normalize_subset(complex, s) for s in subsets]
+def _with_observed(report: ObstructionReport, values: np.ndarray) -> ObstructionReport:
+    """The report's subsets and bounds with each subset's curvature sum observed."""
+    records = tuple(
+        SubsetRecord(r.subset, r.bound, float(values[list(r.subset)].sum()))
+        for r in report.records
+    )
+    return ObstructionReport(records=records, verdict=all(r.margin > 0 for r in records))
 
 
 def check_curvature_bounds(
@@ -178,16 +169,8 @@ def check_curvature_bounds(
     if np.any(metric.inversive < 0):
         raise DomainError("the subset bounds require inversive distances >= 0")
     curv = curvature(complex, metric)  # raises NotAdmissibleError if outside
-    resolved = _resolve_subsets(complex, subsets, subset_cap)
-    bounds = _subset_lower_bounds(complex, metric.inversive, resolved).tolist()
-    records = []
-    for subset, bound in zip(resolved, bounds):
-        key = sorted(subset)
-        observed = float(curv.values[key].sum())
-        records.append(SubsetRecord(tuple(key), bound, observed))
-    return ObstructionReport(
-        records=tuple(records), verdict=all(r.margin > 0 for r in records)
-    )
+    zero = check_zero_curvature_obstructions(complex, metric.inversive, subsets, subset_cap)
+    return _with_observed(zero, curv.values)
 
 
 def check_zero_curvature_obstructions(
@@ -206,7 +189,18 @@ def check_zero_curvature_obstructions(
     inversive = np.asarray(inversive, dtype=float)
     if np.any(inversive < 0):
         raise DomainError("the obstruction conditions require inversive >= 0")
-    resolved = _resolve_subsets(complex, subsets, subset_cap)
+    # Explicit subsets win; else an explicit cap; else all subsets on small
+    # complexes and size <= DEFAULT_SUBSET_CAP on larger ones.
+    if subsets is not None:
+        resolved = [normalize_subset(complex, s) for s in subsets]
+    elif subset_cap is not None:
+        if subset_cap < 1:
+            raise ConfigError(f"subset cap must be at least 1, got {subset_cap}")
+        resolved = enumerate_subsets(complex, max_size=subset_cap)
+    elif complex.vertex_count <= EXHAUSTIVE_VERTEX_LIMIT:
+        resolved = enumerate_subsets(complex)
+    else:
+        resolved = enumerate_subsets(complex, max_size=DEFAULT_SUBSET_CAP)
     bounds = _subset_lower_bounds(complex, inversive, resolved).tolist()
     records = [
         SubsetRecord(tuple(sorted(subset)), bound, 0.0)

@@ -348,6 +348,72 @@ def test_cli_check(workdir):
     assert report["curvature_bounds"]["verdict"] is True
 
 
+def test_cli_check_computes_once(workdir, monkeypatch):
+    # Both reports share one subset list, one bounds array and one curvature.
+    packing_module = importlib.import_module("cpflow.packing")
+    curvature_module = importlib.import_module("cpflow.curvature")
+    obstructions_module = importlib.import_module("cpflow.obstructions")
+    calls = []
+    for module, name in [
+        (obstructions_module, "_subset_lower_bounds"),
+        (packing_module, "_edge_lengths_arrays"),
+        (curvature_module, "_curvature_kernel"),
+    ]:
+        def counted(*args, _name=name, _func=getattr(module, name)):
+            calls.append(_name)
+            return _func(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    _write(workdir / "t.json", _tetra_doc(inversive=1.0))
+    assert main(["check", "t.json", "--report", "check.json"]) == 0
+    assert json.loads((workdir / "check.json").read_text())["curvature_bounds"] is not None
+    assert sorted(calls) == ["_curvature_kernel", "_edge_lengths_arrays", "_subset_lower_bounds"]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {
+            "inversive": {"default": 0.0, "edges": [{"edge": [2, 3], "value": 3.0}]},
+            "radii": [1e-8, 1.0, 1.0, 1.0],
+        },
+        {"background": "euclidean"},
+        {"radii": None},
+    ],
+    ids=["not-admissible", "euclidean", "no-radii"],
+)
+def test_cli_check_without_curvature_bounds(workdir, capsys, overrides):
+    doc = _tetra_doc(**{"inversive": 1.0, **overrides})
+    if doc["radii"] is None:
+        del doc["radii"]
+    _write(workdir / "t.json", doc)
+    assert main(["check", "t.json", "--report", "check.json"]) == 0
+    report = json.loads((workdir / "check.json").read_text())
+    assert report["curvature_bounds"] is None
+    assert report["zero_curvature_necessary"]["verdict"] is False
+    assert "curvature bounds" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "radius, message",
+    [(176.0, "lengths above 350"), (200.0, "positive and finite")],
+    ids=["above-limit", "overflow"],
+)
+def test_cli_check_rejects_edge_beyond_size_limit(workdir, capsys, radius, message):
+    # Edge (0, 1) is about 2 * radius long, so faces 0 and 1 are not
+    # admissible; the curvature of such a metric is a domain error.
+    doc = _tetra_doc(
+        inversive={"default": 0.0, "edges": [{"edge": [0, 1], "value": 3.0}]},
+        radii=[radius, radius, 0.5, 0.5],
+    )
+    _write(workdir / "t.json", doc)
+    assert main(["check", "t.json", "--report", "check.json"]) == 3
+    assert message in capsys.readouterr().err
+    assert not (workdir / "check.json").exists()
+    manifest = json.loads((workdir / "t.check.manifest.json").read_text())
+    assert manifest["status"].startswith("domain_error")
+
+
 def test_cli_check_subsets_file(workdir):
     surface = _write(workdir / "t.json", _tetra_doc(inversive=1.0))
     _write(workdir / "subsets.json", {"format": 1, "subsets": [[0], [1, 2]]})
@@ -358,24 +424,56 @@ def test_cli_check_subsets_file(workdir):
     assert report["subset_count"] == 2
 
 
+def _bad_surface(**overrides):
+    """A ``check`` case whose surface file carries the given overrides."""
+    return ["check"], None, overrides
+
+
+def _faces(last):
+    return TETRA_FACES[:3] + [last]
+
+
+def _edge_entry(edge, value):
+    return {"default": 1.0, "edges": [{"edge": edge, "value": value}]}
+
+
 @pytest.mark.parametrize(
-    "argv, doc",
+    "argv, doc, surface",
     [
-        (["solve", "--target-file", "in.json"], {"format": 1, "target": ["x", 0.0, 0.0, 0.0]}),
-        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": [5]}),
-        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": [["a"]]}),
-        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": []}),
-        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": ["12"]}),
-        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": [[1.7]]}),
-        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": [[True, 3]]}),
-        (["check", "--subset-cap", "0"], None),
-        (["check", "--subset-cap", "-1"], None),
+        (["solve", "--target-file", "in.json"], {"format": 1, "target": ["x", 0.0, 0.0, 0.0]}, {}),
+        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": [5]}, {}),
+        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": [["a"]]}, {}),
+        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": []}, {}),
+        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": ["12"]}, {}),
+        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": [[1.7]]}, {}),
+        (["check", "--subsets-file", "in.json"], {"format": 1, "subsets": [[True, 3]]}, {}),
+        (["check", "--subset-cap", "0"], None, {}),
+        (["check", "--subset-cap", "-1"], None, {}),
+        (["solve", "--target-file", "in.json"],
+         {"format": 1, "target": [True, "0.5", 0, 0]}, {}),
+        (["solve", "--target-file", "in.json"], {"format": 1, "target": [10**400, 0, 0, 0]}, {}),
+        (["solve", "--target-file", "in.json", "--max-iter", "-1"],
+         {"format": 1, "target": [0.0, 0.0, 0.0, 0.0]}, {}),
+        _bad_surface(permissive="false", inversive=-0.5),
+        _bad_surface(faces=_faces([1, 2, 3.5])),
+        _bad_surface(faces=_faces([1, 2, "3"])),
+        _bad_surface(faces=_faces([True, 2, 3])),
+        _bad_surface(inversive=_edge_entry([0, 1.5], 2.0)),
+        _bad_surface(inversive=_edge_entry(["0", 1], 2.0)),
+        _bad_surface(inversive=_edge_entry([0, 1], "2.0")),
+        _bad_surface(inversive={"default": True}),
+        _bad_surface(radii=["1.0", 1.0, 1.0, 1.0]),
+        _bad_surface(radii=[True, 1.0, 1.0, 1.0]),
     ],
     ids=["target-not-numbers", "subset-not-list", "subset-not-indices", "no-subsets",
-         "subset-string", "subset-fraction", "subset-boolean", "cap-zero", "cap-negative"],
+         "subset-string", "subset-fraction", "subset-boolean", "cap-zero", "cap-negative",
+         "target-boolean-string", "target-huge-integer", "max-iter-negative",
+         "permissive-string", "face-fraction", "face-string", "face-boolean",
+         "edge-fraction", "edge-string", "inversive-value-string", "inversive-default-boolean",
+         "radii-string", "radii-boolean"],
 )
-def test_cli_rejects_bad_inputs(workdir, capsys, argv, doc):
-    _write(workdir / "t.json", _tetra_doc(inversive=1.0))
+def test_cli_rejects_bad_inputs(workdir, capsys, argv, doc, surface):
+    _write(workdir / "t.json", _tetra_doc(**{"inversive": 1.0, **surface}))
     if doc is not None:
         _write(workdir / "in.json", doc)
     assert main([argv[0], "t.json", *argv[1:], "--report", "r.json"]) == 2

@@ -162,6 +162,10 @@ def test_newton_rejects_bad_configs(genus2):
     ctx = PotentialContext(genus2, inversive, u_hyp, np.full(n, 2 * np.pi))
     with pytest.raises(ConfigError):
         newton_solve(ctx, u_hyp)
+    ctx = PotentialContext(genus2, inversive, u_hyp)
+    for budget in [{"max_iter": -1}, {"tol": 0.0}, {"tol": -1e-10}, {"tol": float("nan")}]:
+        with pytest.raises(ConfigError):
+            newton_solve(ctx, u_hyp, **budget)
 
 
 def test_newton_unreachable_target(genus2):
