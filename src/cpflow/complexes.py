@@ -11,6 +11,7 @@ exactly two faces and the faces around each vertex must form a single cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,8 +35,6 @@ class SurfaceComplex:
         Maps a canonical pair (i, j) to its row in ``edges``.
     edge_faces : (E, 2) int array
         The two faces incident to each edge.
-    vertex_faces : tuple of tuples
-        Faces incident to each vertex.
     vertex_degree : (N,) int array
         Valence of each vertex.
     euler_characteristic : int
@@ -50,7 +49,6 @@ class SurfaceComplex:
     edges: np.ndarray
     edge_index: dict
     edge_faces: np.ndarray
-    vertex_faces: tuple
     vertex_degree: np.ndarray
     euler_characteristic: int
     face_opposite_edges: np.ndarray
@@ -69,32 +67,50 @@ class SurfaceComplex:
         return self.edge_index[key]
 
 
-def _link_is_single_cycle(pairs: list[tuple[int, int]]) -> bool:
-    """True iff the given link edges form one cycle covering all of them."""
-    if not pairs:
-        return False
-    adjacency: dict[int, list[int]] = {}
-    for a, b in pairs:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    if any(len(nbrs) != 2 for nbrs in adjacency.values()):
-        return False
-    if len(adjacency) != len(pairs):
-        return False
-    start = min(adjacency)
-    prev, cur = start, adjacency[start][0]
-    steps = 1
-    while cur != start:
-        a, b = adjacency[cur]
-        prev, cur = cur, (b if a == prev else a)
-        steps += 1
-        if steps > len(pairs):
-            return False
-    return steps == len(pairs)
+def _split_links(ids: np.ndarray, twin: np.ndarray, first_corner: np.ndarray) -> np.ndarray:
+    """Vertex ids, with repeats, whose faces form more than one cycle.
+
+    ``ids`` holds the faces in dense vertex ids, ``twin`` pairs the two
+    half-edges 3f + m of each edge (m the opposite slot), and
+    ``first_corner`` gives each vertex's smallest corner index 3f + m.
+
+    Every edge lies in two faces, so the corners at a vertex form disjoint
+    cycles: a corner's two neighbours sit across its face's two edges through
+    the vertex.  A dart is a corner with one of those edges as its exit; the
+    successor of a dart is the corner across that edge, leaving by its other
+    edge through the vertex.  Doubling the successor pointers spreads the
+    smallest corner index around each cycle in O(log max-degree) passes, and a
+    vertex has a single cycle iff all of its corners end with its first corner.
+    """
+    # Dart 2h + k - 1 leaves by half-edge h = 3f + m from the corner at slot
+    # (m + k) % 3 of face f, for k = 1, 2.
+    n_half = twin.size
+    half = np.repeat(np.arange(n_half), 2)
+    face, slot = np.divmod(half, 3)
+    corner_slot = (slot + np.tile([1, 2], n_half)) % 3
+    vertex = ids[face, corner_slot]
+    # In the face across, the vertex sits at one end of the shared edge; the
+    # dart leaves by the half-edge opposite the third slot.
+    across, across_slot = np.divmod(twin[half], 3)
+    end = (across_slot + 1) % 3
+    at = np.where(ids[across, end] == vertex, end, (across_slot + 2) % 3)
+    exit_slot = 3 - at - across_slot
+    successor = 2 * (3 * across + exit_slot) + (at - exit_slot) % 3 - 1
+
+    label = 3 * face + corner_slot
+    reach, longest = 1, np.bincount(ids.ravel()).max()
+    while reach < longest:
+        label = np.minimum(label, label[successor])
+        successor = successor[successor]
+        reach *= 2
+    return vertex[label != first_corner[vertex]]
 
 
 def build_complex(faces: Sequence[Sequence[int]]) -> SurfaceComplex:
     """Build and validate a closed triangulated surface from vertex triples.
+
+    Vertex labels must be exactly ``0..N-1``.  Each error names the first
+    offending face, edge or vertex, in the order of the checks below.
 
     Raises
     ------
@@ -103,75 +119,70 @@ def build_complex(faces: Sequence[Sequence[int]]) -> SurfaceComplex:
     NonManifoldError
         Some edge is not in exactly two faces, or a face is duplicated.
     DisconnectedLinkError
-        The faces around some vertex do not form a single cycle.
+        Some vertex label in ``0..max`` is unused, or the faces around some
+        vertex do not form a single cycle.
     """
     if len(faces) == 0:
         raise BadFaceError("face list is empty")
+    faces = list(faces)
+    sizes = np.fromiter(map(len, faces), np.int64, len(faces))
+    ragged = np.flatnonzero(sizes != 3)
+    n_ok = int(ragged[0]) if ragged.size else len(faces)
+    rows = np.fromiter(map(int, chain.from_iterable(faces[:n_ok])), np.int64, 3 * n_ok)
+    rows = np.sort(rows.reshape(n_ok, 3), axis=1)
 
-    rows = []
-    for face in faces:
-        triple = tuple(int(v) for v in face)
-        if len(triple) != 3:
-            raise BadFaceError(f"face {face!r} does not have three vertices")
-        if len(set(triple)) != 3:
-            raise BadFaceError(f"face {face!r} has a repeated vertex")
-        if min(triple) < 0:
-            raise BadFaceError(f"face {face!r} has a negative vertex index")
-        rows.append(tuple(sorted(triple)))
+    repeated = (rows[:, 0] == rows[:, 1]) | (rows[:, 1] == rows[:, 2])
+    bad = np.flatnonzero(repeated | (rows[:, 0] < 0))
+    if bad.size:
+        f = bad[0]
+        problem = "has a repeated vertex" if repeated[f] else "has a negative vertex index"
+        raise BadFaceError(f"face {faces[f]!r} {problem}")
+    if n_ok < len(faces):
+        raise BadFaceError(f"face {faces[n_ok]!r} does not have three vertices")
 
-    seen = set()
-    for row in rows:
-        if row in seen:
-            raise NonManifoldError(f"face {row} appears more than once")
-        seen.add(row)
+    order = np.lexsort(rows.T[::-1])  # stable, so repeats follow their first copy
+    face_arr = rows[order]
+    repeats = order[1:][np.all(face_arr[1:] == face_arr[:-1], axis=1)]
+    if repeats.size:
+        row = tuple(rows[repeats.min()].tolist())
+        raise NonManifoldError(f"face {row} appears more than once")
 
-    face_arr = np.array(sorted(rows), dtype=np.int64)
-    n_vertices = int(face_arr.max()) + 1
+    # Dense ids 0..n-1 in label order, so that unused labels cannot inflate
+    # any per-vertex array before they are reported.
+    labels, first_corner, ids = np.unique(face_arr, return_index=True, return_inverse=True)
+    ids = ids.reshape(face_arr.shape)
+    n_vertices = len(labels)
 
-    # Canonical edge order: lexicographic over (min, max) pairs.
-    edge_faces_map: dict[tuple[int, int], list[int]] = {}
-    for f, (v0, v1, v2) in enumerate(face_arr):
-        for a, b in ((v0, v1), (v0, v2), (v1, v2)):
-            edge_faces_map.setdefault((int(a), int(b)), []).append(f)
-
-    bad = {e: fs for e, fs in edge_faces_map.items() if len(fs) != 2}
-    if bad:
-        detail = ", ".join(f"{e} in {len(fs)} faces" for e, fs in sorted(bad.items()))
+    # Half-edge (f, m) is the edge of face f opposite its m-th vertex.
+    keys = ids[:, [1, 0, 0]] * n_vertices + ids[:, [2, 2, 1]]
+    edge_keys, half_edges, counts = np.unique(
+        keys.ravel(), return_inverse=True, return_counts=True
+    )
+    edge_arr = np.column_stack(np.divmod(edge_keys, n_vertices))
+    bad = np.flatnonzero(counts != 2)
+    if bad.size:
+        detail = ", ".join(
+            f"{(a, b)} in {c} faces"
+            for (a, b), c in zip(labels[edge_arr[bad]].tolist(), counts[bad].tolist())
+        )
         raise NonManifoldError(f"not a closed surface: {detail}")
 
-    edge_arr = np.array(sorted(edge_faces_map), dtype=np.int64)
-    edge_index = {(int(i), int(j)): k for k, (i, j) in enumerate(edge_arr)}
-    edge_faces = np.array(
-        [sorted(edge_faces_map[(int(i), int(j))]) for i, j in edge_arr], dtype=np.int64
-    )
+    pairs = np.argsort(half_edges, kind="stable").reshape(-1, 2)
+    twin = np.empty_like(half_edges)
+    twin[pairs[:, 0]], twin[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    unused = np.flatnonzero(labels != np.arange(n_vertices))
+    split = _split_links(ids, twin, first_corner)
+    if unused.size and (not split.size or unused[0] < labels[split.min()]):
+        raise DisconnectedLinkError(f"vertex {int(unused[0])} has no incident faces")
+    if split.size:
+        raise DisconnectedLinkError(
+            f"link of vertex {int(labels[split.min()])} is not a single cycle"
+        )
 
-    vertex_faces_map: dict[int, list[int]] = {v: [] for v in range(n_vertices)}
-    for f, face in enumerate(face_arr):
-        for v in face:
-            vertex_faces_map[int(v)].append(f)
-
-    for v in range(n_vertices):
-        incident = vertex_faces_map[v]
-        if not incident:
-            raise DisconnectedLinkError(f"vertex {v} has no incident faces")
-        link = [tuple(int(w) for w in face_arr[f] if w != v) for f in incident]
-        if not _link_is_single_cycle(link):
-            raise DisconnectedLinkError(f"link of vertex {v} is not a single cycle")
-
-    degree = np.zeros(n_vertices, dtype=np.int64)
-    np.add.at(degree, edge_arr.ravel(), 1)
-
-    n_edges, n_faces = len(edge_arr), len(face_arr)
-    assert 3 * n_faces == 2 * n_edges
-    chi = n_vertices - n_edges + n_faces
-
-    # Edge opposite vertex position m joins the other two (sorted) vertices.
-    opposite = np.empty((n_faces, 3), dtype=np.int64)
-    for f, (v0, v1, v2) in enumerate(face_arr):
-        opposite[f, 0] = edge_index[(int(v1), int(v2))]
-        opposite[f, 1] = edge_index[(int(v0), int(v2))]
-        opposite[f, 2] = edge_index[(int(v0), int(v1))]
-
+    # Every label is used from here on, so the dense ids are the labels.
+    edge_faces = pairs // 3
+    opposite = half_edges.reshape(face_arr.shape)
+    degree = np.bincount(edge_arr.ravel(), minlength=n_vertices)
     for arr in (face_arr, edge_arr, edge_faces, degree, opposite):
         arr.setflags(write=False)
 
@@ -179,11 +190,10 @@ def build_complex(faces: Sequence[Sequence[int]]) -> SurfaceComplex:
         vertex_count=n_vertices,
         faces=face_arr,
         edges=edge_arr,
-        edge_index=edge_index,
+        edge_index=dict(zip(zip(*edge_arr.T.tolist()), range(len(edge_arr)))),
         edge_faces=edge_faces,
-        vertex_faces=tuple(tuple(fs) for fs in vertex_faces_map.values()),
         vertex_degree=degree,
-        euler_characteristic=chi,
+        euler_characteristic=n_vertices - len(edge_arr) + len(face_arr),
         face_opposite_edges=opposite,
     )
 

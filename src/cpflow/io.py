@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,10 @@ FORMAT_VERSION = 1
 _SURFACE_FIELDS = {"format", "background", "faces", "inversive", "radii", "permissive"}
 _TARGET_FIELDS = {"format", "target"}
 _SUBSETS_FIELDS = {"format", "subsets"}
-_NUMBER = (int, float)
+_ENTRY_FIELDS = {"edge", "value"}
+_INT = frozenset({int})
+_LIST = frozenset({list})
+_NUMBER = frozenset({int, float})
 
 
 @dataclass(frozen=True)
@@ -60,11 +64,13 @@ def _check_fields(doc: dict, allowed: set, what: str) -> None:
         raise ParseError(f"{what} must declare \"format\": {FORMAT_VERSION}")
 
 
-def _is_list_of(raw, kind) -> bool:
-    """Whether ``raw`` is a JSON list of ``kind`` values; booleans never pass."""
-    return isinstance(raw, list) and all(
-        isinstance(v, kind) and not isinstance(v, bool) for v in raw
-    )
+def _is_list_of(raw, kinds: frozenset) -> bool:
+    """Whether ``raw`` is a JSON list of values whose types are in ``kinds``.
+
+    Decoded JSON holds no subclasses, so exact types suffice, and a boolean
+    (type ``bool``) never passes for an integer.
+    """
+    return isinstance(raw, list) and set(map(type, raw)) <= kinds
 
 
 def _write_json(path, doc: dict, sort_keys: bool = False) -> None:
@@ -82,6 +88,19 @@ def _load_json(path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _is_entry(entry) -> bool:
+    """Whether a JSON value has the shape {"edge": [i, j], "value": v}."""
+    return (
+        type(entry) is dict
+        and entry.keys() == _ENTRY_FIELDS
+        and type(edge := entry["edge"]) is list
+        and len(edge) == 2
+        and type(edge[0]) is int
+        and type(edge[1]) is int
+        and type(entry["value"]) in _NUMBER
+    )
 
 
 def _parse_inversive(raw, complex: SurfaceComplex) -> np.ndarray:
@@ -105,31 +124,52 @@ def _parse_inversive(raw, complex: SurfaceComplex) -> np.ndarray:
     if not isinstance(entries, list):
         raise ParseError("'inversive' must be a number, a list, or {default, edges}")
 
-    values = np.full(n_edges, np.nan if default is None else default)
-    seen = set()
-    for entry in entries:
-        if (
-            not isinstance(entry, dict)
-            or set(entry) != {"edge", "value"}
-            or not _is_list_of(entry["edge"], int)
-            or len(entry["edge"]) != 2
-            or not _is_list_of([entry["value"]], _NUMBER)
-        ):
-            raise ParseError("each inversive entry must be {\"edge\": [i, j], \"value\": v}")
-        i, j = entry["edge"]
-        key = (min(i, j), max(i, j))
-        if key not in complex.edge_index:
-            raise ParseError(f"inversive entry names a non-edge {list(key)}")
-        if key in seen:
-            raise ParseError(f"duplicate inversive entry for edge {list(key)}")
-        seen.add(key)
-        values[complex.edge_index[key]] = float(entry["value"])
-    if np.any(np.isnan(values)):
-        missing = complex.edges[np.nonzero(np.isnan(values))[0][0]]
+    # Entries are checked in file order, so the scan stops at the first
+    # malformed one, and an earlier non-edge or duplicate entry wins over it.
+    shaped = list(map(_is_entry, entries))
+    n_shaped = shaped.index(False) if False in shaped else len(entries)
+    pairs = [entry["edge"] for entry in entries[:n_shaped]]
+    # Endpoints outside 0..N-1 name no edge; clamping them keeps integers of
+    # any size out of the int64 conversion.
+    n = complex.vertex_count
+    ends = np.array(
+        [v if 0 <= v < n else -1 for v in chain.from_iterable(pairs)], dtype=np.int64
+    ).reshape(-1, 2)
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    edge_keys = complex.edges[:, 0] * n + complex.edges[:, 1]
+    keys = lo * n + hi
+    rows = np.minimum(np.searchsorted(edge_keys, keys), n_edges - 1)
+    known = (lo >= 0) & (edge_keys[rows] == keys)
+    named = np.flatnonzero(known)
+    _, first = np.unique(rows[named], return_index=True)
+    repeated = np.delete(named, first)
+
+    problems = []
+    if n_shaped < len(entries):
+        message = "each inversive entry must be {\"edge\": [i, j], \"value\": v}"
+        problems.append((n_shaped, message))
+    if not known.all():
+        k = int(np.argmin(known))
+        problems.append((k, f"inversive entry names a non-edge {sorted(pairs[k])}"))
+    if repeated.size:
+        k = int(repeated.min())
+        problems.append((k, f"duplicate inversive entry for edge {sorted(pairs[k])}"))
+    stop, message = min(problems, default=(len(entries), None))
+    # Values convert up to the first bad entry, as a scan in file order would.
+    values = np.fromiter(map(float, [entry["value"] for entry in entries[:stop]]), float, stop)
+    if stop < len(entries):
+        raise ParseError(message)
+
+    assigned = np.zeros(n_edges, dtype=bool)
+    assigned[rows] = True
+    if default is None and not assigned.all():
+        missing = complex.edges[np.argmin(assigned)]
         raise ParseError(
-            f"edge {list(map(int, missing))} has no inversive value and no default"
+            f"edge {missing.tolist()} has no inversive value and no default"
         )
-    return values
+    out = np.full(n_edges, 0.0 if default is None else default)
+    out[rows] = values
+    return out
 
 
 def load_surface(path) -> SurfaceInput:
@@ -151,7 +191,7 @@ def load_surface(path) -> SurfaceInput:
     if not isinstance(permissive, bool):
         raise ParseError(f"'permissive' must be true or false, got {permissive!r}")
     faces = doc["faces"]
-    if not isinstance(faces, list) or not all(_is_list_of(face, int) for face in faces):
+    if not _is_list_of(faces, _LIST) or not _is_list_of(list(chain.from_iterable(faces)), _INT):
         raise ParseError("'faces' must be a list of vertex-index lists")
     try:
         complex = build_complex(faces)
@@ -241,7 +281,7 @@ def load_subsets(path, n_vertices: int) -> list[frozenset]:
         raise ParseError("subsets file must carry a nonempty 'subsets' list")
     out = []
     for raw in doc["subsets"]:
-        if not _is_list_of(raw, int):
+        if not _is_list_of(raw, _INT):
             raise ParseError(f"subset {raw!r} is not a list of vertex indices")
         members = frozenset(raw)
         if not members or len(members) >= n_vertices:

@@ -23,6 +23,9 @@ from .errors import DomainError, RangeError
 #: cosh/sinh arguments above this overflow double precision downstream.
 HYPERBOLIC_SIZE_LIMIT = 350.0
 
+#: cosh(l) - 1 at the size limit: a larger excess is a longer edge.
+_EXCESS_LIMIT = float(np.cosh(HYPERBOLIC_SIZE_LIMIT)) - 1.0
+
 #: below this u-coordinate the squared hyperbolic radius underflows double
 #: precision inside the length kernel (radius ~ 1e-131 at u = -300).
 U_COORDINATE_FLOOR = -300.0
@@ -97,7 +100,7 @@ class UCoords:
 
 
 def _check_hyperbolic_sizes(values: np.ndarray, what: str) -> None:
-    if np.any(values > HYPERBOLIC_SIZE_LIMIT):
+    if (values > HYPERBOLIC_SIZE_LIMIT).any():
         raise RangeError(
             f"{what} above {HYPERBOLIC_SIZE_LIMIT:g} would overflow cosh/sinh"
         )
@@ -106,7 +109,11 @@ def _check_hyperbolic_sizes(values: np.ndarray, what: str) -> None:
 def _edge_lengths_arrays(
     background: Background, ri: np.ndarray, rj: np.ndarray, inv: np.ndarray
 ) -> np.ndarray:
-    """Vectorized edge lengths; stable for radii from 1e-300 up to the cap."""
+    """Vectorized edge lengths; stable for radii from 1e-300 up to the cap.
+
+    A hyperbolic edge longer than the size limit raises RangeError, however
+    far its length would overflow.
+    """
     if background is Background.EUCLIDEAN:
         sq = (ri - rj) ** 2 + 2.0 * (1.0 + inv) * ri * rj
         if np.any(sq <= 0):
@@ -115,13 +122,19 @@ def _edge_lengths_arrays(
     _check_hyperbolic_sizes(np.maximum(ri, rj), "radii")
     # cosh(l) - 1 written without cancellation for inv >= 0:
     #   sinh^2((ri+rj)/2) + sinh^2((ri-rj)/2) + inv sinh(ri) sinh(rj)
-    excess = (
-        np.sinh(0.5 * (ri + rj)) ** 2
-        + np.sinh(0.5 * (ri - rj)) ** 2
-        + inv * np.sinh(ri) * np.sinh(rj)
-    )
-    if np.any(excess <= 0):
+    # The last term may overflow to inf, which the size check below catches.
+    with np.errstate(over="ignore"):
+        excess = (
+            np.sinh(0.5 * (ri + rj)) ** 2
+            + np.sinh(0.5 * (ri - rj)) ** 2
+            + inv * np.sinh(ri) * np.sinh(rj)
+        )
+    if (excess <= 0).any():
         raise DomainError("hyperbolic edge length is not defined (cosh l < 1)")
+    if (excess > _EXCESS_LIMIT).any():
+        raise RangeError(
+            f"lengths above {HYPERBOLIC_SIZE_LIMIT:g} would overflow cosh/sinh"
+        )
     return np.log1p(excess + np.sqrt(excess * (excess + 2.0)))
 
 

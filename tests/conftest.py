@@ -63,3 +63,27 @@ def random_admissible_metric(complex, rng, background=Background.HYPERBOLIC,
         if is_admissible(complex, metric)[0]:
             return metric
     raise AssertionError("could not sample an admissible metric")
+
+
+def flip_edges(faces, rng, flips):
+    """A closed surface made from ``faces`` by up to ``flips`` random edge flips.
+
+    Flipping edge ab of the faces abc and abd gives the faces cda and cdb: the
+    same surface, triangulated differently.  A flip whose new edge cd already
+    exists is refused, so the result stays a simplicial complex.
+    """
+    faces = [tuple(int(v) for v in face) for face in faces]
+    for _ in range(flips):
+        edge_faces = {}
+        for k, face in enumerate(faces):
+            for m in range(3):
+                edge_faces.setdefault(frozenset(face[:m] + face[m + 1:]), []).append(k)
+        edges = sorted(edge_faces, key=sorted)
+        edge = edges[rng.integers(len(edges))]
+        f, g = edge_faces[edge]
+        (c,), (d,) = set(faces[f]) - edge, set(faces[g]) - edge
+        if frozenset((c, d)) in edge_faces:
+            continue
+        a, b = sorted(edge)
+        faces[f], faces[g] = (c, d, a), (c, d, b)
+    return faces

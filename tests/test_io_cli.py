@@ -28,6 +28,11 @@ def _write(path: Path, doc: dict) -> Path:
     return path
 
 
+def _huge_label_faces(label):
+    """A tetrahedron whose fourth vertex is called ``label``."""
+    return [[0, 1, 2], [0, 1, label], [0, 2, label], [1, 2, label]]
+
+
 def _tetra_doc(**overrides):
     doc = {
         "format": 1,
@@ -98,6 +103,14 @@ def test_sparse_inversive_with_default(tmp_path):
             "non-edge",
         ),
         (lambda d: d.update(radii=[1.0, -1.0, 1.0, 1.0]), "positive"),
+        (
+            lambda d: d.update(
+                inversive={"default": 1.0, "edges": [{"edge": [0, 1], "value": float("nan")}]}
+            ),
+            "finite",
+        ),
+        (lambda d: d.update(faces=_huge_label_faces(10**12)), "vertex 3 has no incident faces"),
+        (lambda d: d.update(faces=_huge_label_faces(10**30)), "too large"),
     ],
 )
 def test_surface_parse_errors(tmp_path, mutate, fragment):
@@ -396,7 +409,7 @@ def test_cli_check_without_curvature_bounds(workdir, capsys, overrides):
 
 @pytest.mark.parametrize(
     "radius, message",
-    [(176.0, "lengths above 350"), (200.0, "positive and finite")],
+    [(176.0, "lengths above 350"), (200.0, "lengths above 350")],
     ids=["above-limit", "overflow"],
 )
 def test_cli_check_rejects_edge_beyond_size_limit(workdir, capsys, radius, message):
@@ -461,6 +474,9 @@ def _edge_entry(edge, value):
         _bad_surface(inversive=_edge_entry([0, 1.5], 2.0)),
         _bad_surface(inversive=_edge_entry(["0", 1], 2.0)),
         _bad_surface(inversive=_edge_entry([0, 1], "2.0")),
+        _bad_surface(inversive=_edge_entry([0, 1], float("nan"))),
+        _bad_surface(inversive=_edge_entry([0, 1], float("inf"))),
+        _bad_surface(inversive=_edge_entry([0, 1], -float("inf"))),
         _bad_surface(inversive={"default": True}),
         _bad_surface(radii=["1.0", 1.0, 1.0, 1.0]),
         _bad_surface(radii=[True, 1.0, 1.0, 1.0]),
@@ -469,7 +485,8 @@ def _edge_entry(edge, value):
          "subset-string", "subset-fraction", "subset-boolean", "cap-zero", "cap-negative",
          "target-boolean-string", "target-huge-integer", "max-iter-negative",
          "permissive-string", "face-fraction", "face-string", "face-boolean",
-         "edge-fraction", "edge-string", "inversive-value-string", "inversive-default-boolean",
+         "edge-fraction", "edge-string", "inversive-value-string", "inversive-value-nan",
+         "inversive-value-infinity", "inversive-value-minus-infinity", "inversive-default-boolean",
          "radii-string", "radii-boolean"],
 )
 def test_cli_rejects_bad_inputs(workdir, capsys, argv, doc, surface):
