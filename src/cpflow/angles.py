@@ -95,7 +95,7 @@ def extended_angles_batch(
     rows (strict triangle inequality violated).
     """
     lengths = np.asarray(lengths, dtype=float)
-    if np.any(lengths <= 0) or not np.all(np.isfinite(lengths)):
+    if (lengths <= 0).any() or not np.isfinite(lengths).all():
         raise DomainError("side lengths must be positive and finite")
     if background is Background.HYPERBOLIC:
         _check_hyperbolic_sizes(lengths, "lengths")
@@ -137,17 +137,18 @@ def triangle_area(background: Background, angles: GeneralizedAngles) -> float:
 # Angle derivatives in u-coordinates
 # ---------------------------------------------------------------------------
 
+#: vertex slots m + 1 and m + 2 (mod 3), the endpoints of the edge opposite m
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+#: [m, a] -> the third slot b of {m, a, b} = {0, 1, 2} off the diagonal, m on it
+_THIRD = -np.add.outer(np.arange(3), np.arange(3)) % 3
+_DIAGONAL = np.eye(3, dtype=bool)
+
+
 def _triangle_lengths_from_radii(
     background: Background, radii: np.ndarray, inversive: np.ndarray
 ) -> np.ndarray:
     """(n, 3) side lengths; column m is the edge opposite vertex slot m."""
-    out = np.empty_like(radii)
-    for m in range(3):
-        j, k = (m + 1) % 3, (m + 2) % 3
-        out[:, m] = _edge_lengths_arrays(
-            background, radii[:, j], radii[:, k], inversive[:, m]
-        )
-    return out
+    return _edge_lengths_arrays(background, radii[:, _NEXT], radii[:, _PREV], inversive)
 
 
 def angle_jacobians_batch(
@@ -162,13 +163,10 @@ def angle_jacobians_batch(
     """
     radii = np.asarray(radii, dtype=float)
     inversive = np.asarray(inversive, dtype=float)
-    if np.any(radii <= 0):
+    if (radii <= 0).any():
         raise DomainError("radii must be positive")
-    if background is Background.HYPERBOLIC:
-        _check_hyperbolic_sizes(radii, "radii")
+    # The length kernel raises RangeError for radii and lengths past the size limit.
     lengths = _triangle_lengths_from_radii(background, radii, inversive)
-    if background is Background.HYPERBOLIC:
-        _check_hyperbolic_sizes(lengths, "lengths")
     if triangle_inequality_violations(lengths).any():
         raise BoundaryError(
             "angle derivatives are undefined on or beyond the degenerate boundary"
@@ -176,7 +174,7 @@ def angle_jacobians_batch(
 
     cos = _cos_ratios(background, lengths)
     sin_sq = 1.0 - cos**2
-    if np.any(sin_sq <= 0):
+    if (sin_sq <= 0).any():
         raise BoundaryError("triangle too close to the degenerate boundary")
     sin = np.sqrt(sin_sq)
 
@@ -186,35 +184,18 @@ def angle_jacobians_batch(
     # dtheta/dx: diagonal D_m = x'_m / (x'_j x'_k sin theta_m) with
     # x' = sinh x (hyperbolic) or x (euclidean); off-diagonal
     # dtheta_m/dx_a = -D_m cos theta_b, {m, a, b} = {0, 1, 2}.
-    dtheta_dx = np.empty((len(radii), 3, 3))
-    for m in range(3):
-        j, k = (m + 1) % 3, (m + 2) % 3
-        d_m = sx[:, m] / (sx[:, j] * sx[:, k] * sin[:, m])
-        dtheta_dx[:, m, m] = d_m
-        dtheta_dx[:, m, j] = -d_m * cos[:, k]
-        dtheta_dx[:, m, k] = -d_m * cos[:, j]
+    d = sx / (sx[:, _NEXT] * sx[:, _PREV] * sin)
+    dtheta_dx = d[:, :, None] * np.where(_DIAGONAL, 1.0, -cos[:, _THIRD])
 
-    # dx/dr: x_m joins vertices j and k, so only those columns are nonzero.
-    dx_dr = np.zeros((len(radii), 3, 3))
-    for m in range(3):
-        j, k = (m + 1) % 3, (m + 2) % 3
-        if hyper:
-            denom = np.sinh(lengths[:, m])
-            dx_dr[:, m, j] = (
-                np.sinh(radii[:, j]) * np.cosh(radii[:, k])
-                + inversive[:, m] * np.cosh(radii[:, j]) * np.sinh(radii[:, k])
-            ) / denom
-            dx_dr[:, m, k] = (
-                np.sinh(radii[:, k]) * np.cosh(radii[:, j])
-                + inversive[:, m] * np.cosh(radii[:, k]) * np.sinh(radii[:, j])
-            ) / denom
-        else:
-            dx_dr[:, m, j] = (radii[:, j] + radii[:, k] * inversive[:, m]) / lengths[:, m]
-            dx_dr[:, m, k] = (radii[:, k] + radii[:, j] * inversive[:, m]) / lengths[:, m]
-
-    dr_du = np.sinh(radii) if hyper else radii
-    out = np.einsum("npm,nmq,nq->npq", dtheta_dx, dx_dr, dr_du)
-    if not np.all(np.isfinite(out)):
+    # dx/du = dx/dr dr/du with dr/du = s = sinh r (hyperbolic) or r
+    # (euclidean).  x_m joins the vertices a and b other than m, so the
+    # diagonal is 0 and dx_m/dr_a = (s_a c_b + I_m c_a s_b) / x'_m, with
+    # c = cosh r (hyperbolic) or 1 (euclidean).
+    s, c = (np.sinh(radii), np.cosh(radii)) if hyper else (radii, np.ones_like(radii))
+    s_a, c_a = s[:, None, :], c[:, None, :]
+    dx_dr = (s_a * c[:, _THIRD] + inversive[:, :, None] * c_a * s[:, _THIRD]) / sx[:, :, None]
+    out = dtheta_dx @ np.where(_DIAGONAL, 0.0, dx_dr * s_a)
+    if not np.isfinite(out).all():
         # strict inequalities can hold by less than an ulp while 1/sin blows up
         raise BoundaryError("triangle too close to the degenerate boundary")
     return out

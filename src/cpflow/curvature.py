@@ -86,7 +86,7 @@ def make_curvature_evaluator(
     inv = np.asarray(inversive, dtype=float)
     if inv.shape != (complex.edge_count,):
         raise ConfigError("inversive array does not match the edge count")
-    if not np.all(np.isfinite(inv)) or np.any(inv <= -1):
+    if not np.isfinite(inv).all() or (inv <= -1).any():
         raise DomainError("inversive distances must be finite and > -1")
     tail, head = complex.edges[:, 0], complex.edges[:, 1]
 
@@ -123,6 +123,17 @@ def gauss_bonnet_defect(complex: SurfaceComplex, metric: PackingMetric) -> float
     return _defect(complex, metric.background, extended_curvature(complex, metric))
 
 
+def _jacobian_blocks(
+    complex: SurfaceComplex, background: Background, radii: np.ndarray, inversive: np.ndarray
+) -> np.ndarray:
+    """(F, 3, 3) blocks: [f, p, q] is face f's share of dK/du at (faces[f, p], faces[f, q]).
+
+    Raises BoundaryError unless every face is strictly admissible."""
+    return -angle_jacobians_batch(
+        background, radii[complex.faces], inversive[complex.face_opposite_edges]
+    )
+
+
 def curvature_jacobian(complex: SurfaceComplex, metric: PackingMetric) -> np.ndarray:
     """The N x N matrix d(K)/d(u), assembled from per-face angle Jacobians.
 
@@ -131,20 +142,16 @@ def curvature_jacobian(complex: SurfaceComplex, metric: PackingMetric) -> np.nda
     distances >= 0; in euclidean background it has the all-ones vector in
     its kernel (scaling invariance).
     """
-    faces = complex.faces
-    radii_tri = metric.radii[faces]
-    inv_tri = metric.inversive[complex.face_opposite_edges]
     try:
-        face_jac = angle_jacobians_batch(metric.background, radii_tri, inv_tri)
+        blocks = _jacobian_blocks(complex, metric.background, metric.radii, metric.inversive)
     except BoundaryError:
         _, bad = is_admissible(complex, metric)
         raise BoundaryError(
             f"curvature Jacobian undefined: degenerate or boundary faces {bad}"
         ) from None
 
+    # Flat index row * n + col of every block entry, in blocks' (f, p, q) order.
     n = complex.vertex_count
-    jac = np.zeros((n, n))
-    for p in range(3):
-        for q in range(3):
-            np.subtract.at(jac, (faces[:, p], faces[:, q]), face_jac[:, p, q])
-    return jac
+    faces = complex.faces
+    cells = np.repeat(faces, 3, axis=1) * n + np.tile(faces, 3)
+    return np.bincount(cells.ravel(), weights=blocks.ravel(), minlength=n * n).reshape(n, n)

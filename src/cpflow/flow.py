@@ -239,15 +239,15 @@ def run_flow(
             # Radii collapsed below representable precision mid-stage.
             status = "diverged"
             break
-        if not np.all(np.isfinite(u_next)):
+        if not np.isfinite(u_next).all():
             raise StepError(f"non-finite state at t={(step_index + 1) * dt:g}")
         if background is Background.HYPERBOLIC and (
-            np.any(u_next >= 0) or np.any(u_next <= U_COORDINATE_FLOOR)
+            (u_next >= 0).any() or (u_next <= U_COORDINATE_FLOOR).any()
         ):
             status = "diverged"
             break
         radii = u_to_radii_array(u_next, background)
-        if np.any(radii > config.divergence_radius_cap):
+        if (radii > config.divergence_radius_cap).any():
             status = "diverged"
             break
 

@@ -60,7 +60,8 @@ def _check_fields(doc: dict, allowed: set, what: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
         raise ParseError(f"{what} has unknown fields: {sorted(unknown)}")
-    if doc.get("format") != FORMAT_VERSION:
+    version = doc.get("format")
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ParseError(f"{what} must declare \"format\": {FORMAT_VERSION}")
 
 

@@ -69,13 +69,13 @@ class PackingMetric:
         object.__setattr__(self, "radii", _as_readonly(self.radii))
         if self.inversive.ndim != 1 or self.radii.ndim != 1:
             raise DomainError("inversive and radii must be one-dimensional")
-        if not np.all(np.isfinite(self.inversive)) or not np.all(np.isfinite(self.radii)):
+        if not np.isfinite(self.inversive).all() or not np.isfinite(self.radii).all():
             raise DomainError("inversive distances and radii must be finite")
-        if np.any(self.radii <= 0):
+        if (self.radii <= 0).any():
             raise DomainError("all radii must be positive")
-        if np.any(self.inversive <= -1):
+        if (self.inversive <= -1).any():
             raise DomainError("inversive distances must be > -1")
-        if not self.permissive and np.any(self.inversive < 0):
+        if not self.permissive and (self.inversive < 0).any():
             raise DomainError(
                 "negative inversive distances require permissive=True"
             )
@@ -93,9 +93,9 @@ class UCoords:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _as_readonly(self.values))
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise DomainError("u-coordinates must be finite")
-        if self.background is Background.HYPERBOLIC and np.any(self.values >= 0):
+        if self.background is Background.HYPERBOLIC and (self.values >= 0).any():
             raise DomainError("hyperbolic u-coordinates must be negative")
 
 
@@ -116,7 +116,7 @@ def _edge_lengths_arrays(
     """
     if background is Background.EUCLIDEAN:
         sq = (ri - rj) ** 2 + 2.0 * (1.0 + inv) * ri * rj
-        if np.any(sq <= 0):
+        if (sq <= 0).any():
             raise DomainError("euclidean edge length is not defined (l^2 <= 0)")
         return np.sqrt(sq)
     _check_hyperbolic_sizes(np.maximum(ri, rj), "radii")
@@ -247,10 +247,10 @@ def u_to_radii_array(u: np.ndarray, background: Background) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if background is Background.EUCLIDEAN:
         return np.exp(u)
-    if np.any(u >= 0):
+    if (u >= 0).any():
         raise DomainError("hyperbolic u-coordinates must be negative")
     radii = np.log1p(2.0 * np.exp(u) / (-np.expm1(u)))
-    if np.any(radii <= 0):
+    if (radii <= 0).any():
         raise DomainError("radius underflow: u-coordinate too negative")
     return radii
 

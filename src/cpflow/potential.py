@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import SurfaceComplex
-from .curvature import curvature_jacobian, make_curvature_evaluator
+from .curvature import _jacobian_blocks, make_curvature_evaluator
 from .errors import (
     BoundaryError,
     ConfigError,
@@ -28,7 +28,6 @@ from .errors import (
 )
 from .packing import (
     Background,
-    PackingMetric,
     U_COORDINATE_FLOOR,
     UCoords,
     u_to_radii_array,
@@ -36,6 +35,11 @@ from .packing import (
 
 _ARMIJO_SLOPE_FRACTION = 1e-4
 _MIN_STEP_FRACTION = 1e-12
+
+#: conjugate gradients stops at this residual norm relative to the right side
+_CG_TOLERANCE = 1e-13
+#: and counts the matrix as not positive definite after this many steps
+_CG_MAX_ITERATIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ def segment_integral(
     u_from = np.asarray(u_from, dtype=float)
     u_to = np.asarray(u_to, dtype=float)
     direction = u_to - u_from
-    if not np.any(direction):
+    if not direction.any():
         return 0.0
 
     def integrand(s: float) -> float:
@@ -165,38 +169,63 @@ class NewtonReport:
 
 
 def _newton_direction(ctx: PotentialContext, u: np.ndarray, grad: np.ndarray):
-    """Regularized Newton direction, or None when the Hessian is unusable."""
-    metric = PackingMetric(
-        ctx.background, ctx.inversive, u_to_radii_array(u, ctx.background),
-        permissive=bool(np.any(ctx.inversive < 0)),
-    )
+    """Regularized Newton direction, or None when the Hessian is unusable.
+
+    Solves (H + mu I) d = -grad for H = dK/du given by its per-face blocks,
+    never as an N x N matrix.  mu climbs 0, 1e-10, 1e-9, ... while conjugate
+    gradients finds H + mu I not positive definite, and gives up above 1e-2.
+    """
+    radii = u_to_radii_array(u, ctx.background)
     try:
-        hess = curvature_jacobian(ctx.complex, metric)
+        blocks = _jacobian_blocks(ctx.complex, ctx.background, radii, ctx.inversive)
     except BoundaryError:
         return None
-    if not np.all(np.isfinite(hess)):
-        return None
-    n = len(u)
     mu = 0.0
-    while True:
-        try:
-            np.linalg.cholesky(hess + mu * np.eye(n))
-            direction = np.linalg.solve(hess + mu * np.eye(n), -grad)
-        except np.linalg.LinAlgError:
-            mu = 1e-10 if mu == 0.0 else mu * 10.0
-            if mu > 1e-2:
-                return None
-            continue
-        if not np.all(np.isfinite(direction)):
+    while mu <= 1e-2:
+        direction = _conjugate_gradient(blocks, ctx.complex.faces, mu, -grad)
+        if direction is not None:
+            return direction
+        mu = 1e-10 if mu == 0.0 else mu * 10.0
+    return None
+
+
+def _conjugate_gradient(blocks, faces, mu, rhs):
+    """Solve (H + mu I) x = rhs by Jacobi-preconditioned conjugate gradients.
+
+    H is the sum of the per-face ``blocks`` placed at the ``faces``' vertices.
+    Returns None when H + mu I shows itself not positive definite: a diagonal
+    entry <= 0, a direction p with p.Ap <= 0, a non-finite value, or no
+    convergence to relative residual _CG_TOLERANCE in _CG_MAX_ITERATIONS steps.
+    """
+    corners = faces.ravel()
+    diagonal = np.bincount(corners, np.einsum("fpp->fp", blocks).ravel(), len(rhs)) + mu
+    if not (diagonal > 0).all():
+        return None
+    x, r = np.zeros_like(rhs), rhs.copy()
+    z = r / diagonal
+    p, rz = z, float(r @ z)
+    stop = _CG_TOLERANCE**2 * float(r @ r)
+    for _ in range(_CG_MAX_ITERATIONS):
+        if float(r @ r) <= stop:
+            return x if np.isfinite(x).all() else None
+        products = np.einsum("fpq,fq->fp", blocks, p[faces]).ravel()
+        ap = np.bincount(corners, products, len(rhs)) + mu * p
+        pap = float(p @ ap)
+        if not pap > 0.0:  # also catches NaN
             return None
-        return direction
+        x += rz / pap * p
+        r -= rz / pap * ap
+        z = r / diagonal
+        rz, rz_last = float(r @ z), rz
+        p = z + rz / rz_last * p
+    return None
 
 
 def _domain_ok(background: Background, u: np.ndarray) -> bool:
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         return False
     if background is Background.HYPERBOLIC:
-        return bool(np.all(u < 0) and np.all(u > U_COORDINATE_FLOOR))
+        return bool((u < 0).all() and (u > U_COORDINATE_FLOOR).all())
     return True
 
 

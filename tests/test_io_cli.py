@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cpflow
 from cpflow import Background, PackingMetric, ParseError, curvature
 from cpflow.cli import main
 from cpflow.io import (
@@ -335,6 +339,29 @@ def test_cli_solve(workdir):
     assert json.loads((workdir / "r2.json").read_text())["iterations"] == 0
 
 
+def test_cli_solve_imports_numpy_only(tmp_path, genus2):
+    # numpy is the only runtime dependency; a fresh interpreter that runs
+    # `cpflow solve` must never have loaded scipy
+    rng = np.random.default_rng(8)
+    inversive = rng.uniform(0.0, 1.0, genus2.edge_count)
+    radii_bar = np.exp(rng.uniform(np.log(0.5), np.log(2.0), genus2.vertex_count))
+    save_surface(tmp_path / "g.json", genus2, HYP, inversive, np.ones(genus2.vertex_count))
+    save_target(tmp_path / "target.json", curvature(genus2, PackingMetric(HYP, inversive, radii_bar)).values)
+    script = (
+        "import sys\n"
+        "from cpflow.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cpflow.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, "solve", "g.json", "--target-file", "target.json",
+         "--report", "r.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.stdout.splitlines()[-1] == "0 False", run.stderr
+
+
 def test_cli_solve_unreachable_target(workdir):
     surface = _write(workdir / "t.json", _tetra_doc(inversive=1.0))
     save_target(workdir / "target.json", [-20.0, -20.0, -20.0, -20.0])
@@ -480,6 +507,12 @@ def _edge_entry(edge, value):
         _bad_surface(inversive={"default": True}),
         _bad_surface(radii=["1.0", 1.0, 1.0, 1.0]),
         _bad_surface(radii=[True, 1.0, 1.0, 1.0]),
+        _bad_surface(format=True),
+        _bad_surface(format=1.0),
+        (["solve", "--target-file", "in.json"], {"format": True, "target": [0.0] * 4}, {}),
+        (["solve", "--target-file", "in.json"], {"format": 1.0, "target": [0.0] * 4}, {}),
+        (["check", "--subsets-file", "in.json"], {"format": True, "subsets": [[0]]}, {}),
+        (["check", "--subsets-file", "in.json"], {"format": 1.0, "subsets": [[0]]}, {}),
     ],
     ids=["target-not-numbers", "subset-not-list", "subset-not-indices", "no-subsets",
          "subset-string", "subset-fraction", "subset-boolean", "cap-zero", "cap-negative",
@@ -487,7 +520,9 @@ def _edge_entry(edge, value):
          "permissive-string", "face-fraction", "face-string", "face-boolean",
          "edge-fraction", "edge-string", "inversive-value-string", "inversive-value-nan",
          "inversive-value-infinity", "inversive-value-minus-infinity", "inversive-default-boolean",
-         "radii-string", "radii-boolean"],
+         "radii-string", "radii-boolean", "surface-format-boolean", "surface-format-float",
+         "target-format-boolean", "target-format-float", "subsets-format-boolean",
+         "subsets-format-float"],
 )
 def test_cli_rejects_bad_inputs(workdir, capsys, argv, doc, surface):
     _write(workdir / "t.json", _tetra_doc(**{"inversive": 1.0, **surface}))

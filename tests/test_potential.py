@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cpflow import (
     Background,
@@ -10,16 +14,29 @@ from cpflow import (
     NoDescentError,
     PackingMetric,
     QuadratureError,
+    build_complex,
     curvature,
+    curvature_jacobian,
     extended_curvature,
+    genus2_surface,
+    icosahedron,
+    is_admissible,
     newton_solve,
+    octahedron,
     potential_gradient,
     potential_value,
+    tetrahedron,
+    triangulated_torus,
 )
 from cpflow.packing import UCoords, radii_to_u_array, u_to_radii_array
-from cpflow.potential import PotentialContext, _adaptive_simpson, segment_integral
+from cpflow.potential import (
+    PotentialContext,
+    _adaptive_simpson,
+    _newton_direction,
+    segment_integral,
+)
 
-from conftest import random_admissible_metric
+from conftest import flip_edges, random_admissible_metric
 
 HYP = Background.HYPERBOLIC
 EUC = Background.EUCLIDEAN
@@ -246,3 +263,116 @@ def test_adaptive_simpson_basics():
     assert value == pytest.approx(exact, abs=1e-9)
     with pytest.raises(QuadratureError):
         _adaptive_simpson(lambda s: np.sqrt(abs(s - 0.3)), 1e-10, max_depth=8)
+
+
+# ---------------------------------------------------------------------------
+# Newton direction against the dense Hessian
+# ---------------------------------------------------------------------------
+
+STOCK = [tetrahedron(), octahedron(), icosahedron(), genus2_surface(), triangulated_torus(3, 3)]
+
+
+@st.composite
+def _surfaces(draw):
+    """A stock surface, or one after random edge flips, and a numpy generator."""
+    base = draw(st.sampled_from(STOCK))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flips = draw(st.integers(0, 2 * base.face_count))
+    return build_complex(flip_edges(base.faces, rng, flips)), rng
+
+
+def _log_uniform_radii(rng, n):
+    return np.exp(rng.uniform(np.log(1e-3), np.log(5.0), n))
+
+
+def _dense_direction(jac, grad):
+    """The dense reference: Cholesky tests positivity on the same mu ladder."""
+    n = len(grad)
+    mu = 0.0
+    while True:
+        try:
+            np.linalg.cholesky(jac + mu * np.eye(n))
+        except np.linalg.LinAlgError:
+            mu = 1e-10 if mu == 0.0 else mu * 10.0
+            if mu > 1e-2:
+                return None
+            continue
+        return np.linalg.solve(jac + mu * np.eye(n), -grad)
+
+
+def _direction(complex, inversive, radii, grad):
+    u = radii_to_u_array(radii, HYP)
+    ctx = PotentialContext(complex, inversive, UCoords(u, HYP))
+    return _newton_direction(ctx, u, grad)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_surfaces())
+def test_newton_direction_matches_dense_solve(case):
+    complex, rng = case
+    radii = _log_uniform_radii(rng, complex.vertex_count)
+    inversive = rng.uniform(0.0, 3.0, complex.edge_count)
+    # Redraw I in [0, 1] on the edges of violating faces; a face whose three
+    # inversive distances lie in [0, 1] satisfies the triangle inequalities.
+    while True:
+        metric = PackingMetric(HYP, inversive, radii)
+        ok, bad = is_admissible(complex, metric)
+        if ok:
+            break
+        edges = np.unique(complex.face_opposite_edges[bad])
+        inversive = inversive.copy()
+        inversive[edges] = rng.uniform(0.0, np.minimum(inversive[edges], 1.0))
+
+    jac = curvature_jacobian(complex, metric)
+    assert np.max(np.abs(jac - jac.T)) <= 1e-9 * np.max(np.abs(jac))
+    np.linalg.cholesky(jac)  # positive definite
+
+    grad = rng.normal(size=complex.vertex_count)
+    direction = _direction(complex, inversive, radii, grad)
+    expected = np.linalg.solve(jac, -grad)
+    assert np.linalg.norm(direction - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_surfaces())
+def test_newton_direction_on_indefinite_hessian(case):
+    # permissive I < 0 can make the Hessian indefinite; the regularization
+    # ladder must end where the dense Cholesky ladder ends
+    complex, rng = case
+    radii = _log_uniform_radii(rng, complex.vertex_count)
+    inversive = rng.uniform(-0.99, 0.0, complex.edge_count)
+    metric = PackingMetric(HYP, inversive, radii, permissive=True)
+    assume(is_admissible(complex, metric)[0])
+    jac = curvature_jacobian(complex, metric)
+    assume(np.linalg.eigvalsh(jac)[0] < 0)
+
+    grad = rng.normal(size=complex.vertex_count)
+    direction = _direction(complex, inversive, radii, grad)
+    expected = _dense_direction(jac, grad)
+    if expected is None:
+        assert direction is None
+    else:
+        assert direction is not None
+        assert np.linalg.norm(direction - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+def test_newton_solve_at_scale():
+    # N = 6400, where one dense N x N matrix of floats takes 328 MB
+    complex = triangulated_torus(80, 80)
+    n = complex.vertex_count
+    rng = np.random.default_rng(11)
+    inversive = rng.uniform(0.0, 1.0, complex.edge_count)
+    radii_bar = np.exp(rng.uniform(np.log(0.5), np.log(2.0), n))
+    target = curvature(complex, PackingMetric(HYP, inversive, radii_bar)).values
+    start = _u(np.exp(rng.uniform(np.log(0.5), np.log(2.0), n)))
+    ctx = PotentialContext(complex, inversive, start, target)
+
+    tracemalloc.start()
+    try:
+        u_star, report = newton_solve(ctx, start, tol=1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.residual <= 1e-10
+    assert peak < 64 * 2**20
+    assert np.max(np.abs(u_to_radii_array(u_star.values, HYP) - radii_bar)) <= 1e-8
