@@ -9,12 +9,18 @@ continuous extension (pi, 0, 0).
 Index convention for a triangle with vertex slots (0, 1, 2):
 
     lengths[m]    length of the edge opposite vertex m
+    excess[m]     cosh(lengths[m]) - 1 (hyperbolic) or lengths[m]^2 / 2
     inversive[m]  inversive distance on the edge opposite vertex m
     angles[m]     inner angle at vertex m
 
-All hyperbolic ratios are evaluated in a cancellation-free factored form
-when the triangle is small, which keeps angles accurate down to radii of
-order 1e-12.
+The cosine law works in the excesses that the edge-length kernel computes
+without cancellation.  With lambda = Background.area_weight (1 hyperbolic,
+0 euclidean) and x' = sqrt(e (lambda e + 2)), which is sinh l or l,
+
+    cos theta_m = (e_j + e_k + lambda e_j e_k - e_m) / (x'_j x'_k),
+
+one branch-free formula for both backgrounds that keeps the angles of
+hyperbolic triangles accurate down to radii of order 1e-12.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ from .packing import (
     triangle_inequality_violations,
 )
 
-#: below this semiperimeter the factored hyperbolic cosine ratio is used
-_SMALL_TRIANGLE_SEMIPERIMETER = 20.0
+#: vertex slots m + 1 and m + 2 (mod 3), the endpoints of the edge opposite m
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def clamped_arccos(x):
@@ -56,50 +62,25 @@ class GeneralizedAngles:
         return float(self.values.sum())
 
 
-def _cos_ratios(background: Background, lengths: np.ndarray) -> np.ndarray:
-    """Cosine-law ratios for a batch of (n, 3) side lengths, unclamped."""
-    out = np.empty_like(lengths)
-    if background is Background.EUCLIDEAN:
-        for m in range(3):
-            j, k = (m + 1) % 3, (m + 2) % 3
-            xm, xj, xk = lengths[:, m], lengths[:, j], lengths[:, k]
-            out[:, m] = (xj**2 + xk**2 - xm**2) / (2.0 * xj * xk)
-        return out
-
-    s = 0.5 * lengths.sum(axis=1)
-    small = s <= _SMALL_TRIANGLE_SEMIPERIMETER
-    big = ~small
-    for m in range(3):
-        j, k = (m + 1) % 3, (m + 2) % 3
-        xm, xj, xk = lengths[:, m], lengths[:, j], lengths[:, k]
-        num = np.empty_like(xm)
-        if small.any():
-            # cosh xj cosh xk - cosh xm
-            #   = sinh(s) sinh(s - xm) - sinh(s - xj) sinh(s - xk)
-            ss = s[small]
-            num[small] = np.sinh(ss) * np.sinh(ss - xm[small]) - np.sinh(
-                ss - xj[small]
-            ) * np.sinh(ss - xk[small])
-        if big.any():
-            num[big] = np.cosh(xj[big]) * np.cosh(xk[big]) - np.cosh(xm[big])
-        out[:, m] = num / (np.sinh(xj) * np.sinh(xk))
-    return out
+def _cosine_law(background: Background, excess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unclamped cosine-law ratios for (n, 3) excesses, and x' = sinh l or l."""
+    lam = background.area_weight
+    e_j, e_k = excess[:, _NEXT], excess[:, _PREV]
+    x = np.sqrt(excess * (lam * excess + 2.0))
+    # (lam * e_j) * e_k: no 0 * inf when a euclidean product would overflow
+    return (e_j + e_k + lam * e_j * e_k - excess) / (x[:, _NEXT] * x[:, _PREV]), x
 
 
 def extended_angles_batch(
-    background: Background, lengths: np.ndarray
+    background: Background, lengths: np.ndarray, excess: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Extended angles for (n, 3) side lengths.
+    """Extended angles for (n, 3) side lengths and their excesses, as the
+    edge-length kernel returns and validates them.
 
     Returns the (n, 3) angle array and an (n,) boolean mask of degenerate
     rows (strict triangle inequality violated).
     """
-    lengths = np.asarray(lengths, dtype=float)
-    if (lengths <= 0).any() or not np.isfinite(lengths).all():
-        raise DomainError("side lengths must be positive and finite")
-    if background is Background.HYPERBOLIC:
-        _check_hyperbolic_sizes(lengths, "lengths")
-    angles = clamped_arccos(_cos_ratios(background, lengths))
+    angles = clamped_arccos(_cosine_law(background, excess)[0])
     degenerate = triangle_inequality_violations(lengths)
     if degenerate.any():
         # Pin degenerate rows to exactly (pi, 0, 0); the clamp already does
@@ -114,7 +95,14 @@ def extended_angles_batch(
 def extended_angles(background: Background, lengths) -> GeneralizedAngles:
     """Extended inner angles of one triangle with side lengths (x0, x1, x2)."""
     arr = np.asarray(lengths, dtype=float).reshape(1, 3)
-    angles, degenerate = extended_angles_batch(background, arr)
+    if (arr <= 0).any() or not np.isfinite(arr).all():
+        raise DomainError("side lengths must be positive and finite")
+    if background is Background.HYPERBOLIC:
+        _check_hyperbolic_sizes(arr, "lengths")
+        excess = 2.0 * np.sinh(0.5 * arr) ** 2
+    else:
+        excess = 0.5 * arr**2
+    angles, degenerate = extended_angles_batch(background, arr, excess)
     return GeneralizedAngles(values=angles[0], degenerate=bool(degenerate[0]))
 
 
@@ -137,8 +125,6 @@ def triangle_area(background: Background, angles: GeneralizedAngles) -> float:
 # Angle derivatives in u-coordinates
 # ---------------------------------------------------------------------------
 
-#: vertex slots m + 1 and m + 2 (mod 3), the endpoints of the edge opposite m
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 #: [m, a] -> the third slot b of {m, a, b} = {0, 1, 2} off the diagonal, m on it
 _THIRD = -np.add.outer(np.arange(3), np.arange(3)) % 3
 _DIAGONAL = np.eye(3, dtype=bool)
@@ -146,8 +132,8 @@ _DIAGONAL = np.eye(3, dtype=bool)
 
 def _triangle_lengths_from_radii(
     background: Background, radii: np.ndarray, inversive: np.ndarray
-) -> np.ndarray:
-    """(n, 3) side lengths; column m is the edge opposite vertex slot m."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 3) side lengths and excesses; column m is the edge opposite vertex slot m."""
     return _edge_lengths_arrays(background, radii[:, _NEXT], radii[:, _PREV], inversive)
 
 
@@ -166,20 +152,17 @@ def angle_jacobians_batch(
     if (radii <= 0).any():
         raise DomainError("radii must be positive")
     # The length kernel raises RangeError for radii and lengths past the size limit.
-    lengths = _triangle_lengths_from_radii(background, radii, inversive)
+    lengths, excess = _triangle_lengths_from_radii(background, radii, inversive)
     if triangle_inequality_violations(lengths).any():
         raise BoundaryError(
             "angle derivatives are undefined on or beyond the degenerate boundary"
         )
 
-    cos = _cos_ratios(background, lengths)
+    cos, sx = _cosine_law(background, excess)
     sin_sq = 1.0 - cos**2
     if (sin_sq <= 0).any():
         raise BoundaryError("triangle too close to the degenerate boundary")
     sin = np.sqrt(sin_sq)
-
-    hyper = background is Background.HYPERBOLIC
-    sx = np.sinh(lengths) if hyper else lengths
 
     # dtheta/dx: diagonal D_m = x'_m / (x'_j x'_k sin theta_m) with
     # x' = sinh x (hyperbolic) or x (euclidean); off-diagonal
@@ -191,6 +174,7 @@ def angle_jacobians_batch(
     # (euclidean).  x_m joins the vertices a and b other than m, so the
     # diagonal is 0 and dx_m/dr_a = (s_a c_b + I_m c_a s_b) / x'_m, with
     # c = cosh r (hyperbolic) or 1 (euclidean).
+    hyper = background is Background.HYPERBOLIC
     s, c = (np.sinh(radii), np.cosh(radii)) if hyper else (radii, np.ones_like(radii))
     s_a, c_a = s[:, None, :], c[:, None, :]
     dx_dr = (s_a * c[:, _THIRD] + inversive[:, :, None] * c_a * s[:, _THIRD]) / sx[:, :, None]
@@ -237,14 +221,15 @@ def degenerate_threshold_radius(
         return 0.0
 
     bg = Background.HYPERBOLIC
-    l_jk = float(
-        _edge_lengths_arrays(bg, np.asarray([r_j]), np.asarray([r_k]), np.asarray([inv_jk]))[0]
+    lengths, _ = _edge_lengths_arrays(
+        bg, np.asarray([r_j]), np.asarray([r_k]), np.asarray([inv_jk])
     )
+    l_jk = float(lengths[0])
 
     def gap(r_i: float) -> float:
         if r_i == 0.0:
             return r_j + r_k - l_jk
-        pair = _edge_lengths_arrays(
+        pair, _ = _edge_lengths_arrays(
             bg,
             np.asarray([r_i, r_i]),
             np.asarray([r_j, r_k]),

@@ -126,7 +126,7 @@ def _cmd_curvature(args, run: _Run) -> int:
             "format": 1,
             "background": surface.background.value,
             "extended": curv.extended,
-            "curvature": [float(k) for k in curv.values],
+            "curvature": curv.values.tolist(),
             "total_area": curv.total_area,
             "gauss_bonnet_defect": defect,
             "admissible": admissible,
@@ -226,7 +226,7 @@ def _cmd_solve(args, run: _Run) -> int:
             "residual": report.residual,
             "newton_steps": report.newton_steps,
             "gradient_steps": report.gradient_steps,
-            "radii": [float(r) for r in solution.radii],
+            "radii": solution.radii.tolist(),
         },
     )
     run.outputs["report"] = str(report_path)

@@ -23,7 +23,7 @@ from .packing import (
     Background,
     PackingMetric,
     _edge_lengths_arrays,
-    all_edge_lengths,
+    _metric_edge_arrays,
     is_admissible,
     u_to_radii_array,
 )
@@ -44,12 +44,12 @@ class CurvatureVector:
 
 
 def _curvature_kernel(
-    complex: SurfaceComplex, background: Background, lengths: np.ndarray
+    complex: SurfaceComplex, background: Background, lengths: np.ndarray, excess: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-edge lengths -> (curvature, (F, 3) face angles, degenerate-face mask)."""
-    angles, degenerate = extended_angles_batch(
-        background, lengths[complex.face_opposite_edges]
-    )
+    """Per-edge lengths and excesses -> (curvature, (F, 3) face angles,
+    degenerate-face mask)."""
+    opposite = complex.face_opposite_edges
+    angles, degenerate = extended_angles_batch(background, lengths[opposite], excess[opposite])
     angle_sums = np.bincount(
         complex.faces.ravel(), weights=angles.ravel(), minlength=complex.vertex_count
     )
@@ -63,7 +63,7 @@ def _not_admissible(degenerate: np.ndarray) -> NotAdmissibleError:
 
 def _curvature_vector(complex: SurfaceComplex, metric: PackingMetric) -> CurvatureVector:
     values, angles, degenerate = _curvature_kernel(
-        complex, metric.background, all_edge_lengths(complex, metric)
+        complex, metric.background, *_metric_edge_arrays(complex, metric)
     )
     if metric.background is Background.HYPERBOLIC:
         area = float(np.maximum(0.0, np.pi - angles.sum(axis=1)).sum())
@@ -92,8 +92,8 @@ def make_curvature_evaluator(
 
     def evaluate(u_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         radii = u_to_radii_array(u_values, background)
-        lengths = _edge_lengths_arrays(background, radii[tail], radii[head], inv)
-        values, _, degenerate = _curvature_kernel(complex, background, lengths)
+        lengths, excess = _edge_lengths_arrays(background, radii[tail], radii[head], inv)
+        values, _, degenerate = _curvature_kernel(complex, background, lengths, excess)
         return values, degenerate
 
     return evaluate

@@ -100,12 +100,11 @@ def _validate_config(config: FlowConfig, n_vertices: int) -> np.ndarray:
         raise ConfigError(f"unknown variant {config.variant!r}")
     if config.integrator not in INTEGRATORS:
         raise ConfigError(f"unknown integrator {config.integrator!r}")
-    if config.step <= 0 or config.max_time <= 0 or config.tolerance <= 0:
-        raise ConfigError("step, max_time and tolerance must be positive")
+    for name in ("step", "max_time", "tolerance", "divergence_radius_cap"):
+        if not 0 < getattr(config, name) < math.inf:
+            raise ConfigError(f"{name} must be finite and positive")
     if config.sample_every < 1:
         raise ConfigError("sample_every must be a positive integer")
-    if config.divergence_radius_cap <= 0:
-        raise ConfigError("divergence_radius_cap must be positive")
     if config.variant == "prescribed" and config.target is None:
         raise ConfigError("prescribed flow requires a target curvature")
     if config.variant == "extended" and config.target is not None:

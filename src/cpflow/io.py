@@ -231,17 +231,17 @@ def surface_document(
         inv_field = float(inversive[0])
     else:
         inv_field = [
-            {"edge": [int(i), int(j)], "value": float(inversive[k])}
-            for k, (i, j) in enumerate(complex.edges)
+            {"edge": edge, "value": value}
+            for edge, value in zip(complex.edges.tolist(), inversive.tolist())
         ]
     doc = {
         "format": FORMAT_VERSION,
         "background": background.value,
-        "faces": [[int(v) for v in face] for face in complex.faces],
+        "faces": complex.faces.tolist(),
         "inversive": inv_field,
     }
     if radii is not None:
-        doc["radii"] = [float(r) for r in radii]
+        doc["radii"] = np.asarray(radii, dtype=float).tolist()
     if permissive:
         doc["permissive"] = True
     return doc
@@ -271,7 +271,8 @@ def load_target(path, n_vertices: int) -> np.ndarray:
 
 
 def save_target(path, target) -> None:
-    _write_json(path, {"format": FORMAT_VERSION, "target": [float(x) for x in target]})
+    target = np.asarray(target, dtype=float)
+    _write_json(path, {"format": FORMAT_VERSION, "target": target.tolist()})
 
 
 def load_subsets(path, n_vertices: int) -> list[frozenset]:
@@ -306,25 +307,13 @@ def trace_header(n_vertices: int) -> list[str]:
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_trace_csv(path, n_vertices: int, trace) -> None:
     """Write flow samples as CSV: t, u_0..u_{N-1}, K_0..K_{N-1}, M, m, potential."""
     lines = [",".join(trace_header(n_vertices))]
-    for sample in trace:
-        row = (
-            [_fmt(sample.t)]
-            + [_fmt(v) for v in sample.u]
-            + [_fmt(v) for v in sample.curvature]
-            + [
-                _fmt(sample.curvature_max),
-                _fmt(sample.curvature_min),
-                "" if sample.potential is None else _fmt(sample.potential),
-            ]
-        )
-        lines.append(",".join(row))
+    for s in trace:
+        row = np.concatenate(([s.t], s.u, s.curvature, [s.curvature_max, s.curvature_min]))
+        potential = "" if s.potential is None else repr(float(s.potential))
+        lines.append(",".join(map(repr, row.tolist())) + "," + potential)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -332,8 +321,8 @@ def write_trace_json(path, n_vertices: int, trace) -> None:
     rows = [
         {
             "t": float(s.t),
-            "u": [float(v) for v in s.u],
-            "K": [float(v) for v in s.curvature],
+            "u": s.u.tolist(),
+            "K": s.curvature.tolist(),
             "M": float(s.curvature_max),
             "m": float(s.curvature_min),
             "potential": None if s.potential is None else float(s.potential),

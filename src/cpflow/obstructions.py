@@ -314,10 +314,10 @@ def triangle_angle_space(inversive) -> TriangleAngleSpace:
 
 
 def _triangle_angles(radii: np.ndarray, inversive: np.ndarray) -> np.ndarray:
-    lengths = _triangle_lengths_from_radii(
+    lengths, excess = _triangle_lengths_from_radii(
         Background.HYPERBOLIC, np.reshape(radii, (1, 3)), np.reshape(inversive, (1, 3))
     )
-    angles, _ = extended_angles_batch(Background.HYPERBOLIC, lengths)
+    angles, _ = extended_angles_batch(Background.HYPERBOLIC, lengths, excess)
     return angles[0]
 
 

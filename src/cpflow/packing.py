@@ -108,17 +108,21 @@ def _check_hyperbolic_sizes(values: np.ndarray, what: str) -> None:
 
 def _edge_lengths_arrays(
     background: Background, ri: np.ndarray, rj: np.ndarray, inv: np.ndarray
-) -> np.ndarray:
-    """Vectorized edge lengths; stable for radii from 1e-300 up to the cap.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized edge lengths l and excesses e; stable for radii from 1e-300
+    up to the cap.
 
-    A hyperbolic edge longer than the size limit raises RangeError, however
-    far its length would overflow.
+    The excess is cosh l - 1 (hyperbolic) or l^2 / 2 (euclidean), the
+    quantity the cosine law of the angle kernel works in.  Every returned
+    length is positive and finite: a hyperbolic edge longer than the size
+    limit raises RangeError, however far its length would overflow, and any
+    other undefined length raises DomainError.
     """
     if background is Background.EUCLIDEAN:
         sq = (ri - rj) ** 2 + 2.0 * (1.0 + inv) * ri * rj
-        if (sq <= 0).any():
-            raise DomainError("euclidean edge length is not defined (l^2 <= 0)")
-        return np.sqrt(sq)
+        if not np.all((sq > 0) & (sq < np.inf)):
+            raise DomainError("euclidean edge length is not defined (l^2 <= 0 or not finite)")
+        return np.sqrt(sq), 0.5 * sq
     _check_hyperbolic_sizes(np.maximum(ri, rj), "radii")
     # cosh(l) - 1 written without cancellation for inv >= 0:
     #   sinh^2((ri+rj)/2) + sinh^2((ri-rj)/2) + inv sinh(ri) sinh(rj)
@@ -129,13 +133,13 @@ def _edge_lengths_arrays(
             + np.sinh(0.5 * (ri - rj)) ** 2
             + inv * np.sinh(ri) * np.sinh(rj)
         )
-    if (excess <= 0).any():
-        raise DomainError("hyperbolic edge length is not defined (cosh l < 1)")
+    if not np.all(excess > 0):
+        raise DomainError("hyperbolic edge length is not defined (cosh l - 1 not > 0)")
     if (excess > _EXCESS_LIMIT).any():
         raise RangeError(
             f"lengths above {HYPERBOLIC_SIZE_LIMIT:g} would overflow cosh/sinh"
         )
-    return np.log1p(excess + np.sqrt(excess * (excess + 2.0)))
+    return np.log1p(excess + np.sqrt(excess * (excess + 2.0))), excess
 
 
 def edge_length(background: Background, r_i: float, r_j: float, inversive: float) -> float:
@@ -144,14 +148,17 @@ def edge_length(background: Background, r_i: float, r_j: float, inversive: float
         raise DomainError("radii must be positive")
     if inversive <= -1:
         raise DomainError("inversive distance must be > -1")
-    out = _edge_lengths_arrays(
+    lengths, _ = _edge_lengths_arrays(
         background, np.asarray([r_i]), np.asarray([r_j]), np.asarray([inversive])
     )
-    return float(out[0])
+    return float(lengths[0])
 
 
-def all_edge_lengths(complex: SurfaceComplex, metric: PackingMetric) -> np.ndarray:
-    """Per-edge lengths in the canonical edge order."""
+def _metric_edge_arrays(
+    complex: SurfaceComplex, metric: PackingMetric
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge (lengths, excesses) in the canonical edge order; a DomainError
+    names the offending edge."""
     ri = metric.radii[complex.edges[:, 0]]
     rj = metric.radii[complex.edges[:, 1]]
     try:
@@ -169,6 +176,11 @@ def all_edge_lengths(complex: SurfaceComplex, metric: PackingMetric) -> np.ndarr
             except DomainError as exc:
                 raise DomainError(f"edge ({i}, {j}): {exc}") from None
         raise
+
+
+def all_edge_lengths(complex: SurfaceComplex, metric: PackingMetric) -> np.ndarray:
+    """Per-edge lengths in the canonical edge order."""
+    return _metric_edge_arrays(complex, metric)[0]
 
 
 def inversive_from_length(

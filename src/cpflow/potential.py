@@ -285,8 +285,8 @@ def newton_solve(
         raise ConfigError("every target curvature must be < 2*pi")
     if u_init.background is not ctx.background:
         raise ConfigError("u_init and context use different backgrounds")
-    if max_iter < 0 or not tol > 0:
-        raise ConfigError("max_iter must be >= 0 and tol must be positive")
+    if max_iter < 0 or not 0 < tol < np.inf:
+        raise ConfigError("max_iter must be >= 0 and tol must be finite and positive")
 
     u = u_init.values.copy()
     report = NewtonReport()

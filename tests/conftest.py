@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cpflow import (
     Background,
@@ -13,6 +14,11 @@ from cpflow import (
     tetrahedron,
     triangulated_torus,
 )
+
+# Property tests are deterministic by default: the same examples on every run,
+# and no per-example deadline, which timing noise on a loaded host would trip.
+settings.register_profile("cpflow", derandomize=True, deadline=None)
+settings.load_profile("cpflow")
 
 
 @pytest.fixture(scope="session")

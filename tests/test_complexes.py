@@ -196,7 +196,7 @@ def _surfaces(draw):
     return base, faces
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(_surfaces())
 def test_build_complex_on_random_surfaces(case):
     base, faces = case
@@ -252,7 +252,7 @@ def _pinch(faces, rng):
     return faces + second
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=60)
 @given(
     _surfaces(),
     st.sampled_from([

@@ -59,6 +59,10 @@ def test_config_validation(genus2):
         run_flow(genus2, inversive, u0, FlowConfig(step=-0.1))
     with pytest.raises(ConfigError):
         run_flow(genus2, inversive, u0, FlowConfig(sample_every=0))
+    for name in ("step", "max_time", "tolerance", "divergence_radius_cap"):
+        for value in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ConfigError):
+                run_flow(genus2, inversive, u0, FlowConfig(**{name: value}))
     with pytest.raises(ConfigError):
         run_flow(
             genus2, inversive, u0,

@@ -513,6 +513,14 @@ def _edge_entry(edge, value):
         (["solve", "--target-file", "in.json"], {"format": 1.0, "target": [0.0] * 4}, {}),
         (["check", "--subsets-file", "in.json"], {"format": True, "subsets": [[0]]}, {}),
         (["check", "--subsets-file", "in.json"], {"format": 1.0, "subsets": [[0]]}, {}),
+        (["flow", "--max-time", "inf"], None, {}),
+        (["flow", "--max-time", "nan"], None, {}),
+        (["flow", "--dt", "inf"], None, {}),
+        (["flow", "--dt", "nan"], None, {}),
+        (["flow", "--tol", "nan"], None, {}),
+        (["flow", "--radius-cap", "nan"], None, {}),
+        (["solve", "--target-file", "in.json", "--tol", "inf"],
+         {"format": 1, "target": [0.0, 0.0, 0.0, 0.0]}, {}),
     ],
     ids=["target-not-numbers", "subset-not-list", "subset-not-indices", "no-subsets",
          "subset-string", "subset-fraction", "subset-boolean", "cap-zero", "cap-negative",
@@ -522,13 +530,16 @@ def _edge_entry(edge, value):
          "inversive-value-infinity", "inversive-value-minus-infinity", "inversive-default-boolean",
          "radii-string", "radii-boolean", "surface-format-boolean", "surface-format-float",
          "target-format-boolean", "target-format-float", "subsets-format-boolean",
-         "subsets-format-float"],
+         "subsets-format-float", "max-time-infinite", "max-time-nan", "dt-infinite", "dt-nan",
+         "flow-tol-nan", "radius-cap-nan", "solve-tol-infinite"],
 )
 def test_cli_rejects_bad_inputs(workdir, capsys, argv, doc, surface):
     _write(workdir / "t.json", _tetra_doc(**{"inversive": 1.0, **surface}))
     if doc is not None:
         _write(workdir / "in.json", doc)
-    assert main([argv[0], "t.json", *argv[1:], "--report", "r.json"]) == 2
+    # flow writes no report; its final metric stands in as the output to refuse
+    output = "--radii-out" if argv[0] == "flow" else "--report"
+    assert main([argv[0], "t.json", *argv[1:], output, "r.json"]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (workdir / "r.json").exists()
     manifest = json.loads((workdir / f"t.{argv[0]}.manifest.json").read_text())

@@ -54,7 +54,7 @@ def _cases(draw):
     return complex, inversive, rows, subsets
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(_cases())
 def test_batched_bounds_equal_scalar(case):
     complex, inversive, rows, subsets = case

@@ -306,7 +306,7 @@ def _direction(complex, inversive, radii, grad):
     return _newton_direction(ctx, u, grad)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(_surfaces())
 def test_newton_direction_matches_dense_solve(case):
     complex, rng = case
@@ -333,7 +333,7 @@ def test_newton_direction_matches_dense_solve(case):
     assert np.linalg.norm(direction - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
+@settings(max_examples=40)
 @given(_surfaces())
 def test_newton_direction_on_indefinite_hessian(case):
     # permissive I < 0 can make the Hessian indefinite; the regularization

@@ -102,7 +102,7 @@ def _mutated(draw):
     return doc
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(_mutated())
 def test_load_surface_parses_or_raises_parse_error(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "fuzzed-surface.json"
@@ -176,7 +176,7 @@ def _inversive_fields(draw):
     return entries if default is None else {"default": default, "edges": entries}
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(_inversive_fields())
 def test_parse_inversive_matches_reference_scan(raw):
     try:
