@@ -20,7 +20,9 @@ without cancellation.  With lambda = Background.area_weight (1 hyperbolic,
     cos theta_m = (e_j + e_k + lambda e_j e_k - e_m) / (x'_j x'_k),
 
 one branch-free formula for both backgrounds that keeps the angles of
-hyperbolic triangles accurate down to radii of order 1e-12.
+hyperbolic triangles accurate down to radii of order 1e-12.  The batch
+kernel takes per-edge arrays and gathers e_m, e_j, e_k, x'_j and x'_k
+through (opposite, next, previous) face edge tables, each a 1-D gather.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .packing import (
     Background,
     _check_hyperbolic_sizes,
     _edge_lengths_arrays,
+    edge_length,
     triangle_inequality_violations,
 )
 
@@ -62,39 +65,60 @@ class GeneralizedAngles:
         return float(self.values.sum())
 
 
-def _cosine_law(background: Background, excess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unclamped cosine-law ratios for (n, 3) excesses, and x' = sinh l or l."""
-    lam = background.area_weight
-    e_j, e_k = excess[:, _NEXT], excess[:, _PREV]
-    x = np.sqrt(excess * (lam * excess + 2.0))
-    # (lam * e_j) * e_k: no 0 * inf when a euclidean product would overflow
-    return (e_j + e_k + lam * e_j * e_k - excess) / (x[:, _NEXT] * x[:, _PREV]), x
+def _triangle_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Face edge tables of n separate triangles whose edge opposite vertex
+    slot m of triangle t sits at 3 t + m of the flat per-edge arrays."""
+    base = 3 * np.arange(n)[:, None]
+    return base + np.arange(3), base + _NEXT, base + _PREV
+
+
+def _cosine_law(background: Background, excess: np.ndarray, sx: np.ndarray, tables) -> np.ndarray:
+    """Unclamped (F, 3) cosine-law ratios from per-edge excesses and x',
+    gathered through the (opposite, next, previous) face edge tables."""
+    opposite, nxt, prv = tables
+    e_j, e_k = excess[nxt], excess[prv]
+    # ((e_j + e_k) + (lam e_j) e_k - e_m) / (x'_j x'_k) in place, as large (F, 3)
+    # temporaries cost more than the arithmetic; (lam e_j) e_k: no 0 * inf
+    # when a euclidean product would overflow.
+    product = background.area_weight * e_j
+    product *= e_k
+    e_j += e_k
+    e_j += product
+    e_j -= excess[opposite]
+    e_j /= np.multiply(sx[nxt], sx[prv], out=product)
+    return e_j
 
 
 def extended_angles_batch(
-    background: Background, lengths: np.ndarray, excess: np.ndarray
+    background: Background, lengths: np.ndarray, excess: np.ndarray, sx: np.ndarray, tables
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Extended angles for (n, 3) side lengths and their excesses, as the
-    edge-length kernel returns and validates them.
+    """Extended angles of the faces that ``tables`` = (opposite, next,
+    previous) edge tables gather from per-edge lengths, excesses and x' as
+    the edge-length kernel returns and validates them.
 
-    Returns the (n, 3) angle array and an (n,) boolean mask of degenerate
-    rows (strict triangle inequality violated).
+    Returns the (F, 3) angle array and an (F,) boolean mask of degenerate
+    faces (strict triangle inequality violated).
     """
-    angles = clamped_arccos(_cosine_law(background, excess)[0])
-    degenerate = triangle_inequality_violations(lengths)
-    if degenerate.any():
-        # Pin degenerate rows to exactly (pi, 0, 0); the clamp already does
-        # this except for rounding in the strict-boundary row.
-        rows = np.nonzero(degenerate)[0]
-        longest = lengths[rows].argmax(axis=1)
-        angles[rows] = 0.0
-        angles[rows, longest] = np.pi
+    opposite, nxt, prv = tables
+    # clamped_arccos in place: (F, 3) temporaries are costly on large meshes
+    angles = _cosine_law(background, excess, sx, tables)
+    np.arccos(np.minimum(np.maximum(angles, -1.0, out=angles), 1.0, out=angles), out=angles)
+    longest = lengths[opposite]
+    violated = lengths[nxt] + lengths[prv] <= longest
+    if not np.count_nonzero(violated):
+        return angles, np.zeros(len(angles), dtype=bool)
+    # Pin degenerate rows to exactly (pi, 0, 0); the clamp already does
+    # this except for rounding in the strict-boundary row.
+    degenerate = violated.any(axis=1)
+    rows = np.flatnonzero(degenerate)
+    angles[rows] = 0.0
+    angles[rows, longest[rows].argmax(axis=1)] = np.pi
     return angles, degenerate
 
 
 def extended_angles(background: Background, lengths) -> GeneralizedAngles:
     """Extended inner angles of one triangle with side lengths (x0, x1, x2)."""
-    arr = np.asarray(lengths, dtype=float).reshape(1, 3)
+    arr = np.asarray(lengths, dtype=float).reshape(3)
     if (arr <= 0).any() or not np.isfinite(arr).all():
         raise DomainError("side lengths must be positive and finite")
     if background is Background.HYPERBOLIC:
@@ -102,7 +126,8 @@ def extended_angles(background: Background, lengths) -> GeneralizedAngles:
         excess = 2.0 * np.sinh(0.5 * arr) ** 2
     else:
         excess = 0.5 * arr**2
-    angles, degenerate = extended_angles_batch(background, arr, excess)
+    sx = np.sqrt(excess * (background.area_weight * excess + 2.0))
+    angles, degenerate = extended_angles_batch(background, arr, excess, sx, _triangle_tables(1))
     return GeneralizedAngles(values=angles[0], degenerate=bool(degenerate[0]))
 
 
@@ -130,13 +155,6 @@ _THIRD = -np.add.outer(np.arange(3), np.arange(3)) % 3
 _DIAGONAL = np.eye(3, dtype=bool)
 
 
-def _triangle_lengths_from_radii(
-    background: Background, radii: np.ndarray, inversive: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 3) side lengths and excesses; column m is the edge opposite vertex slot m."""
-    return _edge_lengths_arrays(background, radii[:, _NEXT], radii[:, _PREV], inversive)
-
-
 def angle_jacobians_batch(
     background: Background, radii: np.ndarray, inversive: np.ndarray
 ) -> np.ndarray:
@@ -151,14 +169,18 @@ def angle_jacobians_batch(
     inversive = np.asarray(inversive, dtype=float)
     if (radii <= 0).any():
         raise DomainError("radii must be positive")
-    # The length kernel raises RangeError for radii and lengths past the size limit.
-    lengths, excess = _triangle_lengths_from_radii(background, radii, inversive)
+    # (n, 3) side lengths, excesses and x', column m the edge opposite slot m;
+    # the length kernel raises RangeError for radii and lengths past the size limit.
+    tables = _triangle_tables(len(radii))
+    lengths, excess, sx = _edge_lengths_arrays(
+        background, radii.ravel(), tables[1], tables[2], inversive
+    )
     if triangle_inequality_violations(lengths).any():
         raise BoundaryError(
             "angle derivatives are undefined on or beyond the degenerate boundary"
         )
 
-    cos, sx = _cosine_law(background, excess)
+    cos = _cosine_law(background, excess.ravel(), sx.ravel(), tables)
     sin_sq = 1.0 - cos**2
     if (sin_sq <= 0).any():
         raise BoundaryError("triangle too close to the degenerate boundary")
@@ -221,21 +243,12 @@ def degenerate_threshold_radius(
         return 0.0
 
     bg = Background.HYPERBOLIC
-    lengths, _ = _edge_lengths_arrays(
-        bg, np.asarray([r_j]), np.asarray([r_k]), np.asarray([inv_jk])
-    )
-    l_jk = float(lengths[0])
+    l_jk = edge_length(bg, r_j, r_k, inv_jk)
 
     def gap(r_i: float) -> float:
         if r_i == 0.0:
             return r_j + r_k - l_jk
-        pair, _ = _edge_lengths_arrays(
-            bg,
-            np.asarray([r_i, r_i]),
-            np.asarray([r_j, r_k]),
-            np.asarray([inv_ij, inv_ik]),
-        )
-        return float(pair.sum() - l_jk)
+        return edge_length(bg, r_i, r_j, inv_ij) + edge_length(bg, r_i, r_k, inv_ik) - l_jk
 
     lo, f_lo = 0.0, gap(0.0)
     assert f_lo < 0  # guaranteed by inv_jk > 1

@@ -42,6 +42,9 @@ class SurfaceComplex:
     face_opposite_edges : (F, 3) int array
         ``face_opposite_edges[f, m]`` is the edge of face f opposite its m-th
         vertex, i.e. the edge joining the other two vertices.
+    face_edge_tables : three C-ordered (F, 3) int arrays
+        ``face_opposite_edges`` and its columns shifted by one and by two:
+        [f, m] holds the edge of face f opposite its vertex m, m + 1, m + 2.
     """
 
     vertex_count: int
@@ -52,6 +55,7 @@ class SurfaceComplex:
     vertex_degree: np.ndarray
     euler_characteristic: int
     face_opposite_edges: np.ndarray
+    face_edge_tables: tuple
 
     @property
     def edge_count(self) -> int:
@@ -182,8 +186,10 @@ def build_complex(faces: Sequence[Sequence[int]]) -> SurfaceComplex:
     # Every label is used from here on, so the dense ids are the labels.
     edge_faces = pairs // 3
     opposite = half_edges.reshape(face_arr.shape)
+    # opposite[:, idx] yields an F-ordered array; C-ordered tables gather faster.
+    tables = (opposite, *(np.ascontiguousarray(opposite[:, idx]) for idx in ([1, 2, 0], [2, 0, 1])))
     degree = np.bincount(edge_arr.ravel(), minlength=n_vertices)
-    for arr in (face_arr, edge_arr, edge_faces, degree, opposite):
+    for arr in (face_arr, edge_arr, edge_faces, degree, *tables):
         arr.setflags(write=False)
 
     return SurfaceComplex(
@@ -195,6 +201,7 @@ def build_complex(faces: Sequence[Sequence[int]]) -> SurfaceComplex:
         vertex_degree=degree,
         euler_characteristic=n_vertices - len(edge_arr) + len(face_arr),
         face_opposite_edges=opposite,
+        face_edge_tables=tables,
     )
 
 
@@ -307,30 +314,10 @@ def genus2_surface() -> SurfaceComplex:
     Remove one face from each 3x3 grid torus and identify the two boundary
     triangles vertex by vertex.
     """
-    vid = lambda i, j: (i % 3) * 3 + (j % 3)
-    torus = []
-    for i in range(3):
-        for j in range(3):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i, j + 1), vid(i + 1, j + 1)
-            torus.append((a, b, d))
-            torus.append((a, d, c))
-
-    glue_face = (0, 3, 4)  # a face of the grid torus, removed from both copies
-    first = [f for f in torus if tuple(sorted(f)) != tuple(sorted(glue_face))]
-
+    glue_face = [0, 3, 4]  # a face of the grid torus, removed from both copies
+    first = [f for f in triangulated_torus(3, 3).faces.tolist() if f != glue_face]
     # Second copy: glued vertices keep their labels, the rest are shifted up.
-    relabel = {}
-    next_id = 9
-    for v in range(9):
-        if v in glue_face:
-            relabel[v] = v
-        else:
-            relabel[v] = next_id
-            next_id += 1
-    second = [
-        tuple(relabel[v] for v in f)
-        for f in torus
-        if tuple(sorted(f)) != tuple(sorted(glue_face))
-    ]
+    others = [v for v in range(9) if v not in glue_face]
+    relabel = {v: v for v in glue_face} | {v: 9 + k for k, v in enumerate(others)}
+    second = [[relabel[v] for v in f] for f in first]
     return build_complex(first + second)

@@ -44,12 +44,11 @@ class CurvatureVector:
 
 
 def _curvature_kernel(
-    complex: SurfaceComplex, background: Background, lengths: np.ndarray, excess: np.ndarray
+    complex: SurfaceComplex, background: Background, *edges: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-edge lengths and excesses -> (curvature, (F, 3) face angles,
-    degenerate-face mask)."""
-    opposite = complex.face_opposite_edges
-    angles, degenerate = extended_angles_batch(background, lengths[opposite], excess[opposite])
+    """Per-edge (lengths, excesses, x') -> (curvature, (F, 3) face angles,
+    degenerate-face mask), gathered through the complex's face edge tables."""
+    angles, degenerate = extended_angles_batch(background, *edges, complex.face_edge_tables)
     angle_sums = np.bincount(
         complex.faces.ravel(), weights=angles.ravel(), minlength=complex.vertex_count
     )
@@ -69,7 +68,7 @@ def _curvature_vector(complex: SurfaceComplex, metric: PackingMetric) -> Curvatu
         area = float(np.maximum(0.0, np.pi - angles.sum(axis=1)).sum())
     else:
         area = 0.0
-    return CurvatureVector(values, bool(degenerate.any()), area, degenerate)
+    return CurvatureVector(values, bool(np.count_nonzero(degenerate)), area, degenerate)
 
 
 def make_curvature_evaluator(
@@ -81,19 +80,21 @@ def make_curvature_evaluator(
     DomainError on values that are non-finite or <= -1) and skips per-call
     metric construction; the returned callable maps u to ``(K, mask)`` with
     values bit-identical to ``extended_curvature``.  It is what the flow,
-    potential and residual paths use.
+    potential and residual paths use.  A caller that already holds
+    ``u_to_radii_array(u)`` passes it as ``radii`` to skip that stage.
     """
     inv = np.asarray(inversive, dtype=float)
     if inv.shape != (complex.edge_count,):
         raise ConfigError("inversive array does not match the edge count")
     if not np.isfinite(inv).all() or (inv <= -1).any():
         raise DomainError("inversive distances must be finite and > -1")
-    tail, head = complex.edges[:, 0], complex.edges[:, 1]
+    tail, head = np.ascontiguousarray(complex.edges.T)
 
-    def evaluate(u_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        radii = u_to_radii_array(u_values, background)
-        lengths, excess = _edge_lengths_arrays(background, radii[tail], radii[head], inv)
-        values, _, degenerate = _curvature_kernel(complex, background, lengths, excess)
+    def evaluate(u_values: np.ndarray, radii: np.ndarray | None = None):
+        if radii is None:
+            radii = u_to_radii_array(u_values, background)
+        edges = _edge_lengths_arrays(background, radii, tail, head, inv)
+        values, _, degenerate = _curvature_kernel(complex, background, *edges)
         return values, degenerate
 
     return evaluate

@@ -33,11 +33,10 @@ from .errors import (
 from .packing import (
     Background,
     PackingMetric,
-    U_COORDINATE_FLOOR,
     UCoords,
     u_to_radii_array,
 )
-from .potential import PotentialContext, segment_integral
+from .potential import PotentialContext, _domain_ok, segment_integral
 
 VARIANTS = ("classical", "extended", "prescribed")
 INTEGRATORS = ("euler", "rk4")
@@ -153,9 +152,9 @@ def run_flow(
     classical = config.variant == "classical"
     evaluate = make_curvature_evaluator(complex, background, inversive)
 
-    def curvature_values(u_arr: np.ndarray) -> np.ndarray:
-        values, degenerate = evaluate(u_arr)
-        if classical and degenerate.any():
+    def curvature_values(u_arr: np.ndarray, radii: np.ndarray | None = None) -> np.ndarray:
+        values, degenerate = evaluate(u_arr, radii)
+        if classical and np.count_nonzero(degenerate):
             raise _not_admissible(degenerate)
         return values
 
@@ -240,9 +239,7 @@ def run_flow(
             break
         if not np.isfinite(u_next).all():
             raise StepError(f"non-finite state at t={(step_index + 1) * dt:g}")
-        if background is Background.HYPERBOLIC and (
-            (u_next >= 0).any() or (u_next <= U_COORDINATE_FLOOR).any()
-        ):
+        if not _domain_ok(background, u_next):
             status = "diverged"
             break
         radii = u_to_radii_array(u_next, background)
@@ -250,8 +247,8 @@ def run_flow(
             status = "diverged"
             break
 
-        try:
-            k_next = curvature_values(u_next)
+        try:  # the cap check's radii, so u_next maps to radii once
+            k_next = curvature_values(u_next, radii)
         except NotAdmissibleError:
             status = "left_admissible"
             break

@@ -22,7 +22,9 @@ from typing import Iterable
 import numpy as np
 
 from .angles import (
-    _triangle_lengths_from_radii,
+    _NEXT,
+    _PREV,
+    _triangle_tables,
     angle_jacobian_u,
     clamped_arccos,
     extended_angles_batch,
@@ -33,6 +35,7 @@ from .errors import ConfigError, DomainError, NotFoundError
 from .packing import (
     Background,
     PackingMetric,
+    _edge_lengths_arrays,
     radii_to_u_array,
     u_to_radii_array,
 )
@@ -314,10 +317,8 @@ def triangle_angle_space(inversive) -> TriangleAngleSpace:
 
 
 def _triangle_angles(radii: np.ndarray, inversive: np.ndarray) -> np.ndarray:
-    lengths, excess = _triangle_lengths_from_radii(
-        Background.HYPERBOLIC, np.reshape(radii, (1, 3)), np.reshape(inversive, (1, 3))
-    )
-    angles, _ = extended_angles_batch(Background.HYPERBOLIC, lengths, excess)
+    edges = _edge_lengths_arrays(Background.HYPERBOLIC, radii, _NEXT, _PREV, inversive)
+    angles, _ = extended_angles_batch(Background.HYPERBOLIC, *edges, _triangle_tables(1))
     return angles[0]
 
 

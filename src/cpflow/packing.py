@@ -100,30 +100,35 @@ class UCoords:
 
 
 def _check_hyperbolic_sizes(values: np.ndarray, what: str) -> None:
-    if (values > HYPERBOLIC_SIZE_LIMIT).any():
+    if np.count_nonzero(values > HYPERBOLIC_SIZE_LIMIT):
         raise RangeError(
             f"{what} above {HYPERBOLIC_SIZE_LIMIT:g} would overflow cosh/sinh"
         )
 
 
 def _edge_lengths_arrays(
-    background: Background, ri: np.ndarray, rj: np.ndarray, inv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized edge lengths l and excesses e; stable for radii from 1e-300
-    up to the cap.
+    background: Background, radii: np.ndarray, tail, head, inv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lengths l, excesses e and x' = sinh l or l of the edges joining the
+    vertices ``tail`` and ``head`` (index arrays into the per-vertex radii);
+    stable for radii from 1e-300 up to the cap.
 
     The excess is cosh l - 1 (hyperbolic) or l^2 / 2 (euclidean), the
-    quantity the cosine law of the angle kernel works in.  Every returned
-    length is positive and finite: a hyperbolic edge longer than the size
-    limit raises RangeError, however far its length would overflow, and any
-    other undefined length raises DomainError.
+    quantity the cosine law of the angle kernel works in, and
+    x' = sqrt(e (lambda e + 2)).  Every returned length is positive and
+    finite: a hyperbolic edge longer than the size limit raises RangeError,
+    however far its length would overflow, and any other undefined length
+    raises DomainError.
     """
+    ri, rj = radii[tail], radii[head]
     if background is Background.EUCLIDEAN:
         sq = (ri - rj) ** 2 + 2.0 * (1.0 + inv) * ri * rj
-        if not np.all((sq > 0) & (sq < np.inf)):
+        if np.count_nonzero((sq > 0) & (sq < np.inf)) < sq.size:
             raise DomainError("euclidean edge length is not defined (l^2 <= 0 or not finite)")
-        return np.sqrt(sq), 0.5 * sq
-    _check_hyperbolic_sizes(np.maximum(ri, rj), "radii")
+        excess = 0.5 * sq
+        return np.sqrt(sq), excess, np.sqrt(2.0 * excess)
+    _check_hyperbolic_sizes(radii, "radii")
+    sinh_r = np.sinh(radii)
     # cosh(l) - 1 written without cancellation for inv >= 0:
     #   sinh^2((ri+rj)/2) + sinh^2((ri-rj)/2) + inv sinh(ri) sinh(rj)
     # The last term may overflow to inf, which the size check below catches.
@@ -131,15 +136,16 @@ def _edge_lengths_arrays(
         excess = (
             np.sinh(0.5 * (ri + rj)) ** 2
             + np.sinh(0.5 * (ri - rj)) ** 2
-            + inv * np.sinh(ri) * np.sinh(rj)
+            + inv * sinh_r[tail] * sinh_r[head]
         )
-    if not np.all(excess > 0):
+    if np.count_nonzero(excess > 0) < excess.size:
         raise DomainError("hyperbolic edge length is not defined (cosh l - 1 not > 0)")
-    if (excess > _EXCESS_LIMIT).any():
+    if np.count_nonzero(excess > _EXCESS_LIMIT):
         raise RangeError(
             f"lengths above {HYPERBOLIC_SIZE_LIMIT:g} would overflow cosh/sinh"
         )
-    return np.log1p(excess + np.sqrt(excess * (excess + 2.0))), excess
+    sinh_l = np.sqrt(excess * (excess + 2.0))
+    return np.log1p(excess + sinh_l), excess, sinh_l
 
 
 def edge_length(background: Background, r_i: float, r_j: float, inversive: float) -> float:
@@ -148,31 +154,25 @@ def edge_length(background: Background, r_i: float, r_j: float, inversive: float
         raise DomainError("radii must be positive")
     if inversive <= -1:
         raise DomainError("inversive distance must be > -1")
-    lengths, _ = _edge_lengths_arrays(
-        background, np.asarray([r_i]), np.asarray([r_j]), np.asarray([inversive])
+    lengths, _, _ = _edge_lengths_arrays(
+        background, np.asarray([r_i, r_j], dtype=float), [0], [1], np.asarray([inversive])
     )
     return float(lengths[0])
 
 
 def _metric_edge_arrays(
     complex: SurfaceComplex, metric: PackingMetric
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-edge (lengths, excesses) in the canonical edge order; a DomainError
-    names the offending edge."""
-    ri = metric.radii[complex.edges[:, 0]]
-    rj = metric.radii[complex.edges[:, 1]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-edge (lengths, excesses, x') in the canonical edge order; a
+    DomainError names the offending edge."""
+    background, radii, inversive = metric.background, metric.radii, metric.inversive
     try:
-        return _edge_lengths_arrays(metric.background, ri, rj, metric.inversive)
+        return _edge_lengths_arrays(background, radii, *complex.edges.T, inversive)
     except DomainError:
         # Re-run edge by edge to name the offender.
-        for k, (i, j) in enumerate(complex.edges):
+        for k, (i, j) in enumerate(complex.edges.tolist()):
             try:
-                edge_length(
-                    metric.background,
-                    float(metric.radii[i]),
-                    float(metric.radii[j]),
-                    float(metric.inversive[k]),
-                )
+                _edge_lengths_arrays(background, radii, [i], [j], inversive[k : k + 1])
             except DomainError as exc:
                 raise DomainError(f"edge ({i}, {j}): {exc}") from None
         raise
@@ -259,10 +259,10 @@ def u_to_radii_array(u: np.ndarray, background: Background) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if background is Background.EUCLIDEAN:
         return np.exp(u)
-    if (u >= 0).any():
+    if np.count_nonzero(u >= 0):
         raise DomainError("hyperbolic u-coordinates must be negative")
     radii = np.log1p(2.0 * np.exp(u) / (-np.expm1(u)))
-    if (radii <= 0).any():
+    if np.count_nonzero(radii <= 0):
         raise DomainError("radius underflow: u-coordinate too negative")
     return radii
 

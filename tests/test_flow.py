@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -337,3 +339,38 @@ def test_huge_step_reported_as_divergence(genus2):
     result = run_flow(genus2, inversive, u0, config)
     assert result.status == "diverged"
     assert np.all(np.isfinite(result.final_u.values))
+
+
+def test_each_step_maps_u_to_radii_once(genus2, monkeypatch):
+    # The divergence-cap check hands its radii to the step's curvature
+    # evaluation, so u -> radii runs once per curvature evaluation.
+    # The package re-exports the function `curvature`, which hides the module.
+    curvature_module = importlib.import_module("cpflow.curvature")
+    flow_module = importlib.import_module("cpflow.flow")
+
+    calls = {"radii": 0, "evals": 0}
+    to_radii, make_evaluator = u_to_radii_array, curvature_module.make_curvature_evaluator
+
+    def counted_radii(*args):
+        calls["radii"] += 1
+        return to_radii(*args)
+
+    def counted_evaluator(*args):
+        evaluate = make_evaluator(*args)
+
+        def counted(*inner):
+            calls["evals"] += 1
+            return evaluate(*inner)
+
+        return counted
+
+    for module in (curvature_module, flow_module):
+        monkeypatch.setattr(module, "u_to_radii_array", counted_radii)
+    monkeypatch.setattr(flow_module, "make_curvature_evaluator", counted_evaluator)
+    rng = np.random.default_rng(3)
+    metric = random_admissible_metric(genus2, rng, inversive_range=(0.0, 1.0))
+    config = FlowConfig(max_time=2.0, record_potential=False)
+    result = run_flow(genus2, metric.inversive, to_u(metric), config)
+    assert result.iterations == 40
+    assert calls["evals"] == 1 + 4 * result.iterations
+    assert calls["radii"] == calls["evals"]

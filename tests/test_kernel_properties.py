@@ -2,7 +2,9 @@
 
 Inputs are the stock complexes and random edge flips of them, in both
 backgrounds, with radii log-uniform in [1e-12, 50] and inversive distances
-in [0, 5]: tiny, huge and degenerate triangles all occur.
+in [0, 5]: tiny, huge and degenerate triangles all occur.  The fused
+curvature pass is checked bit for bit against the unfused chain it replaced,
+kept here as the reference, and for continuity where faces degenerate.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ from hypothesis import strategies as st
 
 from cpflow import (
     Background,
+    CPFlowError,
+    DomainError,
     PackingMetric,
+    RangeError,
     build_complex,
     edge_length,
     extended_angles,
@@ -125,3 +130,171 @@ def test_small_hyperbolic_triangles_are_euclidean():
             assert np.max(np.abs(small.values - flat.values)) <= 1e-12
             compared += 1
     assert compared >= 1900
+
+
+# ---------------------------------------------------------------------------
+# The fused curvature pass against the unfused chain it replaced
+# ---------------------------------------------------------------------------
+
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+
+
+def _reference_radii(u, background):
+    if background is EUC:
+        return np.exp(u)
+    if (u >= 0).any():
+        raise DomainError("hyperbolic u-coordinates must be negative")
+    radii = np.log1p(2.0 * np.exp(u) / (-np.expm1(u)))
+    if (radii <= 0).any():
+        raise DomainError("radius underflow: u-coordinate too negative")
+    return radii
+
+
+def _reference_curvature(complex, background, radii, inversive):
+    """Per-edge lengths, then (F, 3) gathers, the cosine-law ratio, clamped
+    arccos, the triangle-inequality mask, the (pi, 0, 0) pin and bincount:
+    (K, degenerate mask, total area)."""
+    ri, rj = radii[complex.edges[:, 0]], radii[complex.edges[:, 1]]
+    if background is EUC:
+        sq = (ri - rj) ** 2 + 2.0 * (1.0 + inversive) * ri * rj
+        if not np.all((sq > 0) & (sq < np.inf)):
+            raise DomainError("euclidean edge length is not defined (l^2 <= 0 or not finite)")
+        lengths, excess = np.sqrt(sq), 0.5 * sq
+    else:
+        if (np.maximum(ri, rj) > 350.0).any():
+            raise RangeError("radii above 350 would overflow cosh/sinh")
+        with np.errstate(over="ignore"):
+            excess = (
+                np.sinh(0.5 * (ri + rj)) ** 2
+                + np.sinh(0.5 * (ri - rj)) ** 2
+                + inversive * np.sinh(ri) * np.sinh(rj)
+            )
+        if not np.all(excess > 0):
+            raise DomainError("hyperbolic edge length is not defined (cosh l - 1 not > 0)")
+        if (excess > np.cosh(350.0) - 1.0).any():
+            raise RangeError("lengths above 350 would overflow cosh/sinh")
+        lengths = np.log1p(excess + np.sqrt(excess * (excess + 2.0)))
+
+    lam = background.area_weight
+    opposite = complex.face_opposite_edges
+    face_lengths_, e = lengths[opposite], excess[opposite]
+    x = np.sqrt(e * (lam * e + 2.0))
+    e_j, e_k = e[:, _NEXT], e[:, _PREV]
+    cos = (e_j + e_k + lam * e_j * e_k - e) / (x[:, _NEXT] * x[:, _PREV])
+    angles = np.arccos(np.clip(cos, -1.0, 1.0))
+    x0, x1, x2 = face_lengths_.T
+    degenerate = (x0 + x1 <= x2) | (x0 + x2 <= x1) | (x1 + x2 <= x0)
+    rows = np.nonzero(degenerate)[0]
+    angles[rows] = 0.0
+    angles[rows, face_lengths_[rows].argmax(axis=1)] = np.pi
+    values = 2.0 * np.pi - np.bincount(
+        complex.faces.ravel(), weights=angles.ravel(), minlength=complex.vertex_count
+    )
+    area = float(np.maximum(0.0, np.pi - angles.sum(axis=1)).sum()) if lam else 0.0
+    return values, degenerate, area
+
+
+@st.composite
+def _permissive_cases(draw):
+    """``_cases``, and in a third of them inversive distances in (-1, 0)."""
+    complex, background, inversive, radii = draw(_cases())
+    if draw(st.integers(0, 2)) == 0:
+        inversive = -np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(
+            0.0, 1.0, complex.edge_count
+        )
+    return complex, background, inversive, radii
+
+
+def _outcome(compute):
+    """The arrays ``compute()`` returns, or the type and message of its CPFlowError."""
+    try:
+        return [np.asarray(value) for value in compute()]
+    except CPFlowError as exc:
+        return [type(exc), str(exc)]
+
+
+def _assert_same(got, expected):
+    assert len(got) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+@settings(max_examples=50)
+@given(_permissive_cases(), st.sampled_from(["none", "u0", "floor", "radius", "edge"]))
+def test_fused_kernel_equals_unfused_chain(case, spoil):
+    complex, background, inversive, radii = case
+    if spoil == "radius":
+        radii[0] = 400.0
+    elif spoil == "edge":  # two radii of 200 make an edge of length >= 400
+        radii[complex.edges[0]] = 200.0
+        inversive = np.abs(inversive)
+    u = radii_to_u_array(radii, background)
+    if spoil == "u0":
+        u[0] = 0.0
+    elif spoil == "floor":
+        u[0] = -800.0
+
+    evaluate = make_curvature_evaluator(complex, background, inversive)
+    _assert_same(
+        _outcome(lambda: evaluate(u)),
+        _outcome(lambda: _reference_curvature(
+            complex, background, _reference_radii(u, background), inversive)[:2]),
+    )
+    if spoil in ("u0", "floor"):
+        return
+    metric = PackingMetric(background, inversive, radii, permissive=True)
+
+    def extended():
+        curv = extended_curvature(complex, metric)
+        return curv.values, curv.degenerate, curv.total_area
+
+    _assert_same(
+        _outcome(extended),
+        _outcome(lambda: _reference_curvature(complex, background, radii, inversive)),
+    )
+
+
+def test_face_edge_tables_are_c_ordered_int64():
+    for complex in STOCK:
+        tables = complex.face_edge_tables
+        assert tables[0] is complex.face_opposite_edges
+        for table, shift in zip(tables, range(3)):
+            assert table.dtype == np.int64 and table.flags.c_contiguous
+            assert not table.flags.writeable
+            assert np.array_equal(table, np.roll(complex.face_opposite_edges, -shift, axis=1))
+
+
+@st.composite
+def _segments(draw):
+    """A u-segment on genus2, the octahedron or torus 4x4: endpoints with
+    radii log-uniform in [1e-3, 20], inversive distances in [0, 5]."""
+    complex = draw(st.sampled_from([genus2_surface(), octahedron(), triangulated_torus(4, 4)]))
+    background = draw(st.sampled_from([HYP, EUC]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radii = np.exp(rng.uniform(np.log(1e-3), np.log(20.0), (2, complex.vertex_count)))
+    inversive = rng.uniform(0.0, 5.0, complex.edge_count)
+    return complex, background, inversive, radii_to_u_array(radii, background)
+
+
+@settings(max_examples=40)
+@given(_segments())
+def test_curvature_is_continuous_across_the_degenerate_boundary(segment):
+    complex, background, inversive, (u0, u1) = segment
+    evaluate = make_curvature_evaluator(complex, background, inversive)
+
+    def at(s):
+        return evaluate(u0 + s * (u1 - u0))
+
+    grid = np.linspace(0.0, 1.0, 9)
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        (k_lo, mask_lo), (k_hi, mask_hi) = at(lo), at(hi)
+        if np.array_equal(mask_lo, mask_hi):
+            continue
+        # Bisect to a bracket of width <= 2^-50 whose ends differ in the mask.
+        while hi - lo > 2.0**-50:
+            mid = 0.5 * (lo + hi)
+            k_mid, mask_mid = at(mid)
+            if np.array_equal(mask_mid, mask_lo):
+                lo, k_lo = mid, k_mid
+            else:
+                hi, k_hi = mid, k_mid
+        assert np.max(np.abs(k_hi - k_lo)) <= 1e-5

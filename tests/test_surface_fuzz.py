@@ -1,11 +1,13 @@
-"""Fuzz the surface parser.
+"""Fuzz the surface, target and subset parsers.
 
 ``load_surface`` must return a ``SurfaceInput`` or raise ``ParseError`` for
 every mutated document.  Valid tetrahedron and torus documents get one to
 three random edits: a value anywhere in the tree replaced by arbitrary JSON
 (wrong types, NaN and Infinity, huge and negative integers), a key or list
 item deleted, or an item or key added.  Ragged faces, missing and extra keys
-all arise from these.
+all arise from these.  ``load_target`` and ``load_subsets`` get the same
+edits on valid target and subset documents, and must return valid data or
+raise ``ParseError``.
 
 ``_parse_inversive`` must match an entry-by-entry scan: the same values, or
 the same error for the same first offending entry.
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpflow import ParseError, tetrahedron, triangulated_torus
-from cpflow.io import SurfaceInput, _parse_inversive, load_surface
+from cpflow.io import SurfaceInput, _parse_inversive, load_subsets, load_surface, load_target
 
 
 def _document(complex, inversive):
@@ -59,7 +61,7 @@ _SCALARS = st.one_of(
     st.sampled_from(["", "1", "hyperbolic", "euclidean"]),
 )
 _KEYS = st.sampled_from(["format", "faces", "inversive", "radii", "permissive", "default",
-                         "edges", "edge", "value", "extra"])
+                         "edges", "edge", "value", "target", "subsets", "extra"])
 _JSON = st.recursive(
     _SCALARS,
     lambda inner: st.one_of(
@@ -80,8 +82,8 @@ def _paths(node, prefix=()):
 
 
 @st.composite
-def _mutated(draw):
-    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+def _mutated(draw, bases=BASES):
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
         if not path:
@@ -187,3 +189,39 @@ def test_parse_inversive_matches_reference_scan(raw):
         assert str(got.value) == str(exc)
     else:
         assert np.array_equal(_parse_inversive(raw, _TORUS), expected, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# Target and subset files
+# ---------------------------------------------------------------------------
+
+_N_VERTICES = 9
+TARGET_BASES = [{"format": 1, "target": [0.0, 0.5, -1, 2, 0.0, 0.0, 1e-3, 0.0, 3.0]}]
+SUBSET_BASES = [{"format": 1, "subsets": [[0], [1, 2], [3, 4, 5, 8]]}]
+
+
+@settings(max_examples=150)
+@given(_mutated(TARGET_BASES))
+def test_load_target_parses_or_raises_parse_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-target.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        target = load_target(path, _N_VERTICES)
+    except ParseError:
+        return
+    assert target.dtype == float and target.shape == (_N_VERTICES,)
+    assert np.all(np.isfinite(target))
+
+
+@settings(max_examples=150)
+@given(_mutated(SUBSET_BASES))
+def test_load_subsets_parses_or_raises_parse_error(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-subsets.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        subsets = load_subsets(path, _N_VERTICES)
+    except ParseError:
+        return
+    assert subsets and all(type(s) is frozenset for s in subsets)
+    assert all(0 < len(s) < _N_VERTICES for s in subsets)
+    assert all(type(v) is int and 0 <= v < _N_VERTICES for s in subsets for v in s)
