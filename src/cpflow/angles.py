@@ -38,7 +38,6 @@ from .packing import (
     _check_hyperbolic_sizes,
     _edge_lengths_arrays,
     edge_length,
-    triangle_inequality_violations,
 )
 
 #: vertex slots m + 1 and m + 2 (mod 3), the endpoints of the edge opposite m
@@ -65,11 +64,9 @@ class GeneralizedAngles:
         return float(self.values.sum())
 
 
-def _triangle_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Face edge tables of n separate triangles whose edge opposite vertex
-    slot m of triangle t sits at 3 t + m of the flat per-edge arrays."""
-    base = 3 * np.arange(n)[:, None]
-    return base + np.arange(3), base + _NEXT, base + _PREV
+#: face edge tables of a lone triangle whose edge m joins slots m + 1 and
+#: m + 2; the opposite table doubles as its face vertex table
+_TRIANGLE_TABLES = (np.arange(3).reshape(1, 3), _NEXT.reshape(1, 3), _PREV.reshape(1, 3))
 
 
 def _cosine_law(background: Background, excess: np.ndarray, sx: np.ndarray, tables) -> np.ndarray:
@@ -127,7 +124,7 @@ def extended_angles(background: Background, lengths) -> GeneralizedAngles:
     else:
         excess = 0.5 * arr**2
     sx = np.sqrt(excess * (background.area_weight * excess + 2.0))
-    angles, degenerate = extended_angles_batch(background, arr, excess, sx, _triangle_tables(1))
+    angles, degenerate = extended_angles_batch(background, arr, excess, sx, _TRIANGLE_TABLES)
     return GeneralizedAngles(values=angles[0], degenerate=bool(degenerate[0]))
 
 
@@ -156,31 +153,26 @@ _DIAGONAL = np.eye(3, dtype=bool)
 
 
 def angle_jacobians_batch(
-    background: Background, radii: np.ndarray, inversive: np.ndarray
+    background: Background, radii: np.ndarray, inversive: np.ndarray, edges, faces, tables
 ) -> np.ndarray:
-    """d(angles)/d(u) for a batch of triangles, shape (n, 3, 3).
+    """d(angles)/d(u) of the faces, shape (F, 3, 3), from per-vertex radii,
+    per-edge inversive distances and ``edges`` = (lengths, excesses, x') as
+    the edge-length kernel returns them, gathered through the face vertex
+    and (opposite, next, previous) face edge tables.
 
-    Entry [t, p, q] is the derivative of angle p with respect to the
-    u-coordinate of vertex q in triangle t.  Every triangle must satisfy
-    the strict triangle inequalities; at or beyond that boundary the
-    derivative blows up and BoundaryError is raised instead.
+    Entry [f, p, q] is the derivative of angle p with respect to the
+    u-coordinate of vertex q in face f.  Every face must satisfy the strict
+    triangle inequalities; at or beyond that boundary the derivative blows
+    up and BoundaryError is raised instead.
     """
-    radii = np.asarray(radii, dtype=float)
-    inversive = np.asarray(inversive, dtype=float)
-    if (radii <= 0).any():
-        raise DomainError("radii must be positive")
-    # (n, 3) side lengths, excesses and x', column m the edge opposite slot m;
-    # the length kernel raises RangeError for radii and lengths past the size limit.
-    tables = _triangle_tables(len(radii))
-    lengths, excess, sx = _edge_lengths_arrays(
-        background, radii.ravel(), tables[1], tables[2], inversive
-    )
-    if triangle_inequality_violations(lengths).any():
+    lengths, excess, sx = edges
+    opposite, nxt, prv = tables
+    if np.count_nonzero(lengths[nxt] + lengths[prv] <= lengths[opposite]):
         raise BoundaryError(
             "angle derivatives are undefined on or beyond the degenerate boundary"
         )
 
-    cos = _cosine_law(background, excess.ravel(), sx.ravel(), tables)
+    cos = _cosine_law(background, excess, sx, tables)
     sin_sq = 1.0 - cos**2
     if (sin_sq <= 0).any():
         raise BoundaryError("triangle too close to the degenerate boundary")
@@ -189,17 +181,21 @@ def angle_jacobians_batch(
     # dtheta/dx: diagonal D_m = x'_m / (x'_j x'_k sin theta_m) with
     # x' = sinh x (hyperbolic) or x (euclidean); off-diagonal
     # dtheta_m/dx_a = -D_m cos theta_b, {m, a, b} = {0, 1, 2}.
-    d = sx / (sx[:, _NEXT] * sx[:, _PREV] * sin)
+    sx_m = sx[opposite]
+    d = sx_m / (sx[nxt] * sx[prv] * sin)
     dtheta_dx = d[:, :, None] * np.where(_DIAGONAL, 1.0, -cos[:, _THIRD])
 
     # dx/du = dx/dr dr/du with dr/du = s = sinh r (hyperbolic) or r
     # (euclidean).  x_m joins the vertices a and b other than m, so the
     # diagonal is 0 and dx_m/dr_a = (s_a c_b + I_m c_a s_b) / x'_m, with
     # c = cosh r (hyperbolic) or 1 (euclidean).
-    hyper = background is Background.HYPERBOLIC
-    s, c = (np.sinh(radii), np.cosh(radii)) if hyper else (radii, np.ones_like(radii))
+    if background is Background.HYPERBOLIC:
+        s, c = np.sinh(radii)[faces], np.cosh(radii)[faces]
+    else:
+        s, c = radii[faces], np.ones(faces.shape)
     s_a, c_a = s[:, None, :], c[:, None, :]
-    dx_dr = (s_a * c[:, _THIRD] + inversive[:, :, None] * c_a * s[:, _THIRD]) / sx[:, :, None]
+    inv_m = inversive[opposite][:, :, None]
+    dx_dr = (s_a * c[:, _THIRD] + inv_m * c_a * s[:, _THIRD]) / sx_m[:, :, None]
     out = dtheta_dx @ np.where(_DIAGONAL, 0.0, dx_dr * s_a)
     if not np.isfinite(out).all():
         # strict inequalities can hold by less than an ulp while 1/sin blows up
@@ -211,9 +207,15 @@ def angle_jacobian_u(background: Background, radii, inversive) -> np.ndarray:
     """d(angles)/d(u) for one triangle given vertex radii and the inversive
     distances on the opposite edges.  Symmetric and, for inversive >= 0,
     negative definite."""
-    r = np.asarray(radii, dtype=float).reshape(1, 3)
-    inv = np.asarray(inversive, dtype=float).reshape(1, 3)
-    return angle_jacobians_batch(background, r, inv)[0]
+    r = np.asarray(radii, dtype=float).reshape(3)
+    inv = np.asarray(inversive, dtype=float).reshape(3)
+    if (r <= 0).any():
+        raise DomainError("radii must be positive")
+    # the length kernel raises RangeError for radii and lengths past the size limit
+    edges = _edge_lengths_arrays(background, r, _NEXT, _PREV, inv)
+    return angle_jacobians_batch(
+        background, r, inv, edges, _TRIANGLE_TABLES[0], _TRIANGLE_TABLES
+    )[0]
 
 
 # ---------------------------------------------------------------------------

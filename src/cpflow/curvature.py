@@ -22,6 +22,7 @@ from .errors import BoundaryError, ConfigError, DomainError, NotAdmissibleError
 from .packing import (
     Background,
     PackingMetric,
+    _check_fits,
     _edge_lengths_arrays,
     _metric_edge_arrays,
     is_admissible,
@@ -130,8 +131,9 @@ def _jacobian_blocks(
     """(F, 3, 3) blocks: [f, p, q] is face f's share of dK/du at (faces[f, p], faces[f, q]).
 
     Raises BoundaryError unless every face is strictly admissible."""
+    edges = _edge_lengths_arrays(background, radii, *complex.edges.T, inversive)
     return -angle_jacobians_batch(
-        background, radii[complex.faces], inversive[complex.face_opposite_edges]
+        background, radii, inversive, edges, complex.faces, complex.face_edge_tables
     )
 
 
@@ -143,6 +145,7 @@ def curvature_jacobian(complex: SurfaceComplex, metric: PackingMetric) -> np.nda
     distances >= 0; in euclidean background it has the all-ones vector in
     its kernel (scaling invariance).
     """
+    _check_fits(complex, metric)
     try:
         blocks = _jacobian_blocks(complex, metric.background, metric.radii, metric.inversive)
     except BoundaryError:

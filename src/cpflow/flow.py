@@ -150,19 +150,15 @@ def run_flow(
         raise ConfigError("u0 does not match the vertex count")
     background = u0.background
     classical = config.variant == "classical"
-    evaluate = make_curvature_evaluator(complex, background, inversive)
+    # The context validates the inversive distances; its evaluator is the
+    # run's only one, for the steps and for the trace potential alike.
+    ctx = PotentialContext(complex, inversive, u0, target)
 
     def curvature_values(u_arr: np.ndarray, radii: np.ndarray | None = None) -> np.ndarray:
-        values, degenerate = evaluate(u_arr, radii)
+        values, degenerate = ctx._evaluate(u_arr, radii)
         if classical and np.count_nonzero(degenerate):
             raise _not_admissible(degenerate)
         return values
-
-    ctx = (
-        PotentialContext(complex, inversive, u0, target)
-        if config.record_potential
-        else None
-    )
 
     dt = config.step
     n_steps = max(1, math.ceil(config.max_time / dt - 1e-12))
@@ -170,30 +166,27 @@ def run_flow(
     k_now = curvature_values(u)  # classical: validates the start point
     trace: list[FlowSample] = []
     in_tolerance_streak = 0
-    status = None
-    step_index = 0
 
     # Trace potentials accumulate segment integrals between consecutive
     # samples; by closedness of the curvature 1-form this equals the
     # straight-segment potential from u0, and the short segments keep the
     # quadrature shallow even when the run crosses degeneration kinks.
-    potential_state = {"value": 0.0, "anchor": u0.values.copy(), "dead": ctx is None}
+    # None once both quadrature tolerances have failed.
+    potential = 0.0 if config.record_potential else None
+    anchor = u.copy()
 
-    def sample_potential() -> float | None:
-        if potential_state["dead"]:
-            return None
-        for tol in (1e-10, 1e-8):
-            try:
-                delta = segment_integral(ctx, potential_state["anchor"], u, tol)
-            except QuadratureError:
-                continue
-            potential_state["value"] += delta
-            potential_state["anchor"] = u.copy()
-            return potential_state["value"]
-        potential_state["dead"] = True
-        return None
-
-    def record() -> None:
+    def record(step_index: int) -> None:
+        nonlocal potential, anchor
+        if potential is not None:
+            for tol in (1e-10, 1e-8):
+                try:
+                    potential += segment_integral(ctx, anchor, u, tol)
+                except QuadratureError:
+                    continue
+                anchor = u.copy()
+                break
+            else:
+                potential = None
         trace.append(
             FlowSample(
                 t=step_index * dt,
@@ -201,35 +194,31 @@ def run_flow(
                 curvature=k_now.copy(),
                 curvature_max=float(max(k_now.max(), 0.0)),
                 curvature_min=float(min(k_now.min(), 0.0)),
-                potential=sample_potential(),
+                potential=potential,
             )
         )
 
-    def advance(u_arr: np.ndarray, k1: np.ndarray) -> np.ndarray:
-        if config.integrator == "euler":
-            return u_arr + dt * (target - k1)
-        f1 = target - k1
-        f2 = target - curvature_values(u_arr + 0.5 * dt * f1)
-        f3 = target - curvature_values(u_arr + 0.5 * dt * f2)
-        f4 = target - curvature_values(u_arr + dt * f3)
-        return u_arr + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
-
-    while True:
+    for step_index in range(n_steps + 1):
         if step_index % config.sample_every == 0:
-            record()
-            if float(np.max(np.abs(k_now - target))) <= config.tolerance:
-                in_tolerance_streak += 1
-                if in_tolerance_streak >= _SUSTAINED_SAMPLES:
-                    status = "converged"
-                    break
-            else:
-                in_tolerance_streak = 0
-        if step_index >= n_steps:
+            record(step_index)
+            in_tolerance = float(np.max(np.abs(k_now - target))) <= config.tolerance
+            in_tolerance_streak = in_tolerance_streak + 1 if in_tolerance else 0
+            if in_tolerance_streak >= _SUSTAINED_SAMPLES:
+                status = "converged"
+                break
+        if step_index == n_steps:
             status = "max_time_reached"
             break
 
+        f1 = target - k_now
         try:
-            u_next = advance(u, k_now)
+            if config.integrator == "euler":
+                u_next = u + dt * f1
+            else:
+                f2 = target - curvature_values(u + 0.5 * dt * f1)
+                f3 = target - curvature_values(u + 0.5 * dt * f2)
+                f4 = target - curvature_values(u + dt * f3)
+                u_next = u + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         except NotAdmissibleError:
             status = "left_admissible"
             break
@@ -253,10 +242,9 @@ def run_flow(
             status = "left_admissible"
             break
         u, k_now = u_next, k_next
-        step_index += 1
 
-    if step_index % config.sample_every != 0 or not trace or trace[-1].t != step_index * dt:
-        record()
+    if step_index % config.sample_every != 0:
+        record(step_index)
 
     return FlowResult(
         status=status,
@@ -282,20 +270,6 @@ class StabilityReport:
     fit_samples: int = 0
 
 
-def _ones_complement_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of the complement of (1,...,1), via a Householder
-    reflection carrying the first coordinate axis onto the ones direction."""
-    v = np.ones(n) / math.sqrt(n)
-    w = v.copy()
-    w[0] -= 1.0
-    norm = np.linalg.norm(w)
-    if norm < 1e-15:
-        return np.eye(n)[:, 1:]
-    w /= norm
-    reflector = np.eye(n) - 2.0 * np.outer(w, w)
-    return reflector[:, 1:]
-
-
 def stability_certificate(
     complex: SurfaceComplex,
     inversive: np.ndarray,
@@ -308,7 +282,8 @@ def stability_certificate(
     Checks that the curvature Jacobian at u_star is positive definite (so
     the flow linearization is negative definite).  In euclidean background
     the Jacobian is singular along the all-ones scaling direction, so the
-    check runs on its orthogonal complement.  When a trace is supplied the
+    check runs on its orthogonal complement, by a rank-one lift of that
+    direction above the spectrum.  When a trace is supplied the
     asymptotic decay rate is estimated by a least-squares fit of the log
     residual over the trace tail.
     """
@@ -320,11 +295,10 @@ def stability_certificate(
     jac = curvature_jacobian(complex, metric)
     projected = u_star.background is Background.EUCLIDEAN
     if projected:
-        basis = _ones_complement_basis(complex.vertex_count)
-        eigs = np.linalg.eigvalsh(basis.T @ jac @ basis)
-    else:
-        eigs = np.linalg.eigvalsh(jac)
-    smallest = float(eigs[0])
+        # Lift the all-ones kernel to c = 1 + the Gershgorin bound, above the
+        # spectrum; the complement of the ones direction keeps its eigenvalues.
+        jac += (1.0 + np.abs(jac).sum(axis=1).max()) / complex.vertex_count
+    smallest = float(np.linalg.eigvalsh(jac)[0])
 
     fitted_rate = fit_r2 = None
     n_fit = 0

@@ -24,14 +24,14 @@ import numpy as np
 from .angles import (
     _NEXT,
     _PREV,
-    _triangle_tables,
+    _TRIANGLE_TABLES,
     angle_jacobian_u,
     clamped_arccos,
     extended_angles_batch,
 )
 from .complexes import SurfaceComplex, _subcomplex_counts, link_pairs, normalize_subset
 from .curvature import curvature, extended_curvature
-from .errors import ConfigError, DomainError, NotFoundError
+from .errors import ConfigError, CPFlowError, DomainError, NotFoundError
 from .packing import (
     Background,
     PackingMetric,
@@ -318,7 +318,7 @@ def triangle_angle_space(inversive) -> TriangleAngleSpace:
 
 def _triangle_angles(radii: np.ndarray, inversive: np.ndarray) -> np.ndarray:
     edges = _edge_lengths_arrays(Background.HYPERBOLIC, radii, _NEXT, _PREV, inversive)
-    angles, _ = extended_angles_batch(Background.HYPERBOLIC, *edges, _triangle_tables(1))
+    angles, _ = extended_angles_batch(Background.HYPERBOLIC, *edges, _TRIANGLE_TABLES)
     return angles[0]
 
 
@@ -359,7 +359,7 @@ def triangle_from_angles(
             try:
                 jac = angle_jacobian_u(Background.HYPERBOLIC, radii, inv)
                 delta = np.linalg.solve(jac, -err)
-            except Exception:
+            except (CPFlowError, np.linalg.LinAlgError):
                 break
             # Damp: keep u in the negative orthant and the error shrinking.
             s = 1.0

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .complexes import SurfaceComplex
-from .errors import DomainError, RangeError
+from .errors import ConfigError, DomainError, RangeError
 
 #: cosh/sinh arguments above this overflow double precision downstream.
 HYPERBOLIC_SIZE_LIMIT = 350.0
@@ -160,11 +160,23 @@ def edge_length(background: Background, r_i: float, r_j: float, inversive: float
     return float(lengths[0])
 
 
+def _check_fits(complex: SurfaceComplex, metric: PackingMetric) -> None:
+    """ConfigError unless the metric has one radius per vertex and one
+    inversive distance per edge of the complex."""
+    n_radii, n_inversive = len(metric.radii), len(metric.inversive)
+    if (n_radii, n_inversive) != (complex.vertex_count, complex.edge_count):
+        raise ConfigError(
+            f"metric with {n_radii} radii and {n_inversive} inversive distances does not "
+            f"fit a complex with {complex.vertex_count} vertices and {complex.edge_count} edges"
+        )
+
+
 def _metric_edge_arrays(
     complex: SurfaceComplex, metric: PackingMetric
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-edge (lengths, excesses, x') in the canonical edge order; a
     DomainError names the offending edge."""
+    _check_fits(complex, metric)
     background, radii, inversive = metric.background, metric.radii, metric.inversive
     try:
         return _edge_lengths_arrays(background, radii, *complex.edges.T, inversive)

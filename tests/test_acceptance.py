@@ -45,6 +45,7 @@ from cpflow.io import save_surface, save_target
 from cpflow.obstructions import _triangle_angles, enumerate_subsets
 from cpflow.packing import (
     UCoords,
+    _metric_edge_arrays,
     radii_to_u_array,
     triangle_inequality_violations,
     u_to_radii_array,
@@ -192,8 +193,11 @@ def test_criterion_03_jacobian_contracts(genus2):
                     break
             face_jacs = angle_jacobians_batch(
                 HYP,
-                metric.radii[complex.faces],
-                metric.inversive[complex.face_opposite_edges],
+                metric.radii,
+                metric.inversive,
+                _metric_edge_arrays(complex, metric),
+                complex.faces,
+                complex.face_edge_tables,
             )
             for jac in face_jacs:
                 assert np.max(np.abs(jac - jac.T)) <= 1e-9

@@ -6,14 +6,18 @@ import pytest
 from cpflow import (
     Background,
     BoundaryError,
+    ConfigError,
     NotAdmissibleError,
     PackingMetric,
+    all_edge_lengths,
     curvature,
     curvature_jacobian,
     extended_curvature,
     gauss_bonnet_defect,
+    is_admissible,
+    stability_certificate,
 )
-from cpflow.packing import radii_to_u_array, u_to_radii_array
+from cpflow.packing import radii_to_u_array, to_u, u_to_radii_array
 
 from conftest import random_admissible_metric, random_metric
 
@@ -182,3 +186,20 @@ def test_symmetry_of_mixed_partials(octa, rng):
         um[i] -= step
         dkj_dui = (curvature_at(up)[j] - curvature_at(um)[j]) / (2 * step)
         assert dki_duj == pytest.approx(dkj_dui, abs=1e-6)
+
+
+def _certificate(complex, metric):
+    return stability_certificate(complex, metric.inversive, to_u(metric))
+
+
+@pytest.mark.parametrize("n_radii, n_inversive", [(5, 6), (3, 6), (4, 5), (4, 7)])
+@pytest.mark.parametrize(
+    "entry",
+    [extended_curvature, curvature, gauss_bonnet_defect, is_admissible,
+     all_edge_lengths, curvature_jacobian, _certificate],
+)
+def test_metric_of_the_wrong_size_is_refused(tetra, entry, n_radii, n_inversive):
+    # the tetrahedron has 4 vertices and 6 edges
+    metric = PackingMetric(HYP, np.ones(n_inversive), np.ones(n_radii))
+    with pytest.raises(ConfigError, match="does not fit a complex with 4 vertices and 6 edges"):
+        entry(tetra, metric)

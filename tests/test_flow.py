@@ -11,6 +11,8 @@ from cpflow import (
     FlowConfig,
     PackingMetric,
     curvature,
+    curvature_jacobian,
+    is_admissible,
     newton_solve,
     residual,
     run_flow,
@@ -341,12 +343,34 @@ def test_huge_step_reported_as_divergence(genus2):
     assert np.all(np.isfinite(result.final_u.values))
 
 
+def test_euclidean_certificate_is_the_smallest_eigenvalue_off_the_gauge(torus, rng):
+    # Reference: the Jacobian restricted to an orthonormal basis of the
+    # complement of the all-ones direction.
+    n = torus.vertex_count
+    basis = np.linalg.qr(np.column_stack([np.ones(n), np.eye(n)[:, :-1]]))[0][:, 1:]
+    checked = 0
+    while checked < 8:
+        metric = PackingMetric(
+            EUC, rng.uniform(-0.9, 1.0, torus.edge_count),
+            np.exp(rng.uniform(np.log(0.5), np.log(2.0), n)), permissive=True,
+        )
+        if not is_admissible(torus, metric)[0]:
+            continue
+        jac = curvature_jacobian(torus, metric)
+        expected = np.linalg.eigvalsh(basis.T @ jac @ basis)[0]
+        report = stability_certificate(torus, metric.inversive, to_u(metric))
+        assert report.euclidean_gauge_projected
+        assert abs(report.smallest_eigenvalue - expected) <= 1e-12 * np.abs(jac).max()
+        checked += 1
+
+
 def test_each_step_maps_u_to_radii_once(genus2, monkeypatch):
     # The divergence-cap check hands its radii to the step's curvature
     # evaluation, so u -> radii runs once per curvature evaluation.
     # The package re-exports the function `curvature`, which hides the module.
     curvature_module = importlib.import_module("cpflow.curvature")
     flow_module = importlib.import_module("cpflow.flow")
+    potential_module = importlib.import_module("cpflow.potential")
 
     calls = {"radii": 0, "evals": 0}
     to_radii, make_evaluator = u_to_radii_array, curvature_module.make_curvature_evaluator
@@ -366,7 +390,7 @@ def test_each_step_maps_u_to_radii_once(genus2, monkeypatch):
 
     for module in (curvature_module, flow_module):
         monkeypatch.setattr(module, "u_to_radii_array", counted_radii)
-    monkeypatch.setattr(flow_module, "make_curvature_evaluator", counted_evaluator)
+    monkeypatch.setattr(potential_module, "make_curvature_evaluator", counted_evaluator)
     rng = np.random.default_rng(3)
     metric = random_admissible_metric(genus2, rng, inversive_range=(0.0, 1.0))
     config = FlowConfig(max_time=2.0, record_potential=False)

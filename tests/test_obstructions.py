@@ -22,6 +22,7 @@ from cpflow import (
     triangle_angle_space,
     triangle_from_angles,
 )
+import cpflow.obstructions as obstructions_module
 from cpflow.obstructions import _triangle_angles, enumerate_subsets
 from cpflow.packing import (
     UCoords,
@@ -243,6 +244,17 @@ def test_triangle_from_angles_rejects_outside():
     space_bounds = triangle_angle_space(np.zeros(3)).upper_bounds
     with pytest.raises(DomainError):
         triangle_from_angles(np.zeros(3), space_bounds * 1.01)
+
+
+def test_triangle_from_angles_lets_programming_errors_through(monkeypatch):
+    # Only the Newton step's numerical failures end a restart; a fault in
+    # the code must surface instead of reading as "ran out of restarts".
+    def broken(*args):
+        raise TypeError("broken angle Jacobian")
+
+    monkeypatch.setattr(obstructions_module, "angle_jacobian_u", broken)
+    with pytest.raises(TypeError, match="broken angle Jacobian"):
+        triangle_from_angles(np.full(3, 0.5), np.full(3, 0.6))
 
 
 def test_radii_blow_up_toward_space_boundary():
