@@ -179,7 +179,7 @@ def _cmd_flow(args, run: _Run) -> int:
 
     result = run_flow(surface.complex, surface.inversive, to_u(metric), config)
     run.status = result.status
-    final_res = float(result.residuals(target)[-1])
+    final_res = float(result.residuals()[-1])
     run.outputs["final_time"] = result.trace[-1].t
     run.outputs["iterations"] = result.iterations
     run.outputs["final_residual"] = final_res

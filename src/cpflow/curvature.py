@@ -80,8 +80,8 @@ def make_curvature_evaluator(
     Validates the inversive distances once (ConfigError on a wrong shape,
     DomainError on values that are non-finite or <= -1) and skips per-call
     metric construction; the returned callable maps u to ``(K, mask)`` with
-    values bit-identical to ``extended_curvature``.  It is what the flow,
-    potential and residual paths use.  A caller that already holds
+    values bit-identical to ``extended_curvature``.  ``PotentialContext``
+    builds the one that every u-space path uses.  A caller that already holds
     ``u_to_radii_array(u)`` passes it as ``radii`` to skip that stage.
     """
     inv = np.asarray(inversive, dtype=float)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import SurfaceComplex
-from .curvature import _not_admissible, curvature_jacobian, make_curvature_evaluator
+from .curvature import _not_admissible, curvature_jacobian
 from .errors import (
     ConfigError,
     DomainError,
@@ -32,11 +32,11 @@ from .errors import (
 )
 from .packing import (
     Background,
-    PackingMetric,
     UCoords,
+    from_u,
     u_to_radii_array,
 )
-from .potential import PotentialContext, _domain_ok, segment_integral
+from .potential import PotentialContext, _domain_ok, potential_gradient, segment_integral
 
 VARIANTS = ("classical", "extended", "prescribed")
 INTEGRATORS = ("euler", "rk4")
@@ -85,16 +85,16 @@ class FlowResult:
     final_u: UCoords
     trace: tuple
     iterations: int
+    target: np.ndarray  # the run's validated target curvature, zeros if none was given
 
-    def residuals(self, target: np.ndarray | None = None) -> np.ndarray:
-        """Max-norm curvature residual at every trace sample."""
-        tgt = 0.0 if target is None else np.asarray(target)
+    def residuals(self) -> np.ndarray:
+        """Max-norm curvature residual against the target at every trace sample."""
         return np.array(
-            [float(np.max(np.abs(s.curvature - tgt))) for s in self.trace]
+            [float(np.max(np.abs(s.curvature - self.target))) for s in self.trace]
         )
 
 
-def _validate_config(config: FlowConfig, n_vertices: int) -> np.ndarray:
+def _validate_config(config: FlowConfig) -> None:
     if config.variant not in VARIANTS:
         raise ConfigError(f"unknown variant {config.variant!r}")
     if config.integrator not in INTEGRATORS:
@@ -108,14 +108,6 @@ def _validate_config(config: FlowConfig, n_vertices: int) -> np.ndarray:
         raise ConfigError("prescribed flow requires a target curvature")
     if config.variant == "extended" and config.target is not None:
         raise ConfigError("extended flow has a zero target; use variant='prescribed'")
-    if config.target is None:
-        return np.zeros(n_vertices)
-    target = np.asarray(config.target, dtype=float)
-    if target.shape != (n_vertices,):
-        raise ConfigError("target length does not match the vertex count")
-    if not np.all(np.isfinite(target)):
-        raise ConfigError("target curvatures must be finite")
-    return target
 
 
 def residual(
@@ -125,9 +117,8 @@ def residual(
     target: np.ndarray | None = None,
 ) -> float:
     """Max-norm residual max_i |K_i(u) - target_i| of the extended curvature."""
-    values, _ = make_curvature_evaluator(complex, u.background, inversive)(u.values)
-    tgt = np.zeros_like(values) if target is None else np.asarray(target, dtype=float)
-    return float(np.max(np.abs(values - tgt)))
+    ctx = PotentialContext(complex, inversive, u, target)
+    return float(np.max(np.abs(potential_gradient(ctx, u))))
 
 
 def run_flow(
@@ -145,14 +136,12 @@ def run_flow(
     representable precision (diverged).  Raises StepError on a non-finite
     state.
     """
-    target = _validate_config(config, complex.vertex_count)
-    if len(u0.values) != complex.vertex_count:
-        raise ConfigError("u0 does not match the vertex count")
-    background = u0.background
+    _validate_config(config)
+    # The context checks the inversive distances, u0 and the target; its
+    # evaluator is the run's only one, for the steps and the trace potential.
+    ctx = PotentialContext(complex, inversive, u0, config.target)
+    target, background = ctx.target, ctx.background
     classical = config.variant == "classical"
-    # The context validates the inversive distances; its evaluator is the
-    # run's only one, for the steps and for the trace potential alike.
-    ctx = PotentialContext(complex, inversive, u0, target)
 
     def curvature_values(u_arr: np.ndarray, radii: np.ndarray | None = None) -> np.ndarray:
         values, degenerate = ctx._evaluate(u_arr, radii)
@@ -251,6 +240,7 @@ def run_flow(
         final_u=UCoords(u, background),
         trace=tuple(trace),
         iterations=step_index,
+        target=target,
     )
 
 
@@ -287,12 +277,8 @@ def stability_certificate(
     asymptotic decay rate is estimated by a least-squares fit of the log
     residual over the trace tail.
     """
-    inv = np.asarray(inversive, dtype=float)
-    metric = PackingMetric(
-        u_star.background, inv, u_to_radii_array(u_star.values, u_star.background),
-        permissive=bool(np.any(inv < 0)),
-    )
-    jac = curvature_jacobian(complex, metric)
+    jac = curvature_jacobian(complex, from_u(u_star, inversive, permissive=True))
+    ctx = PotentialContext(complex, inversive, u_star, target)
     projected = u_star.background is Background.EUCLIDEAN
     if projected:
         # Lift the all-ones kernel to c = 1 + the Gershgorin bound, above the
@@ -303,10 +289,9 @@ def stability_certificate(
     fitted_rate = fit_r2 = None
     n_fit = 0
     if trace is not None and len(trace) >= 4:
-        tgt = np.zeros(complex.vertex_count) if target is None else np.asarray(target)
         ts, logs = [], []
         for sample in trace:
-            res = float(np.max(np.abs(sample.curvature - tgt)))
+            res = float(np.max(np.abs(sample.curvature - ctx.target)))
             if res > 1e-13:
                 ts.append(sample.t)
                 logs.append(math.log(res))

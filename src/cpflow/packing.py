@@ -106,6 +106,15 @@ def _check_hyperbolic_sizes(values: np.ndarray, what: str) -> None:
         )
 
 
+def _require_defined(defined: np.ndarray, message: str) -> None:
+    """DomainError unless every edge length is defined; its ``edge`` attribute
+    indexes the first edge whose length is not."""
+    if np.count_nonzero(defined) < defined.size:
+        error = DomainError(message)
+        error.edge = int(np.argmin(defined))
+        raise error
+
+
 def _edge_lengths_arrays(
     background: Background, radii: np.ndarray, tail, head, inv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -118,13 +127,13 @@ def _edge_lengths_arrays(
     x' = sqrt(e (lambda e + 2)).  Every returned length is positive and
     finite: a hyperbolic edge longer than the size limit raises RangeError,
     however far its length would overflow, and any other undefined length
-    raises DomainError.
+    raises DomainError with the index of the first such edge as ``edge``.
     """
     ri, rj = radii[tail], radii[head]
     if background is Background.EUCLIDEAN:
         sq = (ri - rj) ** 2 + 2.0 * (1.0 + inv) * ri * rj
-        if np.count_nonzero((sq > 0) & (sq < np.inf)) < sq.size:
-            raise DomainError("euclidean edge length is not defined (l^2 <= 0 or not finite)")
+        _require_defined((sq > 0) & (sq < np.inf),
+                         "euclidean edge length is not defined (l^2 <= 0 or not finite)")
         excess = 0.5 * sq
         return np.sqrt(sq), excess, np.sqrt(2.0 * excess)
     _check_hyperbolic_sizes(radii, "radii")
@@ -138,8 +147,7 @@ def _edge_lengths_arrays(
             + np.sinh(0.5 * (ri - rj)) ** 2
             + inv * sinh_r[tail] * sinh_r[head]
         )
-    if np.count_nonzero(excess > 0) < excess.size:
-        raise DomainError("hyperbolic edge length is not defined (cosh l - 1 not > 0)")
+    _require_defined(excess > 0, "hyperbolic edge length is not defined (cosh l - 1 not > 0)")
     if np.count_nonzero(excess > _EXCESS_LIMIT):
         raise RangeError(
             f"lengths above {HYPERBOLIC_SIZE_LIMIT:g} would overflow cosh/sinh"
@@ -175,19 +183,14 @@ def _metric_edge_arrays(
     complex: SurfaceComplex, metric: PackingMetric
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-edge (lengths, excesses, x') in the canonical edge order; a
-    DomainError names the offending edge."""
+    DomainError names the first edge whose length is undefined."""
     _check_fits(complex, metric)
     background, radii, inversive = metric.background, metric.radii, metric.inversive
     try:
         return _edge_lengths_arrays(background, radii, *complex.edges.T, inversive)
-    except DomainError:
-        # Re-run edge by edge to name the offender.
-        for k, (i, j) in enumerate(complex.edges.tolist()):
-            try:
-                _edge_lengths_arrays(background, radii, [i], [j], inversive[k : k + 1])
-            except DomainError as exc:
-                raise DomainError(f"edge ({i}, {j}): {exc}") from None
-        raise
+    except DomainError as exc:
+        i, j = complex.edges[exc.edge].tolist()
+        raise DomainError(f"edge ({i}, {j}): {exc}") from None
 
 
 def all_edge_lengths(complex: SurfaceComplex, metric: PackingMetric) -> np.ndarray:

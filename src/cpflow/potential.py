@@ -48,6 +48,9 @@ class PotentialContext:
 
     A zero target gives the plain curvature potential; a nonzero target
     gives the prescribed-curvature potential used by the Newton solver.
+    Every entry point that takes a complex and u-coordinates checks them
+    here: the inversive distances, basepoint and target (one finite value
+    per vertex) on construction, each further point by ``_point``.
     """
 
     complex: SurfaceComplex
@@ -61,20 +64,28 @@ class PotentialContext:
         # Validates the inversive distances once, for every later evaluation.
         evaluate = make_curvature_evaluator(self.complex, self.background, inv)
         object.__setattr__(self, "_evaluate", evaluate)
-        if len(self.basepoint.values) != self.complex.vertex_count:
-            raise ConfigError("basepoint does not match the vertex count")
-        tgt = (
-            np.zeros(self.complex.vertex_count)
-            if self.target is None
-            else np.asarray(self.target, dtype=float)
-        )
-        if len(tgt) != self.complex.vertex_count:
-            raise ConfigError("target does not match the vertex count")
+        self._point(self.basepoint)
+        n = self.complex.vertex_count
+        tgt = np.zeros(n) if self.target is None else np.asarray(self.target, dtype=float)
+        if tgt.shape != (n,) or not np.isfinite(tgt).all():
+            raise ConfigError(f"target must have {n} finite values")
         object.__setattr__(self, "target", tgt)
 
     @property
     def background(self) -> Background:
         return self.basepoint.background
+
+    def _point(self, u: UCoords | np.ndarray) -> np.ndarray:
+        """The values of a point of this context's u-space, given as UCoords
+        or as raw values; ConfigError for another background or length."""
+        if isinstance(u, UCoords):
+            if u.background is not self.background:
+                raise ConfigError("u-coordinates and context use different backgrounds")
+            u = u.values
+        values = np.asarray(u, dtype=float)
+        if values.shape != (self.complex.vertex_count,):
+            raise ConfigError(f"u-coordinates must have {self.complex.vertex_count} values")
+        return values
 
 
 def _adaptive_simpson(
@@ -130,8 +141,7 @@ def segment_integral(
     tolerance: float = 1e-10,
 ) -> float:
     """Potential difference along the straight segment from u_from to u_to."""
-    u_from = np.asarray(u_from, dtype=float)
-    u_to = np.asarray(u_to, dtype=float)
+    u_from, u_to = ctx._point(u_from), ctx._point(u_to)
     direction = u_to - u_from
     if not direction.any():
         return 0.0
@@ -145,16 +155,12 @@ def segment_integral(
 
 def potential_value(ctx: PotentialContext, u: UCoords, tolerance: float = 1e-10) -> float:
     """Potential at u relative to the context basepoint (0 at the basepoint)."""
-    if u.background is not ctx.background:
-        raise ConfigError("u-coordinates and context use different backgrounds")
-    return segment_integral(ctx, ctx.basepoint.values, u.values, tolerance)
+    return segment_integral(ctx, ctx.basepoint.values, ctx._point(u), tolerance)
 
 
 def potential_gradient(ctx: PotentialContext, u: UCoords) -> np.ndarray:
     """Gradient of the potential at u; exactly curvature minus target."""
-    if u.background is not ctx.background:
-        raise ConfigError("u-coordinates and context use different backgrounds")
-    return ctx._evaluate(u.values)[0] - ctx.target
+    return ctx._evaluate(ctx._point(u))[0] - ctx.target
 
 
 @dataclass
@@ -283,12 +289,10 @@ def newton_solve(
         raise ConfigError("newton_solve requires hyperbolic background")
     if np.any(ctx.target >= 2.0 * np.pi):
         raise ConfigError("every target curvature must be < 2*pi")
-    if u_init.background is not ctx.background:
-        raise ConfigError("u_init and context use different backgrounds")
+    u = ctx._point(u_init).copy()
     if max_iter < 0 or not 0 < tol < np.inf:
         raise ConfigError("max_iter must be >= 0 and tol must be finite and positive")
 
-    u = u_init.values.copy()
     report = NewtonReport()
     for iteration in range(max_iter + 1):
         grad = ctx._evaluate(u)[0] - ctx.target

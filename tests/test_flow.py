@@ -14,13 +14,15 @@ from cpflow import (
     curvature_jacobian,
     is_admissible,
     newton_solve,
+    potential_gradient,
+    potential_value,
     residual,
     run_flow,
     stability_certificate,
     to_u,
 )
 from cpflow.packing import UCoords, radii_to_u_array, u_to_radii_array
-from cpflow.potential import PotentialContext
+from cpflow.potential import PotentialContext, segment_integral
 
 from conftest import random_admissible_metric
 
@@ -80,6 +82,46 @@ def test_config_validation(genus2):
             run_flow(genus2, inversive, long_u0, FlowConfig(record_potential=record))
 
 
+def _context(complex, inversive, target):
+    return PotentialContext(complex, inversive, _u(np.ones(complex.vertex_count)), target)
+
+
+def _flow(complex, inversive, u, target):
+    run_flow(complex, inversive, u, FlowConfig(variant="prescribed", target=target, max_time=0.1))
+
+
+def _certificate(complex, inversive, u, target):
+    stability_certificate(complex, inversive, u, target=target)
+
+
+def _value(complex, inversive, u, target):
+    potential_value(_context(complex, inversive, target), u)
+
+
+def _gradient(complex, inversive, u, target):
+    potential_gradient(_context(complex, inversive, target), u)
+
+
+def _segment(complex, inversive, u, target):
+    ctx = _context(complex, inversive, target)
+    segment_integral(ctx, ctx.basepoint.values, u.values)
+
+
+def _newton(complex, inversive, u, target):
+    newton_solve(_context(complex, inversive, target), u)
+
+
+@pytest.mark.parametrize("n_u, n_target", [(14, 15), (16, 15), (15, 1), (15, 16)])
+@pytest.mark.parametrize(
+    "entry", [_flow, residual, _certificate, _value, _gradient, _segment, _newton]
+)
+def test_point_or_target_of_the_wrong_size_is_refused(genus2, entry, n_u, n_target):
+    # genus2 has 15 vertices; the other arguments fit it
+    u = _u(np.ones(n_u))
+    with pytest.raises(ConfigError):
+        entry(genus2, np.ones(genus2.edge_count), u, np.zeros(n_target))
+
+
 def test_fixed_point_start(zero_curvature_genus2):
     complex, inversive, u_star = zero_curvature_genus2
     result = run_flow(complex, inversive, u_star, FlowConfig(variant="extended"))
@@ -116,6 +158,7 @@ def test_prescribed_recovery_and_integrator_independence(genus2, rng):
         )
         result = run_flow(genus2, metric.inversive, start, config)
         assert result.status == "converged"
+        assert result.residuals()[-1] <= 1e-10  # measured against the run's target
         results[(integrator, dt)] = result.final_u.values
         recovered = u_to_radii_array(result.final_u.values, HYP)
         assert np.max(np.abs(recovered - metric.radii)) <= 1e-6

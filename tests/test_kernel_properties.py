@@ -270,6 +270,51 @@ def test_face_edge_tables_are_c_ordered_int64():
 
 
 @st.composite
+def _large_radius_cases(draw):
+    """A hyperbolic metric on a surface with radii log-uniform in [10, 350]
+    at some vertices and in [0.1, 5] at the rest, and I in [0, 1]."""
+    base = draw(st.sampled_from(STOCK))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex = build_complex(flip_edges(base.faces, rng, draw(st.integers(0, 2 * base.face_count))))
+    radii = np.exp(rng.uniform(np.log(0.1), np.log(5.0), complex.vertex_count))
+    large = rng.random(complex.vertex_count) < draw(st.floats(0.0, 0.5))
+    radii[large] = np.exp(rng.uniform(np.log(10.0), np.log(350.0), np.count_nonzero(large)))
+    return complex, rng.uniform(0.0, 1.0, complex.edge_count), radii
+
+
+@settings(max_examples=40)
+@given(_large_radius_cases())
+def test_radii_up_to_the_size_limit(case):
+    # Up to the size limit both paths compute the same finite curvature; an
+    # edge beyond it is refused by both with the same RangeError.
+    complex, inversive, radii = case
+    evaluate = make_curvature_evaluator(complex, HYP, inversive)
+    metric = PackingMetric(HYP, inversive, radii)
+    got = _outcome(lambda: evaluate(radii_to_u_array(radii, HYP), radii)[:1])
+    _assert_same(got, _outcome(lambda: [extended_curvature(complex, metric).values]))
+    if isinstance(got[0], type):
+        assert got[0] is RangeError
+        return
+    assert np.isfinite(got[0]).all()
+    defect = gauss_bonnet_defect(complex, metric)
+    assert abs(defect) <= 3 * np.sqrt(2 * np.finfo(float).eps) * complex.face_count
+
+
+@pytest.mark.parametrize(
+    "radius, message",
+    [(350.0, "lengths above 350"), (np.nextafter(350.0, np.inf), "radii above 350")],
+)
+def test_the_size_limit_itself(radius, message):
+    # A radius of exactly 350 is allowed, but its edges are longer than 350.
+    complex, inversive, radii = tetrahedron(), np.zeros(6), np.array([radius, 1.0, 1.0, 1.0])
+    evaluate = make_curvature_evaluator(complex, HYP, inversive)
+    with pytest.raises(RangeError, match=message):
+        evaluate(radii_to_u_array(radii, HYP), radii)
+    with pytest.raises(RangeError, match=message):
+        extended_curvature(complex, PackingMetric(HYP, inversive, radii))
+
+
+@st.composite
 def _segments(draw):
     """A u-segment on genus2, the octahedron or torus 4x4: endpoints with
     radii log-uniform in [1e-3, 20], inversive distances in [0, 5]."""

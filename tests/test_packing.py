@@ -10,11 +10,13 @@ from cpflow import (
     RangeError,
     all_edge_lengths,
     edge_length,
+    extended_curvature,
     from_u,
     inversive_from_length,
     is_admissible,
     to_u,
 )
+from cpflow.curvature import make_curvature_evaluator
 from cpflow.packing import radii_to_u_array, u_to_radii_array
 
 from conftest import random_metric
@@ -102,6 +104,21 @@ def test_metric_validation():
 def test_range_guard():
     with pytest.raises(RangeError):
         edge_length(HYP, 400.0, 1.0, 0.0)
+
+
+def test_undefined_length_names_its_edge(tetra):
+    # Edge (0, 1) is longer than the size limit, but the whole pass fails
+    # first on edge (2, 3), whose cosh l - 1 underflows to 0.
+    metric = PackingMetric(HYP, np.ones(6), np.array([200.0, 200.0, 1e-200, 1e-200]))
+    message = "hyperbolic edge length is not defined (cosh l - 1 not > 0)"
+    for entry in (extended_curvature, is_admissible, all_edge_lengths):
+        with pytest.raises(DomainError) as raised:
+            entry(tetra, metric)
+        assert str(raised.value) == "edge (2, 3): " + message
+    evaluate = make_curvature_evaluator(tetra, HYP, metric.inversive)
+    with pytest.raises(DomainError) as raised:
+        evaluate(radii_to_u_array(metric.radii, HYP), metric.radii)
+    assert str(raised.value) == message
 
 
 def test_admissible_always_for_small_inversive(tetra, rng):
