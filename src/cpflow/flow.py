@@ -143,39 +143,41 @@ def run_flow(
     target, background = ctx.target, ctx.background
     classical = config.variant == "classical"
 
-    def curvature_values(u_arr: np.ndarray, radii: np.ndarray | None = None) -> np.ndarray:
-        values, degenerate = ctx._evaluate(u_arr, radii)
-        if classical and np.count_nonzero(degenerate):
-            raise _not_admissible(degenerate)
-        return values
+    def evaluate(u_arr: np.ndarray, radii: np.ndarray | None = None) -> tuple:
+        evaluation = ctx._evaluate(u_arr, radii)
+        if classical and np.count_nonzero(evaluation[1]):
+            raise _not_admissible(evaluation[1])
+        return evaluation
 
     dt = config.step
     n_steps = max(1, math.ceil(config.max_time / dt - 1e-12))
     u = u0.values.copy()
-    k_now = curvature_values(u)  # classical: validates the start point
+    now = evaluate(u)  # (K, degenerate mask) at u; classical: validates the start point
     trace: list[FlowSample] = []
     in_tolerance_streak = 0
 
     # Trace potentials accumulate segment integrals between consecutive
     # samples; by closedness of the curvature 1-form this equals the
-    # straight-segment potential from u0, and the short segments keep the
-    # quadrature shallow even when the run crosses degeneration kinks.
-    # None once both quadrature tolerances have failed.
+    # straight-segment potential from u0.  Each segment reuses the
+    # evaluations at its ends, the anchor's and the current one, and
+    # segment_integral splits it where a face crosses the degenerate
+    # boundary.  None once both quadrature tolerances have failed.
     potential = 0.0 if config.record_potential else None
-    anchor = u.copy()
+    anchor, at_anchor = u.copy(), now
 
     def record(step_index: int) -> None:
-        nonlocal potential, anchor
+        nonlocal potential, anchor, at_anchor
         if potential is not None:
             for tol in (1e-10, 1e-8):
                 try:
-                    potential += segment_integral(ctx, anchor, u, tol)
+                    potential += segment_integral(ctx, anchor, u, tol, ends=(at_anchor, now))
                 except QuadratureError:
                     continue
-                anchor = u.copy()
+                anchor, at_anchor = u.copy(), now
                 break
             else:
                 potential = None
+        k_now = now[0]
         trace.append(
             FlowSample(
                 t=step_index * dt,
@@ -190,7 +192,7 @@ def run_flow(
     for step_index in range(n_steps + 1):
         if step_index % config.sample_every == 0:
             record(step_index)
-            in_tolerance = float(np.max(np.abs(k_now - target))) <= config.tolerance
+            in_tolerance = float(np.max(np.abs(now[0] - target))) <= config.tolerance
             in_tolerance_streak = in_tolerance_streak + 1 if in_tolerance else 0
             if in_tolerance_streak >= _SUSTAINED_SAMPLES:
                 status = "converged"
@@ -199,14 +201,14 @@ def run_flow(
             status = "max_time_reached"
             break
 
-        f1 = target - k_now
+        f1 = target - now[0]
         try:
             if config.integrator == "euler":
                 u_next = u + dt * f1
             else:
-                f2 = target - curvature_values(u + 0.5 * dt * f1)
-                f3 = target - curvature_values(u + 0.5 * dt * f2)
-                f4 = target - curvature_values(u + dt * f3)
+                f2 = target - evaluate(u + 0.5 * dt * f1)[0]
+                f3 = target - evaluate(u + 0.5 * dt * f2)[0]
+                f4 = target - evaluate(u + dt * f3)[0]
                 u_next = u + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
         except NotAdmissibleError:
             status = "left_admissible"
@@ -226,11 +228,11 @@ def run_flow(
             break
 
         try:  # the cap check's radii, so u_next maps to radii once
-            k_next = curvature_values(u_next, radii)
+            at_next = evaluate(u_next, radii)
         except NotAdmissibleError:
             status = "left_admissible"
             break
-        u, k_now = u_next, k_next
+        u, now = u_next, at_next
 
     if step_index % config.sample_every != 0:
         record(step_index)

@@ -9,14 +9,32 @@ exactly, the Hessian on the smooth region is the curvature Jacobian, and
 in hyperbolic background with inversive distances >= 0 the potential is
 convex, which is what makes the Newton solver below globally reliable for
 admissible targets.
+
+Every potential difference is the integral of (K - Kbar) . d along a
+segment u_from + s d, s in [0, 1], by one rule: adaptive Romberg on nested
+midpoints (``_adaptive_romberg``).  The integrand is smooth except where a
+face crosses the degenerate boundary.  There an extended angle behaves like
+the square root of the distance to the crossing, which no extrapolation
+resolves, and adaptive refinement toward it costs thousands of nodes at
+tolerance 1e-10.  ``segment_integral`` therefore watches the degenerate-face
+masks of its evaluations.  Where two of them differ, it locates each
+flipping face's crossing from that face's three edge lengths alone, splits
+the segment there, and integrates each piece with a crossing at an end in
+t, s = a + (b - a)(3t^2 - 2t^3), whose flat ends make the square root
+smooth.  A segment without a crossing stays one piece, without the
+substitution, which would triple its nodes.  Callers pass the evaluations
+they already hold at the segment's ends, so a short smooth segment costs
+a handful of nodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .angles import _NEXT, _PREV
 from .complexes import SurfaceComplex
 from .curvature import _jacobian_blocks, make_curvature_evaluator
 from .errors import (
@@ -30,11 +48,27 @@ from .packing import (
     Background,
     U_COORDINATE_FLOOR,
     UCoords,
+    _edge_lengths_arrays,
     u_to_radii_array,
 )
 
 _ARMIJO_SLOPE_FRACTION = 1e-4
 _MIN_STEP_FRACTION = 1e-12
+
+#: Romberg levels per piece before it is bisected; the last adds 32 nodes
+_ROMBERG_LEVELS = 6
+#: bisections below one piece, and evaluations per integral, before QuadratureError
+_MAX_DEPTH = 60
+_MAX_EVALS = 50000
+#: a crossing is located to within _ROOT_SCALE * tolerance^(2/3) in s, as a
+#: square-root kink that close to the end of a piece moves its integral by
+#: about that width^1.5; crossings closer than that are one cut, and one that
+#: close to an end of its piece is that end
+_ROOT_SCALE = 1e-2
+#: crossings are searched on this many points per step, for at most this
+#: many steps (32^12 = 2^60 narrows any bracket in [0, 1] to rounding)
+_ROOT_POINTS = 31
+_ROOT_STEPS = 12
 
 #: conjugate gradients stops at this residual norm relative to the right side
 _CG_TOLERANCE = 1e-13
@@ -88,50 +122,124 @@ class PotentialContext:
         return values
 
 
-def _adaptive_simpson(
-    f, tolerance: float, max_depth: int = 60, max_evals: int = 50000
+class _Budget:
+    """Evaluations left to one integral, shared by all of its pieces."""
+
+    def __init__(self, evaluations: int = _MAX_EVALS):
+        self.left = evaluations
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise QuadratureError("adaptive quadrature exceeded its evaluation budget")
+
+
+def _adaptive_romberg(
+    f, tolerance: float, ends=(None, None), budget: _Budget | None = None,
+    max_depth: int = _MAX_DEPTH,
 ) -> float:
-    """Integrate f over [0, 1] by adaptive Simpson with Richardson update.
+    """Integrate f over [0, 1] by adaptive Romberg extrapolation.
 
-    The depth cap is sized for integrands with square-root kinks (the
-    curvature along a segment crossing a degeneration boundary), which
-    need about 50 levels at tolerance 1e-10 under per-split halving.  The
-    evaluation budget turns integrands that are noisy above tolerance
-    (geometry at wildly mixed scales) into a clean failure instead of an
-    exponentially large refinement tree.
+    Level k of a piece adds its 2^(k-1) new midpoints to the trapezoid sum,
+    and a Richardson table sits on top; the piece is accepted when two
+    successive diagonal entries agree within its tolerance.  After
+    _ROMBERG_LEVELS levels it is bisected with half the tolerance each, the
+    children inheriting its samples, so they start where it stopped.
+    ``ends`` holds f(0) and f(1) where the caller already has them.  Every
+    evaluation made here is charged to ``budget`` (a fresh one of
+    _MAX_EVALS evaluations if None); QuadratureError when it runs out or a
+    piece would need more than ``max_depth`` bisections.
     """
-    evals = 0
+    budget = _Budget() if budget is None else budget
 
-    def feval(x):
-        nonlocal evals
-        evals += 1
-        if evals > max_evals:
-            raise QuadratureError(
-                "adaptive quadrature exceeded its evaluation budget"
-            )
+    def feval(x: float) -> float:
+        budget.spend()
         return f(x)
 
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = feval(lm), feval(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = left + right - whole
-        if abs(err) <= 15.0 * tol:
-            return left + right + err / 15.0
-        if depth <= 0:
-            raise QuadratureError(
-                "adaptive quadrature hit its depth cap before reaching tolerance"
-            )
-        half = 0.5 * tol
-        return recurse(a, m, fa, flm, fm, left, half, depth - 1) + recurse(
-            m, b, fm, frm, fb, right, half, depth - 1
-        )
+    samples = [feval(x) if given is None else given for x, given in zip((0.0, 1.0), ends)]
+    return _romberg_piece(feval, 0.0, 1.0, samples, tolerance, max_depth)
 
-    fa, fm, fb = feval(0.0), feval(0.5), feval(1.0)
-    whole = (fa + 4.0 * fm + fb) / 6.0
-    return recurse(0.0, 1.0, fa, fm, fb, whole, tolerance, max_depth)
+
+def _romberg_piece(f, a, b, samples, tol, depth) -> float:
+    """Romberg on [a, b] from ``samples``, f at 2^L + 1 equispaced points."""
+    width = b - a
+    previous = [0.5 * width * (samples[0] + samples[-1])]
+    for level in range(1, _ROMBERG_LEVELS + 1):
+        count = 1 << (level - 1)
+        h = width / (2 * count)
+        stride = (len(samples) - 1) // (2 * count)
+        if stride:  # a parent already sampled this level
+            new = samples[stride :: 2 * stride]
+        else:
+            new = [f(a + (2 * i + 1) * h) for i in range(count)]
+            merged = [0.0] * (2 * len(samples) - 1)
+            merged[::2], merged[1::2] = samples, new
+            samples = merged
+        row = [0.5 * previous[0] + h * math.fsum(new)]
+        for j in range(1, level + 1):
+            row.append(row[-1] + (row[-1] - previous[j - 1]) / (4**j - 1))
+        if abs(row[-1] - previous[-1]) <= tol:
+            return row[-1]
+        previous = row
+    if depth <= 0:
+        raise QuadratureError("adaptive quadrature hit its depth cap before reaching tolerance")
+    half = len(samples) // 2
+    m = 0.5 * (a + b)
+    return _romberg_piece(f, a, m, samples[: half + 1], 0.5 * tol, depth - 1) + _romberg_piece(
+        f, m, b, samples[half:], 0.5 * tol, depth - 1
+    )
+
+
+class _Crossing(Exception):
+    """Raised inside a piece whose evaluations disagree on some faces."""
+
+    def __init__(self, s_known: float, s_new: float, faces: np.ndarray):
+        super().__init__()
+        self.s_known, self.s_new, self.faces = s_known, s_new, faces
+
+
+def _crossings(ctx, u_from, direction, faces, s_a, s_b, width):
+    """Where ``faces`` cross the degenerate boundary between s_a and s_b.
+
+    Works on the faces' own three edges only.  A face's slack
+    min_m (l_j + l_k - l_m) is <= 0 exactly when the evaluator marks it
+    degenerate.  Each step evaluates it at _ROOT_POINTS interior points of
+    every bracket at once, as so small an array costs about what one point
+    does, and keeps the first cell where its sign changes, until the
+    brackets are narrower than ``width``.  Returns the faces whose slack
+    changes sign with the midpoints of their brackets, and the faces whose
+    slack does not.
+    """
+    opposite = ctx.complex.face_opposite_edges[faces]
+    vertices = ctx.complex.edges[opposite][:, None]  # (faces, 1, 3 edges, 2 ends)
+    u_ends, d_ends = u_from[vertices], direction[vertices]
+    inversive = ctx.inversive[opposite][:, None]
+
+    def slack(s: np.ndarray) -> np.ndarray:
+        """Slack of every face at each of its parameters s, shape (faces, points)."""
+        # u_from[v] + s d[v], as the evaluator computes it at s
+        radii = u_to_radii_array(u_ends + s[:, :, None, None] * d_ends, ctx.background).ravel()
+        pairs = np.arange(0, len(radii), 2)
+        inv = np.broadcast_to(inversive, s.shape + (3,)).ravel()
+        lengths = _edge_lengths_arrays(ctx.background, radii, pairs, pairs + 1, inv)[0]
+        lengths = lengths.reshape(s.shape + (3,))
+        return (lengths[..., _NEXT] + lengths[..., _PREV] - lengths).min(axis=-1)
+
+    lo, hi = np.full(len(faces), min(s_a, s_b)), np.full(len(faces), max(s_a, s_b))
+    state_lo, state_hi = (slack(np.stack((lo, hi), axis=1)) <= 0).T
+    flips = state_lo != state_hi
+    hi[~flips] = lo[~flips]
+    rows, fractions = np.arange(len(faces)), np.arange(1, _ROOT_POINTS + 1) / (_ROOT_POINTS + 1)
+    for _ in range(_ROOT_STEPS):
+        if not (hi - lo > width).any():
+            break
+        grid = lo[:, None] + (hi - lo)[:, None] * fractions
+        changed = (slack(grid) <= 0) != state_lo[:, None]
+        # the first grid point past the crossing, or hi if none is
+        first = np.where(changed.any(axis=1), changed.argmax(axis=1), _ROOT_POINTS)
+        cells = np.concatenate((lo[:, None], grid, hi[:, None]), axis=1)
+        lo, hi = cells[rows, first], cells[rows, first + 1]
+    return faces[flips], 0.5 * (lo + hi)[flips], faces[~flips]
 
 
 def segment_integral(
@@ -139,18 +247,93 @@ def segment_integral(
     u_from: np.ndarray,
     u_to: np.ndarray,
     tolerance: float = 1e-10,
+    *,
+    ends=(None, None),
 ) -> float:
-    """Potential difference along the straight segment from u_from to u_to."""
+    """Potential difference along the straight segment from u_from to u_to.
+
+    ``ends`` holds what the context's evaluator returned at u_from and at
+    u_to, a (curvature, degenerate-face mask) pair, where the caller already
+    has it, and None for an end to evaluate here; the value is the same
+    either way.  The segment is split where a face crosses the degenerate
+    boundary, which shows as evaluations whose masks differ; each piece
+    with such a kinked end is integrated in t, s = a + (b - a)(3t^2 - 2t^3),
+    whose flat ends turn the angles' square-root behaviour smooth.
+    """
     u_from, u_to = ctx._point(u_from), ctx._point(u_to)
     direction = u_to - u_from
     if not direction.any():
         return 0.0
+    budget = _Budget()
+    known = []
+    for point, given in zip((u_from, u_to), ends):
+        if given is None:
+            budget.spend()
+            given = ctx._evaluate(point)
+        known.append(given)
+    (k_from, mask_from), (k_to, mask_to) = known
 
-    def integrand(s: float) -> float:
-        k, _ = ctx._evaluate(u_from + s * direction)
+    def value(k: np.ndarray) -> float:
         return float((k - ctx.target) @ direction)
 
-    return _adaptive_simpson(integrand, tolerance)
+    def piece(a: float, b: float, ignore: np.ndarray) -> float:
+        reference = []
+
+        def check(s: float, mask: np.ndarray) -> None:
+            if not reference:
+                reference.append((s, mask))
+                return
+            s_known, known_mask = reference[0]
+            flipped = (mask != known_mask) & ~ignore
+            if flipped.any():
+                raise _Crossing(s_known, s, np.flatnonzero(flipped))
+
+        def node(s: float) -> float:
+            k, mask = ctx._evaluate(u_from + s * direction)
+            check(s, mask)
+            return value(k)
+
+        if a == 0.0:
+            check(0.0, mask_from)
+        if b == 1.0:
+            check(1.0, mask_to)
+        if a == 0.0 and b == 1.0:
+            return _adaptive_romberg(node, tolerance, (value(k_from), value(k_to)), budget)
+        span = b - a
+
+        def substituted(t: float) -> float:
+            s = min(a + span * (t * t * (3.0 - 2.0 * t)), b)
+            return node(s) * 6.0 * span * t * (1.0 - t)
+
+        return _adaptive_romberg(substituted, tolerance * span, (0.0, 0.0), budget)
+
+    # The pieces run between consecutive cuts; an interior cut is a crossing,
+    # so both pieces next to it have a kinked end.
+    cuts = [0.0, 1.0]
+    root_width = _ROOT_SCALE * tolerance ** (2.0 / 3.0)
+    total, i = 0.0, 0
+    ignore = np.zeros(len(mask_from), dtype=bool)
+    while i + 1 < len(cuts):
+        a, b = cuts[i], cuts[i + 1]
+        try:
+            total += piece(a, b, ignore)
+        except _Crossing as crossing:
+            flipping, roots, stray = _crossings(
+                ctx, u_from, direction, crossing.faces, crossing.s_known, crossing.s_new, root_width
+            )
+            # A face whose crossing is an end of this piece, or which the
+            # slack does not see flip, differs by rounding at a cut.
+            inside = (roots - a > root_width) & (b - roots > root_width)
+            ignore[stray] = ignore[flipping[~inside]] = True
+            new = []
+            for root in sorted(roots[inside].tolist()):
+                if root - (new[-1] if new else a) > root_width:
+                    new.append(root)
+            cuts[i + 1 : i + 1] = new
+            continue
+        i += 1
+        ignore[:] = False
+    return total
 
 
 def potential_value(ctx: PotentialContext, u: UCoords, tolerance: float = 1e-10) -> float:
@@ -235,14 +418,15 @@ def _domain_ok(background: Background, u: np.ndarray) -> bool:
     return True
 
 
-def _line_search(ctx, u, direction, grad, residual):
+def _line_search(ctx, u, direction, grad, residual, at_u):
     """Backtracking step along a descent direction.
 
     The Armijo test runs on potential differences integrated along the
     step segment, with the quadrature tolerance scaled to the decrease
     being resolved (integrating near degeneration kinks to 1e-12 would be
     needlessly deep).  Once the expected decrease falls below quadrature
-    resolution, acceptance switches to a plain residual decrease.
+    resolution, acceptance switches to a plain residual decrease.  ``at_u``
+    is the evaluation at u; the accepted point is returned with its own.
     """
     slope = float(grad @ direction)
     if slope >= 0.0:
@@ -252,18 +436,18 @@ def _line_search(ctx, u, direction, grad, residual):
         trial = u + s * direction
         if _domain_ok(ctx.background, trial):
             scale = abs(s * slope)
+            at_trial = ctx._evaluate(trial)
             if scale < 1e-9:
-                k_trial, _ = ctx._evaluate(trial)
-                if float(np.max(np.abs(k_trial - ctx.target))) < residual:
-                    return trial
+                if float(np.max(np.abs(at_trial[0] - ctx.target))) < residual:
+                    return trial, at_trial
             else:
                 quad_tol = max(1e-12, scale * 1e-3)
                 try:
-                    delta = segment_integral(ctx, u, trial, quad_tol)
+                    delta = segment_integral(ctx, u, trial, quad_tol, ends=(at_u, at_trial))
                 except QuadratureError:
                     delta = None
                 if delta is not None and delta <= _ARMIJO_SLOPE_FRACTION * s * slope + 2.0 * quad_tol:
-                    return trial
+                    return trial, at_trial
         s *= 0.5
     return None
 
@@ -294,8 +478,9 @@ def newton_solve(
         raise ConfigError("max_iter must be >= 0 and tol must be finite and positive")
 
     report = NewtonReport()
+    at_u = ctx._evaluate(u)
     for iteration in range(max_iter + 1):
-        grad = ctx._evaluate(u)[0] - ctx.target
+        grad = at_u[0] - ctx.target
         residual = float(np.max(np.abs(grad)))
         report.iterations = iteration
         report.residual = residual
@@ -308,18 +493,18 @@ def newton_solve(
         accepted = None
         direction = _newton_direction(ctx, u, grad)
         if direction is not None:
-            accepted = _line_search(ctx, u, direction, grad, residual)
+            accepted = _line_search(ctx, u, direction, grad, residual, at_u)
             if accepted is not None:
                 report.newton_steps += 1
         if accepted is None:
-            accepted = _line_search(ctx, u, -grad, grad, residual)
+            accepted = _line_search(ctx, u, -grad, grad, residual, at_u)
             if accepted is None:
                 raise _solver_failure(
                     NoDescentError(f"no descent step found at residual {residual:.3e}"),
                     u, ctx.background, report,
                 )
             report.gradient_steps += 1
-        u = accepted
+        u, at_u = accepted
 
     raise _solver_failure(
         MaxIterationsError(

@@ -93,3 +93,33 @@ def flip_edges(faces, rng, flips):
         a, b = sorted(edge)
         faces[f], faces[g] = (c, d, a), (c, d, b)
     return faces
+
+
+def simpson_reference(f, tolerance, max_depth=100):
+    """Deep reference for quadrature tests: adaptive Simpson with Richardson
+    update on [0, 1], no evaluation budget and a generous depth cap."""
+
+    def recurse(a, b, fa, fm, fb, whole, tol, depth):
+        m = 0.5 * (a + b)
+        flm, frm = f(0.5 * (a + m)), f(0.5 * (m + b))
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = left + right - whole
+        if abs(err) <= 15.0 * tol or depth <= 0:
+            return left + right + err / 15.0
+        return recurse(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + recurse(
+            m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
+        )
+
+    fa, fm, fb = f(0.0), f(0.5), f(1.0)
+    return recurse(0.0, 1.0, fa, fm, fb, (fa + 4.0 * fm + fb) / 6.0, tolerance, max_depth)
+
+
+def segment_reference(ctx, u_from, u_to, tolerance):
+    """``simpson_reference`` of the potential difference from u_from to u_to."""
+    direction = u_to - u_from
+
+    def integrand(s):
+        return float((ctx._evaluate(u_from + s * direction)[0] - ctx.target) @ direction)
+
+    return simpson_reference(integrand, tolerance)

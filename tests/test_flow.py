@@ -10,6 +10,7 @@ from cpflow import (
     ConfigError,
     FlowConfig,
     PackingMetric,
+    QuadratureError,
     curvature,
     curvature_jacobian,
     is_admissible,
@@ -20,11 +21,13 @@ from cpflow import (
     run_flow,
     stability_certificate,
     to_u,
+    triangulated_torus,
 )
-from cpflow.packing import UCoords, radii_to_u_array, u_to_radii_array
+from cpflow.io import write_trace_csv
+from cpflow.packing import UCoords, from_u, radii_to_u_array, u_to_radii_array
 from cpflow.potential import PotentialContext, segment_integral
 
-from conftest import random_admissible_metric
+from conftest import random_admissible_metric, segment_reference
 
 HYP = Background.HYPERBOLIC
 EUC = Background.EUCLIDEAN
@@ -193,6 +196,140 @@ def test_potential_monotone_along_flow(genus2, rng):
     assert all(p is not None for p in potentials)
     assert potentials[0] == 0.0
     assert all(b <= a + 1e-8 for a, b in zip(potentials, potentials[1:]))
+
+
+def _degenerate_start(complex, rng):
+    """Inputs of a flow through the degenerate boundary, drawn as the
+    benchmark draws its degenerate ones: I in [0, 3], an admissible target
+    metric with radii in [1, 5] and a start with radii in [0.1, 5] that is not."""
+    inversive = rng.uniform(0.0, 3.0, complex.edge_count)
+
+    def radii(low, high, admissible):
+        while True:
+            r = np.exp(rng.uniform(np.log(low), np.log(high), complex.vertex_count))
+            if is_admissible(complex, PackingMetric(HYP, inversive, r))[0] == admissible:
+                return r
+
+    target = curvature(complex, PackingMetric(HYP, inversive, radii(1.0, 5.0, True))).values
+    return inversive, _u(radii(0.1, 5.0, False)), target
+
+
+def test_degenerate_crossing_flow_keeps_its_potential(genus2, monkeypatch):
+    inversive, start, target = _degenerate_start(genus2, np.random.default_rng(5))
+    config = FlowConfig(variant="prescribed", target=target, max_time=2000.0)
+    nodes = _count_quadrature_nodes(monkeypatch)
+    result = run_flow(genus2, inversive, start, config)
+    # Adaptive Simpson took 2,588 nodes, Romberg without the split at the
+    # crossings 3,666 and with it 368.
+    assert nodes[0] <= 2588
+    assert result.status == "converged"
+    assert is_admissible(genus2, from_u(result.final_u, inversive))[0]
+    potentials = [s.potential for s in result.trace]
+    assert all(p is not None for p in potentials)
+    assert all(b <= a + 1e-8 for a, b in zip(potentials, potentials[1:]))
+    # every segment against a deep reference, 100 times tighter than 1e-9
+    ctx = PotentialContext(genus2, inversive, start, target)
+    for a, b in zip(result.trace, result.trace[1:]):
+        reference = segment_reference(ctx, a.u, b.u, 1e-11)
+        assert abs((b.potential - a.potential) - reference) <= 1e-9
+
+
+def _retry_run(genus2, monkeypatch, failing):
+    """Trace potentials of one flow with segment_integral raising
+    QuadratureError where ``failing(sample, tolerance)`` says, and its calls."""
+    flow_module = importlib.import_module("cpflow.flow")
+    calls = []
+
+    def integral(ctx, u_from, u_to, tolerance, **kwargs):
+        calls.append(tolerance)
+        if failing(calls.count(1e-10) - 1, tolerance):
+            raise QuadratureError("forced failure")
+        return segment_integral(ctx, u_from, u_to, tolerance, **kwargs)
+
+    monkeypatch.setattr(flow_module, "segment_integral", integral)
+    metric = random_admissible_metric(genus2, np.random.default_rng(3), HYP, (0.6, 1.8), (0.0, 1.0))
+    config = FlowConfig(variant="prescribed", target=curvature(genus2, metric).values,
+                        max_time=10.0)
+    result = run_flow(genus2, metric.inversive, _u(np.full(genus2.vertex_count, 0.8)), config)
+    return result, calls
+
+
+def test_trace_potential_retries_then_goes_blank(genus2, monkeypatch, tmp_path):
+    plain, _ = _retry_run(genus2, monkeypatch, lambda sample, tol: False)
+    expected = [s.potential for s in plain.trace]
+    assert len(expected) > 5 and None not in expected
+
+    # only 1e-10 fails at sample 3: the 1e-8 retry still gives it a potential
+    retried, calls = _retry_run(genus2, monkeypatch, lambda sample, tol: sample == 3 and tol == 1e-10)
+    assert calls[:6] == [1e-10, 1e-10, 1e-10, 1e-10, 1e-8, 1e-10]
+    potentials = [s.potential for s in retried.trace]
+    assert potentials[:3] == expected[:3]
+    assert all(abs(p - q) <= 1e-8 for p, q in zip(potentials, expected))
+
+    # both fail at sample 3: it and every later sample have no potential
+    blank, calls = _retry_run(genus2, monkeypatch, lambda sample, tol: sample == 3)
+    assert calls == [1e-10, 1e-10, 1e-10, 1e-10, 1e-8]
+    potentials = [s.potential for s in blank.trace]
+    assert potentials[:3] == expected[:3]
+    assert potentials[3:] == [None] * (len(potentials) - 3)
+
+    # and the trace CSV leaves their last field empty
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, genus2.vertex_count, blank.trace)
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows[:3]] == [repr(p) for p in expected[:3]]
+    assert all(row.endswith(",") for row in rows[3:])
+
+
+def _count_quadrature_nodes(monkeypatch) -> list:
+    """From now on, count into the returned one-entry list the curvature
+    evaluations that flows make inside segment_integral."""
+    flow_module = importlib.import_module("cpflow.flow")
+    potential_module = importlib.import_module("cpflow.potential")
+    depth, nodes = [0], [0]
+    factory, integral = potential_module.make_curvature_evaluator, flow_module.segment_integral
+
+    def counting_factory(*args):
+        evaluate = factory(*args)
+
+        def counted(*a):
+            nodes[0] += depth[0] > 0
+            return evaluate(*a)
+
+        return counted
+
+    def counted_integral(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return integral(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(potential_module, "make_curvature_evaluator", counting_factory)
+    monkeypatch.setattr(flow_module, "segment_integral", counted_integral)
+    return nodes
+
+
+def _quadrature_nodes(monkeypatch, complex, rng):
+    """Quadrature nodes of one prescribed flow's trace potential, toward a
+    random admissible metric (I in [0, 1])."""
+    nodes = _count_quadrature_nodes(monkeypatch)
+    metric = random_admissible_metric(complex, rng, HYP, (0.5, 2.0), (0.0, 1.0))
+    start = _u(np.exp(rng.uniform(np.log(0.5), np.log(2.0), complex.vertex_count)))
+    config = FlowConfig(variant="prescribed", target=curvature(complex, metric).values)
+    result = run_flow(complex, metric.inversive, start, config)
+    assert result.status == "converged"
+    assert all(s.potential is not None for s in result.trace)
+    return nodes[0]
+
+
+def test_trace_quadrature_node_ceiling(genus2, monkeypatch):
+    # Quadrature nodes of the trace potential, a deterministic count.  Adaptive
+    # Simpson took 196 on genus2 and 351 on the 10 x 10 torus; the ceiling is
+    # 60 % of that (Romberg with the segment ends reused takes 58 and 93).
+    assert _quadrature_nodes(monkeypatch, genus2, np.random.default_rng(2)) <= 0.6 * 196
+    torus = triangulated_torus(10, 10)
+    assert _quadrature_nodes(monkeypatch, torus, np.random.default_rng(2)) <= 0.6 * 351
 
 
 def test_max_principle_monitoring(zero_curvature_genus2, rng):

@@ -31,12 +31,13 @@ from cpflow import (
 from cpflow.packing import UCoords, radii_to_u_array, u_to_radii_array
 from cpflow.potential import (
     PotentialContext,
-    _adaptive_simpson,
+    _adaptive_romberg,
+    _Budget,
     _newton_direction,
     segment_integral,
 )
 
-from conftest import flip_edges, random_admissible_metric
+from conftest import flip_edges, random_admissible_metric, segment_reference
 
 HYP = Background.HYPERBOLIC
 EUC = Background.EUCLIDEAN
@@ -254,15 +255,93 @@ def test_euclidean_potential_computes(octa, rng):
     assert np.all(np.isfinite(grad))
 
 
-def test_adaptive_simpson_basics():
-    assert _adaptive_simpson(lambda s: s * s, 1e-12) == pytest.approx(1 / 3, abs=1e-12)
-    assert _adaptive_simpson(np.cos, 1e-12) == pytest.approx(np.sin(1.0), abs=1e-12)
-    # square-root kink converges with the default depth budget
-    value = _adaptive_simpson(lambda s: np.sqrt(abs(s - 0.3)), 1e-10)
+def test_adaptive_romberg_basics():
+    assert _adaptive_romberg(lambda s: s * s, 1e-12) == pytest.approx(1 / 3, abs=1e-12)
+    assert _adaptive_romberg(np.cos, 1e-12) == pytest.approx(np.sin(1.0), abs=1e-12)
+    # square-root kink converges with the default depth cap and budget
+    value = _adaptive_romberg(lambda s: np.sqrt(abs(s - 0.3)), 1e-10)
     exact = (0.3 ** 1.5 + 0.7 ** 1.5) * 2 / 3
     assert value == pytest.approx(exact, abs=1e-9)
-    with pytest.raises(QuadratureError):
-        _adaptive_simpson(lambda s: np.sqrt(abs(s - 0.3)), 1e-10, max_depth=8)
+    with pytest.raises(QuadratureError, match="depth cap"):
+        _adaptive_romberg(lambda s: np.sqrt(abs(s - 0.3)), 1e-10, max_depth=8)
+    with pytest.raises(QuadratureError, match="evaluation budget"):
+        _adaptive_romberg(lambda s: np.sqrt(abs(s - 0.3)), 1e-10, budget=_Budget(500))
+
+
+def _crossing_segments(complex, background, rng, count):
+    """Short segments of u-space along which a face crosses the degenerate
+    boundary, as in the angle continuity test: I in [0, 3], centred on the
+    first crossing between an admissible and a degenerate metric."""
+    segments = []
+    while len(segments) < count:
+        inversive = rng.uniform(0.0, 3.0, complex.edge_count)
+        ends = {}
+        for _ in range(4000):
+            radii = np.exp(rng.uniform(np.log(0.1), np.log(5.0), complex.vertex_count))
+            admissible = is_admissible(complex, PackingMetric(background, inversive, radii))[0]
+            ends.setdefault(admissible, radii_to_u_array(radii, background))
+            if len(ends) == 2:
+                break
+        else:
+            continue
+        u_in, u_out = ends[True], ends[False]
+        ctx = PotentialContext(complex, inversive, UCoords(u_in, background))
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-3:
+            mid = 0.5 * (lo + hi)
+            if ctx._evaluate(u_in + mid * (u_out - u_in))[1].any():
+                hi = mid
+            else:
+                lo = mid
+        direction = u_out - u_in
+        segments.append((inversive, u_in + (lo - 0.03) * direction, u_in + (hi + 0.03) * direction))
+    return segments
+
+
+@pytest.mark.parametrize("background", [EUC, HYP])
+def test_split_segment_matches_deep_reference(genus2, background):
+    rng = np.random.default_rng(31)
+    for inversive, u_from, u_to in _crossing_segments(genus2, background, rng, 2):
+        ctx = PotentialContext(genus2, inversive, UCoords(u_from, background))
+        # the ends differ on at least one face, so the segment is split
+        assert (ctx._evaluate(u_from)[1] != ctx._evaluate(u_to)[1]).any()
+        value = segment_integral(ctx, u_from, u_to, 1e-10)
+        assert abs(value - segment_reference(ctx, u_from, u_to, 1e-12)) <= 1e-10
+
+
+def _counting(ctx):
+    """Count the context's evaluations from now on."""
+    evaluate, calls = ctx._evaluate, []
+
+    def counted(*args):
+        calls.append(None)
+        return evaluate(*args)
+
+    object.__setattr__(ctx, "_evaluate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("crossing", [False, True])
+def test_segment_ends_are_reused(genus2, crossing):
+    rng = np.random.default_rng(5)
+    if crossing:
+        inversive, u_from, u_to = _crossing_segments(genus2, HYP, rng, 1)[0]
+    else:
+        inversive = rng.uniform(0.0, 1.0, genus2.edge_count)
+        u_from = _random_u(rng, genus2.vertex_count).values
+        u_to = u_from + rng.normal(0, 0.05, genus2.vertex_count)
+    ctx = PotentialContext(genus2, inversive, UCoords(u_from, HYP))
+    ends = (ctx._evaluate(u_from), ctx._evaluate(u_to))
+    calls = _counting(ctx)
+    plain = segment_integral(ctx, u_from, u_to)
+    plain_calls = len(calls)
+    calls.clear()
+    reused = segment_integral(ctx, u_from, u_to, ends=ends)
+    assert reused == plain  # bit for bit
+    assert len(calls) == plain_calls - 2
+    calls.clear()
+    assert segment_integral(ctx, u_from, u_to, ends=(ends[0], None)) == plain
+    assert len(calls) == plain_calls - 1
 
 
 # ---------------------------------------------------------------------------
