@@ -203,12 +203,12 @@ def _crossings(ctx, u_from, direction, faces, s_a, s_b, width):
 
     Works on the faces' own three edges only.  A face's slack
     min_m (l_j + l_k - l_m) is <= 0 exactly when the evaluator marks it
-    degenerate.  Each step evaluates it at _ROOT_POINTS interior points of
-    every bracket at once, as so small an array costs about what one point
-    does, and keeps the first cell where its sign changes, until the
-    brackets are narrower than ``width``.  Returns the faces whose slack
-    changes sign with the midpoints of their brackets, and the faces whose
-    slack does not.
+    degenerate.  Each step evaluates it at the ends and _ROOT_POINTS
+    interior points of every bracket at once, as so small an array costs
+    about what one point does, and keeps the first cell where its sign
+    changes, until the brackets are narrower than ``width``.  Returns the
+    faces whose slack changes sign with the midpoints of their brackets, and
+    the faces whose slack does not.
     """
     opposite = ctx.complex.face_opposite_edges[faces]
     vertices = ctx.complex.edges[opposite][:, None]  # (faces, 1, 3 edges, 2 ends)
@@ -226,19 +226,22 @@ def _crossings(ctx, u_from, direction, faces, s_a, s_b, width):
         return (lengths[..., _NEXT] + lengths[..., _PREV] - lengths).min(axis=-1)
 
     lo, hi = np.full(len(faces), min(s_a, s_b)), np.full(len(faces), max(s_a, s_b))
-    state_lo, state_hi = (slack(np.stack((lo, hi), axis=1)) <= 0).T
-    flips = state_lo != state_hi
-    hi[~flips] = lo[~flips]
-    rows, fractions = np.arange(len(faces)), np.arange(1, _ROOT_POINTS + 1) / (_ROOT_POINTS + 1)
+    rows, fractions = np.arange(len(faces)), np.arange(_ROOT_POINTS + 2) / (_ROOT_POINTS + 1)
+    flips = None
     for _ in range(_ROOT_STEPS):
+        grid = lo[:, None] + (hi - lo)[:, None] * fractions
+        states = slack(grid) <= 0
+        if flips is None:
+            flips = states[:, 0] != states[:, -1]
+            hi[~flips] = lo[~flips]
+        # the first grid point past the crossing; none once rounding merges them
+        changed = states != states[:, :1]
+        first = changed.argmax(axis=1)
+        narrow = flips & changed.any(axis=1)
+        lo = np.where(narrow, grid[rows, first - 1], lo)
+        hi = np.where(narrow, grid[rows, first], hi)
         if not (hi - lo > width).any():
             break
-        grid = lo[:, None] + (hi - lo)[:, None] * fractions
-        changed = (slack(grid) <= 0) != state_lo[:, None]
-        # the first grid point past the crossing, or hi if none is
-        first = np.where(changed.any(axis=1), changed.argmax(axis=1), _ROOT_POINTS)
-        cells = np.concatenate((lo[:, None], grid, hi[:, None]), axis=1)
-        lo, hi = cells[rows, first], cells[rows, first + 1]
     return faces[flips], 0.5 * (lo + hi)[flips], faces[~flips]
 
 
@@ -281,12 +284,13 @@ def segment_integral(
 
         def check(s: float, mask: np.ndarray) -> None:
             if not reference:
-                reference.append((s, mask))
+                reference.append((s, mask, mask.tobytes()))
                 return
-            s_known, known_mask = reference[0]
-            flipped = (mask != known_mask) & ~ignore
-            if flipped.any():
-                raise _Crossing(s_known, s, np.flatnonzero(flipped))
+            s_known, known_mask, known_bytes = reference[0]
+            if mask.tobytes() != known_bytes:  # cheaper than an array compare
+                flipped = (mask != known_mask) & ~ignore
+                if flipped.any():
+                    raise _Crossing(s_known, s, np.flatnonzero(flipped))
 
         def node(s: float) -> float:
             k, mask = ctx._evaluate(u_from + s * direction)
