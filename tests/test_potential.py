@@ -294,7 +294,8 @@ def _crossing_segments(complex, background, rng, count):
             else:
                 lo = mid
         direction = u_out - u_in
-        segments.append((inversive, u_in + (lo - 0.03) * direction, u_in + (hi + 0.03) * direction))
+        span = max(lo - 0.03, 0.0), min(hi + 0.03, 1.0)  # inside the convex u-domain
+        segments.append((inversive, *(u_in + s * direction for s in span)))
     return segments
 
 
