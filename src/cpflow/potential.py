@@ -264,6 +264,8 @@ def segment_integral(
     whose flat ends turn the angles' square-root behaviour smooth.
     """
     u_from, u_to = ctx._point(u_from), ctx._point(u_to)
+    if not 0.0 < tolerance < math.inf:
+        raise ConfigError("quadrature tolerance must be finite and positive")
     direction = u_to - u_from
     if not direction.any():
         return 0.0

@@ -268,6 +268,13 @@ def test_adaptive_romberg_basics():
         _adaptive_romberg(lambda s: np.sqrt(abs(s - 0.3)), 1e-10, budget=_Budget(500))
 
 
+def test_segment_tolerance_must_be_positive(ctx_genus2):
+    u = ctx_genus2.basepoint.values
+    for tolerance in (0.0, -1e-10, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            segment_integral(ctx_genus2, u, u - 0.1, tolerance)
+
+
 def _crossing_segments(complex, background, rng, count):
     """Short segments of u-space along which a face crosses the degenerate
     boundary, as in the angle continuity test: I in [0, 3], centred on the
