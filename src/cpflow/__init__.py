@@ -69,7 +69,6 @@ from .obstructions import (
     degeneration_limit_table,
     enumerate_subsets,
     subset_lower_bound,
-    triangle_angle_space,
     triangle_from_angles,
 )
 from .packing import (

@@ -321,3 +321,26 @@ def genus2_surface() -> SurfaceComplex:
     relabel = {v: v for v in glue_face} | {v: 9 + k for k, v in enumerate(others)}
     second = [[relabel[v] for v in f] for f in first]
     return build_complex(first + second)
+
+
+def _frozen(rows) -> np.ndarray:
+    arr = np.array(rows, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+# Two copies of face (0, 1, 2) glued along their three edges: a sphere whose
+# curvature at vertex m is 2 pi minus twice the triangle's angle m.  Built
+# directly because build_complex refuses a repeated face.
+_DOUBLE_TABLES = tuple(_frozen([row] * 2) for row in ([2, 1, 0], [1, 0, 2], [0, 2, 1]))
+_DOUBLE_TRIANGLE = SurfaceComplex(
+    vertex_count=3,
+    faces=_frozen([[0, 1, 2]] * 2),
+    edges=_frozen([[0, 1], [0, 2], [1, 2]]),
+    edge_index={(0, 1): 0, (0, 2): 1, (1, 2): 2},
+    edge_faces=_frozen([[0, 1]] * 3),
+    vertex_degree=_frozen([2, 2, 2]),
+    euler_characteristic=2,
+    face_opposite_edges=_DOUBLE_TABLES[0],
+    face_edge_tables=_DOUBLE_TABLES,
+)

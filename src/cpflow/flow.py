@@ -110,6 +110,12 @@ def _validate_config(config: FlowConfig) -> None:
         raise ConfigError("extended flow has a zero target; use variant='prescribed'")
 
 
+def _advance(u: np.ndarray, h: float, f: np.ndarray) -> np.ndarray:
+    """u + h f; an overflow to inf is left to the checks that follow."""
+    with np.errstate(over="ignore"):
+        return u + h * f
+
+
 def residual(
     complex: SurfaceComplex,
     inversive: np.ndarray,
@@ -204,17 +210,17 @@ def run_flow(
         f1 = target - now[0]
         try:
             if config.integrator == "euler":
-                u_next = u + dt * f1
+                u_next = _advance(u, dt, f1)
             else:
-                f2 = target - evaluate(u + 0.5 * dt * f1)[0]
-                f3 = target - evaluate(u + 0.5 * dt * f2)[0]
-                f4 = target - evaluate(u + dt * f3)[0]
-                u_next = u + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+                f2 = target - evaluate(_advance(u, 0.5 * dt, f1))[0]
+                f3 = target - evaluate(_advance(u, 0.5 * dt, f2))[0]
+                f4 = target - evaluate(_advance(u, dt, f3))[0]
+                u_next = _advance(u, dt / 6.0, f1 + 2.0 * f2 + 2.0 * f3 + f4)
         except NotAdmissibleError:
             status = "left_admissible"
             break
         except DomainError:
-            # Radii collapsed below representable precision mid-stage.
+            # A stage point left the representable u-domain, in either direction.
             status = "diverged"
             break
         if not np.isfinite(u_next).all():

@@ -1,10 +1,10 @@
 """File formats: surface files, target files, trace CSV, run manifests.
 
-Structured inputs and reports are JSON; flow traces are CSV.  All floats
-are serialized with the shortest round-trip representation, so re-parsing
-an emitted file reproduces the values bit for bit and identical runs
-produce byte-identical outputs.  Every format carries a ``"format": 1``
-version field and unknown fields are rejected.
+Structured inputs and reports are JSON, written compact on one line; flow
+traces are CSV.  All floats are serialized with the shortest round-trip
+representation, so re-parsing an emitted file reproduces the values bit for
+bit and identical runs produce byte-identical outputs.  Every format
+carries a ``"format": 1`` version field and unknown fields are rejected.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ def _is_list_of(raw, kinds: frozenset) -> bool:
 
 
 def _write_json(path, doc: dict, sort_keys: bool = False) -> None:
-    """Every JSON file the program writes: two-space indent, trailing newline."""
-    text = json.dumps(doc, indent=2, sort_keys=sort_keys)
+    """Every JSON file the program writes: compact, as an indent would select
+    the pure-Python encoder over the C one, and a trailing newline."""
+    text = json.dumps(doc, sort_keys=sort_keys)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

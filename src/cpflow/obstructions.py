@@ -21,24 +21,21 @@ from typing import Iterable
 
 import numpy as np
 
-from .angles import (
-    _NEXT,
-    _PREV,
-    _TRIANGLE_TABLES,
-    angle_jacobian_u,
-    clamped_arccos,
-    extended_angles_batch,
+from .angles import _NEXT, _PREV, _TRIANGLE_TABLES, clamped_arccos, extended_angles_batch
+from .complexes import (
+    _DOUBLE_TRIANGLE, SurfaceComplex, _subcomplex_counts, link_pairs, normalize_subset,
 )
-from .complexes import SurfaceComplex, _subcomplex_counts, link_pairs, normalize_subset
 from .curvature import curvature, extended_curvature
-from .errors import ConfigError, CPFlowError, DomainError, NotFoundError
+from .errors import ConfigError, DomainError, MaxIterationsError, NoDescentError, NotFoundError
 from .packing import (
     Background,
     PackingMetric,
+    UCoords,
     _edge_lengths_arrays,
     radii_to_u_array,
     u_to_radii_array,
 )
+from .potential import PotentialContext, newton_solve
 
 #: default subset-size cap for complexes too large to enumerate exhaustively
 DEFAULT_SUBSET_CAP = 3
@@ -76,9 +73,6 @@ class ObstructionReport:
 
     records: tuple
     verdict: bool
-
-    def worst(self) -> SubsetRecord:
-        return min(self.records, key=lambda r: r.margin)
 
 
 def enumerate_subsets(
@@ -311,72 +305,32 @@ class TriangleAngleSpace:
         return out if count > 1 else out[0]
 
 
-def triangle_angle_space(inversive) -> TriangleAngleSpace:
-    """Membership predicate and sampler for one triangle's angle space."""
-    return TriangleAngleSpace(np.asarray(inversive, dtype=float))
-
-
 def _triangle_angles(radii: np.ndarray, inversive: np.ndarray) -> np.ndarray:
     edges = _edge_lengths_arrays(Background.HYPERBOLIC, radii, _NEXT, _PREV, inversive)
     angles, _ = extended_angles_batch(Background.HYPERBOLIC, *edges, _TRIANGLE_TABLES)
     return angles[0]
 
 
-def triangle_from_angles(
-    inversive,
-    target_angles,
-    tol: float = 1e-9,
-    max_iterations: int = 80,
-    restarts: int = 12,
-    seed: int = 0,
-) -> np.ndarray:
+def triangle_from_angles(inversive, target_angles) -> np.ndarray:
     """Radii of the hyperbolic triangle realizing the given inner angles.
 
     The angle map is a diffeomorphism from the admissible radii onto the
-    angle space, so any strictly interior target is realizable; the inverse
-    is found by a damped Newton iteration in u-coordinates with random
-    restarts.  Raises NotFoundError if the multistart budget runs out
-    (radii diverge for targets too close to the boundary).
+    angle space, so any strictly interior target is realizable.  The inverse
+    is ``newton_solve`` on the triangle's double, a sphere whose curvature at
+    vertex m is 2 pi - 2 theta_m, toward the curvature 2 pi - 2 target.
+    Raises NotFoundError if the solver stops short of the target.
     """
-    inv = np.asarray(inversive, dtype=float)
-    space = TriangleAngleSpace(inv)
+    space = TriangleAngleSpace(inversive)
     target = np.asarray(target_angles, dtype=float)
     if not space.contains(target):
         raise DomainError("target angles are outside the admissible angle space")
-
-    rng = np.random.default_rng(seed)
-    starts = [np.ones(3)]
-    starts += [np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 3)) for _ in range(restarts)]
-
-    for start in starts:
-        u = radii_to_u_array(start, Background.HYPERBOLIC)
-        for _ in range(max_iterations):
-            radii = u_to_radii_array(u, Background.HYPERBOLIC)
-            current = _triangle_angles(radii, inv)
-            err = current - target
-            if np.max(np.abs(err)) <= tol:
-                return radii
-            try:
-                jac = angle_jacobian_u(Background.HYPERBOLIC, radii, inv)
-                delta = np.linalg.solve(jac, -err)
-            except (CPFlowError, np.linalg.LinAlgError):
-                break
-            # Damp: keep u in the negative orthant and the error shrinking.
-            s = 1.0
-            improved = False
-            while s >= 1e-10:
-                trial = u + s * delta
-                if np.all(trial < 0):
-                    trial_radii = u_to_radii_array(trial, Background.HYPERBOLIC)
-                    trial_err = _triangle_angles(trial_radii, inv) - target
-                    if np.max(np.abs(trial_err)) < np.max(np.abs(err)):
-                        u = trial
-                        improved = True
-                        break
-                s *= 0.5
-            if not improved:
-                break
-    raise NotFoundError(
-        "triangle_from_angles ran out of restarts; target may be too close "
-        "to the angle-space boundary"
+    start = UCoords(radii_to_u_array(np.ones(3), Background.HYPERBOLIC), Background.HYPERBOLIC)
+    # The double's edges (0, 1), (0, 2), (1, 2) lie opposite slots 2, 1, 0.
+    ctx = PotentialContext(
+        _DOUBLE_TRIANGLE, space.inversive[::-1], start, 2.0 * np.pi - 2.0 * target
     )
+    try:
+        u, _ = newton_solve(ctx, start, tol=2e-9)  # 1e-9 per angle, doubled
+    except (MaxIterationsError, NoDescentError) as exc:
+        raise NotFoundError(f"no triangle realizes the target angles: {exc}") from None
+    return u_to_radii_array(u.values, Background.HYPERBOLIC)

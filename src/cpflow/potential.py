@@ -30,7 +30,7 @@ a handful of nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -360,7 +360,6 @@ class NewtonReport:
     residual: float = np.inf
     newton_steps: int = 0
     gradient_steps: int = 0
-    residual_history: list = field(default_factory=list)
 
 
 def _newton_direction(ctx: PotentialContext, u: np.ndarray, grad: np.ndarray):
@@ -490,7 +489,6 @@ def newton_solve(
         residual = float(np.max(np.abs(grad)))
         report.iterations = iteration
         report.residual = residual
-        report.residual_history.append(residual)
         if residual <= tol:
             return UCoords(u, ctx.background), report
         if iteration == max_iter:

@@ -17,6 +17,7 @@ from cpflow import (
     Background,
     FlowConfig,
     PackingMetric,
+    TriangleAngleSpace,
     curvature,
     curvature_jacobian,
     degeneration_limit_table,
@@ -36,7 +37,6 @@ from cpflow import (
     stability_certificate,
     subset_lower_bound,
     tetrahedron,
-    triangle_angle_space,
     triangle_from_angles,
 )
 from cpflow.angles import angle_jacobians_batch
@@ -386,7 +386,7 @@ def test_criterion_08_triangle_diffeomorphism():
                 continue
             done += 1
             angles = _triangle_angles(radii, inversive)
-            assert triangle_angle_space(inversive).contains(angles)
+            assert TriangleAngleSpace(inversive).contains(angles)
             recovered = triangle_from_angles(inversive, angles)
             assert np.max(np.abs(recovered - radii)) <= 1e-7
 

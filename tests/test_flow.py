@@ -11,6 +11,7 @@ from cpflow import (
     FlowConfig,
     PackingMetric,
     QuadratureError,
+    StepError,
     curvature,
     curvature_jacobian,
     is_admissible,
@@ -397,17 +398,18 @@ def test_classical_aborts_at_boundary(tetra):
     base = curvature(tetra, metric).values
     target = base.copy()
     target[0] -= 2.0  # push vertex 0 through its degenerate threshold
-    config = FlowConfig(variant="classical", target=target, step=0.01,
-                        max_time=50.0, record_potential=False)
-    result = run_flow(tetra, inversive, to_u(metric), config)
-    assert result.status == "left_admissible"
-    assert result.trace[-1].t > 0
     # the same push under the extension keeps going
     config_ext = FlowConfig(variant="prescribed", target=target, step=0.01,
                             max_time=5.0, record_potential=False)
     extended = run_flow(tetra, inversive, to_u(metric), config_ext)
     assert extended.status in ("max_time_reached", "converged")
-    assert extended.trace[-1].t > result.trace[-1].t
+    # RK4 leaves at a stage point, Euler at the step's end point
+    for integrator in ("rk4", "euler"):
+        config = FlowConfig(variant="classical", target=target, integrator=integrator,
+                            step=0.01, max_time=50.0, record_potential=False)
+        result = run_flow(tetra, inversive, to_u(metric), config)
+        assert result.status == "left_admissible"
+        assert 0 < result.trace[-1].t < extended.trace[-1].t
 
 
 def test_supercritical_target_radii_increase(octa):
@@ -427,12 +429,14 @@ def test_supercritical_target_radii_increase(octa):
 def test_divergence_cap(octa):
     inversive = np.ones(octa.edge_count)
     target = np.full(octa.vertex_count, 2 * np.pi + 1.0)
-    config = FlowConfig(variant="prescribed", target=target, max_time=500.0,
-                        record_potential=False, divergence_radius_cap=20.0)
-    result = run_flow(octa, inversive, _u(np.ones(6)), config)
-    assert result.status == "diverged"
-    final_radii = u_to_radii_array(result.final_u.values, HYP)
-    assert np.all(final_radii <= 20.0)  # final state is the last valid one
+    # a step passes cap 5; below cap 20 an RK4 stage leaves the u-domain first
+    for cap in (5.0, 20.0):
+        config = FlowConfig(variant="prescribed", target=target, max_time=500.0,
+                            record_potential=False, divergence_radius_cap=cap)
+        result = run_flow(octa, inversive, _u(np.ones(6)), config)
+        assert result.status == "diverged"
+        final_radii = u_to_radii_array(result.final_u.values, HYP)
+        assert np.all(final_radii <= cap)  # final state is the last valid one
 
 
 def test_trace_shape_and_cadence(zero_curvature_genus2, rng):
@@ -516,11 +520,18 @@ def test_huge_step_reported_as_divergence(genus2):
     # domain; the run reports divergence instead of crashing
     inversive = np.ones(genus2.edge_count)
     u0 = _u(np.full(genus2.vertex_count, 2.0))
-    config = FlowConfig(variant="extended", step=1e6, max_time=2e6,
-                        record_potential=False, divergence_radius_cap=1e12)
-    result = run_flow(genus2, inversive, u0, config)
-    assert result.status == "diverged"
-    assert np.all(np.isfinite(result.final_u.values))
+    for integrator, step in (("rk4", 1e6), ("euler", 1e6), ("rk4", 1e308)):
+        config = FlowConfig(variant="extended", integrator=integrator, step=step,
+                            max_time=min(2.0 * step, 1e308), record_potential=False,
+                            divergence_radius_cap=1e12)
+        result = run_flow(genus2, inversive, u0, config)
+        assert result.status == "diverged"
+        assert np.all(np.isfinite(result.final_u.values))
+    # an Euler step that overflows is a non-finite state, not a numpy warning
+    config = FlowConfig(variant="extended", integrator="euler", step=1e308,
+                        max_time=1e308, record_potential=False)
+    with pytest.raises(StepError, match="non-finite state"):
+        run_flow(genus2, inversive, u0, config)
 
 
 def test_euclidean_certificate_is_the_smallest_eigenvalue_off_the_gauge(torus, rng):

@@ -11,18 +11,20 @@ from cpflow import (
     DomainError,
     NotAdmissibleError,
     PackingMetric,
+    TriangleAngleSpace,
     check_curvature_bounds,
     check_zero_curvature_obstructions,
     curvature,
     degeneration_limit_table,
     edge_length,
     extended_curvature,
+    gauss_bonnet_defect,
     newton_solve,
     subset_lower_bound,
-    triangle_angle_space,
     triangle_from_angles,
 )
-import cpflow.obstructions as obstructions_module
+import cpflow.potential as potential_module
+from cpflow.complexes import _DOUBLE_TRIANGLE
 from cpflow.obstructions import _triangle_angles, enumerate_subsets
 from cpflow.packing import (
     UCoords,
@@ -168,7 +170,7 @@ def test_degeneration_limit_generic(octa, rng):
 # ---------------------------------------------------------------------------
 
 def test_angle_space_tangency_box():
-    space = triangle_angle_space(np.zeros(3))
+    space = TriangleAngleSpace(np.zeros(3))
     assert space.upper_bounds == pytest.approx(np.full(3, np.pi / 2))
     assert space.contains((0.5, 0.5, 0.5))
     assert not space.contains((np.pi / 3, np.pi / 3, np.pi / 3))  # sum is pi
@@ -176,7 +178,7 @@ def test_angle_space_tangency_box():
 
 
 def test_angle_space_sampler(rng):
-    space = triangle_angle_space((0.2, 1.3, 2.5))
+    space = TriangleAngleSpace((0.2, 1.3, 2.5))
     samples = space.sample(rng, 200)
     assert samples.shape == (200, 3)
     for row in samples:
@@ -196,7 +198,7 @@ def test_forward_images_in_space(rng):
         if triangle_inequality_violations(lengths.reshape(1, 3))[0]:
             continue
         angles = _triangle_angles(radii, inversive)
-        assert triangle_angle_space(inversive).contains(angles)
+        assert TriangleAngleSpace(inversive).contains(angles)
 
 
 def test_extended_angle_bound_all_radii(rng):
@@ -233,6 +235,38 @@ def test_triangle_from_angles_round_trip(rng):
         done += 1
 
 
+def test_triangle_from_angles_recovers_every_admissible_draw():
+    # The first 150 admissible triangles of this stream, radii spanning three
+    # decades: every one is an interior target, so every one is realizable.
+    rng = np.random.default_rng(0)
+    done = 0
+    while done < 150:
+        inversive = rng.uniform(0.0, 2.0, 3)
+        radii = np.exp(rng.uniform(np.log(0.01), np.log(10.0), 3))
+        lengths = [
+            edge_length(HYP, radii[(m + 1) % 3], radii[(m + 2) % 3], inversive[m])
+            for m in range(3)
+        ]
+        if triangle_inequality_violations(np.reshape(lengths, (1, 3)))[0]:
+            continue
+        target = _triangle_angles(radii, inversive)
+        recovered = triangle_from_angles(inversive, target)
+        assert np.max(np.abs(_triangle_angles(recovered, inversive) - target)) <= 1e-9
+        done += 1
+
+
+def test_double_triangle_curvature_is_twice_the_angle_defect(rng):
+    # Two copies of a triangle glued along their edges: K_m = 2 pi - 2 theta_m.
+    for _ in range(5):
+        inversive = rng.uniform(0.0, 2.0, 3)
+        radii = np.exp(rng.uniform(np.log(0.1), np.log(5.0), 3))
+        metric = PackingMetric(HYP, inversive[::-1], radii)
+        values = extended_curvature(_DOUBLE_TRIANGLE, metric).values
+        expected = 2.0 * np.pi - 2.0 * _triangle_angles(radii, inversive)
+        assert np.max(np.abs(values - expected)) <= 1e-14
+        assert abs(gauss_bonnet_defect(_DOUBLE_TRIANGLE, metric)) <= 1e-12
+
+
 def test_triangle_from_angles_symmetric():
     inversive = np.full(3, 0.5)
     target = np.full(3, 0.6)
@@ -241,18 +275,18 @@ def test_triangle_from_angles_symmetric():
 
 
 def test_triangle_from_angles_rejects_outside():
-    space_bounds = triangle_angle_space(np.zeros(3)).upper_bounds
+    space_bounds = TriangleAngleSpace(np.zeros(3)).upper_bounds
     with pytest.raises(DomainError):
         triangle_from_angles(np.zeros(3), space_bounds * 1.01)
 
 
 def test_triangle_from_angles_lets_programming_errors_through(monkeypatch):
-    # Only the Newton step's numerical failures end a restart; a fault in
-    # the code must surface instead of reading as "ran out of restarts".
+    # Only the solver's numerical failures read as NotFoundError; a fault in
+    # the code must surface instead.
     def broken(*args):
         raise TypeError("broken angle Jacobian")
 
-    monkeypatch.setattr(obstructions_module, "angle_jacobian_u", broken)
+    monkeypatch.setattr(potential_module, "_jacobian_blocks", broken)
     with pytest.raises(TypeError, match="broken angle Jacobian"):
         triangle_from_angles(np.full(3, 0.5), np.full(3, 0.6))
 
