@@ -32,7 +32,9 @@ from .io import (
     write_trace_csv,
     write_trace_json,
 )
-from .obstructions import _with_observed, check_zero_curvature_obstructions
+from .obstructions import (
+    DEFAULT_SUBSET_CAP, EXHAUSTIVE_VERTEX_LIMIT, _with_observed, check_zero_curvature_obstructions,
+)
 from .packing import Background, from_u, to_u
 from .potential import PotentialContext, newton_solve
 
@@ -333,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="combinatorial obstruction report")
     add_common(p)
     p.add_argument("--subset-cap", type=int, default=None,
-                   help="max subset size (default: exhaustive up to 16 "
-                        "vertices, size 3 beyond)")
+                   help=f"max subset size (default: exhaustive up to "
+                        f"{EXHAUSTIVE_VERTEX_LIMIT} vertices, size {DEFAULT_SUBSET_CAP} beyond)")
     p.add_argument("--subsets-file", help="explicit subsets (JSON)")
     p.add_argument("--report", help="JSON report path")
     p.set_defaults(func=_cmd_check)

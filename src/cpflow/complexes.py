@@ -205,15 +205,20 @@ def build_complex(faces: Sequence[Sequence[int]]) -> SurfaceComplex:
     )
 
 
-def normalize_subset(complex: SurfaceComplex, subset: Iterable[int]) -> frozenset:
-    """Validate a nonempty proper vertex subset and return it as a frozenset."""
-    members = frozenset(int(v) for v in subset)
+def normalize_subset(vertex_count: int, subset: Iterable[int]) -> frozenset:
+    """The one subset rule: a nonempty proper subset of ``0..vertex_count-1``
+    whose members are integers, Python or numpy, not booleans, floats or
+    strings; returned as a frozenset of ints, else ValueError."""
+    members = list(subset)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in members):
+        raise ValueError("vertex subset members must be integers")
+    members = frozenset(map(int, members))
     if not members:
         raise ValueError("vertex subset is empty")
-    if not all(0 <= v < complex.vertex_count for v in members):
-        raise ValueError("vertex subset references unknown vertices")
-    if len(members) >= complex.vertex_count:
-        raise ValueError("vertex subset must be a proper subset of the vertices")
+    if not all(0 <= v < vertex_count for v in members):
+        raise ValueError(f"vertex subset {sorted(members)} references unknown vertices")
+    if len(members) >= vertex_count:
+        raise ValueError(f"vertex subset {sorted(members)} is not a proper subset of the vertices")
     return members
 
 
@@ -230,7 +235,7 @@ def subcomplex_euler(complex: SurfaceComplex, subset: Iterable[int]) -> int:
     Counts vertices in the subset, edges with both endpoints in it and faces
     with all three vertices in it.
     """
-    members = normalize_subset(complex, subset)
+    members = normalize_subset(complex.vertex_count, subset)
     nv, ne, nf = _subcomplex_counts(complex, members)
     return nv - ne + nf
 
@@ -244,7 +249,7 @@ def link_pairs(
     the vertex is inside it, and the edge plus vertex span a face.  Found by
     direct filtering over every (face, corner) incidence.
     """
-    members = normalize_subset(complex, subset)
+    members = normalize_subset(complex.vertex_count, subset)
     pairs = []
     for face in complex.faces:
         for m in range(3):

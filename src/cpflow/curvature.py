@@ -18,13 +18,14 @@ import numpy as np
 
 from .angles import angle_jacobians_batch, extended_angles_batch
 from .complexes import SurfaceComplex
-from .errors import BoundaryError, ConfigError, DomainError, NotAdmissibleError
+from .errors import BoundaryError, NotAdmissibleError
 from .packing import (
     Background,
     PackingMetric,
     _check_fits,
     _edge_lengths_arrays,
     _metric_edge_arrays,
+    check_inversive,
     is_admissible,
     u_to_radii_array,
 )
@@ -77,18 +78,14 @@ def make_curvature_evaluator(
 ):
     """Extended curvature and degenerate-face mask as a function of raw u-values.
 
-    Validates the inversive distances once (ConfigError on a wrong shape,
-    DomainError on values that are non-finite or <= -1) and skips per-call
-    metric construction; the returned callable maps u to ``(K, mask)`` with
+    Validates the inversive distances once, by ``check_inversive`` with
+    negative values allowed, and skips per-call metric construction; the
+    returned callable maps u to ``(K, mask)`` with
     values bit-identical to ``extended_curvature``.  ``PotentialContext``
     builds the one that every u-space path uses.  A caller that already holds
     ``u_to_radii_array(u)`` passes it as ``radii`` to skip that stage.
     """
-    inv = np.asarray(inversive, dtype=float)
-    if inv.shape != (complex.edge_count,):
-        raise ConfigError("inversive array does not match the edge count")
-    if not np.isfinite(inv).all() or (inv <= -1).any():
-        raise DomainError("inversive distances must be finite and > -1")
+    inv = check_inversive(inversive, complex, permissive=True)
     tail, head = np.ascontiguousarray(complex.edges.T)
 
     def evaluate(u_values: np.ndarray, radii: np.ndarray | None = None):

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .complexes import SurfaceComplex, build_complex
+from .complexes import SurfaceComplex, build_complex, normalize_subset
 from .errors import CPFlowError, ParseError
-from .packing import Background, PackingMetric
+from .packing import Background, PackingMetric, check_inversive
 
 FORMAT_VERSION = 1
 
@@ -126,51 +126,25 @@ def _parse_inversive(raw, complex: SurfaceComplex) -> np.ndarray:
     if not isinstance(entries, list):
         raise ParseError("'inversive' must be a number, a list, or {default, edges}")
 
-    # Entries are checked in file order, so the scan stops at the first
-    # malformed one, and an earlier non-edge or duplicate entry wins over it.
-    shaped = list(map(_is_entry, entries))
-    n_shaped = shaped.index(False) if False in shaped else len(entries)
-    pairs = [entry["edge"] for entry in entries[:n_shaped]]
-    # Endpoints outside 0..N-1 name no edge; clamping them keeps integers of
-    # any size out of the int64 conversion.
-    n = complex.vertex_count
-    ends = np.array(
-        [v if 0 <= v < n else -1 for v in chain.from_iterable(pairs)], dtype=np.int64
-    ).reshape(-1, 2)
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
-    edge_keys = complex.edges[:, 0] * n + complex.edges[:, 1]
-    keys = lo * n + hi
-    rows = np.minimum(np.searchsorted(edge_keys, keys), n_edges - 1)
-    known = (lo >= 0) & (edge_keys[rows] == keys)
-    named = np.flatnonzero(known)
-    _, first = np.unique(rows[named], return_index=True)
-    repeated = np.delete(named, first)
+    # One scan in file order: the first bad entry decides the error.
+    assigned = {}
+    for entry in entries:
+        if not _is_entry(entry):
+            raise ParseError('each inversive entry must be {"edge": [i, j], "value": v}')
+        i, j = entry["edge"]
+        key = (i, j) if i < j else (j, i)
+        row = complex.edge_index.get(key)
+        if row is None:
+            raise ParseError(f"inversive entry names a non-edge {list(key)}")
+        if row in assigned:
+            raise ParseError(f"duplicate inversive entry for edge {list(key)}")
+        assigned[row] = float(entry["value"])
 
-    problems = []
-    if n_shaped < len(entries):
-        message = "each inversive entry must be {\"edge\": [i, j], \"value\": v}"
-        problems.append((n_shaped, message))
-    if not known.all():
-        k = int(np.argmin(known))
-        problems.append((k, f"inversive entry names a non-edge {sorted(pairs[k])}"))
-    if repeated.size:
-        k = int(repeated.min())
-        problems.append((k, f"duplicate inversive entry for edge {sorted(pairs[k])}"))
-    stop, message = min(problems, default=(len(entries), None))
-    # Values convert up to the first bad entry, as a scan in file order would.
-    values = np.fromiter(map(float, [entry["value"] for entry in entries[:stop]]), float, stop)
-    if stop < len(entries):
-        raise ParseError(message)
-
-    assigned = np.zeros(n_edges, dtype=bool)
-    assigned[rows] = True
-    if default is None and not assigned.all():
-        missing = complex.edges[np.argmin(assigned)]
-        raise ParseError(
-            f"edge {missing.tolist()} has no inversive value and no default"
-        )
+    if default is None and len(assigned) < n_edges:
+        missing = next(e for k, e in enumerate(complex.edges.tolist()) if k not in assigned)
+        raise ParseError(f"edge {missing} has no inversive value and no default")
     out = np.full(n_edges, 0.0 if default is None else default)
-    out[rows] = values
+    out[list(assigned)] = list(assigned.values())
     return out
 
 
@@ -197,7 +171,7 @@ def load_surface(path) -> SurfaceInput:
         raise ParseError("'faces' must be a list of vertex-index lists")
     try:
         complex = build_complex(faces)
-        inversive = _parse_inversive(doc["inversive"], complex)
+        inversive = check_inversive(_parse_inversive(doc["inversive"], complex), complex, permissive)
         metric = None
         if "radii" in doc:
             if not _is_list_of(doc["radii"], _NUMBER):
@@ -208,9 +182,6 @@ def load_surface(path) -> SurfaceInput:
                     f"'radii' must list {complex.vertex_count} values, got {radii.size}"
                 )
             metric = PackingMetric(background, inversive, radii, permissive)
-        else:
-            # Validate the inversive distances against the metric invariants.
-            PackingMetric(background, inversive, np.ones(complex.vertex_count), permissive)
     except ParseError:
         raise
     except (CPFlowError, TypeError, ValueError, OverflowError) as exc:
@@ -286,12 +257,10 @@ def load_subsets(path, n_vertices: int) -> list[frozenset]:
     for raw in doc["subsets"]:
         if not _is_list_of(raw, _INT):
             raise ParseError(f"subset {raw!r} is not a list of vertex indices")
-        members = frozenset(raw)
-        if not members or len(members) >= n_vertices:
-            raise ParseError(f"subset {sorted(members)} is not a nonempty proper subset")
-        if any(v < 0 or v >= n_vertices for v in members):
-            raise ParseError(f"subset {sorted(members)} references unknown vertices")
-        out.append(members)
+        try:
+            out.append(normalize_subset(n_vertices, raw))
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
     return out
 
 

@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .angles import _NEXT, _PREV, _TRIANGLE_TABLES, clamped_arccos, extended_angles_batch
+from .angles import clamped_arccos
 from .complexes import (
     _DOUBLE_TRIANGLE, SurfaceComplex, _subcomplex_counts, link_pairs, normalize_subset,
 )
@@ -31,7 +31,7 @@ from .packing import (
     Background,
     PackingMetric,
     UCoords,
-    _edge_lengths_arrays,
+    check_inversive,
     radii_to_u_array,
     u_to_radii_array,
 )
@@ -91,8 +91,8 @@ def subset_lower_bound(
     complex: SurfaceComplex, inversive: np.ndarray, subset: Iterable[int]
 ) -> float:
     """-sum over Lk(A) of (pi - L(I_e)) plus 2 pi chi(F_A)."""
-    inversive = np.asarray(inversive, dtype=float)
-    members = normalize_subset(complex, subset)
+    inversive = check_inversive(inversive, complex)
+    members = normalize_subset(complex.vertex_count, subset)
     link_sum = 0.0
     for (a, b), _vertex in link_pairs(complex, members):
         i_e = inversive[complex.edge_id(a, b)]
@@ -111,7 +111,6 @@ def _subset_lower_bounds(
     for a corner outside the link is exact, so every bound equals the scalar
     one exactly.
     """
-    inversive = np.asarray(inversive, dtype=float)
     faces = complex.faces
     vertex = faces.ravel()
     other = faces[:, [[1, 2], [0, 2], [0, 1]]].reshape(-1, 2)
@@ -163,8 +162,7 @@ def check_curvature_bounds(
     """
     if metric.background is not Background.HYPERBOLIC:
         raise ConfigError("the subset bounds are proved in hyperbolic background")
-    if np.any(metric.inversive < 0):
-        raise DomainError("the subset bounds require inversive distances >= 0")
+    check_inversive(metric.inversive, complex)
     curv = curvature(complex, metric)  # raises NotAdmissibleError if outside
     zero = check_zero_curvature_obstructions(complex, metric.inversive, subsets, subset_cap)
     return _with_observed(zero, curv.values)
@@ -183,13 +181,11 @@ def check_zero_curvature_obstructions(
     admissible zero-curvature metric exists; a True verdict proves nothing
     (the conditions are necessary only).
     """
-    inversive = np.asarray(inversive, dtype=float)
-    if np.any(inversive < 0):
-        raise DomainError("the obstruction conditions require inversive >= 0")
+    inversive = check_inversive(inversive, complex)
     # Explicit subsets win; else an explicit cap; else all subsets on small
     # complexes and size <= DEFAULT_SUBSET_CAP on larger ones.
     if subsets is not None:
-        resolved = [normalize_subset(complex, s) for s in subsets]
+        resolved = [normalize_subset(complex.vertex_count, s) for s in subsets]
     elif subset_cap is not None:
         if subset_cap < 1:
             raise ConfigError(f"subset cap must be at least 1, got {subset_cap}")
@@ -241,10 +237,8 @@ def degeneration_limit_table(
     decrease geometrically because the hyperbolic limits are approached
     slowly.
     """
-    inversive = np.asarray(inversive, dtype=float)
-    if np.any(inversive < 0):
-        raise DomainError("degeneration limits require inversive >= 0")
-    members = normalize_subset(complex, subset)
+    inversive = check_inversive(inversive, complex)
+    members = normalize_subset(complex.vertex_count, subset)
     base_radii = np.asarray(base_radii, dtype=float)
     mask = np.zeros(complex.vertex_count, dtype=bool)
     mask[sorted(members)] = True
@@ -272,9 +266,9 @@ class TriangleAngleSpace:
     inversive: np.ndarray
 
     def __post_init__(self):
-        inv = np.asarray(self.inversive, dtype=float)
-        if inv.shape != (3,) or np.any(inv < 0):
-            raise DomainError("three nonnegative inversive distances required")
+        inv = check_inversive(self.inversive)
+        if inv.shape != (3,):
+            raise DomainError("three inversive distances required")
         object.__setattr__(self, "inversive", inv)
 
     @property
@@ -303,12 +297,6 @@ class TriangleAngleSpace:
             out[filled : filled + take] = keep[:take]
             filled += take
         return out if count > 1 else out[0]
-
-
-def _triangle_angles(radii: np.ndarray, inversive: np.ndarray) -> np.ndarray:
-    edges = _edge_lengths_arrays(Background.HYPERBOLIC, radii, _NEXT, _PREV, inversive)
-    angles, _ = extended_angles_batch(Background.HYPERBOLIC, *edges, _TRIANGLE_TABLES)
-    return angles[0]
 
 
 def triangle_from_angles(inversive, target_angles) -> np.ndarray:

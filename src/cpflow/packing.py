@@ -49,6 +49,30 @@ def _as_readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def check_inversive(
+    inversive, complex: SurfaceComplex | None = None, permissive: bool = False
+) -> np.ndarray:
+    """The inversive distances as a read-only float array, checked by the rule
+    every entry point shares: one value per edge of ``complex`` (ConfigError;
+    without a complex, one dimension or DomainError), each finite and > -1,
+    and >= 0 unless ``permissive`` (DomainError)."""
+    inv = _as_readonly(inversive)
+    if complex is not None and inv.shape != (complex.edge_count,):
+        raise ConfigError(
+            f"inversive array of shape {inv.shape} does not fit a complex with "
+            f"{complex.vertex_count} vertices and {complex.edge_count} edges"
+        )
+    if inv.ndim != 1:
+        raise DomainError("inversive distances must be one-dimensional")
+    if not np.isfinite(inv).all():
+        raise DomainError("inversive distances must be finite")
+    if (inv <= -1).any():
+        raise DomainError("inversive distances must be > -1")
+    if not permissive and (inv < 0).any():
+        raise DomainError("negative inversive distances require permissive=True")
+    return inv
+
+
 @dataclass(frozen=True)
 class PackingMetric:
     """Background geometry, per-edge inversive distance and per-vertex radii.
@@ -65,20 +89,13 @@ class PackingMetric:
     permissive: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "inversive", _as_readonly(self.inversive))
+        inversive = check_inversive(self.inversive, permissive=self.permissive)
+        object.__setattr__(self, "inversive", inversive)
         object.__setattr__(self, "radii", _as_readonly(self.radii))
-        if self.inversive.ndim != 1 or self.radii.ndim != 1:
-            raise DomainError("inversive and radii must be one-dimensional")
-        if not np.isfinite(self.inversive).all() or not np.isfinite(self.radii).all():
-            raise DomainError("inversive distances and radii must be finite")
+        if self.radii.ndim != 1 or not np.isfinite(self.radii).all():
+            raise DomainError("radii must be one-dimensional and finite")
         if (self.radii <= 0).any():
             raise DomainError("all radii must be positive")
-        if (self.inversive <= -1).any():
-            raise DomainError("inversive distances must be > -1")
-        if not self.permissive and (self.inversive < 0).any():
-            raise DomainError(
-                "negative inversive distances require permissive=True"
-            )
 
     def with_radii(self, radii) -> "PackingMetric":
         return PackingMetric(self.background, self.inversive, radii, self.permissive)
@@ -171,11 +188,11 @@ def edge_length(background: Background, r_i: float, r_j: float, inversive: float
 def _check_fits(complex: SurfaceComplex, metric: PackingMetric) -> None:
     """ConfigError unless the metric has one radius per vertex and one
     inversive distance per edge of the complex."""
-    n_radii, n_inversive = len(metric.radii), len(metric.inversive)
-    if (n_radii, n_inversive) != (complex.vertex_count, complex.edge_count):
+    check_inversive(metric.inversive, complex, metric.permissive)
+    if len(metric.radii) != complex.vertex_count:
         raise ConfigError(
-            f"metric with {n_radii} radii and {n_inversive} inversive distances does not "
-            f"fit a complex with {complex.vertex_count} vertices and {complex.edge_count} edges"
+            f"metric with {len(metric.radii)} radii does not fit a complex with "
+            f"{complex.vertex_count} vertices and {complex.edge_count} edges"
         )
 
 

@@ -49,6 +49,7 @@ from .packing import (
     U_COORDINATE_FLOOR,
     UCoords,
     _edge_lengths_arrays,
+    check_inversive,
     u_to_radii_array,
 )
 
@@ -93,9 +94,9 @@ class PotentialContext:
     target: np.ndarray | None = None
 
     def __post_init__(self):
-        inv = np.asarray(self.inversive, dtype=float)
+        # Read-only, so the Jacobian blocks see the values the evaluator checked.
+        inv = check_inversive(self.inversive, self.complex, permissive=True)
         object.__setattr__(self, "inversive", inv)
-        # Validates the inversive distances once, for every later evaluation.
         evaluate = make_curvature_evaluator(self.complex, self.background, inv)
         object.__setattr__(self, "_evaluate", evaluate)
         self._point(self.basepoint)

@@ -42,7 +42,7 @@ from cpflow import (
 from cpflow.angles import angle_jacobians_batch
 from cpflow.cli import main as cli_main
 from cpflow.io import save_surface, save_target
-from cpflow.obstructions import _triangle_angles, enumerate_subsets
+from cpflow.obstructions import enumerate_subsets
 from cpflow.packing import (
     UCoords,
     _metric_edge_arrays,
@@ -385,7 +385,7 @@ def test_criterion_08_triangle_diffeomorphism():
             if triangle_inequality_violations(lengths.reshape(1, 3))[0]:
                 continue
             done += 1
-            angles = _triangle_angles(radii, inversive)
+            angles = extended_angles(HYP, lengths).values
             assert TriangleAngleSpace(inversive).contains(angles)
             recovered = triangle_from_angles(inversive, angles)
             assert np.max(np.abs(recovered - radii)) <= 1e-7

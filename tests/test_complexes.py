@@ -290,12 +290,12 @@ def test_subcomplex_euler_examples(tetra):
 
 
 def test_subset_validation(tetra):
-    with pytest.raises(ValueError):
-        normalize_subset(tetra, set())
-    with pytest.raises(ValueError):
-        normalize_subset(tetra, {0, 1, 2, 3})
-    with pytest.raises(ValueError):
-        normalize_subset(tetra, {0, 7})
+    n = tetra.vertex_count
+    for bad in (set(), {0, 1, 2, 3}, {0, 7}, [1.7], ["1"], [True], [np.float64(1.0)]):
+        with pytest.raises(ValueError):
+            normalize_subset(n, bad)
+    assert normalize_subset(n, np.array([2, 0], dtype=np.int64)) == {0, 2}
+    assert all(type(v) is int for v in normalize_subset(n, np.arange(3)))
 
 
 def test_link_pairs_examples(tetra):

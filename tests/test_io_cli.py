@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import argparse
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 
 import cpflow
 from cpflow import Background, PackingMetric, ParseError, curvature
-from cpflow.cli import main
+from cpflow.cli import build_parser, main
 from cpflow.io import (
     load_surface,
     load_target,
@@ -551,3 +553,22 @@ def test_cli_parse_error_exit_code(workdir, capsys):
     bad.write_text("{not json", encoding="utf-8")
     assert main(["curvature", str(bad)]) == 2
     assert main(["curvature", str(workdir / "missing.json")]) == 2
+
+
+def test_readme_cli_synopsis_lists_every_option():
+    # The synopsis is the README's first code block under "## CLI"; each
+    # command's entry runs from its "cpflow <command>" line to the next one.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    synopsis = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    entries = re.split(r"^(?=cpflow )", synopsis, flags=re.MULTILINE)
+    usage = {entry.split()[1]: entry for entry in entries if entry.startswith("cpflow ")}
+    commands = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert sorted(usage) == sorted(commands)
+    for name, command in commands.items():
+        options = [o for action in command._actions for o in action.option_strings
+                   if o not in ("-h", "--help")]
+        missing = [o for o in options if not re.search(re.escape(o) + r"(?![\w-])", usage[name])]
+        assert not missing, f"README synopsis of {name} lacks {missing}"

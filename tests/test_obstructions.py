@@ -24,10 +24,12 @@ from cpflow import (
     triangle_from_angles,
 )
 import cpflow.potential as potential_module
+from cpflow.angles import _NEXT, _PREV, _TRIANGLE_TABLES, extended_angles_batch
 from cpflow.complexes import _DOUBLE_TRIANGLE
-from cpflow.obstructions import _triangle_angles, enumerate_subsets
+from cpflow.obstructions import enumerate_subsets
 from cpflow.packing import (
     UCoords,
+    _edge_lengths_arrays,
     radii_to_u_array,
     triangle_inequality_violations,
 )
@@ -38,12 +40,47 @@ from conftest import random_admissible_metric, random_metric
 HYP = Background.HYPERBOLIC
 
 
+def _triangle_angles(radii, inversive):
+    """Inner angles of the hyperbolic triangle with these radii, inversive
+    distance m on the edge opposite vertex m, through the curvature kernel's
+    own length and angle stages."""
+    edges = _edge_lengths_arrays(HYP, radii, _NEXT, _PREV, inversive)
+    return extended_angles_batch(HYP, *edges, _TRIANGLE_TABLES)[0][0]
+
+
 def test_subset_lower_bound_examples(tetra):
     # one vertex of the tetrahedron has three link pairs
     assert subset_lower_bound(tetra, np.zeros(6), {0}) == pytest.approx(np.pi / 2)
     assert subset_lower_bound(tetra, np.ones(6), {0}) == pytest.approx(-np.pi)
     # three vertices: the link is empty and the subcomplex is a disk
     assert subset_lower_bound(tetra, np.zeros(6), {0, 1, 2}) == pytest.approx(2 * np.pi)
+    # numpy integer members are vertices too
+    members = np.array([0, 2], dtype=np.int64)
+    expected = subset_lower_bound(tetra, np.ones(6), {0, 2})
+    assert subset_lower_bound(tetra, np.ones(6), members) == expected
+    assert _zero_report(tetra, np.ones(6), members).records[0].bound == expected
+
+
+def _zero_report(complex, inversive, subset):
+    return check_zero_curvature_obstructions(complex, inversive, subsets=[subset])
+
+
+@pytest.mark.parametrize("entry", [subset_lower_bound, _zero_report])
+@pytest.mark.parametrize(
+    "inversive, subset, error",
+    [
+        ([np.nan, 1.0, 1.0, 1.0, 1.0, 1.0], {0}, DomainError),
+        (np.ones(7), {0}, ConfigError),
+        (np.ones(6), [1.7], ValueError),
+        (np.ones(6), ["1"], ValueError),
+        (np.ones(6), [True], ValueError),
+    ],
+    ids=["inversive-nan", "inversive-one-too-many", "member-fraction", "member-string",
+         "member-boolean"],
+)
+def test_subset_bounds_refuse_bad_inputs(tetra, entry, inversive, subset, error):
+    with pytest.raises(error):
+        entry(tetra, inversive, subset)
 
 
 def test_enumerate_subsets_counts(tetra, octa):
@@ -175,6 +212,14 @@ def test_angle_space_tangency_box():
     assert space.contains((0.5, 0.5, 0.5))
     assert not space.contains((np.pi / 3, np.pi / 3, np.pi / 3))  # sum is pi
     assert not space.contains((1.6, 0.1, 0.1))  # exceeds the box
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_angle_space_refuses_non_finite_inversive(value):
+    with pytest.raises(DomainError, match="finite"):
+        TriangleAngleSpace((0.5, value, 0.5))
+    with pytest.raises(DomainError, match="finite"):
+        triangle_from_angles((0.5, value, 0.5), np.full(3, 0.6))
 
 
 def test_angle_space_sampler(rng):

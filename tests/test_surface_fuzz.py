@@ -9,8 +9,9 @@ all arise from these.  ``load_target`` and ``load_subsets`` get the same
 edits on valid target and subset documents, and must return valid data or
 raise ``ParseError``.
 
-``_parse_inversive`` must match an entry-by-entry scan: the same values, or
-the same error for the same first offending entry.
+``_parse_inversive`` must match the reference scan below, entry by entry in
+file order: the same values, or the same error for the same first offending
+entry.
 """
 
 from __future__ import annotations
@@ -117,8 +118,8 @@ def test_load_surface_parses_or_raises_parse_error(tmp_path_factory, doc):
 
 
 def _reference_inversive(raw, complex):
-    """The entry-by-entry scan that ``_parse_inversive`` vectorizes: the
-    first bad entry in file order decides the error."""
+    """The entry-by-entry scan that ``_parse_inversive`` performs: the first
+    bad entry in file order decides the error."""
     default, entries = (raw["default"], raw["edges"]) if isinstance(raw, dict) else (None, raw)
     values = np.full(complex.edge_count, np.nan if default is None else float(default))
     assigned = set()
