@@ -32,6 +32,7 @@ from .curvature import (
     curvature_jacobian,
     extended_curvature,
     gauss_bonnet_defect,
+    is_admissible,
 )
 from .errors import (
     BadFaceError,
@@ -79,7 +80,6 @@ from .packing import (
     edge_length,
     from_u,
     inversive_from_length,
-    is_admissible,
     to_u,
 )
 from .potential import (

@@ -8,8 +8,9 @@ continuous extension (pi, 0, 0).
 
 Index convention for a triangle with vertex slots (0, 1, 2):
 
-    lengths[m]    length of the edge opposite vertex m
-    excess[m]     cosh(lengths[m]) - 1 (hyperbolic) or lengths[m]^2 / 2
+    excess[m]     cosh(l_m) - 1 (hyperbolic) or l_m^2 / 2 (euclidean), with
+                  l_m the length of the edge opposite vertex m
+    sx[m]         x'_m = sinh(l_m) or l_m
     inversive[m]  inversive distance on the edge opposite vertex m
     angles[m]     inner angle at vertex m
 
@@ -17,12 +18,17 @@ The cosine law works in the excesses that the edge-length kernel computes
 without cancellation.  With lambda = Background.area_weight (1 hyperbolic,
 0 euclidean) and x' = sqrt(e (lambda e + 2)), which is sinh l or l,
 
-    cos theta_m = (e_j + e_k + lambda e_j e_k - e_m) / (x'_j x'_k),
+    cos theta_m = num_m / den_m,
+    num_m = ((e_j + e_k) + (lambda e_j) e_k) - e_m,   den_m = x'_j x'_k,
 
 one branch-free formula for both backgrounds that keeps the angles of
-hyperbolic triangles accurate down to radii of order 1e-12.  The batch
-kernel takes per-edge arrays and gathers e_m, e_j, e_k, x'_j and x'_k
-through (opposite, next, previous) face edge tables, each a 1-D gather.
+hyperbolic triangles accurate down to radii of order 1e-12.  Corner m is
+degenerate when num_m <= -den_m, in exact arithmetic l_j + l_k <= l_m.
+Every path that starts from radii decides degeneracy by this test on the
+same floating-point numbers; only ``extended_angles``, which takes
+lengths, classifies by lengths.  The batch kernel takes per-edge arrays
+and gathers e_m, e_j, e_k, x'_j and x'_k through (opposite, next,
+previous) face edge tables, each a 1-D gather.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .packing import (
     _check_hyperbolic_sizes,
     _edge_lengths_arrays,
     edge_length,
+    triangle_inequality_violations,
 )
 
 #: vertex slots m + 1 and m + 2 (mod 3), the endpoints of the edge opposite m
@@ -69,12 +76,17 @@ class GeneralizedAngles:
 _TRIANGLE_TABLES = (np.arange(3).reshape(1, 3), _NEXT.reshape(1, 3), _PREV.reshape(1, 3))
 
 
-def _cosine_law(background: Background, excess: np.ndarray, sx: np.ndarray, tables) -> np.ndarray:
-    """Unclamped (F, 3) cosine-law ratios from per-edge excesses and x',
-    gathered through the (opposite, next, previous) face edge tables."""
+def _cosine_law(
+    background: Background, excess: np.ndarray, sx: np.ndarray, tables
+) -> tuple[np.ndarray, np.ndarray]:
+    """(F, 3) cosine-law numerators num_m and denominators den_m from
+    per-edge excesses and x', gathered through the (opposite, next,
+    previous) face edge tables.  Corner m is degenerate exactly when
+    num_m + den_m <= 0, a test rounding cannot flip: a nonzero exact sum of
+    two doubles never rounds to zero."""
     opposite, nxt, prv = tables
     e_j, e_k = excess[nxt], excess[prv]
-    # ((e_j + e_k) + (lam e_j) e_k - e_m) / (x'_j x'_k) in place, as large (F, 3)
+    # ((e_j + e_k) + (lam e_j) e_k) - e_m in place, as large (F, 3)
     # temporaries cost more than the arithmetic; (lam e_j) e_k: no 0 * inf
     # when a euclidean product would overflow.
     product = background.area_weight * e_j
@@ -82,39 +94,38 @@ def _cosine_law(background: Background, excess: np.ndarray, sx: np.ndarray, tabl
     e_j += e_k
     e_j += product
     e_j -= excess[opposite]
-    e_j /= np.multiply(sx[nxt], sx[prv], out=product)
-    return e_j
+    return e_j, np.multiply(sx[nxt], sx[prv], out=product)
 
 
 def extended_angles_batch(
-    background: Background, lengths: np.ndarray, excess: np.ndarray, sx: np.ndarray, tables
+    background: Background, excess: np.ndarray, sx: np.ndarray, tables
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extended angles of the faces that ``tables`` = (opposite, next,
-    previous) edge tables gather from per-edge lengths, excesses and x' as
-    the edge-length kernel returns and validates them.
+    previous) edge tables gather from per-edge excesses and x' as the
+    edge-length kernel returns and validates them.
 
     Returns the (F, 3) angle array and an (F,) boolean mask of degenerate
-    faces (strict triangle inequality violated).
+    faces, those with a corner where num_m <= -den_m.
     """
-    opposite, nxt, prv = tables
+    num, den = _cosine_law(background, excess, sx, tables)
+    violated = np.add(num, den) <= 0.0
     # clamped_arccos in place: (F, 3) temporaries are costly on large meshes
-    angles = _cosine_law(background, excess, sx, tables)
-    np.arccos(np.minimum(np.maximum(angles, -1.0, out=angles), 1.0, out=angles), out=angles)
-    longest = lengths[opposite]
-    violated = lengths[nxt] + lengths[prv] <= longest
+    angles = np.divide(num, den, out=num)
+    np.arccos(np.clip(angles, -1.0, 1.0, out=angles), out=angles)
     if not np.count_nonzero(violated):
         return angles, np.zeros(len(angles), dtype=bool)
-    # Pin degenerate rows to exactly (pi, 0, 0); the clamp already does
-    # this except for rounding in the strict-boundary row.
+    # Pin degenerate rows to exactly (pi, 0, 0), pi at the violated corner;
+    # the clamp already does this except for rounding near the boundary.
     degenerate = violated.any(axis=1)
     rows = np.flatnonzero(degenerate)
     angles[rows] = 0.0
-    angles[rows, longest[rows].argmax(axis=1)] = np.pi
+    angles[rows, violated[rows].argmax(axis=1)] = np.pi
     return angles, degenerate
 
 
 def extended_angles(background: Background, lengths) -> GeneralizedAngles:
-    """Extended inner angles of one triangle with side lengths (x0, x1, x2)."""
+    """Extended inner angles of one triangle with side lengths (x0, x1, x2),
+    degenerate when the lengths violate a strict triangle inequality."""
     arr = np.asarray(lengths, dtype=float).reshape(3)
     if (arr <= 0).any() or not np.isfinite(arr).all():
         raise DomainError("side lengths must be positive and finite")
@@ -124,8 +135,12 @@ def extended_angles(background: Background, lengths) -> GeneralizedAngles:
     else:
         excess = 0.5 * arr**2
     sx = np.sqrt(excess * (background.area_weight * excess + 2.0))
-    angles, degenerate = extended_angles_batch(background, arr, excess, sx, _TRIANGLE_TABLES)
-    return GeneralizedAngles(values=angles[0], degenerate=bool(degenerate[0]))
+    angles = extended_angles_batch(background, excess, sx, _TRIANGLE_TABLES)[0][0]
+    degenerate = bool(triangle_inequality_violations(arr.reshape(1, 3))[0])
+    if degenerate:
+        angles[:] = 0.0
+        angles[arr.argmax()] = np.pi
+    return GeneralizedAngles(values=angles, degenerate=degenerate)
 
 
 def triangle_area(background: Background, angles: GeneralizedAngles) -> float:
@@ -156,23 +171,24 @@ def angle_jacobians_batch(
     background: Background, radii: np.ndarray, inversive: np.ndarray, edges, faces, tables
 ) -> np.ndarray:
     """d(angles)/d(u) of the faces, shape (F, 3, 3), from per-vertex radii,
-    per-edge inversive distances and ``edges`` = (lengths, excesses, x') as
-    the edge-length kernel returns them, gathered through the face vertex
-    and (opposite, next, previous) face edge tables.
+    per-edge inversive distances and ``edges`` = (excesses, x') as the
+    edge-length kernel returns them, gathered through the face vertex and
+    (opposite, next, previous) face edge tables.
 
     Entry [f, p, q] is the derivative of angle p with respect to the
     u-coordinate of vertex q in face f.  Every face must satisfy the strict
-    triangle inequalities; at or beyond that boundary the derivative blows
-    up and BoundaryError is raised instead.
+    triangle inequalities, by the rule of ``extended_angles_batch``; at or
+    beyond that boundary the derivative blows up and BoundaryError is
+    raised instead.
     """
-    lengths, excess, sx = edges
+    excess, sx = edges
     opposite, nxt, prv = tables
-    if np.count_nonzero(lengths[nxt] + lengths[prv] <= lengths[opposite]):
+    num, den = _cosine_law(background, excess, sx, tables)
+    if np.count_nonzero(np.add(num, den) <= 0.0):
         raise BoundaryError(
             "angle derivatives are undefined on or beyond the degenerate boundary"
         )
-
-    cos = _cosine_law(background, excess, sx, tables)
+    cos = np.divide(num, den, out=num)
     sin_sq = 1.0 - cos**2
     if (sin_sq <= 0).any():
         raise BoundaryError("triangle too close to the degenerate boundary")

@@ -26,7 +26,6 @@ from .packing import (
     _edge_lengths_arrays,
     _metric_edge_arrays,
     check_inversive,
-    is_admissible,
     u_to_radii_array,
 )
 
@@ -48,7 +47,7 @@ class CurvatureVector:
 def _curvature_kernel(
     complex: SurfaceComplex, background: Background, *edges: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-edge (lengths, excesses, x') -> (curvature, (F, 3) face angles,
+    """Per-edge (excesses, x') -> (curvature, (F, 3) face angles,
     degenerate-face mask), gathered through the complex's face edge tables."""
     angles, degenerate = extended_angles_batch(background, *edges, complex.face_edge_tables)
     angle_sums = np.bincount(
@@ -71,6 +70,20 @@ def _curvature_vector(complex: SurfaceComplex, metric: PackingMetric) -> Curvatu
     else:
         area = 0.0
     return CurvatureVector(values, bool(np.count_nonzero(degenerate)), area, degenerate)
+
+
+def is_admissible(
+    complex: SurfaceComplex, metric: PackingMetric
+) -> tuple[bool, list[int]]:
+    """Whether every face satisfies strict triangle inequalities.
+
+    Returns the verdict and the complete list of violating faces, those the
+    curvature kernel marks degenerate.  The comparison is exact: the
+    admissible space is open and the extended angle kernel handles the
+    boundary continuously, so no epsilon fuzzing is wanted here.
+    """
+    violators = np.flatnonzero(_curvature_vector(complex, metric).degenerate).tolist()
+    return (not violators, violators)
 
 
 def make_curvature_evaluator(

@@ -286,7 +286,10 @@ class TriangleAngleSpace:
         )
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
-        """Uniform points of the angle space by rejection from its bounding box."""
+        """Uniform points of the angle space by rejection from its bounding box:
+        a (count, 3) array, or one point for count = 1 (ConfigError below 1)."""
+        if count < 1:
+            raise ConfigError(f"sample count must be at least 1, got {count}")
         bounds = self.upper_bounds
         out = np.empty((count, 3))
         filled = 0

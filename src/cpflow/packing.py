@@ -26,8 +26,11 @@ HYPERBOLIC_SIZE_LIMIT = 350.0
 #: cosh(l) - 1 at the size limit: a larger excess is a longer edge.
 _EXCESS_LIMIT = float(np.cosh(HYPERBOLIC_SIZE_LIMIT)) - 1.0
 
-#: below this u-coordinate the squared hyperbolic radius underflows double
-#: precision inside the length kernel (radius ~ 1e-131 at u = -300).
+#: the lowest u-coordinate the Newton line search admits: radius 1.03e-130,
+#: where the length kernel is still exact.  The real floor of that kernel
+#: lies lower: an excess of order r^2 goes subnormal below a radius of about
+#: 1.5e-154, an edge length is 5.6e-6 off in relative terms at 1e-160, and
+#: from about 1e-162 the excess underflows to 0, a DomainError.
 U_COORDINATE_FLOOR = -300.0
 
 
@@ -134,43 +137,62 @@ def _require_defined(defined: np.ndarray, message: str) -> None:
 
 def _edge_lengths_arrays(
     background: Background, radii: np.ndarray, tail, head, inv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lengths l, excesses e and x' = sinh l or l of the edges joining the
-    vertices ``tail`` and ``head`` (index arrays into the per-vertex radii);
-    stable for radii from 1e-300 up to the cap.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Excesses e and x' = sinh l or l of the edges joining the vertices
+    ``tail`` and ``head`` (index arrays into the per-vertex radii): the
+    per-edge stage of every curvature evaluation, from which the lengths
+    follow as ``_lengths``.  Exact for radii from the one at
+    ``U_COORDINATE_FLOOR`` (about 1e-130; see there for the real floor) up to
+    the size limit.
 
     The excess is cosh l - 1 (hyperbolic) or l^2 / 2 (euclidean), the
     quantity the cosine law of the angle kernel works in, and
-    x' = sqrt(e (lambda e + 2)).  Every returned length is positive and
-    finite: a hyperbolic edge longer than the size limit raises RangeError,
-    however far its length would overflow, and any other undefined length
-    raises DomainError with the index of the first such edge as ``edge``.
+    x' = sqrt(e (lambda e + 2)).  In hyperbolic background it is built from
+    per-vertex factors T = cosh r - 1 = 2 sinh^2(r/2) and P = sinh r as
+
+        e = (1 + T_i)(1 + T_j) - 1 + I P_i P_j
+          = ((T_i + T_j) + T_i T_j) + I P_i P_j,
+
+    a sum of nonnegative terms for I >= 0, so free of cancellation, with
+    no per-edge transcendental call; it is symmetric in the two ends bit for
+    bit.  Every returned excess is positive and finite: a hyperbolic edge
+    longer than the size limit raises RangeError, however far its length
+    would overflow, and any other undefined length raises DomainError with
+    the index of the first such edge as ``edge``.
     """
-    ri, rj = radii[tail], radii[head]
     if background is Background.EUCLIDEAN:
+        ri, rj = radii[tail], radii[head]
         sq = (ri - rj) ** 2 + 2.0 * (1.0 + inv) * ri * rj
         _require_defined((sq > 0) & (sq < np.inf),
                          "euclidean edge length is not defined (l^2 <= 0 or not finite)")
         excess = 0.5 * sq
-        return np.sqrt(sq), excess, np.sqrt(2.0 * excess)
+        return excess, np.sqrt(2.0 * excess)
     _check_hyperbolic_sizes(radii, "radii")
-    sinh_r = np.sinh(radii)
-    # cosh(l) - 1 written without cancellation for inv >= 0:
-    #   sinh^2((ri+rj)/2) + sinh^2((ri-rj)/2) + inv sinh(ri) sinh(rj)
-    # The last term may overflow to inf, which the size check below catches.
+    half = np.sinh(0.5 * radii)
+    t, p = 2.0 * half, np.sinh(radii)
+    t *= half
+    t_i, t_j = t[tail], t[head]
+    excess = t_i + t_j
+    t_i *= t_j
+    excess += t_i
+    # I P_i P_j may overflow to inf, which the size check below catches.
     with np.errstate(over="ignore"):
-        excess = (
-            np.sinh(0.5 * (ri + rj)) ** 2
-            + np.sinh(0.5 * (ri - rj)) ** 2
-            + inv * sinh_r[tail] * sinh_r[head]
-        )
+        product = inv * p[tail]
+        product *= p[head]
+    excess += product
     _require_defined(excess > 0, "hyperbolic edge length is not defined (cosh l - 1 not > 0)")
     if np.count_nonzero(excess > _EXCESS_LIMIT):
         raise RangeError(
             f"lengths above {HYPERBOLIC_SIZE_LIMIT:g} would overflow cosh/sinh"
         )
-    sinh_l = np.sqrt(excess * (excess + 2.0))
-    return np.log1p(excess + sinh_l), excess, sinh_l
+    return excess, np.sqrt(excess * (excess + 2.0))
+
+
+def _lengths(background: Background, excess: np.ndarray, sx: np.ndarray) -> np.ndarray:
+    """Edge lengths from the excesses and x' of ``_edge_lengths_arrays``."""
+    if background is Background.EUCLIDEAN:
+        return sx
+    return np.log1p(excess + sx)
 
 
 def edge_length(background: Background, r_i: float, r_j: float, inversive: float) -> float:
@@ -179,10 +201,10 @@ def edge_length(background: Background, r_i: float, r_j: float, inversive: float
         raise DomainError("radii must be positive")
     if inversive <= -1:
         raise DomainError("inversive distance must be > -1")
-    lengths, _, _ = _edge_lengths_arrays(
+    edges = _edge_lengths_arrays(
         background, np.asarray([r_i, r_j], dtype=float), [0], [1], np.asarray([inversive])
     )
-    return float(lengths[0])
+    return float(_lengths(background, *edges)[0])
 
 
 def _check_fits(complex: SurfaceComplex, metric: PackingMetric) -> None:
@@ -198,9 +220,9 @@ def _check_fits(complex: SurfaceComplex, metric: PackingMetric) -> None:
 
 def _metric_edge_arrays(
     complex: SurfaceComplex, metric: PackingMetric
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-edge (lengths, excesses, x') in the canonical edge order; a
-    DomainError names the first edge whose length is undefined."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge (excesses, x') in the canonical edge order; a DomainError
+    names the first edge whose length is undefined."""
     _check_fits(complex, metric)
     background, radii, inversive = metric.background, metric.radii, metric.inversive
     try:
@@ -212,7 +234,7 @@ def _metric_edge_arrays(
 
 def all_edge_lengths(complex: SurfaceComplex, metric: PackingMetric) -> np.ndarray:
     """Per-edge lengths in the canonical edge order."""
-    return _metric_edge_arrays(complex, metric)[0]
+    return _lengths(metric.background, *_metric_edge_arrays(complex, metric))
 
 
 def inversive_from_length(
@@ -239,21 +261,6 @@ def triangle_inequality_violations(lengths: np.ndarray) -> np.ndarray:
     """Boolean mask of rows of an (F, 3) length array violating strictness."""
     x0, x1, x2 = lengths[:, 0], lengths[:, 1], lengths[:, 2]
     return (x0 + x1 <= x2) | (x0 + x2 <= x1) | (x1 + x2 <= x0)
-
-
-def is_admissible(
-    complex: SurfaceComplex, metric: PackingMetric
-) -> tuple[bool, list[int]]:
-    """Whether every face satisfies strict triangle inequalities.
-
-    Returns the verdict and the complete list of violating faces.  The
-    comparison is exact: the admissible space is open and the extended
-    angle kernel handles the boundary continuously, so no epsilon fuzzing
-    is wanted here.
-    """
-    bad = triangle_inequality_violations(face_lengths(complex, metric))
-    violators = [int(f) for f in np.nonzero(bad)[0]]
-    return (len(violators) == 0, violators)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ the square root of the distance to the crossing, which no extrapolation
 resolves, and adaptive refinement toward it costs thousands of nodes at
 tolerance 1e-10.  ``segment_integral`` therefore watches the degenerate-face
 masks of its evaluations.  Where two of them differ, it locates each
-flipping face's crossing from that face's three edge lengths alone, splits
+flipping face's crossing from that face's three edges alone, splits
 the segment there, and integrates each piece with a crossing at an end in
 t, s = a + (b - a)(3t^2 - 2t^3), whose flat ends make the square root
 smooth.  A segment without a crossing stays one piece, without the
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import _NEXT, _PREV
+from .angles import _NEXT, _PREV, _cosine_law
 from .complexes import SurfaceComplex
 from .curvature import _jacobian_blocks, make_curvature_evaluator
 from .errors import (
@@ -199,17 +199,14 @@ class _Crossing(Exception):
         self.s_known, self.s_new, self.faces = s_known, s_new, faces
 
 
-def _crossings(ctx, u_from, direction, faces, s_a, s_b, width):
-    """Where ``faces`` cross the degenerate boundary between s_a and s_b.
+def _face_slack(ctx, u_from, direction, faces):
+    """The slack of ``faces`` along the segment u_from + s direction, as a
+    function of an (faces, points) array of parameters s.
 
-    Works on the faces' own three edges only.  A face's slack
-    min_m (l_j + l_k - l_m) is <= 0 exactly when the evaluator marks it
-    degenerate.  Each step evaluates it at the ends and _ROOT_POINTS
-    interior points of every bracket at once, as so small an array costs
-    about what one point does, and keeps the first cell where its sign
-    changes, until the brackets are narrower than ``width``.  Returns the
-    faces whose slack changes sign with the midpoints of their brackets, and
-    the faces whose slack does not.
+    Works on the faces' own three edges only.  A face's slack is
+    min_m (num_m + den_m) of its cosine-law terms, formed by the evaluator's
+    own operations on the same radii, so it is <= 0 exactly when the
+    evaluator marks the face degenerate at that s.
     """
     opposite = ctx.complex.face_opposite_edges[faces]
     vertices = ctx.complex.edges[opposite][:, None]  # (faces, 1, 3 edges, 2 ends)
@@ -217,15 +214,30 @@ def _crossings(ctx, u_from, direction, faces, s_a, s_b, width):
     inversive = ctx.inversive[opposite][:, None]
 
     def slack(s: np.ndarray) -> np.ndarray:
-        """Slack of every face at each of its parameters s, shape (faces, points)."""
         # u_from[v] + s d[v], as the evaluator computes it at s
         radii = u_to_radii_array(u_ends + s[:, :, None, None] * d_ends, ctx.background).ravel()
         pairs = np.arange(0, len(radii), 2)
         inv = np.broadcast_to(inversive, s.shape + (3,)).ravel()
-        lengths = _edge_lengths_arrays(ctx.background, radii, pairs, pairs + 1, inv)[0]
-        lengths = lengths.reshape(s.shape + (3,))
-        return (lengths[..., _NEXT] + lengths[..., _PREV] - lengths).min(axis=-1)
+        edges = _edge_lengths_arrays(ctx.background, radii, pairs, pairs + 1, inv)
+        corners = np.arange(len(pairs)).reshape(-1, 3)
+        tables = corners, corners[:, _NEXT], corners[:, _PREV]
+        num, den = _cosine_law(ctx.background, *edges, tables)
+        return (num + den).min(axis=1).reshape(s.shape)
 
+    return slack
+
+
+def _crossings(ctx, u_from, direction, faces, s_a, s_b, width):
+    """Where ``faces`` cross the degenerate boundary between s_a and s_b.
+
+    Each step evaluates the faces' ``_face_slack`` at the ends and
+    _ROOT_POINTS interior points of every bracket at once, as so small an
+    array costs about what one point does, and keeps the first cell where
+    its sign changes, until the brackets are narrower than ``width``.
+    Returns the faces whose slack changes sign with the midpoints of their
+    brackets, and the faces whose slack does not.
+    """
+    slack = _face_slack(ctx, u_from, direction, faces)
     lo, hi = np.full(len(faces), min(s_a, s_b)), np.full(len(faces), max(s_a, s_b))
     rows, fractions = np.arange(len(faces)), np.arange(_ROOT_POINTS + 2) / (_ROOT_POINTS + 1)
     flips = None

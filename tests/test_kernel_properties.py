@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cpflow import (
@@ -22,7 +22,9 @@ from cpflow import (
     CPFlowError,
     DomainError,
     PackingMetric,
+    PotentialContext,
     RangeError,
+    UCoords,
     angle_jacobian_u,
     build_complex,
     edge_length,
@@ -36,6 +38,7 @@ from cpflow import (
     triangulated_torus,
 )
 from cpflow.curvature import _jacobian_blocks, make_curvature_evaluator
+from cpflow.potential import _crossings, _face_slack
 from cpflow.packing import (
     _edge_lengths_arrays,
     face_lengths,
@@ -157,42 +160,41 @@ def _reference_radii(u, background):
 
 
 def _reference_curvature(complex, background, radii, inversive):
-    """Per-edge lengths, then (F, 3) gathers, the cosine-law ratio, clamped
-    arccos, the triangle-inequality mask, the (pi, 0, 0) pin and bincount:
-    (K, degenerate mask, total area)."""
+    """Per-vertex factors, per-edge excesses, then (F, 3) gathers, the
+    cosine-law numerator and denominator, their ratio, clamped arccos, the
+    numerator mask, the (pi, 0, 0) pin and bincount: (K, degenerate mask,
+    total area)."""
     ri, rj = radii[complex.edges[:, 0]], radii[complex.edges[:, 1]]
     if background is EUC:
         sq = (ri - rj) ** 2 + 2.0 * (1.0 + inversive) * ri * rj
         if not np.all((sq > 0) & (sq < np.inf)):
             raise DomainError("euclidean edge length is not defined (l^2 <= 0 or not finite)")
-        lengths, excess = np.sqrt(sq), 0.5 * sq
+        excess = 0.5 * sq
     else:
-        if (np.maximum(ri, rj) > 350.0).any():
+        if (radii > 350.0).any():
             raise RangeError("radii above 350 would overflow cosh/sinh")
+        half = np.sinh(0.5 * radii)
+        t, p = 2.0 * half * half, np.sinh(radii)  # cosh r - 1 and sinh r
+        i, j = complex.edges.T
         with np.errstate(over="ignore"):
-            excess = (
-                np.sinh(0.5 * (ri + rj)) ** 2
-                + np.sinh(0.5 * (ri - rj)) ** 2
-                + inversive * np.sinh(ri) * np.sinh(rj)
-            )
+            excess = (t[i] + t[j]) + t[i] * t[j] + inversive * p[i] * p[j]
         if not np.all(excess > 0):
             raise DomainError("hyperbolic edge length is not defined (cosh l - 1 not > 0)")
         if (excess > np.cosh(350.0) - 1.0).any():
             raise RangeError("lengths above 350 would overflow cosh/sinh")
-        lengths = np.log1p(excess + np.sqrt(excess * (excess + 2.0)))
 
     lam = background.area_weight
-    opposite = complex.face_opposite_edges
-    face_lengths_, e = lengths[opposite], excess[opposite]
+    e = excess[complex.face_opposite_edges]
     x = np.sqrt(e * (lam * e + 2.0))
     e_j, e_k = e[:, _NEXT], e[:, _PREV]
-    cos = (e_j + e_k + lam * e_j * e_k - e) / (x[:, _NEXT] * x[:, _PREV])
-    angles = np.arccos(np.clip(cos, -1.0, 1.0))
-    x0, x1, x2 = face_lengths_.T
-    degenerate = (x0 + x1 <= x2) | (x0 + x2 <= x1) | (x1 + x2 <= x0)
+    num = e_j + e_k + lam * e_j * e_k - e
+    den = x[:, _NEXT] * x[:, _PREV]
+    angles = np.arccos(np.clip(num / den, -1.0, 1.0))
+    violated = num <= -den
+    degenerate = violated.any(axis=1)
     rows = np.nonzero(degenerate)[0]
     angles[rows] = 0.0
-    angles[rows, face_lengths_[rows].argmax(axis=1)] = np.pi
+    angles[rows, violated[rows].argmax(axis=1)] = np.pi
     values = 2.0 * np.pi - np.bincount(
         complex.faces.ravel(), weights=angles.ravel(), minlength=complex.vertex_count
     )
@@ -351,6 +353,40 @@ def test_curvature_is_continuous_across_the_degenerate_boundary(segment):
         assert np.max(np.abs(k_hi - k_lo)) <= 1e-5
 
 
+@st.composite
+def _crossing_segments(draw):
+    """A u-segment on a stock or edge-flipped surface in either background:
+    endpoints with radii log-uniform in [1e-3, 20], I in [0, 5]."""
+    base = draw(st.sampled_from(STOCK))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex = build_complex(flip_edges(base.faces, rng, draw(st.integers(0, 2 * base.face_count))))
+    background = draw(st.sampled_from([HYP, EUC]))
+    radii = np.exp(rng.uniform(np.log(1e-3), np.log(20.0), (2, complex.vertex_count)))
+    inversive = rng.uniform(0.0, 5.0, complex.edge_count)
+    return complex, background, inversive, radii_to_u_array(radii, background)
+
+
+@settings(max_examples=40)
+@given(_crossing_segments())
+def test_face_slack_sign_is_the_evaluator_mask(segment):
+    # The crossing search's slack is <= 0 exactly where the evaluator marks a
+    # face degenerate: on a grid, and next to each crossing it locates.
+    complex, background, inversive, (u0, u1) = segment
+    ctx = PotentialContext(complex, inversive, UCoords(u0, background))
+    direction, faces = u1 - u0, np.arange(complex.face_count)
+
+    def masks(points):
+        return np.array([ctx._evaluate(u0 + s * direction)[1] for s in points])
+
+    grid = np.linspace(0.0, 1.0, 33)
+    on_grid = masks(grid)
+    assume((on_grid != on_grid[0]).any())
+    _, roots, _ = _crossings(ctx, u0, direction, faces, 0.0, 1.0, 0.0)
+    points = np.concatenate([grid, roots, np.nextafter(roots, 0.0), np.nextafter(roots, 1.0)])
+    slack = _face_slack(ctx, u0, direction, faces)(np.tile(points, (len(faces), 1)))
+    assert np.array_equal((slack <= 0).T, masks(points))
+
+
 # ---------------------------------------------------------------------------
 # Jacobian blocks against the per-face chain they came from
 # ---------------------------------------------------------------------------
@@ -366,12 +402,13 @@ def _reference_jacobian_blocks(complex, background, radii, inversive):
     m + 1 to slot m + 2, then the chain d(theta)/dx . dx/du."""
     r, inv = radii[complex.faces], inversive[complex.face_opposite_edges]
     corner = 3 * np.arange(len(r))[:, None]
-    lengths, e, x = _edge_lengths_arrays(background, r.ravel(), corner + _NEXT, corner + _PREV, inv)
-    x0, x1, x2 = lengths.T
-    if ((x0 + x1 <= x2) | (x0 + x2 <= x1) | (x1 + x2 <= x0)).any():
-        raise BoundaryError("a face is degenerate")
+    e, x = _edge_lengths_arrays(background, r.ravel(), corner + _NEXT, corner + _PREV, inv)
     e_j, e_k = e[:, _NEXT], e[:, _PREV]
-    cos = (e_j + e_k + background.area_weight * e_j * e_k - e) / (x[:, _NEXT] * x[:, _PREV])
+    num = e_j + e_k + background.area_weight * e_j * e_k - e
+    den = x[:, _NEXT] * x[:, _PREV]
+    if (num <= -den).any():
+        raise BoundaryError("a face is degenerate")
+    cos = num / den
     sin_sq = 1.0 - cos**2
     if (sin_sq <= 0).any():
         raise BoundaryError("a face is too close to the degenerate boundary")

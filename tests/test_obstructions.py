@@ -230,6 +230,12 @@ def test_angle_space_sampler(rng):
         assert space.contains(row)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_angle_space_sampler_refuses_a_count_below_one(rng, count):
+    with pytest.raises(ConfigError, match="at least 1"):
+        TriangleAngleSpace((0.2, 1.3, 2.5)).sample(rng, count)
+
+
 def test_forward_images_in_space(rng):
     for _ in range(100):
         inversive = rng.uniform(0.0, 2.0, 3)

@@ -17,7 +17,12 @@ from cpflow import (
     to_u,
 )
 from cpflow.curvature import make_curvature_evaluator
-from cpflow.packing import radii_to_u_array, u_to_radii_array
+from cpflow.packing import (
+    U_COORDINATE_FLOOR,
+    _edge_lengths_arrays,
+    radii_to_u_array,
+    u_to_radii_array,
+)
 
 from conftest import random_metric
 
@@ -65,6 +70,48 @@ def test_edge_length_stable_at_tiny_radii():
     assert got == pytest.approx(2 * r, rel=1e-10)
     got = edge_length(HYP, r, r, 0.0)
     assert got == pytest.approx(np.sqrt(2) * r, rel=1e-6)
+
+
+def test_edge_length_floor():
+    # Exact down to the radius at the u-coordinate floor; below ~1.5e-154 the
+    # excess ~ r^2 goes subnormal, and from ~1e-162 it underflows to 0.
+    r = u_to_radii_array(np.array([U_COORDINATE_FLOOR]), HYP)[0]
+    assert r == pytest.approx(1.03e-130, rel=1e-3)
+    assert edge_length(HYP, r, r, 0.5) == pytest.approx(np.sqrt(3.0) * r, rel=4e-16)
+    off = edge_length(HYP, 1e-160, 1e-160, 0.5) / (np.sqrt(3.0) * 1e-160) - 1.0
+    assert 1e-6 < abs(off) < 1e-5
+    for r in (1e-162, 1e-170):
+        with pytest.raises(DomainError, match="not defined"):
+            edge_length(HYP, r, r, 0.5)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+    reason="np.longdouble is no wider than float here",
+)
+def test_excess_from_vertex_factors_matches_the_two_sinh_form(rng):
+    # cosh l - 1 from per-vertex sinh^2(r/2) and sinh r, against a longdouble
+    # sinh^2((r_i + r_j)/2) + sinh^2((r_i - r_j)/2) + I sinh r_i sinh r_j.
+    radii = np.exp(rng.uniform(np.log(1e-6), np.log(50.0), (2, 20000)))
+    inversive = rng.uniform(0.0, 5.0, 20000)
+    tail = np.arange(20000)
+    excess, _ = _edge_lengths_arrays(HYP, radii.ravel(), tail, tail + 20000, inversive)
+    r_i, r_j = radii.astype(np.longdouble)
+    half = np.longdouble(0.5)
+    expected = (
+        np.sinh(half * (r_i + r_j)) ** 2
+        + np.sinh(half * (r_i - r_j)) ** 2
+        + inversive.astype(np.longdouble) * np.sinh(r_i) * np.sinh(r_j)
+    )
+    ulps = np.abs(excess - expected) / np.spacing(expected.astype(float))
+    assert ulps.max() <= 8
+
+
+@pytest.mark.parametrize("radii", [(1.0, 1.0), (350.0, 350.0), (300.0, 1e-170)])
+def test_huge_inversive_distance_is_a_range_error(radii):
+    # I P_i P_j overflows to inf, with no RuntimeWarning (an error under pytest)
+    with pytest.raises(RangeError, match="lengths above 350"):
+        edge_length(HYP, *radii, 1e308)
 
 
 def test_edge_length_monotone(rng):
