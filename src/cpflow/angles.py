@@ -37,12 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryError, DomainError, RangeError
+from .errors import BoundaryError, DomainError
 from .packing import (
-    HYPERBOLIC_SIZE_LIMIT,
     Background,
     _check_hyperbolic_sizes,
     _edge_lengths_arrays,
+    check_inversive,
+    check_radii,
     edge_length,
     triangle_inequality_violations,
 )
@@ -223,10 +224,8 @@ def angle_jacobian_u(background: Background, radii, inversive) -> np.ndarray:
     """d(angles)/d(u) for one triangle given vertex radii and the inversive
     distances on the opposite edges.  Symmetric and, for inversive >= 0,
     negative definite."""
-    r = np.asarray(radii, dtype=float).reshape(3)
-    inv = np.asarray(inversive, dtype=float).reshape(3)
-    if (r <= 0).any():
-        raise DomainError("radii must be positive")
+    r = check_radii(np.reshape(radii, 3))
+    inv = check_inversive(np.reshape(inversive, 3), permissive=True)
     # the length kernel raises RangeError for radii and lengths past the size limit
     edges = _edge_lengths_arrays(background, r, _NEXT, _PREV, inv)
     return angle_jacobians_batch(
@@ -238,25 +237,24 @@ def angle_jacobian_u(background: Background, radii, inversive) -> np.ndarray:
 # Degenerate-threshold radius
 # ---------------------------------------------------------------------------
 
+#: the bisection stops once the gap l_ij + l_ik - l_jk is this close to 0
+_THRESHOLD_TOLERANCE = 1e-12
+
+
 def degenerate_threshold_radius(
-    r_j: float,
-    r_k: float,
-    inv_ij: float,
-    inv_ik: float,
-    inv_jk: float,
-    f_tolerance: float = 1e-12,
+    r_j: float, r_k: float, inv_ij: float, inv_ik: float, inv_jk: float
 ) -> float:
     """Hyperbolic radius r_i at which the face {ijk} starts to degenerate.
 
     Solves l_ij + l_ik = l_jk for r_i with r_j, r_k fixed.  The left side
     minus the right is strictly increasing in r_i, negative at 0 exactly
     when inv_jk > 1, so the root is unique; for inv_jk in [0, 1] the face
-    never degenerates by shrinking r_i and the threshold is 0.
+    never degenerates by shrinking r_i and the threshold is 0.  The bracket
+    doubles to 256 at most: l_ij >= r_i for I >= 0, so the gap exceeds
+    2 r_i - l_jk > 0 once r_i > 175, as l_jk <= 350.
     """
-    if r_j <= 0 or r_k <= 0:
-        raise DomainError("radii must be positive")
-    if min(inv_ij, inv_ik, inv_jk) < 0:
-        raise DomainError("inversive distances must be nonnegative here")
+    check_radii([r_j, r_k])
+    check_inversive([inv_ij, inv_ik, inv_jk])
     if inv_jk <= 1.0:
         return 0.0
 
@@ -273,13 +271,11 @@ def degenerate_threshold_radius(
     hi = 1.0
     while gap(hi) <= 0:
         hi *= 2.0
-        if hi > HYPERBOLIC_SIZE_LIMIT:
-            raise RangeError("degenerate threshold exceeds the size limit")
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = gap(mid)
-        if abs(f_mid) <= f_tolerance:
+        if abs(f_mid) <= _THRESHOLD_TOLERANCE:
             return mid
         if f_mid < 0:
             lo = mid

@@ -32,6 +32,7 @@ from .packing import (
     PackingMetric,
     UCoords,
     check_inversive,
+    check_radii,
     radii_to_u_array,
     u_to_radii_array,
 )
@@ -239,7 +240,7 @@ def degeneration_limit_table(
     """
     inversive = check_inversive(inversive, complex)
     members = normalize_subset(complex.vertex_count, subset)
-    base_radii = np.asarray(base_radii, dtype=float)
+    base_radii = check_radii(base_radii, complex)
     mask = np.zeros(complex.vertex_count, dtype=bool)
     mask[sorted(members)] = True
 

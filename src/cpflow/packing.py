@@ -52,6 +52,11 @@ def _as_readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _misfit(what: str, complex: SurfaceComplex) -> ConfigError:
+    return ConfigError(f"{what} does not fit a complex with {complex.vertex_count} "
+                       f"vertices and {complex.edge_count} edges")
+
+
 def check_inversive(
     inversive, complex: SurfaceComplex | None = None, permissive: bool = False
 ) -> np.ndarray:
@@ -61,10 +66,7 @@ def check_inversive(
     and >= 0 unless ``permissive`` (DomainError)."""
     inv = _as_readonly(inversive)
     if complex is not None and inv.shape != (complex.edge_count,):
-        raise ConfigError(
-            f"inversive array of shape {inv.shape} does not fit a complex with "
-            f"{complex.vertex_count} vertices and {complex.edge_count} edges"
-        )
+        raise _misfit(f"inversive array of shape {inv.shape}", complex)
     if inv.ndim != 1:
         raise DomainError("inversive distances must be one-dimensional")
     if not np.isfinite(inv).all():
@@ -74,6 +76,22 @@ def check_inversive(
     if not permissive and (inv < 0).any():
         raise DomainError("negative inversive distances require permissive=True")
     return inv
+
+
+def check_radii(radii, complex: SurfaceComplex | None = None) -> np.ndarray:
+    """The radii as a read-only float array, checked by the rule every entry
+    point shares: one dimension (DomainError), one value per vertex of
+    ``complex`` (ConfigError), each finite and > 0 (DomainError)."""
+    r = _as_readonly(radii)
+    if r.ndim != 1:
+        raise DomainError("radii must be one-dimensional")
+    if complex is not None and len(r) != complex.vertex_count:
+        raise _misfit(f"radii array of length {len(r)}", complex)
+    if not np.isfinite(r).all():
+        raise DomainError("radii must be finite")
+    if (r <= 0).any():
+        raise DomainError("radii must be positive")
+    return r
 
 
 @dataclass(frozen=True)
@@ -94,11 +112,7 @@ class PackingMetric:
     def __post_init__(self):
         inversive = check_inversive(self.inversive, permissive=self.permissive)
         object.__setattr__(self, "inversive", inversive)
-        object.__setattr__(self, "radii", _as_readonly(self.radii))
-        if self.radii.ndim != 1 or not np.isfinite(self.radii).all():
-            raise DomainError("radii must be one-dimensional and finite")
-        if (self.radii <= 0).any():
-            raise DomainError("all radii must be positive")
+        object.__setattr__(self, "radii", check_radii(self.radii))
 
     def with_radii(self, radii) -> "PackingMetric":
         return PackingMetric(self.background, self.inversive, radii, self.permissive)
@@ -197,25 +211,19 @@ def _lengths(background: Background, excess: np.ndarray, sx: np.ndarray) -> np.n
 
 def edge_length(background: Background, r_i: float, r_j: float, inversive: float) -> float:
     """Length of one edge from its endpoint radii and inversive distance."""
-    if r_i <= 0 or r_j <= 0:
-        raise DomainError("radii must be positive")
-    if inversive <= -1:
-        raise DomainError("inversive distance must be > -1")
-    edges = _edge_lengths_arrays(
-        background, np.asarray([r_i, r_j], dtype=float), [0], [1], np.asarray([inversive])
-    )
+    radii = check_radii([r_i, r_j])
+    inv = check_inversive([inversive], permissive=True)
+    edges = _edge_lengths_arrays(background, radii, [0], [1], inv)
     return float(_lengths(background, *edges)[0])
 
 
 def _check_fits(complex: SurfaceComplex, metric: PackingMetric) -> None:
-    """ConfigError unless the metric has one radius per vertex and one
-    inversive distance per edge of the complex."""
-    check_inversive(metric.inversive, complex, metric.permissive)
+    """ConfigError unless the metric, whose values were checked when it was
+    built, has one radius per vertex and one inversive distance per edge."""
+    if metric.inversive.shape != (complex.edge_count,):
+        raise _misfit(f"inversive array of shape {metric.inversive.shape}", complex)
     if len(metric.radii) != complex.vertex_count:
-        raise ConfigError(
-            f"metric with {len(metric.radii)} radii does not fit a complex with "
-            f"{complex.vertex_count} vertices and {complex.edge_count} edges"
-        )
+        raise _misfit(f"metric with {len(metric.radii)} radii", complex)
 
 
 def _metric_edge_arrays(
@@ -241,20 +249,15 @@ def inversive_from_length(
     background: Background, r_i: float, r_j: float, length: float
 ) -> float:
     """Invert the edge-length formula: recover I from (l, r_i, r_j)."""
-    if r_i <= 0 or r_j <= 0 or length <= 0:
-        raise DomainError("radii and length must be positive")
+    check_radii([r_i, r_j])
+    if not 0 < length < np.inf:
+        raise DomainError("length must be finite and > 0")
     if background is Background.EUCLIDEAN:
         return (length**2 - r_i**2 - r_j**2) / (2.0 * r_i * r_j)
     _check_hyperbolic_sizes(np.asarray([r_i, r_j, length]), "radii or length")
     return (np.cosh(length) - np.cosh(r_i) * np.cosh(r_j)) / (
         np.sinh(r_i) * np.sinh(r_j)
     )
-
-
-def face_lengths(complex: SurfaceComplex, metric: PackingMetric) -> np.ndarray:
-    """(F, 3) lengths, column m holding the edge opposite face vertex m."""
-    lengths = all_edge_lengths(complex, metric)
-    return lengths[complex.face_opposite_edges]
 
 
 def triangle_inequality_violations(lengths: np.ndarray) -> np.ndarray:
@@ -274,9 +277,7 @@ def radii_to_u_array(radii: np.ndarray, background: Background) -> np.ndarray:
     r ~ 1e-16, so ln tanh(r/2) = ln(1 - e^-r) - ln(1 + e^-r) is evaluated
     with expm1/log1p in the regime where each piece stays exact.
     """
-    radii = np.asarray(radii, dtype=float)
-    if np.any(radii <= 0):
-        raise DomainError("all radii must be positive")
+    radii = check_radii(np.ravel(radii)).reshape(np.shape(radii))
     if background is Background.EUCLIDEAN:
         return np.log(radii)
     e = np.exp(-radii)

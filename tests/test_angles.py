@@ -219,6 +219,18 @@ def test_jacobian_refused_at_boundary():
         angle_jacobian_u(HYP, np.array([1e-3, 1.0, 1.0]), np.array([5.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "background, radii, inversive",
+    [
+        (HYP, (0.75, 5.3, 2.9), (0.0, 2.5, -1.1)),
+        (EUC, (0.12, 3.7, 0.75), (-1.02, 1.27, 0.085)),
+    ],
+)
+def test_jacobian_refuses_inversive_at_most_minus_one(background, radii, inversive):
+    with pytest.raises(DomainError, match="> -1"):
+        angle_jacobian_u(background, np.array(radii), np.array(inversive))
+
+
 def test_jacobian_range_guard():
     with pytest.raises(RangeError):
         angle_jacobian_u(HYP, np.array([360.0, 1.0, 1.0]), np.zeros(3))
@@ -231,6 +243,24 @@ def test_jacobian_range_guard():
 def test_threshold_radius_zero_cases():
     assert degenerate_threshold_radius(1.0, 1.0, 0.0, 0.0, 1.0) == 0.0
     assert degenerate_threshold_radius(2.0, 0.5, 0.3, 0.7, 0.5) == 0.0
+
+
+def test_threshold_radius_above_one():
+    # the root lies above the first bracket [0, 1], so the bracket doubles
+    root = degenerate_threshold_radius(2.0, 2.0, 0.0, 0.0, 50.0)
+    assert root == pytest.approx(2.2667, abs=1e-4)
+    gap = 2 * edge_length(HYP, root, 2.0, 0.0) - edge_length(HYP, 2.0, 2.0, 50.0)
+    assert abs(gap) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(0.0, 1.0, 0.2, 0.3, 2.0), (1.0, np.nan, 0.2, 0.3, 2.0),
+     (1.0, 1.0, -0.2, 0.3, 2.0), (1e-200, 1.0, np.nan, 0.2, 400.0)],
+)
+def test_threshold_radius_refuses_bad_input(args):
+    with pytest.raises(DomainError):
+        degenerate_threshold_radius(*args)
 
 
 def test_threshold_radius_root(rng):

@@ -73,9 +73,9 @@ def test_forced_degenerate_face(tetra):
     # the degenerate-face mask is the strict triangle test, and names the
     # faces the classical curvature refused
     from cpflow import extended_angles
-    from cpflow.packing import face_lengths, triangle_inequality_violations
+    from cpflow.packing import all_edge_lengths, triangle_inequality_violations
 
-    lengths = face_lengths(tetra, metric)
+    lengths = all_edge_lengths(tetra, metric)[tetra.face_opposite_edges]
     assert curv.degenerate.tolist() == triangle_inequality_violations(lengths).tolist()
     assert np.nonzero(curv.degenerate)[0].tolist() == err.value.faces
     # the degenerate face {0,2,3} contributes a straight angle at vertex 0

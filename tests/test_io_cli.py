@@ -374,6 +374,26 @@ def test_cli_solve_unreachable_target(workdir):
     assert manifest["status"].startswith("domain_error")
 
 
+def test_cli_solve_exhausted_budget(workdir, tetra):
+    _write(workdir / "t.json", _tetra_doc(inversive=1.0, radii=[20.0, 20.0, 20.0, 20.0]))
+    target = curvature(tetra, PackingMetric(HYP, np.ones(6), [0.3, 0.5, 2.0, 1.0]))
+    save_target(workdir / "target.json", target.values)
+    code = main(["solve", "t.json", "--target-file", "target.json", "--max-iter", "1"])
+    assert code == 3
+    manifest = json.loads((workdir / "t.solve.manifest.json").read_text())
+    assert manifest["status"].startswith("domain_error: newton_solve did not reach")
+
+
+def test_cli_solve_refuses_a_euclidean_surface(workdir, capsys):
+    _write(workdir / "t.json", _tetra_doc(background="euclidean"))
+    save_target(workdir / "target.json", [0.0, 0.0, 0.0, 0.0])
+    code = main(["solve", "t.json", "--target-file", "target.json"])
+    assert code == 2
+    assert "solve requires a hyperbolic surface file" in capsys.readouterr().err
+    manifest = json.loads((workdir / "t.solve.manifest.json").read_text())
+    assert manifest["status"].startswith("config_error:")
+
+
 def test_cli_check(workdir):
     surface = _write(workdir / "t.json", _tetra_doc(inversive=1.0))
     code = main(["check", "t.json", "--report", "check.json"])

@@ -9,7 +9,9 @@ from cpflow import (
     Background,
     ConfigError,
     DomainError,
+    MaxIterationsError,
     NotAdmissibleError,
+    NotFoundError,
     PackingMetric,
     TriangleAngleSpace,
     check_curvature_bounds,
@@ -22,7 +24,9 @@ from cpflow import (
     newton_solve,
     subset_lower_bound,
     triangle_from_angles,
+    triangulated_torus,
 )
+import cpflow.obstructions as obstructions_module
 import cpflow.potential as potential_module
 from cpflow.angles import _NEXT, _PREV, _TRIANGLE_TABLES, extended_angles_batch
 from cpflow.complexes import _DOUBLE_TRIANGLE
@@ -164,6 +168,16 @@ def test_zero_curvature_necessary_tetrahedron(tetra):
     assert singleton.margin > 0
 
 
+def test_default_subsets_above_the_exhaustive_limit(rng):
+    # torus 6x6 has 36 vertices, above the limit of 16, so the default
+    # enumerates the subsets of at most DEFAULT_SUBSET_CAP = 3 vertices
+    torus = triangulated_torus(6, 6)
+    inversive = rng.uniform(0.0, 3.0, torus.edge_count)
+    report = check_zero_curvature_obstructions(torus, inversive)
+    assert len(report.records) == 7806
+    assert report == check_zero_curvature_obstructions(torus, inversive, subset_cap=3)
+
+
 def test_zero_curvature_necessary_consistent_with_solver(genus2):
     # tangency packing on the genus-2 surface: a zero-curvature metric
     # exists (found by Newton), so every necessary condition must hold
@@ -193,6 +207,12 @@ def test_degeneration_limit_adjacent_pair(tetra):
         subset_lower_bound(tetra, np.zeros(6), {0, 1})
     )
     assert abs(table.final_gap) <= 1e-3
+
+
+def test_degeneration_limit_refuses_base_radii_of_the_wrong_length(genus2):
+    # genus2 has 15 vertices
+    with pytest.raises(ConfigError, match="radii array of length 5"):
+        degeneration_limit_table(genus2, np.ones(genus2.edge_count), [0, 1], np.ones(5))
 
 
 def test_degeneration_limit_generic(octa, rng):
@@ -339,6 +359,15 @@ def test_triangle_from_angles_lets_programming_errors_through(monkeypatch):
 
     monkeypatch.setattr(potential_module, "_jacobian_blocks", broken)
     with pytest.raises(TypeError, match="broken angle Jacobian"):
+        triangle_from_angles(np.full(3, 0.5), np.full(3, 0.6))
+
+
+def test_triangle_from_angles_turns_an_exhausted_budget_into_not_found(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MaxIterationsError("budget exhausted")
+
+    monkeypatch.setattr(obstructions_module, "newton_solve", exhausted)
+    with pytest.raises(NotFoundError, match="budget exhausted"):
         triangle_from_angles(np.full(3, 0.5), np.full(3, 0.6))
 
 

@@ -3,15 +3,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import cpflow.packing as packing_module
 from cpflow import (
     Background,
+    ConfigError,
     DomainError,
     PackingMetric,
     RangeError,
     all_edge_lengths,
+    curvature,
+    curvature_jacobian,
     edge_length,
     extended_curvature,
     from_u,
+    gauss_bonnet_defect,
     inversive_from_length,
     is_admissible,
     to_u,
@@ -20,6 +25,7 @@ from cpflow.curvature import make_curvature_evaluator
 from cpflow.packing import (
     U_COORDINATE_FLOOR,
     _edge_lengths_arrays,
+    check_radii,
     radii_to_u_array,
     u_to_radii_array,
 )
@@ -148,6 +154,62 @@ def test_metric_validation():
         PackingMetric(HYP, np.full(6, -1.0), np.ones(4), permissive=True)
 
 
+def test_check_radii_is_the_radius_rule(tetra):
+    values = [1.0, 2, 0.5, 3.0]
+    radii = check_radii(values, tetra)
+    assert radii.dtype == float and radii.tolist() == values
+    assert not radii.flags.writeable
+    for count in (3, 5):
+        with pytest.raises(ConfigError, match="radii array of length"):
+            check_radii(np.ones(count), tetra)
+    with pytest.raises(DomainError, match="one-dimensional"):
+        check_radii(np.ones((4, 1)), tetra)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            check_radii([1.0, bad])
+    for bad in (0.0, -1.0):
+        with pytest.raises(DomainError, match="positive"):
+            check_radii([1.0, bad])
+
+
+@pytest.mark.parametrize("background", [HYP, EUC])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_radius_is_refused_everywhere(background, bad):
+    # the scalar helpers, the u-coordinate change and the metric share one rule
+    for entry in (
+        lambda: edge_length(background, bad, 1.0, 0.5),
+        lambda: inversive_from_length(background, 1.0, bad, 1.0),
+        lambda: radii_to_u_array(np.array([1.0, bad]), background),
+        lambda: PackingMetric(background, np.zeros(6), [1.0, bad, 1.0, 1.0]),
+    ):
+        with pytest.raises(DomainError, match="radii must be finite"):
+            entry()
+
+
+@pytest.mark.parametrize(
+    "background, r_i, r_j, length",
+    [(HYP, np.nan, 1.0, 1.0), (EUC, 1.0, 1.0, np.nan), (EUC, 1.0, 1.0, np.inf)],
+)
+def test_inversive_from_length_refuses_non_finite_input(background, r_i, r_j, length):
+    with pytest.raises(DomainError):
+        inversive_from_length(background, r_i, r_j, length)
+
+
+def test_checked_metric_is_not_checked_again(tetra, monkeypatch):
+    # a PackingMetric checks its values once, when it is built; the entry
+    # points that take one compare its shapes with the complex and no more
+    metric = PackingMetric(HYP, np.full(6, 0.5), np.ones(4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checked metric was checked again")
+
+    monkeypatch.setattr(packing_module, "check_inversive", refuse)
+    monkeypatch.setattr(packing_module, "check_radii", refuse)
+    for entry in (extended_curvature, curvature, gauss_bonnet_defect, is_admissible,
+                  all_edge_lengths, curvature_jacobian):
+        entry(tetra, metric)
+
+
 def test_range_guard():
     with pytest.raises(RangeError):
         edge_length(HYP, 400.0, 1.0, 0.0)
@@ -177,12 +239,10 @@ def test_admissible_always_for_small_inversive(tetra, rng):
 
 
 def test_admissibility_matches_brute_force(tetra, rng):
-    from cpflow.packing import face_lengths
-
     for _ in range(100):
         metric = random_metric(tetra, rng, HYP, (0.1, 5.0), (0.0, 3.0))
         ok, violations = is_admissible(tetra, metric)
-        lengths = face_lengths(tetra, metric)
+        lengths = all_edge_lengths(tetra, metric)[tetra.face_opposite_edges]
         expect = []
         for f, (x0, x1, x2) in enumerate(lengths):
             sides = sorted((x0, x1, x2))

@@ -186,6 +186,23 @@ def test_newton_rejects_bad_configs(genus2):
             newton_solve(ctx, u_hyp, **budget)
 
 
+def test_newton_budget_exhausted(genus2, rng):
+    # a realizable target from a far start needs more than one iteration
+    metric = random_admissible_metric(genus2, rng, HYP, (0.5, 2.0), (0.0, 1.0))
+    target = curvature(genus2, metric).values
+    start = _u(np.full(genus2.vertex_count, 20.0))
+    ctx = PotentialContext(genus2, metric.inversive, start, target)
+    with pytest.raises(MaxIterationsError, match="in 1 iterations") as err:
+        newton_solve(ctx, start, tol=1e-11, max_iter=1)
+    report = err.value.report
+    assert report.iterations == 1
+    assert report.newton_steps + report.gradient_steps == 1
+    assert report.residual > 1e-11
+    last = err.value.last_u
+    assert last.background is HYP
+    assert not np.array_equal(last.values, start.values)
+
+
 def test_newton_unreachable_target(genus2):
     # a target below every subset bound cannot be realized; the minimum
     # does not exist and the iterates run toward the boundary
