@@ -24,9 +24,9 @@ without cancellation.  With lambda = Background.area_weight (1 hyperbolic,
 one branch-free formula for both backgrounds that keeps the angles of
 hyperbolic triangles accurate down to radii of order 1e-12.  Corner m is
 degenerate when num_m <= -den_m, in exact arithmetic l_j + l_k <= l_m.
-Every path that starts from radii decides degeneracy by this test on the
-same floating-point numbers; only ``extended_angles``, which takes
-lengths, classifies by lengths.  The batch kernel takes per-edge arrays
+Every path that starts from radii or u-coordinates decides degeneracy by
+this test on the same floating-point numbers; only ``extended_angles``,
+which takes lengths, classifies by lengths.  The batch kernel takes per-edge arrays
 and gathers e_m, e_j, e_k, x'_j and x'_k through (opposite, next,
 previous) face edge tables, each a 1-D gather.
 """
@@ -42,9 +42,9 @@ from .packing import (
     Background,
     _check_hyperbolic_sizes,
     _edge_lengths_arrays,
+    _radius_factors,
     check_inversive,
     check_radii,
-    edge_length,
     triangle_inequality_violations,
 )
 
@@ -169,12 +169,12 @@ _DIAGONAL = np.eye(3, dtype=bool)
 
 
 def angle_jacobians_batch(
-    background: Background, radii: np.ndarray, inversive: np.ndarray, edges, faces, tables
+    background: Background, factors, inversive: np.ndarray, edges, faces, tables
 ) -> np.ndarray:
-    """d(angles)/d(u) of the faces, shape (F, 3, 3), from per-vertex radii,
-    per-edge inversive distances and ``edges`` = (excesses, x') as the
-    edge-length kernel returns them, gathered through the face vertex and
-    (opposite, next, previous) face edge tables.
+    """d(angles)/d(u) of the faces, shape (F, 3, 3), from the per-vertex
+    factors of the edge-length kernel, per-edge inversive distances and
+    ``edges`` = (excesses, x') as that kernel returns them, gathered through
+    the face vertex and (opposite, next, previous) face edge tables.
 
     Entry [f, p, q] is the derivative of angle p with respect to the
     u-coordinate of vertex q in face f.  Every face must satisfy the strict
@@ -202,14 +202,15 @@ def angle_jacobians_batch(
     d = sx_m / (sx[nxt] * sx[prv] * sin)
     dtheta_dx = d[:, :, None] * np.where(_DIAGONAL, 1.0, -cos[:, _THIRD])
 
-    # dx/du = dx/dr dr/du with dr/du = s = sinh r (hyperbolic) or r
+    # dx/du = dx/dr dr/du with dr/du = s = sinh r = P (hyperbolic) or r
     # (euclidean).  x_m joins the vertices a and b other than m, so the
     # diagonal is 0 and dx_m/dr_a = (s_a c_b + I_m c_a s_b) / x'_m, with
-    # c = cosh r (hyperbolic) or 1 (euclidean).
+    # c = cosh r = 1 + T (hyperbolic) or 1 (euclidean).
     if background is Background.HYPERBOLIC:
-        s, c = np.sinh(radii)[faces], np.cosh(radii)[faces]
+        t, p = factors
+        s, c = p[faces], 1.0 + t[faces]
     else:
-        s, c = radii[faces], np.ones(faces.shape)
+        s, c = factors[faces], np.ones(faces.shape)
     s_a, c_a = s[:, None, :], c[:, None, :]
     inv_m = inversive[opposite][:, :, None]
     dx_dr = (s_a * c[:, _THIRD] + inv_m * c_a * s[:, _THIRD]) / sx_m[:, :, None]
@@ -226,20 +227,17 @@ def angle_jacobian_u(background: Background, radii, inversive) -> np.ndarray:
     negative definite."""
     r = check_radii(np.reshape(radii, 3))
     inv = check_inversive(np.reshape(inversive, 3), permissive=True)
-    # the length kernel raises RangeError for radii and lengths past the size limit
-    edges = _edge_lengths_arrays(background, r, _NEXT, _PREV, inv)
+    # RangeError for radii and lengths past the size limit
+    factors = _radius_factors(background, r)
+    edges = _edge_lengths_arrays(background, factors, _NEXT, _PREV, inv)
     return angle_jacobians_batch(
-        background, r, inv, edges, _TRIANGLE_TABLES[0], _TRIANGLE_TABLES
+        background, factors, inv, edges, _TRIANGLE_TABLES[0], _TRIANGLE_TABLES
     )[0]
 
 
 # ---------------------------------------------------------------------------
 # Degenerate-threshold radius
 # ---------------------------------------------------------------------------
-
-#: the bisection stops once the gap l_ij + l_ik - l_jk is this close to 0
-_THRESHOLD_TOLERANCE = 1e-12
-
 
 def degenerate_threshold_radius(
     r_j: float, r_k: float, inv_ij: float, inv_ik: float, inv_jk: float
@@ -249,9 +247,12 @@ def degenerate_threshold_radius(
     Solves l_ij + l_ik = l_jk for r_i with r_j, r_k fixed.  The left side
     minus the right is strictly increasing in r_i, negative at 0 exactly
     when inv_jk > 1, so the root is unique; for inv_jk in [0, 1] the face
-    never degenerates by shrinking r_i and the threshold is 0.  The bracket
-    doubles to 256 at most: l_ij >= r_i for I >= 0, so the gap exceeds
-    2 r_i - l_jk > 0 once r_i > 175, as l_jk <= 350.
+    never degenerates by shrinking r_i and the threshold is 0.  The root is
+    bisected to rounding on the curvature kernel's own degeneracy rule, the
+    sign of min_m (num_m + den_m), which may see no root (threshold 0) when
+    inv_jk is within rounding of 1.  The bracket doubles to 256 at most:
+    l_ij >= r_i for I >= 0, so the gap is positive once r_i > 175, as
+    l_jk <= 350.
     """
     check_radii([r_j, r_k])
     check_inversive([inv_ij, inv_ik, inv_jk])
@@ -259,26 +260,23 @@ def degenerate_threshold_radius(
         return 0.0
 
     bg = Background.HYPERBOLIC
-    l_jk = edge_length(bg, r_j, r_k, inv_jk)
+    # slot 0 is i, and inversive[m] lies on the edge opposite slot m
+    inversive = np.array([inv_jk, inv_ik, inv_ij])
 
-    def gap(r_i: float) -> float:
-        if r_i == 0.0:
-            return r_j + r_k - l_jk
-        return edge_length(bg, r_i, r_j, inv_ij) + edge_length(bg, r_i, r_k, inv_ik) - l_jk
+    def admissible(r_i: float) -> bool:
+        factors = _radius_factors(bg, np.array([r_i, r_j, r_k]))
+        edges = _edge_lengths_arrays(bg, factors, _NEXT, _PREV, inversive)
+        num, den = _cosine_law(bg, *edges, _TRIANGLE_TABLES)
+        return bool((num + den).min() > 0.0)
 
-    lo, f_lo = 0.0, gap(0.0)
-    assert f_lo < 0  # guaranteed by inv_jk > 1
-    hi = 1.0
-    while gap(hi) <= 0:
-        hi *= 2.0
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = gap(mid)
-        if abs(f_mid) <= _THRESHOLD_TOLERANCE:
-            return mid
-        if f_mid < 0:
-            lo = mid
-        else:
+    lo, hi = 0.0, 1.0
+    if admissible(lo):
+        return 0.0
+    while not admissible(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if admissible(mid):
             hi = mid
-    raise DomainError("threshold bisection failed to meet its tolerance")
+        else:
+            lo = mid
+    return lo

@@ -25,8 +25,9 @@ from .packing import (
     _check_fits,
     _edge_lengths_arrays,
     _metric_edge_arrays,
+    _radius_factors,
+    _u_factors,
     check_inversive,
-    u_to_radii_array,
 )
 
 
@@ -93,18 +94,16 @@ def make_curvature_evaluator(
 
     Validates the inversive distances once, by ``check_inversive`` with
     negative values allowed, and skips per-call metric construction; the
-    returned callable maps u to ``(K, mask)`` with
-    values bit-identical to ``extended_curvature``.  ``PotentialContext``
-    builds the one that every u-space path uses.  A caller that already holds
-    ``u_to_radii_array(u)`` passes it as ``radii`` to skip that stage.
+    returned callable maps u to ``(K, mask)`` by the kernel of
+    ``extended_curvature`` on the factors of ``_u_factors``, forming no
+    radii, so its K differs from that of the radii of u by rounding.
+    ``PotentialContext`` builds the one that every u-space path uses.
     """
     inv = check_inversive(inversive, complex, permissive=True)
     tail, head = np.ascontiguousarray(complex.edges.T)
 
-    def evaluate(u_values: np.ndarray, radii: np.ndarray | None = None):
-        if radii is None:
-            radii = u_to_radii_array(u_values, background)
-        edges = _edge_lengths_arrays(background, radii, tail, head, inv)
+    def evaluate(u_values: np.ndarray):
+        edges = _edge_lengths_arrays(background, _u_factors(background, u_values), tail, head, inv)
         values, _, degenerate = _curvature_kernel(complex, background, *edges)
         return values, degenerate
 
@@ -136,14 +135,15 @@ def gauss_bonnet_defect(complex: SurfaceComplex, metric: PackingMetric) -> float
 
 
 def _jacobian_blocks(
-    complex: SurfaceComplex, background: Background, radii: np.ndarray, inversive: np.ndarray
+    complex: SurfaceComplex, background: Background, factors, inversive: np.ndarray
 ) -> np.ndarray:
-    """(F, 3, 3) blocks: [f, p, q] is face f's share of dK/du at (faces[f, p], faces[f, q]).
+    """(F, 3, 3) blocks: [f, p, q] is face f's share of dK/du at (faces[f, p], faces[f, q]),
+    from the per-vertex ``factors`` of ``_radius_factors`` or ``_u_factors``.
 
     Raises BoundaryError unless every face is strictly admissible."""
-    edges = _edge_lengths_arrays(background, radii, *complex.edges.T, inversive)
+    edges = _edge_lengths_arrays(background, factors, *complex.edges.T, inversive)
     return -angle_jacobians_batch(
-        background, radii, inversive, edges, complex.faces, complex.face_edge_tables
+        background, factors, inversive, edges, complex.faces, complex.face_edge_tables
     )
 
 
@@ -157,7 +157,8 @@ def curvature_jacobian(complex: SurfaceComplex, metric: PackingMetric) -> np.nda
     """
     _check_fits(complex, metric)
     try:
-        blocks = _jacobian_blocks(complex, metric.background, metric.radii, metric.inversive)
+        factors = _radius_factors(metric.background, metric.radii)
+        blocks = _jacobian_blocks(complex, metric.background, factors, metric.inversive)
     except BoundaryError:
         _, bad = is_admissible(complex, metric)
         raise BoundaryError(

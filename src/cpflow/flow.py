@@ -34,7 +34,7 @@ from .packing import (
     Background,
     UCoords,
     from_u,
-    u_to_radii_array,
+    radii_to_u_array,
 )
 from .potential import PotentialContext, _domain_ok, potential_gradient, segment_integral
 
@@ -110,6 +110,15 @@ def _validate_config(config: FlowConfig) -> None:
         raise ConfigError("extended flow has a zero target; use variant='prescribed'")
 
 
+def _u_cap(background: Background, radius_cap: float) -> float:
+    """ln tanh(cap/2) or ln cap: a radius is above the cap when its u is
+    above this.  0 where ln tanh(cap/2) rounds to 0, as no u < 0 is then."""
+    try:
+        return float(radii_to_u_array(np.array([radius_cap]), background)[0])
+    except DomainError:  # "radius too large for the u-coordinate change"
+        return 0.0
+
+
 def _advance(u: np.ndarray, h: float, f: np.ndarray) -> np.ndarray:
     """u + h f; an overflow to inf is left to the checks that follow."""
     with np.errstate(over="ignore"):
@@ -148,9 +157,10 @@ def run_flow(
     ctx = PotentialContext(complex, inversive, u0, config.target)
     target, background = ctx.target, ctx.background
     classical = config.variant == "classical"
+    u_cap = _u_cap(background, config.divergence_radius_cap)
 
-    def evaluate(u_arr: np.ndarray, radii: np.ndarray | None = None) -> tuple:
-        evaluation = ctx._evaluate(u_arr, radii)
+    def evaluate(u_arr: np.ndarray) -> tuple:
+        evaluation = ctx._evaluate(u_arr)
         if classical and np.count_nonzero(evaluation[1]):
             raise _not_admissible(evaluation[1])
         return evaluation
@@ -225,16 +235,12 @@ def run_flow(
             break
         if not np.isfinite(u_next).all():
             raise StepError(f"non-finite state at t={(step_index + 1) * dt:g}")
-        if not _domain_ok(background, u_next):
-            status = "diverged"
-            break
-        radii = u_to_radii_array(u_next, background)
-        if (radii > config.divergence_radius_cap).any():
+        if not _domain_ok(background, u_next) or np.count_nonzero(u_next > u_cap):
             status = "diverged"
             break
 
-        try:  # the cap check's radii, so u_next maps to radii once
-            at_next = evaluate(u_next, radii)
+        try:
+            at_next = evaluate(u_next)
         except NotAdmissibleError:
             status = "left_admissible"
             break

@@ -8,6 +8,9 @@ inversive distance it induces edge lengths
 
 The hyperbolic kernels below avoid the catastrophic cancellation of the
 naive formulas at small radii by working with cosh(x) - 1 = 2 sinh^2(x/2).
+The length kernel reads per-vertex factors: a metric's radii enter through
+``_radius_factors``, and u-space (flow, potential, Newton) through
+``_u_factors``, which forms no radii; ``u_to_radii_array`` serves outputs.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ HYPERBOLIC_SIZE_LIMIT = 350.0
 
 #: cosh(l) - 1 at the size limit: a larger excess is a longer edge.
 _EXCESS_LIMIT = float(np.cosh(HYPERBOLIC_SIZE_LIMIT)) - 1.0
+
+#: ln tanh(175), which ``radii_to_u_array`` rounds to -2 e^-350: a radius is
+#: above the size limit exactly when its u is above this.
+_U_SIZE_LIMIT = -2.0 * float(np.exp(-HYPERBOLIC_SIZE_LIMIT))
 
 #: the lowest u-coordinate the Newton line search admits: radius 1.03e-130,
 #: where the length kernel is still exact.  The real floor of that kernel
@@ -133,11 +140,13 @@ class UCoords:
             raise DomainError("hyperbolic u-coordinates must be negative")
 
 
+def _size_error(what: str) -> RangeError:
+    return RangeError(f"{what} above {HYPERBOLIC_SIZE_LIMIT:g} would overflow cosh/sinh")
+
+
 def _check_hyperbolic_sizes(values: np.ndarray, what: str) -> None:
     if np.count_nonzero(values > HYPERBOLIC_SIZE_LIMIT):
-        raise RangeError(
-            f"{what} above {HYPERBOLIC_SIZE_LIMIT:g} would overflow cosh/sinh"
-        )
+        raise _size_error(what)
 
 
 def _require_defined(defined: np.ndarray, message: str) -> None:
@@ -149,12 +158,54 @@ def _require_defined(defined: np.ndarray, message: str) -> None:
         raise error
 
 
+def _radius_factors(background: Background, radii: np.ndarray):
+    """Per-vertex factors of the length kernel from radii: r (euclidean), or
+    (T, P) = (cosh r - 1, sinh r), T as 2 sinh^2(r/2) (hyperbolic), where a
+    radius above the size limit raises RangeError."""
+    if background is Background.EUCLIDEAN:
+        return radii
+    _check_hyperbolic_sizes(radii, "radii")
+    half = np.sinh(0.5 * radii)
+    t = 2.0 * half
+    t *= half
+    return t, np.sinh(radii)
+
+
+def _hyperbolic_x(u: np.ndarray, u_max: float = -5e-324) -> np.ndarray:
+    """x = e^u = tanh(r/2) of hyperbolic u-coordinates, refused in this order:
+    DomainError for u >= 0 and for an x that underflows to 0, RangeError for
+    another u above ``u_max`` (by default the largest negative double)."""
+    above = np.count_nonzero(u > u_max)
+    if above and np.count_nonzero(u >= 0):
+        raise DomainError("hyperbolic u-coordinates must be negative")
+    x = np.exp(u)
+    if np.count_nonzero(x) < x.size:
+        raise DomainError("radius underflow: u-coordinate too negative")
+    if above:
+        raise _size_error("radii")
+    return x
+
+
+def _u_factors(background: Background, u: np.ndarray):
+    """The factors of ``_radius_factors`` at u-coordinates u, with no radii
+    formed: r = e^u (euclidean), or, with x = e^u and 1 - x^2 = -expm1(2u),
+    P = 2x / (1 - x^2) and T = x P (hyperbolic), within about an ulp of the
+    exact values.  Refused as the radii of u would be, a radius above the
+    size limit as u > ln tanh(175)."""
+    if background is Background.EUCLIDEAN:
+        return np.exp(u)
+    x = _hyperbolic_x(u, _U_SIZE_LIMIT)
+    p = np.expm1(u + u)
+    np.divide(-2.0 * x, p, out=p)
+    return x * p, p
+
+
 def _edge_lengths_arrays(
-    background: Background, radii: np.ndarray, tail, head, inv: np.ndarray
+    background: Background, factors, tail, head, inv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Excesses e and x' = sinh l or l of the edges joining the vertices
-    ``tail`` and ``head`` (index arrays into the per-vertex radii): the
-    per-edge stage of every curvature evaluation, from which the lengths
+    ``tail`` and ``head`` (index arrays into the per-vertex ``factors``):
+    the per-edge stage of every curvature evaluation, from which the lengths
     follow as ``_lengths``.  Exact for radii from the one at
     ``U_COORDINATE_FLOOR`` (about 1e-130; see there for the real floor) up to
     the size limit.
@@ -162,7 +213,7 @@ def _edge_lengths_arrays(
     The excess is cosh l - 1 (hyperbolic) or l^2 / 2 (euclidean), the
     quantity the cosine law of the angle kernel works in, and
     x' = sqrt(e (lambda e + 2)).  In hyperbolic background it is built from
-    per-vertex factors T = cosh r - 1 = 2 sinh^2(r/2) and P = sinh r as
+    the factors T = cosh r - 1 and P = sinh r as
 
         e = (1 + T_i)(1 + T_j) - 1 + I P_i P_j
           = ((T_i + T_j) + T_i T_j) + I P_i P_j,
@@ -171,20 +222,18 @@ def _edge_lengths_arrays(
     no per-edge transcendental call; it is symmetric in the two ends bit for
     bit.  Every returned excess is positive and finite: a hyperbolic edge
     longer than the size limit raises RangeError, however far its length
-    would overflow, and any other undefined length raises DomainError with
-    the index of the first such edge as ``edge``.
+    would overflow, and any other undefined length (an overflowing euclidean
+    one too) raises DomainError with the index of the first such edge as ``edge``.
     """
     if background is Background.EUCLIDEAN:
-        ri, rj = radii[tail], radii[head]
-        sq = (ri - rj) ** 2 + 2.0 * (1.0 + inv) * ri * rj
+        ri, rj = factors[tail], factors[head]
+        with np.errstate(over="ignore"):  # inf is refused below
+            sq = (ri - rj) ** 2 + 2.0 * (1.0 + inv) * ri * rj
         _require_defined((sq > 0) & (sq < np.inf),
                          "euclidean edge length is not defined (l^2 <= 0 or not finite)")
         excess = 0.5 * sq
         return excess, np.sqrt(2.0 * excess)
-    _check_hyperbolic_sizes(radii, "radii")
-    half = np.sinh(0.5 * radii)
-    t, p = 2.0 * half, np.sinh(radii)
-    t *= half
+    t, p = factors
     t_i, t_j = t[tail], t[head]
     excess = t_i + t_j
     t_i *= t_j
@@ -196,9 +245,7 @@ def _edge_lengths_arrays(
     excess += product
     _require_defined(excess > 0, "hyperbolic edge length is not defined (cosh l - 1 not > 0)")
     if np.count_nonzero(excess > _EXCESS_LIMIT):
-        raise RangeError(
-            f"lengths above {HYPERBOLIC_SIZE_LIMIT:g} would overflow cosh/sinh"
-        )
+        raise _size_error("lengths")
     return excess, np.sqrt(excess * (excess + 2.0))
 
 
@@ -213,7 +260,7 @@ def edge_length(background: Background, r_i: float, r_j: float, inversive: float
     """Length of one edge from its endpoint radii and inversive distance."""
     radii = check_radii([r_i, r_j])
     inv = check_inversive([inversive], permissive=True)
-    edges = _edge_lengths_arrays(background, radii, [0], [1], inv)
+    edges = _edge_lengths_arrays(background, _radius_factors(background, radii), [0], [1], inv)
     return float(_lengths(background, *edges)[0])
 
 
@@ -234,7 +281,8 @@ def _metric_edge_arrays(
     _check_fits(complex, metric)
     background, radii, inversive = metric.background, metric.radii, metric.inversive
     try:
-        return _edge_lengths_arrays(background, radii, *complex.edges.T, inversive)
+        factors = _radius_factors(background, radii)
+        return _edge_lengths_arrays(background, factors, *complex.edges.T, inversive)
     except DomainError as exc:
         i, j = complex.edges[exc.edge].tolist()
         raise DomainError(f"edge ({i}, {j}): {exc}") from None
@@ -248,16 +296,24 @@ def all_edge_lengths(complex: SurfaceComplex, metric: PackingMetric) -> np.ndarr
 def inversive_from_length(
     background: Background, r_i: float, r_j: float, length: float
 ) -> float:
-    """Invert the edge-length formula: recover I from (l, r_i, r_j)."""
+    """Invert the edge-length formula: recover I from (l, r_i, r_j), by the
+    excess form on the same factors, e = T of l (hyperbolic), or by ratios
+    (euclidean).  RangeError where I is not finite in double precision."""
     check_radii([r_i, r_j])
     if not 0 < length < np.inf:
         raise DomainError("length must be finite and > 0")
-    if background is Background.EUCLIDEAN:
-        return (length**2 - r_i**2 - r_j**2) / (2.0 * r_i * r_j)
-    _check_hyperbolic_sizes(np.asarray([r_i, r_j, length]), "radii or length")
-    return (np.cosh(length) - np.cosh(r_i) * np.cosh(r_j)) / (
-        np.sinh(r_i) * np.sinh(r_j)
-    )
+    values = np.array([r_i, r_j, length])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if background is Background.EUCLIDEAN:
+            r_i, r_j, length = values
+            inv = ((length / r_i) * (length / r_j) - r_i / r_j - r_j / r_i) / 2.0
+        else:
+            _check_hyperbolic_sizes(values, "radii or length")
+            t, p = _radius_factors(background, values)
+            inv = (t[2] - ((t[0] + t[1]) + t[0] * t[1])) / (p[0] * p[1])
+    if not np.isfinite(inv):
+        raise RangeError("the inversive distance is not finite in double precision")
+    return float(inv)
 
 
 def triangle_inequality_violations(lengths: np.ndarray) -> np.ndarray:
@@ -299,12 +355,7 @@ def u_to_radii_array(u: np.ndarray, background: Background) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if background is Background.EUCLIDEAN:
         return np.exp(u)
-    if np.count_nonzero(u >= 0):
-        raise DomainError("hyperbolic u-coordinates must be negative")
-    radii = np.log1p(2.0 * np.exp(u) / (-np.expm1(u)))
-    if np.count_nonzero(radii <= 0):
-        raise DomainError("radius underflow: u-coordinate too negative")
-    return radii
+    return np.log1p(2.0 * _hyperbolic_x(u) / (-np.expm1(u)))
 
 
 def to_u(metric: PackingMetric) -> UCoords:

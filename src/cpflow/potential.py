@@ -49,8 +49,8 @@ from .packing import (
     U_COORDINATE_FLOOR,
     UCoords,
     _edge_lengths_arrays,
+    _u_factors,
     check_inversive,
-    u_to_radii_array,
 )
 
 _ARMIJO_SLOPE_FRACTION = 1e-4
@@ -205,8 +205,8 @@ def _face_slack(ctx, u_from, direction, faces):
 
     Works on the faces' own three edges only.  A face's slack is
     min_m (num_m + den_m) of its cosine-law terms, formed by the evaluator's
-    own operations on the same radii, so it is <= 0 exactly when the
-    evaluator marks the face degenerate at that s.
+    own operations on the same u-values and factors, so it is <= 0 exactly
+    when the evaluator marks the face degenerate at that s.
     """
     opposite = ctx.complex.face_opposite_edges[faces]
     vertices = ctx.complex.edges[opposite][:, None]  # (faces, 1, 3 edges, 2 ends)
@@ -215,10 +215,11 @@ def _face_slack(ctx, u_from, direction, faces):
 
     def slack(s: np.ndarray) -> np.ndarray:
         # u_from[v] + s d[v], as the evaluator computes it at s
-        radii = u_to_radii_array(u_ends + s[:, :, None, None] * d_ends, ctx.background).ravel()
-        pairs = np.arange(0, len(radii), 2)
+        u = (u_ends + s[:, :, None, None] * d_ends).ravel()
+        pairs = np.arange(0, len(u), 2)
         inv = np.broadcast_to(inversive, s.shape + (3,)).ravel()
-        edges = _edge_lengths_arrays(ctx.background, radii, pairs, pairs + 1, inv)
+        factors = _u_factors(ctx.background, u)
+        edges = _edge_lengths_arrays(ctx.background, factors, pairs, pairs + 1, inv)
         corners = np.arange(len(pairs)).reshape(-1, 3)
         tables = corners, corners[:, _NEXT], corners[:, _PREV]
         num, den = _cosine_law(ctx.background, *edges, tables)
@@ -382,9 +383,9 @@ def _newton_direction(ctx: PotentialContext, u: np.ndarray, grad: np.ndarray):
     never as an N x N matrix.  mu climbs 0, 1e-10, 1e-9, ... while conjugate
     gradients finds H + mu I not positive definite, and gives up above 1e-2.
     """
-    radii = u_to_radii_array(u, ctx.background)
+    factors = _u_factors(ctx.background, u)
     try:
-        blocks = _jacobian_blocks(ctx.complex, ctx.background, radii, ctx.inversive)
+        blocks = _jacobian_blocks(ctx.complex, ctx.background, factors, ctx.inversive)
     except BoundaryError:
         return None
     mu = 0.0

@@ -46,6 +46,7 @@ from cpflow.obstructions import enumerate_subsets
 from cpflow.packing import (
     UCoords,
     _metric_edge_arrays,
+    _radius_factors,
     radii_to_u_array,
     triangle_inequality_violations,
     u_to_radii_array,
@@ -193,7 +194,7 @@ def test_criterion_03_jacobian_contracts(genus2):
                     break
             face_jacs = angle_jacobians_batch(
                 HYP,
-                metric.radii,
+                _radius_factors(HYP, metric.radii),
                 metric.inversive,
                 _metric_edge_arrays(complex, metric),
                 complex.faces,

@@ -263,6 +263,16 @@ def test_threshold_radius_refuses_bad_input(args):
         degenerate_threshold_radius(*args)
 
 
+@pytest.mark.parametrize("radius", [0.1, 1.0, 5.0])
+def test_threshold_radius_of_an_inversive_distance_just_above_one(radius):
+    # The exact root is of order sqrt(2.3e-16) r or less, below what the
+    # kernel resolves; the bisection on the kernel's own rule returns a
+    # radius where it sees the face degenerate (0 if it sees no such
+    # radius), with no failed bracket check.
+    root = degenerate_threshold_radius(radius, radius, 0.0, 0.0, 1.0 + 2.3e-16)
+    assert 0.0 <= root < 1e-6 * radius
+
+
 def test_threshold_radius_root(rng):
     for _ in range(20):
         r_j, r_k = np.exp(rng.uniform(np.log(0.3), np.log(2.0), 2))

@@ -24,6 +24,7 @@ from cpflow import (
     to_u,
     triangulated_torus,
 )
+import cpflow.flow as flow_module
 from cpflow.io import write_trace_csv
 from cpflow.packing import UCoords, from_u, radii_to_u_array, u_to_radii_array
 from cpflow.potential import PotentialContext, segment_integral
@@ -515,6 +516,26 @@ def test_stability_certificate_euclidean_gauge(torus):
     assert report.certified
 
 
+@pytest.mark.parametrize("background", [HYP, EUC])
+def test_divergence_cap_in_u_is_the_radius_cap(background):
+    # u > _u_cap(cap) exactly where the radius of u is above the cap, away
+    # from rounding at the cap itself; for caps above about 745, where
+    # ln tanh(cap/2) rounds to 0, no u < 0 is past the cap and no finite
+    # radius is either.  Hyperbolic u cover radii from 1e-130 up to about
+    # 691, where u_to_radii_array stays finite.
+    if background is HYP:
+        u = -np.logspace(np.log10(300.0), -300.0, 4001)
+    else:
+        u = np.linspace(-300.0, 300.0, 4001)
+    radii = u_to_radii_array(u, background)
+    for cap in (1e-100, 1e-3, 0.5, 1.0, 20.0, 300.0, 350.0, 650.0, 745.0, 746.0, 1e12, 1e300):
+        bound = flow_module._u_cap(background, cap)
+        if background is HYP and cap >= 746.0:
+            assert bound == 0.0
+        clear = np.abs(radii / cap - 1.0) > 1e-12
+        assert np.array_equal((u > bound)[clear], (radii > cap)[clear])
+
+
 def test_huge_step_reported_as_divergence(genus2):
     # a ridiculous step size throws the state out of the representable
     # domain; the run reports divergence instead of crashing
@@ -555,12 +576,12 @@ def test_euclidean_certificate_is_the_smallest_eigenvalue_off_the_gauge(torus, r
         checked += 1
 
 
-def test_each_step_maps_u_to_radii_once(genus2, monkeypatch):
-    # The divergence-cap check hands its radii to the step's curvature
-    # evaluation, so u -> radii runs once per curvature evaluation.
+def test_flow_steps_map_no_u_to_radii(genus2, monkeypatch):
+    # The evaluator reads its factors from u and the divergence cap is
+    # compared in u, so a run forms no radii: u_to_radii_array is left to
+    # outputs and from_u.
     # The package re-exports the function `curvature`, which hides the module.
     curvature_module = importlib.import_module("cpflow.curvature")
-    flow_module = importlib.import_module("cpflow.flow")
     potential_module = importlib.import_module("cpflow.potential")
 
     calls = {"radii": 0, "evals": 0}
@@ -579,8 +600,10 @@ def test_each_step_maps_u_to_radii_once(genus2, monkeypatch):
 
         return counted
 
-    for module in (curvature_module, flow_module):
-        monkeypatch.setattr(module, "u_to_radii_array", counted_radii)
+    for name in ("packing", "angles", "curvature", "flow", "potential", "obstructions"):
+        module = importlib.import_module(f"cpflow.{name}")
+        if hasattr(module, "u_to_radii_array"):
+            monkeypatch.setattr(module, "u_to_radii_array", counted_radii)
     monkeypatch.setattr(potential_module, "make_curvature_evaluator", counted_evaluator)
     rng = np.random.default_rng(3)
     metric = random_admissible_metric(genus2, rng, inversive_range=(0.0, 1.0))
@@ -588,4 +611,4 @@ def test_each_step_maps_u_to_radii_once(genus2, monkeypatch):
     result = run_flow(genus2, metric.inversive, to_u(metric), config)
     assert result.iterations == 40
     assert calls["evals"] == 1 + 4 * result.iterations
-    assert calls["radii"] == calls["evals"]
+    assert calls["radii"] == 0

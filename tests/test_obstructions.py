@@ -34,6 +34,7 @@ from cpflow.obstructions import enumerate_subsets
 from cpflow.packing import (
     UCoords,
     _edge_lengths_arrays,
+    _radius_factors,
     radii_to_u_array,
     triangle_inequality_violations,
 )
@@ -48,7 +49,7 @@ def _triangle_angles(radii, inversive):
     """Inner angles of the hyperbolic triangle with these radii, inversive
     distance m on the edge opposite vertex m, through the curvature kernel's
     own length and angle stages."""
-    edges = _edge_lengths_arrays(HYP, radii, _NEXT, _PREV, inversive)
+    edges = _edge_lengths_arrays(HYP, _radius_factors(HYP, radii), _NEXT, _PREV, inversive)
     return extended_angles_batch(HYP, *edges, _TRIANGLE_TABLES)[0][0]
 
 

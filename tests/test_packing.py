@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cpflow.packing as packing_module
 from cpflow import (
@@ -25,6 +27,8 @@ from cpflow.curvature import make_curvature_evaluator
 from cpflow.packing import (
     U_COORDINATE_FLOOR,
     _edge_lengths_arrays,
+    _radius_factors,
+    _u_factors,
     check_radii,
     radii_to_u_array,
     u_to_radii_array,
@@ -101,7 +105,8 @@ def test_excess_from_vertex_factors_matches_the_two_sinh_form(rng):
     radii = np.exp(rng.uniform(np.log(1e-6), np.log(50.0), (2, 20000)))
     inversive = rng.uniform(0.0, 5.0, 20000)
     tail = np.arange(20000)
-    excess, _ = _edge_lengths_arrays(HYP, radii.ravel(), tail, tail + 20000, inversive)
+    factors = _radius_factors(HYP, radii.ravel())
+    excess, _ = _edge_lengths_arrays(HYP, factors, tail, tail + 20000, inversive)
     r_i, r_j = radii.astype(np.longdouble)
     half = np.longdouble(0.5)
     expected = (
@@ -226,7 +231,7 @@ def test_undefined_length_names_its_edge(tetra):
         assert str(raised.value) == "edge (2, 3): " + message
     evaluate = make_curvature_evaluator(tetra, HYP, metric.inversive)
     with pytest.raises(DomainError) as raised:
-        evaluate(radii_to_u_array(metric.radii, HYP), metric.radii)
+        evaluate(radii_to_u_array(metric.radii, HYP))
     assert str(raised.value) == message
 
 
@@ -283,6 +288,45 @@ def test_u_round_trip_large_radii():
     assert np.all(u < 0)
     back = u_to_radii_array(u, HYP)
     assert back == pytest.approx(radii, rel=1e-13)
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 2**32 - 1))
+def test_vertex_factors_from_u_match_the_sinh_forms(seed):
+    # (T, P) from x = e^u against 2 sinh^2(r/2) and sinh r at r =
+    # u_to_radii_array(u), over u from U_COORDINATE_FLOOR (r = 1e-130) up
+    # to -1e-150 (r = 346).  Both stay within 4 (1 + r) ulps: the radius
+    # carries a relative rounding of an ulp, which sinh r and sinh^2(r/2)
+    # amplify r-fold; a 50-digit check puts the factors from u within 1.3
+    # ulps of the exact values and the sinh forms up to 119 ulps off.
+    rng = np.random.default_rng(seed)
+    u = -np.exp(rng.uniform(np.log(1e-150), np.log(-U_COORDINATE_FLOOR), 2000))
+    radii = u_to_radii_array(u, HYP)
+    bound = 4.0 * (1.0 + radii) * np.finfo(float).eps
+    for got, expected in zip(_u_factors(HYP, u), _radius_factors(HYP, radii)):
+        assert np.all(np.abs(got - expected) <= bound * expected)
+    assert np.array_equal(_u_factors(EUC, u), u_to_radii_array(u, EUC))
+
+
+@pytest.mark.parametrize(
+    "background, r_i, r_j, length",
+    [(EUC, 1.0, 1.0, 1e308), (EUC, 1e-200, 1e-200, 1.0), (HYP, 1e-200, 1e-200, 1.0)],
+)
+def test_inversive_from_length_refuses_an_unrepresentable_result(background, r_i, r_j, length):
+    # I is about 5e615, 5e399 and 5.4e399: not finite in double precision,
+    # and refused without an arithmetic error or warning on the way.
+    with pytest.raises(RangeError, match="inversive distance is not finite"):
+        inversive_from_length(background, r_i, r_j, length)
+
+
+def test_euclidean_overflow_is_refused_without_a_warning(tetra):
+    # An overflowing euclidean length is a DomainError, with no numpy
+    # RuntimeWarning on the way (an error under this suite's filter).
+    with pytest.raises(DomainError, match="euclidean edge length is not defined"):
+        edge_length(EUC, 1e200, 1e200, 0.0)
+    metric = PackingMetric(EUC, np.zeros(6), np.full(4, 1e308))
+    with pytest.raises(DomainError, match="euclidean edge length is not defined"):
+        extended_curvature(tetra, metric)
 
 
 def test_from_u_validation(tetra):
