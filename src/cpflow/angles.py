@@ -112,7 +112,7 @@ def extended_angles_batch(
     violated = np.add(num, den) <= 0.0
     # clamped_arccos in place: (F, 3) temporaries are costly on large meshes
     angles = np.divide(num, den, out=num)
-    np.arccos(np.clip(angles, -1.0, 1.0, out=angles), out=angles)
+    np.arccos(angles.clip(-1.0, 1.0, out=angles), out=angles)
     if not np.count_nonzero(violated):
         return angles, np.zeros(len(angles), dtype=bool)
     # Pin degenerate rows to exactly (pi, 0, 0), pi at the violated corner;

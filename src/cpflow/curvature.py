@@ -22,6 +22,7 @@ from .errors import BoundaryError, NotAdmissibleError
 from .packing import (
     Background,
     PackingMetric,
+    _OVERFLOW_FREE_INVERSIVE,
     _check_fits,
     _edge_lengths_arrays,
     _metric_edge_arrays,
@@ -97,13 +98,16 @@ def make_curvature_evaluator(
     returned callable maps u to ``(K, mask)`` by the kernel of
     ``extended_curvature`` on the factors of ``_u_factors``, forming no
     radii, so its K differs from that of the radii of u by rounding.
-    ``PotentialContext`` builds the one that every u-space path uses.
+    Whether I P_i P_j may overflow is decided once, from the inversive
+    distances.  ``PotentialContext`` builds the one that every u-space path uses.
     """
     inv = check_inversive(inversive, complex, permissive=True)
     tail, head = np.ascontiguousarray(complex.edges.T)
+    overflow = bool(inv.max(initial=0.0) > _OVERFLOW_FREE_INVERSIVE)
 
     def evaluate(u_values: np.ndarray):
-        edges = _edge_lengths_arrays(background, _u_factors(background, u_values), tail, head, inv)
+        factors = _u_factors(background, u_values)
+        edges = _edge_lengths_arrays(background, factors, tail, head, inv, overflow)
         values, _, degenerate = _curvature_kernel(complex, background, *edges)
         return values, degenerate
 

@@ -119,12 +119,6 @@ def _u_cap(background: Background, radius_cap: float) -> float:
         return 0.0
 
 
-def _advance(u: np.ndarray, h: float, f: np.ndarray) -> np.ndarray:
-    """u + h f; an overflow to inf is left to the checks that follow."""
-    with np.errstate(over="ignore"):
-        return u + h * f
-
-
 def residual(
     complex: SurfaceComplex,
     inversive: np.ndarray,
@@ -205,46 +199,48 @@ def run_flow(
             )
         )
 
-    for step_index in range(n_steps + 1):
-        if step_index % config.sample_every == 0:
-            record(step_index)
-            in_tolerance = float(np.max(np.abs(now[0] - target))) <= config.tolerance
-            in_tolerance_streak = in_tolerance_streak + 1 if in_tolerance else 0
-            if in_tolerance_streak >= _SUSTAINED_SAMPLES:
-                status = "converged"
+    # A stage's u + h f may overflow to inf, which the checks below refuse.
+    with np.errstate(over="ignore"):
+        for step_index in range(n_steps + 1):
+            if step_index % config.sample_every == 0:
+                record(step_index)
+                in_tolerance = float(np.max(np.abs(now[0] - target))) <= config.tolerance
+                in_tolerance_streak = in_tolerance_streak + 1 if in_tolerance else 0
+                if in_tolerance_streak >= _SUSTAINED_SAMPLES:
+                    status = "converged"
+                    break
+            if step_index == n_steps:
+                status = "max_time_reached"
                 break
-        if step_index == n_steps:
-            status = "max_time_reached"
-            break
 
-        f1 = target - now[0]
-        try:
-            if config.integrator == "euler":
-                u_next = _advance(u, dt, f1)
-            else:
-                f2 = target - evaluate(_advance(u, 0.5 * dt, f1))[0]
-                f3 = target - evaluate(_advance(u, 0.5 * dt, f2))[0]
-                f4 = target - evaluate(_advance(u, dt, f3))[0]
-                u_next = _advance(u, dt / 6.0, f1 + 2.0 * f2 + 2.0 * f3 + f4)
-        except NotAdmissibleError:
-            status = "left_admissible"
-            break
-        except DomainError:
-            # A stage point left the representable u-domain, in either direction.
-            status = "diverged"
-            break
-        if not np.isfinite(u_next).all():
-            raise StepError(f"non-finite state at t={(step_index + 1) * dt:g}")
-        if not _domain_ok(background, u_next) or np.count_nonzero(u_next > u_cap):
-            status = "diverged"
-            break
+            f1 = target - now[0]
+            try:
+                if config.integrator == "euler":
+                    u_next = u + dt * f1
+                else:
+                    f2 = target - evaluate(u + 0.5 * dt * f1)[0]
+                    f3 = target - evaluate(u + 0.5 * dt * f2)[0]
+                    f4 = target - evaluate(u + dt * f3)[0]
+                    u_next = u + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+            except NotAdmissibleError:
+                status = "left_admissible"
+                break
+            except DomainError:
+                # A stage point left the representable u-domain, in either direction.
+                status = "diverged"
+                break
+            if not np.isfinite(u_next).all():
+                raise StepError(f"non-finite state at t={(step_index + 1) * dt:g}")
+            if not _domain_ok(background, u_next) or np.count_nonzero(u_next > u_cap):
+                status = "diverged"
+                break
 
-        try:
-            at_next = evaluate(u_next)
-        except NotAdmissibleError:
-            status = "left_admissible"
-            break
-        u, now = u_next, at_next
+            try:
+                at_next = evaluate(u_next)
+            except NotAdmissibleError:
+                status = "left_admissible"
+                break
+            u, now = u_next, at_next
 
     if step_index % config.sample_every != 0:
         record(step_index)

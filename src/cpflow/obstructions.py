@@ -141,10 +141,20 @@ def _subset_lower_bounds(
 
 
 def _with_observed(report: ObstructionReport, values: np.ndarray) -> ObstructionReport:
-    """The report's subsets and bounds with each subset's curvature sum observed."""
+    """The report's subsets and bounds with each subset's curvature sum observed.
+
+    The subsets of one size are summed as the rows of one index matrix, which
+    numpy adds as it adds ``values[list(subset)]``, so bit for bit the same.
+    """
+    sizes = np.array([len(r.subset) for r in report.records], dtype=np.int64)
+    observed = np.empty(len(sizes))
+    for size in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique imports numpy.ma
+        rows = np.flatnonzero(sizes == size)
+        index = np.array([report.records[i].subset for i in rows.tolist()], dtype=np.int64)
+        observed[rows] = values[index].sum(axis=1)
     records = tuple(
-        SubsetRecord(r.subset, r.bound, float(values[list(r.subset)].sum()))
-        for r in report.records
+        SubsetRecord(r.subset, r.bound, sum_)
+        for r, sum_ in zip(report.records, observed.tolist())
     )
     return ObstructionReport(records=records, verdict=all(r.margin > 0 for r in records))
 

@@ -15,6 +15,7 @@ The length kernel reads per-vertex factors: a metric's radii enter through
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,6 +29,9 @@ HYPERBOLIC_SIZE_LIMIT = 350.0
 
 #: cosh(l) - 1 at the size limit: a larger excess is a longer edge.
 _EXCESS_LIMIT = float(np.cosh(HYPERBOLIC_SIZE_LIMIT)) - 1.0
+
+#: I P_i P_j cannot overflow for I up to this, as P <= sinh 350 (halved for rounding)
+_OVERFLOW_FREE_INVERSIVE = 0.5 * float(np.finfo(float).max / np.sinh(HYPERBOLIC_SIZE_LIMIT) ** 2)
 
 #: ln tanh(175), which ``radii_to_u_array`` rounds to -2 e^-350: a radius is
 #: above the size limit exactly when its u is above this.
@@ -201,7 +205,7 @@ def _u_factors(background: Background, u: np.ndarray):
 
 
 def _edge_lengths_arrays(
-    background: Background, factors, tail, head, inv: np.ndarray
+    background: Background, factors, tail, head, inv: np.ndarray, overflow: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Excesses e and x' = sinh l or l of the edges joining the vertices
     ``tail`` and ``head`` (index arrays into the per-vertex ``factors``):
@@ -224,6 +228,8 @@ def _edge_lengths_arrays(
     longer than the size limit raises RangeError, however far its length
     would overflow, and any other undefined length (an overflowing euclidean
     one too) raises DomainError with the index of the first such edge as ``edge``.
+    A caller whose I are at most ``_OVERFLOW_FREE_INVERSIVE`` may pass
+    ``overflow=False`` to form the hyperbolic I P_i P_j without ``np.errstate``.
     """
     if background is Background.EUCLIDEAN:
         ri, rj = factors[tail], factors[head]
@@ -239,7 +245,7 @@ def _edge_lengths_arrays(
     t_i *= t_j
     excess += t_i
     # I P_i P_j may overflow to inf, which the size check below catches.
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore") if overflow else nullcontext():
         product = inv * p[tail]
         product *= p[head]
     excess += product

@@ -8,7 +8,9 @@ domain and the integral is path independent.  The gradient is K - Kbar
 exactly, the Hessian on the smooth region is the curvature Jacobian, and
 in hyperbolic background with inversive distances >= 0 the potential is
 convex, which is what makes the Newton solver below globally reliable for
-admissible targets.
+admissible targets.  There the slope g(s) = (K(u + s d) - Kbar) . d is
+nondecreasing, so Phi(u + s d) - Phi(u) <= s g(s), and the line search
+accepts a trial with g(s) <= c g(0) by Armijo's rule without integrating.
 
 Every potential difference is the integral of (K - Kbar) . d along a
 segment u_from + s d, s in [0, 1], by one rule: adaptive Romberg on nested
@@ -99,6 +101,9 @@ class PotentialContext:
         object.__setattr__(self, "inversive", inv)
         evaluate = make_curvature_evaluator(self.complex, self.background, inv)
         object.__setattr__(self, "_evaluate", evaluate)
+        # The paper's extension: the potential is convex for I >= 0 in hyperbolic background.
+        convex = self.background is Background.HYPERBOLIC and not (inv < 0).any()
+        object.__setattr__(self, "_convex", convex)
         self._point(self.basepoint)
         n = self.complex.vertex_count
         tgt = np.zeros(n) if self.target is None else np.asarray(self.target, dtype=float)
@@ -440,12 +445,15 @@ def _domain_ok(background: Background, u: np.ndarray) -> bool:
 def _line_search(ctx, u, direction, grad, residual, at_u):
     """Backtracking step along a descent direction.
 
-    The Armijo test runs on potential differences integrated along the
-    step segment, with the quadrature tolerance scaled to the decrease
-    being resolved (integrating near degeneration kinks to 1e-12 would be
-    needlessly deep).  Once the expected decrease falls below quadrature
-    resolution, acceptance switches to a plain residual decrease.  ``at_u``
-    is the evaluation at u; the accepted point is returned with its own.
+    On a convex context a trial whose slope g(s) = (K - Kbar) . d is at most
+    c g(0) passes the Armijo test exactly, as the potential's decrease is at
+    most s g(s) there.  Other trials, past the line's minimum or on a
+    context with some I < 0, run the test on potential differences
+    integrated along the step segment, with the quadrature tolerance scaled
+    to the decrease being resolved (integrating near degeneration kinks to
+    1e-12 would be needlessly deep).  Once the expected decrease falls below
+    quadrature resolution, acceptance switches to a plain residual decrease.
+    ``at_u`` is the evaluation at u; the accepted point is returned with its own.
     """
     slope = float(grad @ direction)
     if slope >= 0.0:
@@ -456,9 +464,12 @@ def _line_search(ctx, u, direction, grad, residual, at_u):
         if _domain_ok(ctx.background, trial):
             scale = abs(s * slope)
             at_trial = ctx._evaluate(trial)
+            grad_trial = at_trial[0] - ctx.target
             if scale < 1e-9:
-                if float(np.max(np.abs(at_trial[0] - ctx.target))) < residual:
+                if float(np.max(np.abs(grad_trial))) < residual:
                     return trial, at_trial
+            elif ctx._convex and grad_trial @ direction <= _ARMIJO_SLOPE_FRACTION * slope:
+                return trial, at_trial
             else:
                 quad_tol = max(1e-12, scale * 1e-3)
                 try:

@@ -40,6 +40,7 @@ from cpflow import (
 from cpflow.curvature import _jacobian_blocks, make_curvature_evaluator
 from cpflow.potential import _crossings, _face_slack
 from cpflow.packing import (
+    _OVERFLOW_FREE_INVERSIVE,
     _edge_lengths_arrays,
     _radius_factors,
     _u_factors,
@@ -358,6 +359,18 @@ def test_the_size_limit_itself(radius, message):
         evaluate(radii_to_u_array(radii, HYP))
     with pytest.raises(RangeError, match=message):
         extended_curvature(complex, PackingMetric(HYP, inversive, radii))
+
+
+@pytest.mark.parametrize("inversive", [1e5, _OVERFLOW_FREE_INVERSIVE])
+def test_huge_inversive_distance_is_refused_without_a_warning(inversive):
+    # At radii 350, I P_i P_j overflows for I = 1e5, and stays finite up to
+    # _OVERFLOW_FREE_INVERSIVE, where the evaluator leaves out np.errstate.
+    # Either way the edge is refused, and an overflow warning would be an
+    # error under pytest.
+    evaluate = make_curvature_evaluator(tetrahedron(), HYP, np.full(6, inversive))
+    radii = np.array([350.0, 350.0, np.nextafter(350.0, 0.0), 349.5])
+    with pytest.raises(RangeError, match="lengths above 350"):
+        evaluate(radii_to_u_array(radii, HYP))
 
 
 @st.composite

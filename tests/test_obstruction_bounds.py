@@ -79,3 +79,23 @@ def test_both_reports_equal_scalar_across_default_chunks(genus2, rng):
         check_curvature_bounds(genus2, metric, subset_cap=4),
     ):
         assert [r.bound for r in report.records] == expected
+
+
+def test_observed_sums_equal_per_subset_sums():
+    # The observed sums are added per subset size, as the rows of one index
+    # matrix; each must equal the subset's own sum bit for bit, on values
+    # spanning 16 decades, where any other order of addition shows.
+    rng = np.random.default_rng(4)
+    for complex in COMPLEXES:
+        n = complex.vertex_count
+        values = rng.normal(size=n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+        subsets = [
+            tuple(sorted(rng.choice(n, size, replace=False).tolist()))
+            for size in rng.integers(1, n, 60)
+        ]
+        zero = check_zero_curvature_obstructions(complex, np.zeros(complex.edge_count), subsets)
+        report = obstructions._with_observed(zero, values)
+        assert [r.observed for r in report.records] == [
+            float(values[list(s)].sum()) for s in subsets
+        ]
+        assert report.verdict == all(r.margin > 0 for r in report.records)

@@ -28,11 +28,14 @@ from cpflow import (
     tetrahedron,
     triangulated_torus,
 )
+from cpflow import potential
 from cpflow.packing import UCoords, radii_to_u_array, u_to_radii_array
 from cpflow.potential import (
+    _ARMIJO_SLOPE_FRACTION,
     PotentialContext,
     _adaptive_romberg,
     _Budget,
+    _line_search,
     _newton_direction,
     segment_integral,
 )
@@ -480,3 +483,112 @@ def test_newton_solve_at_scale():
     assert report.residual <= 1e-10
     assert peak < 64 * 2**20
     assert np.max(np.abs(u_to_radii_array(u_star.values, HYP) - radii_bar)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Line search: Armijo by convexity
+# ---------------------------------------------------------------------------
+
+def _searched(ctx, u, direction):
+    """``_line_search`` from u along ``direction``: its accepted (trial,
+    evaluation) or None, the slope g(0), and the far ends of the segments it
+    integrated."""
+    integrated = []
+
+    def recording(context, u_from, u_to, *args, **kwargs):
+        integrated.append(u_to)
+        return segment_integral(context, u_from, u_to, *args, **kwargs)
+
+    at_u = ctx._evaluate(u)
+    grad = at_u[0] - ctx.target
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(potential, "segment_integral", recording)
+        accepted = _line_search(ctx, u, direction, grad, float(np.abs(grad).max()), at_u)
+    return accepted, float(grad @ direction), integrated
+
+
+def _line_with_minimum(complex, rng, radius_range, inversive_high, stretch, permissive=False):
+    """A context on ``complex`` whose potential is least, along the line from
+    a random u toward a random u_min, at u_min (the target is K(u_min)), with
+    the line's direction (u_min - u) * stretch."""
+    low, high = np.log(radius_range[0]), np.log(radius_range[1])
+    u_from, u_min = (
+        radii_to_u_array(np.exp(rng.uniform(low, high, complex.vertex_count)), HYP)
+        for _ in range(2)
+    )
+    inversive = rng.uniform(-0.5 if permissive else 0.0, inversive_high, complex.edge_count)
+    target = PotentialContext(complex, inversive, UCoords(u_min, HYP))._evaluate(u_min)[0]
+    ctx = PotentialContext(complex, inversive, UCoords(u_from, HYP), target)
+    return ctx, u_from, stretch * (u_min - u_from)
+
+
+def test_convexity_accepts_only_armijo_steps():
+    # Phi(u + s d) - Phi(u) <= s g(s) <= c s g(0) for every trial accepted
+    # without an integral, checked against a deep reference, on stock and
+    # flipped surfaces; stretches above 1 put the first trials past the line's
+    # minimum, and the wide radii make faces cross the degenerate boundary.
+    shortcuts, crossing, smooth = 0, 0, 0
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        base = STOCK[seed % 5]
+        complex = build_complex(flip_edges(base.faces, rng, seed % 3 * base.face_count))
+        wide = seed < 7
+        ctx, u, direction = _line_with_minimum(
+            complex, rng, (0.01, 10.0) if wide else (0.5, 2.0), 2.0 if wide else 1.0,
+            (0.5, 0.9, 1.6, 3.0)[seed % 4],
+        )
+        accepted, slope, integrated = _searched(ctx, u, direction)
+        trial, at_trial = accepted
+        if any(np.array_equal(trial, end) for end in integrated):
+            continue
+        s = next(0.5**k for k in range(60) if np.array_equal(u + 0.5**k * direction, trial))
+        g_s = float((at_trial[0] - ctx.target) @ direction)
+        assert g_s <= _ARMIJO_SLOPE_FRACTION * slope
+        decrease = segment_reference(ctx, u, trial, 1e-8)
+        assert decrease <= s * g_s + 1e-6
+        assert decrease <= _ARMIJO_SLOPE_FRACTION * s * slope + 1e-6
+        shortcuts += 1
+        if (ctx._evaluate(u)[1] != at_trial[1]).any():
+            crossing += 1
+        elif not at_trial[1].any():
+            smooth += 1
+    assert shortcuts >= 7 and crossing >= 3 and smooth >= 2
+
+
+def test_negative_inversive_distances_still_integrate(genus2):
+    # With some I < 0 convexity is not known, so even a trial before the
+    # line's minimum is decided by the integral; with |I| it is not.
+    rng = np.random.default_rng(8)
+    ctx, u, direction = _line_with_minimum(genus2, rng, (0.5, 2.0), 1.0, 0.5, permissive=True)
+    assert (ctx.inversive < 0).any()
+    accepted, _, integrated = _searched(ctx, u, direction)
+    assert any(np.array_equal(accepted[0], end) for end in integrated)
+
+    convex = PotentialContext(genus2, np.abs(ctx.inversive), ctx.basepoint, ctx.target)
+    accepted, _, integrated = _searched(convex, u, direction)
+    assert accepted is not None and not integrated
+
+
+def test_most_newton_line_searches_need_no_integral(genus2):
+    # A seeded genus2 solve: if the convexity test stops deciding the line
+    # search, nearly every search integrates again (5 of 6 here).
+    rng = np.random.default_rng(0)
+    metric = random_admissible_metric(genus2, rng, HYP, (0.2, 3.0), (0.0, 1.0))
+    start = _u(np.exp(rng.uniform(np.log(0.05), np.log(5.0), genus2.vertex_count)))
+    ctx = PotentialContext(genus2, metric.inversive, start, curvature(genus2, metric).values)
+    searches, integrals = [], []
+
+    def counted(record, function):
+        def call(*args, **kwargs):
+            record.append(None)
+            return function(*args, **kwargs)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(potential, "_line_search", counted(searches, _line_search))
+        patch.setattr(potential, "segment_integral", counted(integrals, segment_integral))
+        _, report = newton_solve(ctx, start, tol=1e-11)
+    assert report.residual <= 1e-11
+    assert len(searches) >= 4
+    assert 2 * len(integrals) <= len(searches)
