@@ -83,15 +83,9 @@ def _save_radii(args, run: _Run, surface, radii) -> None:
 
 
 def _report_section(report) -> dict:
-    records = [
-        {
-            "subset": list(r.subset),
-            "bound": r.bound,
-            "observed": r.observed,
-            "margin": r.margin,
-        }
-        for r in report.records
-    ]
+    columns = zip(report.subset_lists(), report.bounds.tolist(), report.observed.tolist(),
+                  report.margins.tolist())
+    records = [{"subset": s, "bound": b, "observed": o, "margin": m} for s, b, o, m in columns]
     return {"verdict": report.verdict, "records": records}
 
 
@@ -332,12 +326,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii-out", help="write the solution as a surface file")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("check", help="combinatorial obstruction report")
+    p = sub.add_parser("check", help="combinatorial obstruction report", usage="%(prog)s SURFACE "
+                       "[--subset-cap N | --subsets-file S.json] [--report OUT.json] [--manifest M.json]")
     add_common(p)
-    p.add_argument("--subset-cap", type=int, default=None,
+    p.add_argument("--subset-cap", type=int, default=None, metavar="N",
                    help=f"max subset size (default: exhaustive up to "
                         f"{EXHAUSTIVE_VERTEX_LIMIT} vertices, size {DEFAULT_SUBSET_CAP} beyond)")
-    p.add_argument("--subsets-file", help="explicit subsets (JSON)")
+    p.add_argument("--subsets-file", metavar="S.json",
+                   help="explicit subsets (JSON), in file order; not with --subset-cap")
     p.add_argument("--report", help="JSON report path")
     p.set_defaults(func=_cmd_check)
 

@@ -7,17 +7,20 @@ hyperbolic packing metric satisfy
 
 where L is the clamped arccos, Lk(A) the link pairs of A and F_A the
 induced subcomplex.  The right side is ``subset_lower_bound``; the reports
-below evaluate the inequality for every subset (all bounds in one batched
-pass, bit-identical to ``subset_lower_bound``), its contrapositive (a
+below evaluate the inequality for every subset, its contrapositive (a
 necessary condition for zero-curvature metrics), and the degeneration
 limit that makes the bound sharp.  These are necessary conditions only.
+A report is columnar: one member matrix per subset size, batched bounds
+bit-identical to ``subset_lower_bound``, and observed sums as arrays;
+``SubsetRecord``s are built only when a caller reads ``records``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable
 
 import numpy as np
 
@@ -44,8 +47,8 @@ DEFAULT_SUBSET_CAP = 3
 #: complexes with at most this many vertices are enumerated exhaustively
 EXHAUSTIVE_VERTEX_LIMIT = 16
 
-#: subset x face-corner cells per chunk of the batched bounds; keeps the
-#: per-chunk temporaries near a megabyte on complexes of any size
+#: subset x (corner + vertex) cells per chunk of the batched bounds; keeps
+#: the per-chunk temporaries near a megabyte on complexes of any size
 _CHUNK_CELLS = 1 << 16
 
 
@@ -62,18 +65,61 @@ class SubsetRecord:
         return self.observed - self.bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObstructionReport:
-    """Per-subset records plus the overall verdict.
+    """Per-subset bounds and observed sums as columns, plus the overall verdict.
 
-    For the admissible-metric check the verdict is "every margin positive".
-    For the zero-curvature necessary condition the observed sums are all 0
-    (the hypothesis), so the verdict is "every bound negative"; a False
-    verdict certifies that no admissible zero-curvature metric exists.
+    ``subsets`` holds one matrix of sorted members per subset size, and
+    ``order`` the index of each report entry among their rows in turn.  For
+    the admissible-metric check the verdict is "every margin positive".  For
+    the zero-curvature necessary condition the observed sums are all 0 (the
+    hypothesis), so the verdict is "every bound negative"; a False verdict
+    certifies that no admissible zero-curvature metric exists.
     """
 
-    records: tuple
-    verdict: bool
+    subsets: tuple
+    order: np.ndarray
+    bounds: np.ndarray
+    observed: np.ndarray
+
+    @property
+    def margins(self) -> np.ndarray:
+        return self.observed - self.bounds  # 0.0 - bound, never -bound, when unobserved
+
+    @property
+    def verdict(self) -> bool:
+        return bool((self.margins > 0).all())
+
+    @property
+    def records(self) -> _Records:
+        return _Records(self)
+
+    def subset_lists(self) -> list:
+        """Each subset's sorted members as a list, in report order."""
+        rows = list(chain.from_iterable(m.tolist() for m in self.subsets))
+        return [rows[i] for i in self.order.tolist()]
+
+    def __eq__(self, other):
+        return isinstance(other, ObstructionReport) and list(self.records) == list(other.records)
+
+
+class _Records(Sequence):
+    """A report's subsets as ``SubsetRecord``s, built on first access."""
+
+    def __init__(self, report: ObstructionReport):
+        self._report = report
+
+    def __len__(self) -> int:
+        return len(self._report.bounds)
+
+    def __getitem__(self, index):
+        return self._built[index]
+
+    @cached_property
+    def _built(self) -> tuple:
+        r = self._report
+        return tuple(map(SubsetRecord, map(tuple, r.subset_lists()), r.bounds.tolist(),
+                         r.observed.tolist()))
 
 
 def enumerate_subsets(
@@ -82,10 +128,7 @@ def enumerate_subsets(
     """Nonempty proper vertex subsets, optionally capped by size."""
     n = complex.vertex_count
     top = n - 1 if max_size is None else min(max_size, n - 1)
-    out = []
-    for size in range(1, top + 1):
-        out.extend(frozenset(c) for c in combinations(range(n), size))
-    return out
+    return [frozenset(c) for size in range(1, top + 1) for c in combinations(range(n), size)]
 
 
 def subset_lower_bound(
@@ -103,41 +146,44 @@ def subset_lower_bound(
 
 
 def _subset_lower_bounds(
-    complex: SurfaceComplex, inversive: np.ndarray, subsets: list[frozenset]
+    complex: SurfaceComplex, inversive: np.ndarray, subsets: tuple
 ) -> np.ndarray:
-    """``subset_lower_bound`` of every (validated) subset, bit for bit.
+    """``subset_lower_bound`` of the rows of each member matrix in turn, bit for bit.
 
-    The face corners are sorted as ``link_pairs`` returns them, and a
-    cumulative sum adds each subset's link weights in that order; adding 0.0
-    for a corner outside the link is exact, so every bound equals the scalar
-    one exactly.
+    Each subset gathers its members' face corners, ranked as ``link_pairs``
+    returns them, and a cumulative sum adds its link weights in that order;
+    adding 0.0 for a corner outside the link is exact.  chi counts the induced
+    faces three times over their corners and, as every edge lies in two
+    faces, the induced edges four times, two corners at each end.
     """
+    n = complex.vertex_count
     faces = complex.faces
     vertex = faces.ravel()
     other = faces[:, [[1, 2], [0, 2], [0, 1]]].reshape(-1, 2)
     weight = np.pi - clamped_arccos(inversive[complex.face_opposite_edges.ravel()])
     order = np.lexsort((vertex, other[:, 1], other[:, 0]))
-    v, a, b, weight = vertex[order], other[order, 0], other[order, 1], weight[order]
-    e0, e1 = complex.edges.T
-    f0, f1, f2 = faces.T
+    # The ranked corners and a pad corner at vertex n, never a member, of weight 0.
+    a, b = (np.append(other[order, j], n) for j in (0, 1))
+    weight = np.append(weight[order], 0.0)
+    corners = np.full((n, complex.vertex_degree.max()), len(order))  # ranks per vertex
+    by_vertex, at = np.argsort(vertex[order], kind="stable"), np.sort(vertex)
+    corners[at, np.arange(len(at)) - np.searchsorted(at, at)] = by_vertex
 
-    rows = max(1, _CHUNK_CELLS // len(v))
-    bounds = np.empty(len(subsets))
-    for start in range(0, len(subsets), rows):
-        chunk = subsets[start : start + rows]
-        m = np.zeros((len(chunk), complex.vertex_count), dtype=bool)
-        m[
-            np.repeat(np.arange(len(chunk)), [len(s) for s in chunk]),
-            np.fromiter(chain.from_iterable(chunk), dtype=np.int64),
-        ] = True
-        link = np.cumsum(np.where(m[:, v] & ~m[:, a] & ~m[:, b], weight, 0.0), axis=1)
-        chi = (
-            m.sum(axis=1)
-            - (m[:, e0] & m[:, e1]).sum(axis=1)
-            + (m[:, f0] & m[:, f1] & m[:, f2]).sum(axis=1)
-        )
-        bounds[start : start + rows] = -link[:, -1] + 2.0 * np.pi * chi
-    return bounds
+    bounds = []
+    for members in subsets:
+        size = members.shape[1]
+        step = max(1, _CHUNK_CELLS // (size * corners.shape[1] + n))
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            line = np.arange(len(chunk))[:, None]
+            inside = np.zeros((len(chunk), n + 1), dtype=bool)
+            inside[line, chunk] = True
+            rank = np.sort(corners[chunk].reshape(len(chunk), -1), axis=1)
+            in_a, in_b = inside[line, a[rank]], inside[line, b[rank]]
+            link = np.cumsum(np.where(in_a | in_b, 0.0, weight[rank]), axis=1)[:, -1]
+            chi = size - (in_a.sum(axis=1) + in_b.sum(axis=1)) // 4 + (in_a & in_b).sum(axis=1) // 3
+            bounds.append(-link + 2.0 * np.pi * chi)
+    return np.concatenate(bounds)
 
 
 def _with_observed(report: ObstructionReport, values: np.ndarray) -> ObstructionReport:
@@ -146,17 +192,8 @@ def _with_observed(report: ObstructionReport, values: np.ndarray) -> Obstruction
     The subsets of one size are summed as the rows of one index matrix, which
     numpy adds as it adds ``values[list(subset)]``, so bit for bit the same.
     """
-    sizes = np.array([len(r.subset) for r in report.records], dtype=np.int64)
-    observed = np.empty(len(sizes))
-    for size in np.flatnonzero(np.bincount(sizes)).tolist():  # np.unique imports numpy.ma
-        rows = np.flatnonzero(sizes == size)
-        index = np.array([report.records[i].subset for i in rows.tolist()], dtype=np.int64)
-        observed[rows] = values[index].sum(axis=1)
-    records = tuple(
-        SubsetRecord(r.subset, r.bound, sum_)
-        for r, sum_ in zip(report.records, observed.tolist())
-    )
-    return ObstructionReport(records=records, verdict=all(r.margin > 0 for r in records))
+    observed = np.concatenate([values[m].sum(axis=1) for m in report.subsets])[report.order]
+    return ObstructionReport(report.subsets, report.order, report.bounds, observed)
 
 
 def check_curvature_bounds(
@@ -193,26 +230,29 @@ def check_zero_curvature_obstructions(
     (the conditions are necessary only).
     """
     inversive = check_inversive(inversive, complex)
-    # Explicit subsets win; else an explicit cap; else all subsets on small
-    # complexes and size <= DEFAULT_SUBSET_CAP on larger ones.
+    # Explicit subsets in their order, repeats kept; else a cap, explicit, or
+    # none (<= EXHAUSTIVE_VERTEX_LIMIT vertices) or DEFAULT_SUBSET_CAP.
+    n = complex.vertex_count
     if subsets is not None:
-        resolved = [normalize_subset(complex.vertex_count, s) for s in subsets]
-    elif subset_cap is not None:
-        if subset_cap < 1:
-            raise ConfigError(f"subset cap must be at least 1, got {subset_cap}")
-        resolved = enumerate_subsets(complex, max_size=subset_cap)
-    elif complex.vertex_count <= EXHAUSTIVE_VERTEX_LIMIT:
-        resolved = enumerate_subsets(complex)
+        if subset_cap is not None:
+            raise ConfigError("give explicit subsets or a subset cap, not both")
+        resolved = [sorted(normalize_subset(n, s)) for s in subsets]
+        if not resolved:
+            raise ConfigError("no subsets to check")
+        sizes = list(map(len, resolved))
+        matrices = tuple(np.array([s for s in resolved if len(s) == k]) for k in sorted(set(sizes)))
+        order = np.argsort(np.argsort(sizes, kind="stable"))  # inverse of the grouping
     else:
-        resolved = enumerate_subsets(complex, max_size=DEFAULT_SUBSET_CAP)
-    bounds = _subset_lower_bounds(complex, inversive, resolved).tolist()
-    records = [
-        SubsetRecord(tuple(sorted(subset)), bound, 0.0)
-        for subset, bound in zip(resolved, bounds)
-    ]
-    return ObstructionReport(
-        records=tuple(records), verdict=all(r.margin > 0 for r in records)
-    )
+        if subset_cap is not None and subset_cap < 1:
+            raise ConfigError(f"subset cap must be at least 1, got {subset_cap}")
+        if subset_cap is None:
+            subset_cap = n - 1 if n <= EXHAUSTIVE_VERTEX_LIMIT else DEFAULT_SUBSET_CAP
+        matrices = tuple(
+            np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64).reshape(-1, k)
+            for k in range(1, min(subset_cap, n - 1) + 1))
+        order = np.arange(sum(map(len, matrices)))
+    bounds = _subset_lower_bounds(complex, inversive, matrices)[order]
+    return ObstructionReport(matrices, order, bounds, np.zeros(len(bounds)))
 
 
 @dataclass(frozen=True)

@@ -410,6 +410,18 @@ def test_cli_check(workdir):
     assert report["curvature_bounds"]["verdict"] is True
 
 
+def test_cli_check_refuses_a_cap_with_a_subsets_file(workdir, capsys):
+    _write(workdir / "t.json", _tetra_doc(inversive=1.0))
+    _write(workdir / "s.json", {"format": 1, "subsets": [[0], [1, 2], [0, 1, 3]]})
+    code = main(["check", "t.json", "--subsets-file", "s.json", "--subset-cap", "1",
+                 "--report", "check.json"])
+    assert code == 2
+    assert "not both" in capsys.readouterr().err
+    assert not (workdir / "check.json").exists()
+    manifest = json.loads((workdir / "t.check.manifest.json").read_text())
+    assert manifest["status"].startswith("config_error:")
+
+
 def test_cli_check_computes_once(workdir, monkeypatch):
     # Both reports share one subset list, one bounds array and one curvature.
     packing_module = importlib.import_module("cpflow.packing")

@@ -7,22 +7,28 @@ agree exactly, with no tolerance.
 
 from __future__ import annotations
 
+import itertools
+import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpflow import (
     check_curvature_bounds,
     check_zero_curvature_obstructions,
+    curvature,
     genus2_surface,
     octahedron,
     subset_lower_bound,
     tetrahedron,
     triangulated_torus,
 )
-from cpflow import obstructions
+from cpflow import cli, obstructions
+from cpflow.cli import main
+from cpflow.io import load_surface, save_surface
 
 from conftest import random_admissible_metric
 
@@ -58,9 +64,10 @@ def _cases(draw):
 @given(_cases())
 def test_batched_bounds_equal_scalar(case):
     complex, inversive, rows, subsets = case
-    # Shrink the chunks to `rows` subsets so that the drawn counts straddle
-    # one or more chunk boundaries.
-    with mock.patch.object(obstructions, "_CHUNK_CELLS", rows * 3 * complex.face_count):
+    # Shrink the chunks to `rows` subsets of size 1, and fewer of larger
+    # sizes, so that the drawn subsets of one size straddle chunk boundaries.
+    cells = rows * (int(complex.vertex_degree.max()) + complex.vertex_count)
+    with mock.patch.object(obstructions, "_CHUNK_CELLS", cells):
         report = check_zero_curvature_obstructions(complex, inversive, subsets)
     assert [r.subset for r in report.records] == [tuple(sorted(s)) for s in subsets]
     assert [r.bound for r in report.records] == [
@@ -99,3 +106,114 @@ def test_observed_sums_equal_per_subset_sums():
             float(values[list(s)].sum()) for s in subsets
         ]
         assert report.verdict == all(r.margin > 0 for r in report.records)
+
+
+# ---------------------------------------------------------------------------
+# The `check` report against a per-subset reference
+# ---------------------------------------------------------------------------
+
+def _reference_record(complex, inversive, values, subset):
+    """One report record per subset, both sections, from the scalar bound."""
+    bound = subset_lower_bound(complex, inversive, subset)
+    observed = float(values[list(subset)].sum())
+    return (
+        {"subset": list(subset), "bound": bound, "observed": 0.0, "margin": 0.0 - bound},
+        {"subset": list(subset), "bound": bound, "observed": observed, "margin": observed - bound},
+    )
+
+
+def _check_report(tmp_path, complex, metric, *options):
+    """``cpflow check`` on a surface file of the metric: its report text,
+    the surface as parsed and the zero-curvature report the command built."""
+    surface = tmp_path / "s.json"
+    save_surface(surface, complex, metric.background, metric.inversive, metric.radii)
+    report = tmp_path / "s.check.json"
+    argv = ["check", str(surface), "--report", str(report),
+            "--manifest", str(tmp_path / "s.manifest.json"), *options]
+    built = []
+
+    def keep(*args):
+        built.append(check_zero_curvature_obstructions(*args))
+        return built[-1]
+
+    with mock.patch.object(cli, "check_zero_curvature_obstructions", keep):
+        assert main(argv) == 0
+    return report.read_text(encoding="utf-8"), load_surface(surface), built[0]
+
+
+def _combinations_order(n, top):
+    return [list(c) for size in range(1, top + 1) for c in itertools.combinations(range(n), size)]
+
+
+@pytest.mark.parametrize(
+    "name, options, stride",
+    [("tetra", (), 1), ("octa", (), 1), ("genus2", (), 331), ("genus2", ("--subset-cap", "3"), 1),
+     ("torus5", (), 13), ("genus2", ("--subsets-file",), 1)],
+    ids=["tetra", "octa", "genus2", "genus2-cap3", "torus5", "genus2-file"],
+)
+def test_check_report_equals_per_subset_reference(tmp_path, name, options, stride):
+    # The report is compared as text: every float in it must be the scalar
+    # reference's, with the same sign of zero and the same repr.
+    complex = {"tetra": tetrahedron, "octa": octahedron, "genus2": genus2_surface,
+               "torus5": lambda: triangulated_torus(5, 5)}[name]()
+    rng = np.random.default_rng(18)
+    metric = random_admissible_metric(complex, rng, radius_range=(0.5, 2.0),
+                                      inversive_range=(0.0, 1.0))
+    n = complex.vertex_count
+    if options == ("--subsets-file",):
+        # mixed sizes, unsorted members and one repeat, kept in file order
+        order = [[5, 1], [3], [9, 2, 7], [1, 5], [14, 0, 8, 2], [3], [12, 4, 6, 0, 10]]
+        path = tmp_path / "subsets.json"
+        path.write_text(json.dumps({"format": 1, "subsets": order}), encoding="utf-8")
+        options = ("--subsets-file", str(path))
+        order = [sorted(s) for s in order]
+    else:
+        top = int(options[1]) if options else (n - 1 if n <= 16 else 3)
+        order = _combinations_order(n, top)
+    text, parsed, report = _check_report(tmp_path, complex, metric, *options)
+    values = curvature(parsed.complex, parsed.require_metric()).values
+    doc = json.loads(text)
+
+    assert doc["subset_count"] == len(order) == len(report.records)
+    sections = (doc["zero_curvature_necessary"], doc["curvature_bounds"])
+    for section in sections:
+        assert [r["subset"] for r in section["records"]] == order
+        assert section["verdict"] is all(r["margin"] > 0 for r in section["records"])
+    if stride == 1:
+        zero, bounds = zip(*(_reference_record(parsed.complex, parsed.inversive, values, s)
+                             for s in order))
+        expected = {
+            "format": 1,
+            "subset_count": len(order),
+            "zero_curvature_necessary": {
+                "verdict": all(r["margin"] > 0 for r in zero), "records": list(zero)},
+            "curvature_bounds": {
+                "verdict": all(r["margin"] > 0 for r in bounds), "records": list(bounds)},
+        }
+        assert text == json.dumps(expected) + "\n"
+    else:
+        for i in range(0, len(order), stride):
+            reference = _reference_record(parsed.complex, parsed.inversive, values, order[i])
+            for section, record in zip(sections, reference):
+                assert json.dumps(section["records"][i]) == json.dumps(record)
+
+
+def test_cli_check_builds_no_subset_records(tmp_path, genus2, rng, monkeypatch):
+    # The report is written from its columns; per-subset record objects are
+    # for library callers only.
+    built = []
+
+    class Counted(obstructions.SubsetRecord):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(obstructions, "SubsetRecord", Counted)
+    metric = random_admissible_metric(genus2, rng, radius_range=(0.5, 2.0),
+                                      inversive_range=(0.0, 1.0))
+    text, _, report = _check_report(tmp_path, genus2, metric, "--subset-cap", "2")
+    assert json.loads(text)["curvature_bounds"] is not None
+    assert built == []
+    # The report's records view does build them, so the patch would see a fallback.
+    assert len(report.records) == 120 and built == []
+    assert report.records[0].subset == (0,) and len(built) == 120

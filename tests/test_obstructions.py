@@ -179,6 +179,19 @@ def test_default_subsets_above_the_exhaustive_limit(rng):
     assert report == check_zero_curvature_obstructions(torus, inversive, subset_cap=3)
 
 
+def test_explicit_subsets_refuse_a_cap_and_an_empty_list(octa):
+    inversive = np.ones(octa.edge_count)
+    with pytest.raises(ConfigError, match="not both"):
+        check_zero_curvature_obstructions(octa, inversive, [[0], [1, 2]], subset_cap=1)
+    metric = PackingMetric(HYP, inversive, np.ones(6))
+    for entry, first in ((check_zero_curvature_obstructions, inversive),
+                         (check_curvature_bounds, metric)):
+        with pytest.raises(ConfigError, match="no subsets"):
+            entry(octa, first, subsets=[])
+        with pytest.raises(ConfigError, match="no subsets"):
+            entry(octa, first, subsets=iter(()))
+
+
 def test_zero_curvature_necessary_consistent_with_solver(genus2):
     # tangency packing on the genus-2 surface: a zero-curvature metric
     # exists (found by Newton), so every necessary condition must hold
