@@ -28,6 +28,7 @@ from .io import (
     load_surface,
     load_target,
     save_surface,
+    write_check_report,
     write_manifest,
     write_trace_csv,
     write_trace_json,
@@ -80,13 +81,6 @@ def _save_radii(args, run: _Run, surface, radii) -> None:
     save_surface(args.radii_out, surface.complex, surface.background, surface.inversive,
                  radii, surface.permissive)
     run.outputs["radii"] = str(args.radii_out)
-
-
-def _report_section(report) -> dict:
-    columns = zip(report.subset_lists(), report.bounds.tolist(), report.observed.tolist(),
-                  report.margins.tolist())
-    records = [{"subset": s, "bound": b, "observed": o, "margin": m} for s, b, o, m in columns]
-    return {"verdict": report.verdict, "records": records}
 
 
 # ---------------------------------------------------------------------------
@@ -242,30 +236,23 @@ def _cmd_check(args, run: _Run) -> int:
     zero_report = check_zero_curvature_obstructions(
         surface.complex, surface.inversive, subsets, args.subset_cap
     )
-    payload = {
-        "format": 1,
-        "subset_count": len(zero_report.records),
-        "zero_curvature_necessary": _report_section(zero_report),
-        "curvature_bounds": None,
-    }
 
     # The bounds report is the zero report with observed sums, for an
     # admissible hyperbolic metric only.
+    bounds_report = None
     metric = surface.metric
     if metric is not None and surface.background is Background.HYPERBOLIC:
         curv = extended_curvature(surface.complex, metric)
         if not curv.extended:
-            payload["curvature_bounds"] = _report_section(
-                _with_observed(zero_report, curv.values)
-            )
+            bounds_report = _with_observed(zero_report, curv.values)
 
-    print(f"subsets checked            {payload['subset_count']}")
+    print(f"subsets checked            {len(zero_report.records)}")
     print(f"zero-curvature necessary   {zero_report.verdict}")
-    if payload["curvature_bounds"] is not None:
-        print(f"curvature bounds           {payload['curvature_bounds']['verdict']}")
+    if bounds_report is not None:
+        print(f"curvature bounds           {bounds_report.verdict}")
 
     report_path = args.report or f"{Path(args.surface).stem}.check.json"
-    _write_json(report_path, payload)
+    write_check_report(report_path, zero_report, bounds_report)
     run.outputs["report"] = str(report_path)
     run.status = "ok"
     return _EXIT_OK
@@ -360,7 +347,7 @@ def main(argv=None) -> int:
     finally:
         try:
             run.write()
-        except OSError as exc:  # manifest location unwritable
+        except ConfigError as exc:  # manifest location unwritable
             print(f"warning: could not write manifest: {exc}", file=sys.stderr)
 
 

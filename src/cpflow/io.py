@@ -1,10 +1,13 @@
-"""File formats: surface files, target files, trace CSV, run manifests.
+"""File formats: surface files, target files, trace CSV, check reports, run manifests.
 
 Structured inputs and reports are JSON, written compact on one line; flow
-traces are CSV.  All floats are serialized with the shortest round-trip
-representation, so re-parsing an emitted file reproduces the values bit for
-bit and identical runs produce byte-identical outputs.  Every format
-carries a ``"format": 1`` version field and unknown fields are rejected.
+traces are CSV.  Check reports are assembled as text from the report's
+columns, byte-identical to the compact ``json.dumps`` form.  All floats are
+serialized with the shortest round-trip representation, so re-parsing an
+emitted file reproduces the values bit for bit and identical runs produce
+byte-identical outputs.  Every format carries a ``"format": 1`` version
+field and unknown fields are rejected.  A path that cannot be written is a
+``ConfigError``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .complexes import SurfaceComplex, build_complex, normalize_subset
-from .errors import CPFlowError, ParseError
+from .errors import ConfigError, CPFlowError, ParseError
 from .packing import Background, PackingMetric, check_inversive
 
 FORMAT_VERSION = 1
@@ -74,11 +77,19 @@ def _is_list_of(raw, kinds: frozenset) -> bool:
     return isinstance(raw, list) and set(map(type, raw)) <= kinds
 
 
+def _write_text(path, text: str) -> None:
+    """Every file the program writes; a path that cannot be written is a
+    configuration error."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
 def _write_json(path, doc: dict, sort_keys: bool = False) -> None:
-    """Every JSON file the program writes: compact, as an indent would select
-    the pure-Python encoder over the C one, and a trailing newline."""
-    text = json.dumps(doc, sort_keys=sort_keys)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    """Every JSON document the program writes: compact, as an indent would
+    select the pure-Python encoder over the C one, and a trailing newline."""
+    _write_text(path, json.dumps(doc, sort_keys=sort_keys) + "\n")
 
 
 def _load_json(path) -> dict:
@@ -284,7 +295,7 @@ def write_trace_csv(path, n_vertices: int, trace) -> None:
         row = np.concatenate(([s.t], s.u, s.curvature, [s.curvature_max, s.curvature_min]))
         potential = "" if s.potential is None else repr(float(s.potential))
         lines.append(",".join(map(repr, row.tolist())) + "," + potential)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_trace_json(path, n_vertices: int, trace) -> None:
@@ -301,6 +312,45 @@ def write_trace_json(path, n_vertices: int, trace) -> None:
     ]
     doc = {"format": FORMAT_VERSION, "columns": trace_header(n_vertices), "samples": rows}
     _write_json(path, doc)
+
+
+# ---------------------------------------------------------------------------
+# Check report
+# ---------------------------------------------------------------------------
+
+def _check_section(verdict: bool, records: list[str]) -> str:
+    return f'{{"verdict": {"true" if verdict else "false"}, "records": [{", ".join(records)}]}}'
+
+
+def write_check_report(path, zero, curvature_bounds=None) -> None:
+    """The ``check`` report: the zero-curvature section and, when given, the
+    curvature-bounds section, whose report shares ``zero``'s subsets and bounds.
+
+    The text is ``json.dumps`` of the per-subset records, byte for byte,
+    built from the columns with one ``repr`` per printed float: each subset's
+    and bound's text serves both sections.  The zero section observes 0.0, so
+    its margin 0.0 - bound is the bound's text with the sign flipped, and
+    "0.0" for a zero bound.  Every value is finite (inversive distances are
+    checked finite and angles lie in [0, pi]), so ``repr`` is the text
+    ``json.dumps`` would write.
+    """
+    subsets = list(map(str, zero.subset_lists()))
+    texts = list(map(repr, zero.bounds.tolist()))
+    zero_section = _check_section(zero.verdict, [
+        f'{{"subset": {s}, "bound": {b}, "observed": 0.0, "margin": '
+        f'{b[1:] if b[0] == "-" else "0.0" if b == "0.0" else "-" + b}}}'
+        for s, b in zip(subsets, texts)
+    ])
+    bounds_section = "null"
+    if curvature_bounds is not None:
+        observed, margins = curvature_bounds.observed.tolist(), curvature_bounds.margins.tolist()
+        bounds_section = _check_section(curvature_bounds.verdict, [
+            f'{{"subset": {s}, "bound": {b}, "observed": {o!r}, "margin": {m!r}}}'
+            for s, b, o, m in zip(subsets, texts, observed, margins)
+        ])
+    _write_text(path, f'{{"format": {FORMAT_VERSION}, "subset_count": {len(texts)}, '
+                      f'"zero_curvature_necessary": {zero_section}, '
+                      f'"curvature_bounds": {bounds_section}}}\n')
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import itertools
 import json
 import os
 import re
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 import cpflow
-from cpflow import Background, PackingMetric, ParseError, curvature
+from cpflow import (
+    Background, PackingMetric, ParseError, curvature, subset_lower_bound, tetrahedron,
+)
 from cpflow.cli import build_parser, main
 from cpflow.io import (
     load_surface,
@@ -462,10 +465,26 @@ def test_cli_check_without_curvature_bounds(workdir, capsys, overrides):
         del doc["radii"]
     _write(workdir / "t.json", doc)
     assert main(["check", "t.json", "--report", "check.json"]) == 0
-    report = json.loads((workdir / "check.json").read_text())
+    text = (workdir / "check.json").read_text(encoding="utf-8")
+    report = json.loads(text)
     assert report["curvature_bounds"] is None
     assert report["zero_curvature_necessary"]["verdict"] is False
     assert "curvature bounds" not in capsys.readouterr().out
+    # The whole report, byte for byte, against the scalar bound per subset.
+    parsed = load_surface(workdir / "t.json")
+    records = []
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(range(4), size):
+            bound = subset_lower_bound(parsed.complex, parsed.inversive, subset)
+            records.append({"subset": list(subset), "bound": bound, "observed": 0.0,
+                            "margin": 0.0 - bound})
+    expected = {
+        "format": 1,
+        "subset_count": len(records),
+        "zero_curvature_necessary": {"verdict": False, "records": records},
+        "curvature_bounds": None,
+    }
+    assert text == json.dumps(expected) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -496,6 +515,41 @@ def test_cli_check_subsets_file(workdir):
     assert code == 0
     report = json.loads((workdir / "check.json").read_text())
     assert report["subset_count"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--report"],
+        ["curvature", "--report"],
+        ["solve", "--target-file", "target.json", "--report"],
+        ["solve", "--target-file", "target.json", "--radii-out"],
+        ["flow", "--max-time", "1", "--trace"],
+        ["flow", "--max-time", "1", "--trace-json"],
+        ["flow", "--max-time", "1", "--radii-out"],
+    ],
+    ids=["check-report", "curvature-report", "solve-report", "solve-radii-out", "flow-trace",
+         "flow-trace-json", "flow-radii-out"],
+)
+def test_cli_unwritable_output_is_a_config_error(workdir, capsys, argv):
+    surface = _write(workdir / "t.json", _tetra_doc(inversive=1.0))
+    metric = load_surface(surface).require_metric()
+    save_target(workdir / "target.json", curvature(tetrahedron(), metric).values)
+    missing = workdir / "missing" / "out.json"
+    command, *options = argv
+    assert main([command, "t.json", *options, str(missing)]) == 2
+    assert f"error: cannot write {missing}" in capsys.readouterr().err
+    manifest = json.loads((workdir / f"t.{command}.manifest.json").read_text())
+    assert manifest["status"].startswith(f"config_error: cannot write {missing}")
+    assert not missing.parent.exists()
+
+
+def test_cli_unwritable_manifest_only_warns(workdir, capsys):
+    _write(workdir / "t.json", _tetra_doc(inversive=1.0))
+    manifest = workdir / "missing" / "m.json"
+    assert main(["check", "t.json", "--manifest", str(manifest)]) == 0
+    assert f"warning: could not write manifest: cannot write {manifest}" in capsys.readouterr().err
+    assert json.loads((workdir / "t.check.json").read_text())["curvature_bounds"] is not None
 
 
 def _bad_surface(**overrides):

@@ -28,7 +28,7 @@ from cpflow import (
 )
 from cpflow import cli, obstructions
 from cpflow.cli import main
-from cpflow.io import load_surface, save_surface
+from cpflow.io import load_surface, save_surface, write_check_report
 
 from conftest import random_admissible_metric
 
@@ -196,6 +196,29 @@ def test_check_report_equals_per_subset_reference(tmp_path, name, options, strid
             reference = _reference_record(parsed.complex, parsed.inversive, values, order[i])
             for section, record in zip(sections, reference):
                 assert json.dumps(section["records"][i]) == json.dumps(record)
+
+
+def test_check_report_writer_prints_each_margin_as_json_does(tmp_path):
+    # Zero bounds of either sign give the zero section's margin 0.0 - bound =
+    # +0.0; other bounds flip the sign of their text, tiny and huge included.
+    bounds = np.array([0.0, -0.0, 1.5, -2.5e-300, 1e22, -np.pi])
+    members = (np.array([[3], [1]]), np.array([[0, 2], [1, 4], [2, 5], [0, 5]]))
+    order = np.array([2, 0, 3, 1, 4, 5])
+    zero = obstructions.ObstructionReport(members, order, bounds, np.zeros(6))
+    observed = obstructions._with_observed(zero, np.array([0.5, -0.25, 0.0, 1e-17, -3.0, 2.0]))
+    path = tmp_path / "report.json"
+    for sections in ((zero, None), (zero, observed)):
+        write_check_report(path, *sections)
+        expected = {"format": 1, "subset_count": 6}
+        for key, report in zip(("zero_curvature_necessary", "curvature_bounds"), sections):
+            expected[key] = None if report is None else {"verdict": report.verdict, "records": [
+                {"subset": s, "bound": b, "observed": o, "margin": m}
+                for s, b, o, m in zip(report.subset_lists(), report.bounds.tolist(),
+                                      report.observed.tolist(), report.margins.tolist())]}
+        assert path.read_text(encoding="utf-8") == json.dumps(expected) + "\n"
+    text = path.read_text(encoding="utf-8")
+    assert '"margin": -0.0' not in text
+    assert text.count('"observed": 0.0, "margin": 0.0}') == 2
 
 
 def test_cli_check_builds_no_subset_records(tmp_path, genus2, rng, monkeypatch):
