@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import BoundaryError, DomainError
 from .packing import (
+    _HYPERBOLIC,
     Background,
     _check_hyperbolic_sizes,
     _edge_lengths_arrays,
@@ -88,14 +89,16 @@ def _cosine_law(
     opposite, nxt, prv = tables
     e_j, e_k = excess[nxt], excess[prv]
     # ((e_j + e_k) + (lam e_j) e_k) - e_m in place, as large (F, 3)
-    # temporaries cost more than the arithmetic; (lam e_j) e_k: no 0 * inf
-    # when a euclidean product would overflow.
-    product = background.area_weight * e_j
-    product *= e_k
-    e_j += e_k
-    e_j += product
+    # temporaries cost more than the arithmetic.  lam e_j is e_j bit for bit
+    # for lam = 1, and (lam e_j) e_k is +0.0 for lam = 0, which adds nothing.
+    if background is _HYPERBOLIC:
+        product = e_j * e_k
+        e_j += e_k
+        e_j += product
+    else:
+        e_j += e_k
     e_j -= excess[opposite]
-    return e_j, np.multiply(sx[nxt], sx[prv], out=product)
+    return e_j, np.multiply(sx[nxt], sx[prv], out=e_k)
 
 
 def extended_angles_batch(
@@ -109,9 +112,16 @@ def extended_angles_batch(
     faces, those with a corner where num_m <= -den_m.
     """
     num, den = _cosine_law(background, excess, sx, tables)
+    angles = num / den
+    # Screen, then diagnose.  fl(num + den) <= 0 means num <= -den exactly,
+    # so num / den <= -1, and division rounds monotonically onto the double
+    # -1; so when every ratio lies in (-1, 1), no corner is degenerate and
+    # the clamp does nothing.
+    if (np.minimum.reduce(angles, axis=None) > -1.0
+            and np.maximum.reduce(angles, axis=None) < 1.0):
+        return np.arccos(angles, out=angles), np.zeros(len(angles), dtype=bool)
     violated = np.add(num, den) <= 0.0
     # clamped_arccos in place: (F, 3) temporaries are costly on large meshes
-    angles = np.divide(num, den, out=num)
     np.arccos(angles.clip(-1.0, 1.0, out=angles), out=angles)
     if not np.count_nonzero(violated):
         return angles, np.zeros(len(angles), dtype=bool)

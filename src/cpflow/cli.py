@@ -15,6 +15,7 @@ final status.  Exit codes are part of the contract:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -262,7 +263,9 @@ def _cmd_check(args, run: _Run) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="cpflow",
         description="Inversive distance circle packings: curvature, Ricci flow, "

@@ -46,27 +46,19 @@ class CurvatureVector:
         return float(self.values.sum())
 
 
-def _curvature_kernel(
-    complex: SurfaceComplex, background: Background, *edges: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-edge (excesses, x') -> (curvature, (F, 3) face angles,
-    degenerate-face mask), gathered through the complex's face edge tables."""
-    angles, degenerate = extended_angles_batch(background, *edges, complex.face_edge_tables)
-    angle_sums = np.bincount(
-        complex.faces.ravel(), weights=angles.ravel(), minlength=complex.vertex_count
-    )
-    return 2.0 * np.pi - angle_sums, angles, degenerate
-
-
 def _not_admissible(degenerate: np.ndarray) -> NotAdmissibleError:
     faces = np.nonzero(degenerate)[0].tolist()
     return NotAdmissibleError(f"metric violates triangle inequalities in faces {faces}", faces)
 
 
 def _curvature_vector(complex: SurfaceComplex, metric: PackingMetric) -> CurvatureVector:
-    values, angles, degenerate = _curvature_kernel(
-        complex, metric.background, *_metric_edge_arrays(complex, metric)
+    """The kernel: per-edge (excesses, x'), the extended angles of the faces
+    gathered through the face edge tables, and K = 2 pi minus the angle sums."""
+    angles, degenerate = extended_angles_batch(
+        metric.background, *_metric_edge_arrays(complex, metric), complex.face_edge_tables
     )
+    sums = np.bincount(complex.faces.ravel(), angles.ravel(), complex.vertex_count)
+    values = np.subtract(2.0 * np.pi, sums, out=sums)
     if metric.background is Background.HYPERBOLIC:
         area = float(np.maximum(0.0, np.pi - angles.sum(axis=1)).sum())
     else:
@@ -104,12 +96,17 @@ def make_curvature_evaluator(
     inv = check_inversive(inversive, complex, permissive=True)
     tail, head = np.ascontiguousarray(complex.edges.T)
     overflow = bool(inv.max(initial=0.0) > _OVERFLOW_FREE_INVERSIVE)
+    tables, corners, n = complex.face_edge_tables, complex.faces.ravel(), complex.vertex_count
+    two_pi = np.array(2.0 * np.pi)  # a 0-d array operand, as packing._TWO
 
     def evaluate(u_values: np.ndarray):
-        factors = _u_factors(background, u_values)
-        edges = _edge_lengths_arrays(background, factors, tail, head, inv, overflow)
-        values, _, degenerate = _curvature_kernel(complex, background, *edges)
-        return values, degenerate
+        # the stages of _curvature_vector, on the factors of u
+        excess, sx = _edge_lengths_arrays(
+            background, _u_factors(background, u_values), tail, head, inv, overflow
+        )
+        angles, degenerate = extended_angles_batch(background, excess, sx, tables)
+        sums = np.bincount(corners, angles.ravel(), n)
+        return np.subtract(two_pi, sums, out=sums), degenerate
 
     return evaluate
 

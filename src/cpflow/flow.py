@@ -31,6 +31,7 @@ from .errors import (
     StepError,
 )
 from .packing import (
+    U_COORDINATE_FLOOR,
     Background,
     UCoords,
     from_u,
@@ -152,15 +153,27 @@ def run_flow(
     target, background = ctx.target, ctx.background
     classical = config.variant == "classical"
     u_cap = _u_cap(background, config.divergence_radius_cap)
+    # A step whose min and max lie in (floor, ceiling] is finite, in the
+    # domain and within the cap; any other takes the exact checks.
+    if background is Background.HYPERBOLIC:
+        floor, ceiling = U_COORDINATE_FLOOR, min(u_cap, -5e-324)
+    else:
+        floor, ceiling = -math.inf, u_cap
 
-    def evaluate(u_arr: np.ndarray) -> tuple:
-        evaluation = ctx._evaluate(u_arr)
-        if classical and np.count_nonzero(evaluation[1]):
-            raise _not_admissible(evaluation[1])
-        return evaluation
+    evaluate = ctx._evaluate
+    if classical:
+        def evaluate(u_arr: np.ndarray) -> tuple:
+            evaluation = ctx._evaluate(u_arr)
+            if np.count_nonzero(evaluation[1]):
+                raise _not_admissible(evaluation[1])
+            return evaluation
 
     dt = config.step
     n_steps = max(1, math.ceil(config.max_time / dt - 1e-12))
+    euler = config.integrator == "euler"
+    # the step's factors as 0-d arrays (see packing._TWO), each the value
+    # that 0.5 * dt * f, dt / 6.0 * f and 2.0 * f multiply by
+    h, half_h, sixth_h, two = (np.array(c) for c in (dt, 0.5 * dt, dt / 6.0, 2.0))
     u = u0.values.copy()
     now = evaluate(u)  # (K, degenerate mask) at u; classical: validates the start point
     trace: list[FlowSample] = []
@@ -215,13 +228,13 @@ def run_flow(
 
             f1 = target - now[0]
             try:
-                if config.integrator == "euler":
-                    u_next = u + dt * f1
+                if euler:
+                    u_next = u + h * f1
                 else:
-                    f2 = target - evaluate(u + 0.5 * dt * f1)[0]
-                    f3 = target - evaluate(u + 0.5 * dt * f2)[0]
-                    f4 = target - evaluate(u + dt * f3)[0]
-                    u_next = u + dt / 6.0 * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+                    f2 = target - evaluate(u + half_h * f1)[0]
+                    f3 = target - evaluate(u + half_h * f2)[0]
+                    f4 = target - evaluate(u + h * f3)[0]
+                    u_next = u + sixth_h * (f1 + two * f2 + two * f3 + f4)
             except NotAdmissibleError:
                 status = "left_admissible"
                 break
@@ -229,11 +242,12 @@ def run_flow(
                 # A stage point left the representable u-domain, in either direction.
                 status = "diverged"
                 break
-            if not np.isfinite(u_next).all():
-                raise StepError(f"non-finite state at t={(step_index + 1) * dt:g}")
-            if not _domain_ok(background, u_next) or np.count_nonzero(u_next > u_cap):
-                status = "diverged"
-                break
+            if not (np.minimum.reduce(u_next) > floor and np.maximum.reduce(u_next) <= ceiling):
+                if not np.isfinite(u_next).all():
+                    raise StepError(f"non-finite state at t={(step_index + 1) * dt:g}")
+                if not _domain_ok(background, u_next) or np.count_nonzero(u_next > u_cap):
+                    status = "diverged"
+                    break
 
             try:
                 at_next = evaluate(u_next)

@@ -26,7 +26,7 @@ from cpflow import (
 )
 import cpflow.flow as flow_module
 from cpflow.io import write_trace_csv
-from cpflow.packing import UCoords, from_u, radii_to_u_array, u_to_radii_array
+from cpflow.packing import U_COORDINATE_FLOOR, UCoords, from_u, radii_to_u_array, u_to_radii_array
 from cpflow.potential import PotentialContext, segment_integral
 
 from conftest import random_admissible_metric, segment_reference
@@ -553,6 +553,42 @@ def test_huge_step_reported_as_divergence(genus2):
                         max_time=1e308, record_potential=False)
     with pytest.raises(StepError, match="non-finite state"):
         run_flow(genus2, inversive, u0, config)
+
+
+@pytest.mark.parametrize("background, radius, landing, cap, verdict", [
+    (HYP, 1.0, np.inf, 300.0, "non-finite"),
+    (EUC, 1.0, np.inf, 300.0, "non-finite"),
+    (HYP, 1.0, 0.5, 300.0, "diverged"),
+    (HYP, 1.0, U_COORDINATE_FLOOR - 1.0, 300.0, "diverged"),
+    (HYP, 1.0, -0.1, 2.0, "diverged"),  # ln tanh(1) = -0.27
+    (EUC, 1.0, 1.0, 2.0, "diverged"),  # ln 2 = 0.69
+    (HYP, 1.0, -1.0, 300.0, "goes on"),
+    (EUC, 1e-150, -350.0, 300.0, "goes on"),  # the floor is hyperbolic only
+], ids=["hyp-non-finite", "euc-non-finite", "hyp-positive", "hyp-below-floor", "hyp-past-cap",
+        "euc-past-cap", "hyp-in-domain", "euc-below-hyperbolic-floor"])
+def test_one_euler_step_verdicts(genus2, background, radius, landing, cap, verdict):
+    # One Euler step toward the target K(u0) + push lands at u0 + step * push,
+    # up to rounding.  A non-finite state raises StepError before any
+    # divergence check; a step out of the u-domain or past the cap ends the
+    # run as diverged at the last valid state; an in-domain step goes on.
+    inversive = np.ones(genus2.edge_count)
+    u0 = _u(np.full(genus2.vertex_count, radius), background)
+    step = 10.0 if landing == np.inf else 1.0
+    push = 1e308 if landing == np.inf else landing - u0.values
+    target = curvature(genus2, from_u(u0, inversive)).values + push
+    config = FlowConfig(variant="prescribed", target=target, integrator="euler", step=step,
+                        max_time=step, record_potential=False, divergence_radius_cap=cap)
+    if verdict == "non-finite":
+        with pytest.raises(StepError, match="non-finite state at t=10"):
+            run_flow(genus2, inversive, u0, config)
+        return
+    result = run_flow(genus2, inversive, u0, config)
+    if verdict == "diverged":
+        assert (result.status, result.iterations) == ("diverged", 0)
+        assert np.array_equal(result.final_u.values, u0.values)
+    else:
+        assert (result.status, result.iterations) == ("max_time_reached", 1)
+        assert np.allclose(result.final_u.values, landing, rtol=0.0, atol=1e-9)
 
 
 def test_euclidean_certificate_is_the_smallest_eigenvalue_off_the_gauge(torus, rng):

@@ -181,17 +181,46 @@ def test_cli_curvature(workdir, capsys):
 def test_cli_curvature_evaluates_once(workdir, monkeypatch, flags):
     # The package re-exports the function `curvature`, which hides the module.
     curvature_module = importlib.import_module("cpflow.curvature")
-    kernel = curvature_module._curvature_kernel
+    kernel = curvature_module.extended_angles_batch
     passes = []
 
     def counted(*args):
         passes.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(curvature_module, "_curvature_kernel", counted)
+    monkeypatch.setattr(curvature_module, "extended_angles_batch", counted)
     surface = _write(workdir / "tetra.json", _tetra_doc(inversive=1.0))
     assert main(["curvature", str(surface), *flags, "--report", "out.json"]) == 0
     assert len(passes) == 1
+
+
+def test_cli_parser_is_built_once_and_keeps_no_arguments(workdir):
+    # main parses with one parser per process; each run's arguments and
+    # defaults are its own.
+    assert build_parser() is build_parser()
+    doc = _tetra_doc(
+        inversive={"default": 0.0, "edges": [{"edge": [2, 3], "value": 3.0}]},
+        radii=[1e-8, 1.0, 1.0, 1.0],
+    )
+    surface = str(_write(workdir / "tetra.json", doc))
+    _write(workdir / "subsets.json", {"format": 1, "subsets": [[0, 1], [2, 3]]})
+
+    def manifest(path):
+        return json.loads((workdir / path).read_text())
+
+    assert main(["curvature", surface, "--extended", "--report", "ext.json",
+                 "--manifest", "first.json"]) == 0
+    assert manifest("first.json")["config"] == {"extended": True}
+    # plain curvature refuses the degenerate metric, under its default manifest
+    assert main(["curvature", surface]) == 3
+    assert manifest("tetra.curvature.manifest.json")["config"] == {"extended": False}
+    assert not (workdir / "tetra.curvature.json").exists()
+
+    assert main(["check", surface, "--subset-cap", "3", "--report", "capped.json"]) == 0
+    assert main(["check", surface, "--subsets-file", "subsets.json", "--report", "listed.json"]) == 0
+    assert manifest("tetra.check.manifest.json")["config"] == {
+        "subset_cap": None, "subsets_file": "subsets.json"}
+    assert json.loads((workdir / "listed.json").read_text())["subset_count"] == 2
 
 
 def test_cli_curvature_missing_radii(workdir, capsys):
@@ -434,7 +463,7 @@ def test_cli_check_computes_once(workdir, monkeypatch):
     for module, name in [
         (obstructions_module, "_subset_lower_bounds"),
         (packing_module, "_edge_lengths_arrays"),
-        (curvature_module, "_curvature_kernel"),
+        (curvature_module, "extended_angles_batch"),
     ]:
         def counted(*args, _name=name, _func=getattr(module, name)):
             calls.append(_name)
@@ -444,7 +473,7 @@ def test_cli_check_computes_once(workdir, monkeypatch):
     _write(workdir / "t.json", _tetra_doc(inversive=1.0))
     assert main(["check", "t.json", "--report", "check.json"]) == 0
     assert json.loads((workdir / "check.json").read_text())["curvature_bounds"] is not None
-    assert sorted(calls) == ["_curvature_kernel", "_edge_lengths_arrays", "_subset_lower_bounds"]
+    assert sorted(calls) == ["_edge_lengths_arrays", "_subset_lower_bounds", "extended_angles_batch"]
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from cpflow import (
     UCoords,
     angle_jacobian_u,
     build_complex,
+    degenerate_threshold_radius,
     edge_length,
     extended_angles,
     extended_curvature,
@@ -41,6 +42,7 @@ from cpflow.curvature import _jacobian_blocks, make_curvature_evaluator
 from cpflow.potential import _crossings, _face_slack
 from cpflow.packing import (
     _OVERFLOW_FREE_INVERSIVE,
+    _U_SIZE_LIMIT,
     _edge_lengths_arrays,
     _radius_factors,
     _u_factors,
@@ -262,6 +264,30 @@ def _assert_same(got, expected):
     assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
+def _assert_kernel_is_the_chain(complex, background, inversive, u, radii=None):
+    """The evaluator at u, and ``extended_curvature`` at the radii if given,
+    equal the unfused chain bit for bit or raise its error type and message."""
+    evaluate = make_curvature_evaluator(complex, background, inversive)
+    _assert_same(
+        _outcome(lambda: evaluate(u)),
+        _outcome(lambda: _reference_curvature(
+            complex, background, _reference_u_factors(u, background), inversive)[:2]),
+    )
+    if radii is None:
+        return
+    metric = PackingMetric(background, inversive, radii, permissive=True)
+
+    def extended():
+        curv = extended_curvature(complex, metric)
+        return curv.values, curv.degenerate, curv.total_area
+
+    _assert_same(
+        _outcome(extended),
+        _outcome(lambda: _reference_curvature(
+            complex, background, _reference_radius_factors(radii, background), inversive)),
+    )
+
+
 @settings(max_examples=50)
 @given(_permissive_cases(), st.sampled_from(["none", "u0", "floor", "radius", "edge"]))
 def test_fused_kernel_equals_unfused_chain(case, spoil):
@@ -276,26 +302,97 @@ def test_fused_kernel_equals_unfused_chain(case, spoil):
         u[0] = 0.0
     elif spoil == "floor":
         u[0] = -800.0
-
-    evaluate = make_curvature_evaluator(complex, background, inversive)
-    _assert_same(
-        _outcome(lambda: evaluate(u)),
-        _outcome(lambda: _reference_curvature(
-            complex, background, _reference_u_factors(u, background), inversive)[:2]),
+    _assert_kernel_is_the_chain(
+        complex, background, inversive, u, None if spoil in ("u0", "floor") else radii
     )
-    if spoil in ("u0", "floor"):
-        return
-    metric = PackingMetric(background, inversive, radii, permissive=True)
 
-    def extended():
-        curv = extended_curvature(complex, metric)
-        return curv.values, curv.degenerate, curv.total_area
 
-    _assert_same(
-        _outcome(extended),
-        _outcome(lambda: _reference_curvature(
-            complex, background, _reference_radius_factors(radii, background), inversive)),
-    )
+def _threshold_tetrahedron():
+    """The tetrahedron with I = 3 on edge {2, 3} and 0 elsewhere, radius 1
+    at vertices 0, 2 and 3, and the largest radius and u-coordinate of
+    vertex 1 at which the kernel marks face {1, 2, 3} degenerate, from radii
+    and from u (which round differently)."""
+    complex = tetrahedron()
+    inversive = np.zeros(complex.edge_count)
+    inversive[complex.edge_id(2, 3)] = 3.0
+    root = degenerate_threshold_radius(1.0, 1.0, 0.0, 0.0, 3.0)
+    evaluate = make_curvature_evaluator(complex, HYP, inversive)
+    u = radii_to_u_array(np.ones(complex.vertex_count), HYP)
+    lo, hi = radii_to_u_array(np.array([0.5 * root, 2.0 * root]), HYP)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        u[1] = mid
+        lo, hi = (mid, hi) if evaluate(u)[1].any() else (lo, mid)
+    return complex, inversive, root, lo
+
+
+@pytest.mark.parametrize("case", [
+    "size-limit", "past-size-limit", "subnormal-x", "underflow",
+    "below-threshold", "threshold", "above-threshold",
+])
+def test_kernel_screens_are_exact_at_their_edges(case):
+    # Each stage decides by one min/max screen that nothing can be refused
+    # or degenerate, and runs the exact checks only when it fails.  At the
+    # screens' edges the kernel still equals the unfused chain bit for bit.
+    complex, inversive, root, u_root = _threshold_tetrahedron()
+    radii = np.ones(complex.vertex_count)
+    if case in ("size-limit", "past-size-limit"):
+        # I = -0.9 keeps edges from a radius of 350 below the size limit
+        inversive = np.full(complex.edge_count, -0.9)
+        radii[0] = 350.0 if case == "size-limit" else np.nextafter(350.0, np.inf)
+        u = radii_to_u_array(np.ones(complex.vertex_count), HYP)
+        u[0] = _U_SIZE_LIMIT if case == "size-limit" else np.nextafter(_U_SIZE_LIMIT, 0.0)
+        assert case != "size-limit" or radii_to_u_array(radii, HYP)[0] == _U_SIZE_LIMIT
+    elif case in ("subnormal-x", "underflow"):
+        u = radii_to_u_array(radii, HYP)
+        u[0] = -720.0 if case == "subnormal-x" else -746.0
+        assert (0.0 < np.exp(u[0]) < np.finfo(float).tiny) == (case == "subnormal-x")
+        radii = None
+    else:
+        step = {"below-threshold": -np.inf, "threshold": None, "above-threshold": np.inf}[case]
+        radii[1] = root if step is None else np.nextafter(root, step)
+        u = radii_to_u_array(np.ones(complex.vertex_count), HYP)
+        u[1] = u_root if step is None else np.nextafter(u_root, step)
+        # face {1, 2, 3} alone is degenerate up to the threshold, from radii and from u
+        expected = [face == [1, 2, 3] and step != np.inf
+                    for face in np.sort(complex.faces, axis=1).tolist()]
+        metric = PackingMetric(HYP, inversive, radii)
+        assert extended_curvature(complex, metric).degenerate.tolist() == expected
+        evaluate = make_curvature_evaluator(complex, HYP, inversive)
+        assert evaluate(u)[1].tolist() == expected
+    _assert_kernel_is_the_chain(complex, HYP, inversive, u, radii)
+
+
+@pytest.mark.parametrize("far_end", ["admissible", "past-size-limit"])
+def test_face_slack_on_a_parameter_grid_is_the_chain(far_end):
+    # _face_slack stacks a 2-D (faces, points) grid of parameters s into the
+    # stages, whose screens reduce over every element.  Along a segment
+    # through the threshold its sign is the chain's mask at every point;
+    # with an edge past the size limit at the far end it raises the
+    # chain's error there.
+    complex, inversive, _, u_root = _threshold_tetrahedron()
+    u_from = radii_to_u_array(np.ones(complex.vertex_count), HYP)
+    u_from[1] = u_root - 0.5
+    u_to = u_from.copy()
+    if far_end == "admissible":
+        u_to[1] = u_root + 0.5
+    else:  # radii of 200 at both ends of edge {2, 3}
+        u_to[[2, 3]] = radii_to_u_array(np.array([200.0, 200.0]), HYP)
+    direction, faces = u_to - u_from, np.arange(complex.face_count)
+    grid = np.linspace(0.0, 1.0, 9) ** np.arange(1, complex.face_count + 1)[:, None]
+
+    def chain(s):
+        factors = _reference_u_factors(u_from + s * direction, HYP)
+        return _reference_curvature(complex, HYP, factors, inversive)[1]
+
+    slack = _face_slack(PotentialContext(complex, inversive, UCoords(u_from, HYP)),
+                        u_from, direction, faces)
+    if far_end == "admissible":
+        expected = [[chain(s)[f] for s in row] for f, row in zip(faces, grid)]
+        assert (slack(grid) <= 0).tolist() == expected
+        assert np.array(expected).any() and not np.array(expected).all()
+    else:
+        _assert_same(_outcome(lambda: [slack(grid)]), _outcome(lambda: [chain(1.0)]))
+        assert isinstance(_outcome(lambda: [chain(1.0)])[0], type)
 
 
 def test_face_edge_tables_are_c_ordered_int64():
