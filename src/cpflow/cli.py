@@ -107,8 +107,7 @@ def _cmd_curvature(args, run: _Run) -> int:
     print(f"total area      {curv.total_area!r}")
     print(f"gauss-bonnet    {defect!r}")
     print("vertex  curvature")
-    for i, k in enumerate(curv.values):
-        print(f"{i:>6}  {float(k)!r}")
+    print("\n".join([f"{i:>6}  {k!r}" for i, k in enumerate(curv.values.tolist())]))
 
     report_path = args.report or f"{Path(args.surface).stem}.curvature.json"
     _write_json(

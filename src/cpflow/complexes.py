@@ -11,6 +11,7 @@ exactly two faces and the faces around each vertex must form a single cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -31,8 +32,6 @@ class SurfaceComplex:
         Vertex triples, each row sorted ascending, rows in lexicographic order.
     edges : (E, 2) int array
         Canonical (min, max) vertex pairs in lexicographic order.
-    edge_index : dict
-        Maps a canonical pair (i, j) to its row in ``edges``.
     edge_faces : (E, 2) int array
         The two faces incident to each edge.
     vertex_degree : (N,) int array
@@ -45,17 +44,23 @@ class SurfaceComplex:
     face_edge_tables : three C-ordered (F, 3) int arrays
         ``face_opposite_edges`` and its columns shifted by one and by two:
         [f, m] holds the edge of face f opposite its vertex m, m + 1, m + 2.
+    edge_index : dict
+        Maps a canonical pair (i, j) to its row in ``edges``; built on first
+        read, as no hot path needs it.
     """
 
     vertex_count: int
     faces: np.ndarray
     edges: np.ndarray
-    edge_index: dict
     edge_faces: np.ndarray
     vertex_degree: np.ndarray
     euler_characteristic: int
     face_opposite_edges: np.ndarray
     face_edge_tables: tuple
+
+    @cached_property
+    def edge_index(self) -> dict:
+        return dict(zip(zip(*self.edges.T.tolist()), range(len(self.edges))))
 
     @property
     def edge_count(self) -> int:
@@ -110,16 +115,24 @@ def _split_links(ids: np.ndarray, twin: np.ndarray, first_corner: np.ndarray) ->
     return vertex[label != first_corner[vertex]]
 
 
+def _is_integer(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer; booleans are not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def build_complex(faces: Sequence[Sequence[int]]) -> SurfaceComplex:
     """Build and validate a closed triangulated surface from vertex triples.
 
-    Vertex labels must be exactly ``0..N-1``.  Each error names the first
-    offending face, edge or vertex, in the order of the checks below.
+    Vertex labels must be integers, Python or numpy, and exactly
+    ``0..N-1``.  Each error names the first offending face, edge or vertex,
+    in the order of the checks below.
 
     Raises
     ------
     BadFaceError
-        A face has a repeated vertex or a negative vertex index.
+        The face list is empty, a vertex label is not an integer (booleans,
+        floats and strings are refused), or a face has a repeated vertex, a
+        negative vertex index or not three vertices.
     NonManifoldError
         Some edge is not in exactly two faces, or a face is duplicated.
     DisconnectedLinkError
@@ -129,10 +142,22 @@ def build_complex(faces: Sequence[Sequence[int]]) -> SurfaceComplex:
     if len(faces) == 0:
         raise BadFaceError("face list is empty")
     faces = list(faces)
+    if not set(map(type, chain.from_iterable(faces))) <= {int}:
+        for face in faces:
+            if not all(map(_is_integer, face)):
+                raise BadFaceError(f"face {face!r} has a vertex label that is not an integer")
+    return _build_complex(faces)
+
+
+def _build_complex(faces: list) -> SurfaceComplex:
+    """``build_complex`` after its label check, for a caller that has
+    already checked that every vertex label is an integer."""
+    if len(faces) == 0:
+        raise BadFaceError("face list is empty")
     sizes = np.fromiter(map(len, faces), np.int64, len(faces))
     ragged = np.flatnonzero(sizes != 3)
     n_ok = int(ragged[0]) if ragged.size else len(faces)
-    rows = np.fromiter(map(int, chain.from_iterable(faces[:n_ok])), np.int64, 3 * n_ok)
+    rows = np.fromiter(chain.from_iterable(faces[:n_ok]), np.int64, 3 * n_ok)
     rows = np.sort(rows.reshape(n_ok, 3), axis=1)
 
     repeated = (rows[:, 0] == rows[:, 1]) | (rows[:, 1] == rows[:, 2])
@@ -196,7 +221,6 @@ def build_complex(faces: Sequence[Sequence[int]]) -> SurfaceComplex:
         vertex_count=n_vertices,
         faces=face_arr,
         edges=edge_arr,
-        edge_index=dict(zip(zip(*edge_arr.T.tolist()), range(len(edge_arr)))),
         edge_faces=edge_faces,
         vertex_degree=degree,
         euler_characteristic=n_vertices - len(edge_arr) + len(face_arr),
@@ -210,7 +234,7 @@ def normalize_subset(vertex_count: int, subset: Iterable[int]) -> frozenset:
     whose members are integers, Python or numpy, not booleans, floats or
     strings; returned as a frozenset of ints, else ValueError."""
     members = list(subset)
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in members):
+    if not all(map(_is_integer, members)):
         raise ValueError("vertex subset members must be integers")
     members = frozenset(map(int, members))
     if not members:
@@ -342,7 +366,6 @@ _DOUBLE_TRIANGLE = SurfaceComplex(
     vertex_count=3,
     faces=_frozen([[0, 1, 2]] * 2),
     edges=_frozen([[0, 1], [0, 2], [1, 2]]),
-    edge_index={(0, 1): 0, (0, 2): 1, (1, 2): 2},
     edge_faces=_frozen([[0, 1]] * 3),
     vertex_degree=_frozen([2, 2, 2]),
     euler_characteristic=2,

@@ -1,8 +1,8 @@
 """File formats: surface files, target files, trace CSV, check reports, run manifests.
 
 Structured inputs and reports are JSON, written compact on one line; flow
-traces are CSV.  Check reports are assembled as text from the report's
-columns, byte-identical to the compact ``json.dumps`` form.  All floats are
+traces are CSV.  Check reports and surface files are assembled as text from
+their arrays, byte-identical to the compact ``json.dumps`` form.  All floats are
 serialized with the shortest round-trip representation, so re-parsing an
 emitted file reproduces the values bit for bit and identical runs produce
 byte-identical outputs.  Every format carries a ``"format": 1`` version
@@ -12,6 +12,7 @@ field and unknown fields are rejected.  A path that cannot be written is a
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .complexes import SurfaceComplex, build_complex, normalize_subset
+from .complexes import SurfaceComplex, _build_complex, normalize_subset
 from .errors import ConfigError, CPFlowError, ParseError
 from .packing import Background, PackingMetric, check_inversive
 
@@ -34,6 +35,7 @@ _ENTRY_FIELDS = {"edge", "value"}
 _INT = frozenset({int})
 _LIST = frozenset({list})
 _NUMBER = frozenset({int, float})
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 @dataclass(frozen=True)
@@ -103,19 +105,6 @@ def _load_json(path) -> dict:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _is_entry(entry) -> bool:
-    """Whether a JSON value has the shape {"edge": [i, j], "value": v}."""
-    return (
-        type(entry) is dict
-        and entry.keys() == _ENTRY_FIELDS
-        and type(edge := entry["edge"]) is list
-        and len(edge) == 2
-        and type(edge[0]) is int
-        and type(edge[1]) is int
-        and type(entry["value"]) in _NUMBER
-    )
-
-
 def _parse_inversive(raw, complex: SurfaceComplex) -> np.ndarray:
     """Inversive field: scalar, full/sparse edge list, or default + overrides."""
     n_edges = complex.edge_count
@@ -137,30 +126,84 @@ def _parse_inversive(raw, complex: SurfaceComplex) -> np.ndarray:
     if not isinstance(entries, list):
         raise ParseError("'inversive' must be a number, a list, or {default, edges}")
 
-    # One scan in file order: the first bad entry decides the error.
-    assigned = {}
+    # One scan in file order collects the well-formed entries up to the first
+    # malformed one; the first fault in file order decides the error.
+    edges, values = [], []
     for entry in entries:
-        if not _is_entry(entry):
-            raise ParseError('each inversive entry must be {"edge": [i, j], "value": v}')
-        i, j = entry["edge"]
-        key = (i, j) if i < j else (j, i)
-        row = complex.edge_index.get(key)
-        if row is None:
-            raise ParseError(f"inversive entry names a non-edge {list(key)}")
-        if row in assigned:
-            raise ParseError(f"duplicate inversive entry for edge {list(key)}")
-        assigned[row] = float(entry["value"])
+        if not (
+            type(entry) is dict
+            and entry.keys() == _ENTRY_FIELDS
+            and type(edge := entry["edge"]) is list
+            and len(edge) == 2
+            and type(edge[0]) is int
+            and type(edge[1]) is int
+            and type(value := entry["value"]) in _NUMBER
+        ):
+            break
+        edges.append(edge)
+        values.append(value)
+    rows = _edge_rows(edges, complex)
+    order = np.argsort(rows, kind="stable")  # stable, so repeats follow their first copy
+    faulty = rows < 0
+    faulty[order[1:][rows[order[1:]] == rows[order[:-1]]]] = True
+    fault = int(np.argmax(faulty)) if faulty.any() else len(rows)
+    # A value too large for a float raises OverflowError at its entry, so
+    # only the values before the first fault are converted.
+    values = np.array(values[:fault], dtype=float)
+    if fault < len(rows):
+        key = sorted(edges[fault])
+        if rows[fault] < 0:
+            raise ParseError(f"inversive entry names a non-edge {key}")
+        raise ParseError(f"duplicate inversive entry for edge {key}")
+    if len(rows) < len(entries):
+        raise ParseError('each inversive entry must be {"edge": [i, j], "value": v}')
 
-    if default is None and len(assigned) < n_edges:
-        missing = next(e for k, e in enumerate(complex.edges.tolist()) if k not in assigned)
+    if default is None and len(rows) < n_edges:
+        assigned = np.zeros(n_edges, dtype=bool)
+        assigned[rows] = True
+        missing = complex.edges[np.argmin(assigned)].tolist()
         raise ParseError(f"edge {missing} has no inversive value and no default")
     out = np.full(n_edges, 0.0 if default is None else default)
-    out[list(assigned)] = list(assigned.values())
+    out[rows] = values
     return out
 
 
+def _edge_rows(edges: list, complex: SurfaceComplex) -> np.ndarray:
+    """Row of each integer pair [i, j] in the canonical edge order, or -1
+    where it names no edge: one ``searchsorted`` over the sorted edge keys
+    i * N + j."""
+    n = complex.vertex_count
+    try:
+        ends = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
+    except OverflowError:  # an endpoint beyond int64 is no vertex
+        ends = (v if 0 <= v < n else -1 for v in chain.from_iterable(edges))
+        ends = np.fromiter(ends, np.int64, 2 * len(edges))
+    i, j = np.minimum(ends[0::2], ends[1::2]), np.maximum(ends[0::2], ends[1::2])
+    wanted = np.where((i >= 0) & (j < n), i * n + j, -1)
+    keys = complex.edges[:, 0] * n + complex.edges[:, 1]
+    rows = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    rows[keys[rows] != wanted] = -1
+    return rows
+
+
 def load_surface(path) -> SurfaceInput:
-    """Parse and validate a surface file."""
+    """Parse and validate a surface file.
+
+    The cyclic garbage collector is paused meanwhile, and the caller's
+    setting restored: the decoded document and all that is built from it
+    hold no reference cycles, so a collection over its many new objects
+    could free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_surface(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_surface(path) -> SurfaceInput:
     doc = _load_json(path)
     _check_fields(doc, _SURFACE_FIELDS, "surface file")
 
@@ -181,7 +224,7 @@ def load_surface(path) -> SurfaceInput:
     if not _is_list_of(faces, _LIST) or not _is_list_of(list(chain.from_iterable(faces)), _INT):
         raise ParseError("'faces' must be a list of vertex-index lists")
     try:
-        complex = build_complex(faces)
+        complex = _build_complex(faces)
         inversive = check_inversive(_parse_inversive(doc["inversive"], complex), complex, permissive)
         metric = None
         if "radii" in doc:
@@ -201,37 +244,38 @@ def load_surface(path) -> SurfaceInput:
     return SurfaceInput(complex, background, inversive, permissive, metric)
 
 
-def surface_document(
-    complex: SurfaceComplex,
-    background: Background,
-    inversive: np.ndarray,
-    radii: np.ndarray | None,
-    permissive: bool = False,
-) -> dict:
-    """Surface-file JSON document; re-parses to bit-identical data."""
-    inversive = np.asarray(inversive, dtype=float)
-    if np.all(inversive == inversive[0]):
-        inv_field = float(inversive[0])
-    else:
-        inv_field = [
-            {"edge": edge, "value": value}
-            for edge, value in zip(complex.edges.tolist(), inversive.tolist())
-        ]
-    doc = {
-        "format": FORMAT_VERSION,
-        "background": background.value,
-        "faces": complex.faces.tolist(),
-        "inversive": inv_field,
-    }
-    if radii is not None:
-        doc["radii"] = np.asarray(radii, dtype=float).tolist()
-    if permissive:
-        doc["permissive"] = True
-    return doc
+def _float_texts(values: np.ndarray) -> list[str]:
+    """The text ``json.dumps`` writes for each float: its ``repr``, or NaN,
+    Infinity and -Infinity."""
+    texts = list(map(repr, values.tolist()))
+    if not np.isfinite(values).all():
+        texts = [_NONFINITE.get(t, t) for t in texts]
+    return texts
 
 
 def save_surface(path, complex, background, inversive, radii, permissive=False) -> None:
-    _write_json(path, surface_document(complex, background, inversive, radii, permissive))
+    """Write a surface file that re-parses to bit-identical data.
+
+    The text is the compact ``json.dumps`` of the document, byte for byte,
+    built from the arrays with one ``repr`` per float.  A constant inversive
+    field is written as one number, any other as one entry per edge in the
+    canonical edge order.
+    """
+    inversive = np.asarray(inversive, dtype=float)
+    if np.all(inversive == inversive[0]):
+        inversive_text = _float_texts(inversive[:1])[0]
+    else:
+        inversive_text = "[" + ", ".join([
+            f'{{"edge": [{i}, {j}], "value": {v}}}'
+            for (i, j), v in zip(complex.edges.tolist(), _float_texts(inversive))
+        ]) + "]"
+    text = (f'{{"format": {FORMAT_VERSION}, "background": "{background.value}", '
+            f'"faces": {complex.faces.tolist()}, "inversive": {inversive_text}')
+    if radii is not None:
+        text += f', "radii": [{", ".join(_float_texts(np.asarray(radii, dtype=float)))}]'
+    if permissive:
+        text += ', "permissive": true'
+    _write_text(path, text + "}\n")
 
 
 def load_target(path, n_vertices: int) -> np.ndarray:

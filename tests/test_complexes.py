@@ -83,6 +83,20 @@ def test_bad_faces_rejected():
         build_complex([])
 
 
+@pytest.mark.parametrize("label", [3.9, True, "1", 3.0, None])
+def test_non_integer_labels_rejected(label):
+    faces = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, label), (1, 2, 3.5)]
+    with pytest.raises(BadFaceError) as err:
+        build_complex(faces)
+    assert str(err.value) == f"face {(1, 2, label)!r} has a vertex label that is not an integer"
+
+
+def test_numpy_integer_labels_accepted(tetra):
+    faces = [tuple(np.int32(v) for v in face) for face in tetra.faces.tolist()]
+    assert build_complex(faces).faces.tolist() == tetra.faces.tolist()
+    assert build_complex(tetra.faces).faces.tolist() == tetra.faces.tolist()
+
+
 def test_pinched_vertex_rejected():
     # Two tetrahedra sharing only vertex 0: the link of 0 is two cycles.
     first = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
@@ -110,6 +124,9 @@ def _reference_complex(faces):
     """
     if len(faces) == 0:
         raise BadFaceError("face list is empty")
+    for face in faces:
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in face):
+            raise BadFaceError(f"face {face!r} has a vertex label that is not an integer")
     rows = []
     for face in faces:
         triple = tuple(int(v) for v in face)
@@ -244,6 +261,15 @@ def _negate(faces, rng):
     return _repeat(out, rng)
 
 
+def _mislabel(faces, rng):
+    """One label in each of two faces turned into a float, a boolean or a string."""
+    out = _repeat(faces, rng)
+    for f in rng.choice(len(out), size=2, replace=False):
+        m = rng.integers(3)
+        out[f][m] = [float(out[f][m]) + 0.5, True, str(out[f][m])][rng.integers(3)]
+    return out
+
+
 def _pinch(faces, rng):
     """Two copies glued at one vertex, whose link is then two cycles."""
     n = max(map(max, faces)) + 1
@@ -260,6 +286,7 @@ def _pinch(faces, rng):
         (_duplicate, NonManifoldError),
         (_repeat, BadFaceError),
         (_negate, BadFaceError),
+        (_mislabel, BadFaceError),
         (_pinch, DisconnectedLinkError),
     ]),
     st.integers(0, 2**32 - 1),

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import importlib
 import itertools
 import json
@@ -23,9 +25,10 @@ from cpflow.io import (
     load_target,
     save_surface,
     save_target,
-    surface_document,
     trace_header,
 )
+
+from conftest import flip_edges
 
 HYP = Background.HYPERBOLIC
 
@@ -138,6 +141,30 @@ def test_target_file_round_trip(tmp_path):
         load_target(path, 5)
 
 
+def surface_document(complex, background, inversive, radii, permissive=False) -> dict:
+    """Reference for ``save_surface``: the surface file as a JSON document,
+    whose compact ``json.dumps`` plus a newline is the file's text."""
+    inversive = np.asarray(inversive, dtype=float)
+    if np.all(inversive == inversive[0]):
+        inv_field = float(inversive[0])
+    else:
+        inv_field = [
+            {"edge": edge, "value": value}
+            for edge, value in zip(complex.edges.tolist(), inversive.tolist())
+        ]
+    doc = {
+        "format": 1,
+        "background": background.value,
+        "faces": complex.faces.tolist(),
+        "inversive": inv_field,
+    }
+    if radii is not None:
+        doc["radii"] = np.asarray(radii, dtype=float).tolist()
+    if permissive:
+        doc["permissive"] = True
+    return doc
+
+
 def test_emitted_surface_reparses_identically(tmp_path, tetra, rng):
     inversive = rng.uniform(0.0, 2.0, 6)
     radii = np.exp(rng.uniform(-1.0, 1.0, 4))
@@ -148,6 +175,72 @@ def test_emitted_surface_reparses_identically(tmp_path, tetra, rng):
     save_surface(path_b, reloaded.complex, reloaded.background, reloaded.inversive, reloaded.radii)
     assert path_a.read_bytes() == path_b.read_bytes()
     assert doc["faces"] == [sorted(f) for f in TETRA_FACES]
+
+
+@functools.cache
+def _writer_complexes():
+    """Every stock complex and two edge-flipped surfaces of each."""
+    rng = np.random.default_rng(7)
+    stock = [cpflow.tetrahedron(), cpflow.octahedron(), cpflow.icosahedron(),
+             cpflow.triangulated_torus(3, 4), cpflow.genus2_surface()]
+    return stock + [
+        cpflow.build_complex(flip_edges(base.faces, rng, 2 * base.face_count))
+        for base in stock for _ in range(2)
+    ]
+
+
+@pytest.mark.parametrize("background", list(Background))
+@pytest.mark.parametrize("case", range(15))
+def test_saved_surface_equals_reference_bytes(tmp_path, case, background):
+    complex, rng = _writer_complexes()[case], np.random.default_rng(case)
+    per_edge = rng.uniform(-0.5, 3.0, complex.edge_count)
+    per_edge[rng.integers(complex.edge_count)] = -0.0
+    per_edge[rng.integers(complex.edge_count)] = 2  # an integral value
+    radii = np.exp(rng.uniform(-30.0, 30.0, complex.vertex_count))
+    fields = [per_edge, np.full(complex.edge_count, 0.75), np.full(complex.edge_count, -0.0)]
+    path = tmp_path / "s.json"
+    for inversive, with_radii, permissive in itertools.product(fields, (True, False),
+                                                               (False, True)):
+        saved_radii = radii if with_radii else None
+        save_surface(path, complex, background, inversive, saved_radii, permissive)
+        doc = surface_document(complex, background, inversive, saved_radii, permissive)
+        assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
+        if not permissive and inversive.min() < 0:
+            continue  # refused on load, as a negative inversive distance needs permissive
+        loaded = load_surface(path)
+        assert loaded.complex.faces.tolist() == complex.faces.tolist()
+        assert loaded.permissive is permissive and loaded.background is background
+        assert loaded.inversive.view(np.uint64).tolist() == inversive.view(np.uint64).tolist()
+        if with_radii:
+            assert loaded.radii.view(np.uint64).tolist() == radii.view(np.uint64).tolist()
+        else:
+            assert loaded.radii is None
+
+
+def test_saved_surface_writes_json_text_for_non_finite_values(tmp_path, tetra):
+    inversive = np.array([np.nan, np.inf, -np.inf, 1e308, -1e-308, 0.1])
+    radii = np.array([np.inf, 1.0, np.nan, 5e-324])
+    save_surface(tmp_path / "s.json", tetra, HYP, inversive, radii)
+    expected = json.dumps(surface_document(tetra, HYP, inversive, radii)) + "\n"
+    assert (tmp_path / "s.json").read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("valid", [True, False])
+def test_load_surface_leaves_the_collector_as_found(tmp_path, enabled, valid):
+    doc = _tetra_doc() if valid else _tetra_doc(radii=[1.0, -1.0, 1.0, 1.0])
+    path = _write(tmp_path / "s.json", doc)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if valid:
+            load_surface(path)
+        else:
+            with pytest.raises(ParseError):
+                load_surface(path)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
 
 
 # ---------------------------------------------------------------------------

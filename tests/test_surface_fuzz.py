@@ -11,7 +11,7 @@ raise ``ParseError``.
 
 ``_parse_inversive`` must match the reference scan below, entry by entry in
 file order: the same values, or the same error for the same first offending
-entry.
+entry, also where a list holds two different faults in either order.
 """
 
 from __future__ import annotations
@@ -190,6 +190,45 @@ def test_parse_inversive_matches_reference_scan(raw):
         assert str(got.value) == str(exc)
     else:
         assert np.array_equal(_parse_inversive(raw, _TORUS), expected, equal_nan=True)
+
+
+_NON_EDGE = next([i, j] for i in range(9) for j in range(i + 1, 9) if [i, j] not in _EDGES)
+_FAULTS = {
+    "non-edge": ({"edge": _NON_EDGE[::-1], "value": 1.0},
+                 f"inversive entry names a non-edge {_NON_EDGE}"),
+    "far non-edge": ({"edge": [10**30, 2], "value": 1.0},
+                     f"inversive entry names a non-edge {[2, 10**30]}"),
+    "duplicate": ({"edge": _EDGES[1][::-1], "value": 2.0},
+                  f"duplicate inversive entry for edge {_EDGES[1]}"),
+    "malformed": ({"edge": [0, 1]}, 'each inversive entry must be {"edge": [i, j], "value": v}'),
+    "boolean endpoint": ({"edge": [0, True], "value": 1.0},
+                         'each inversive entry must be {"edge": [i, j], "value": v}'),
+}
+
+
+@pytest.mark.parametrize("default", [None, 0.5])
+@pytest.mark.parametrize("first, second", [
+    (a, b) for a in _FAULTS for b in _FAULTS
+    if a != b and {a, b} not in ({"non-edge", "far non-edge"}, {"malformed", "boolean endpoint"})
+])
+def test_first_fault_in_file_order_decides_the_error(first, second, default):
+    good = [{"edge": e, "value": 1.0} for e in _EDGES]
+    entries = good[:3] + [_FAULTS[first][0]] + good[3:10] + [_FAULTS[second][0]] + good[10:]
+    raw = entries if default is None else {"default": default, "edges": entries}
+    with pytest.raises(ParseError) as expected:
+        _reference_inversive(raw, _TORUS)
+    with pytest.raises(ParseError) as got:
+        _parse_inversive(raw, _TORUS)
+    assert str(got.value) == str(expected.value) == _FAULTS[first][1]
+
+
+def test_value_too_large_for_a_float_is_a_fault_at_its_entry():
+    good = [{"edge": e, "value": 1.0} for e in _EDGES]
+    huge = {"edge": _EDGES[5], "value": 10**400}
+    with pytest.raises(OverflowError):
+        _parse_inversive(good[:5] + [huge] + [_FAULTS["non-edge"][0]] + good[6:], _TORUS)
+    with pytest.raises(ParseError, match="non-edge"):
+        _parse_inversive(good[:5] + [_FAULTS["non-edge"][0], huge] + good[6:], _TORUS)
 
 
 # ---------------------------------------------------------------------------
