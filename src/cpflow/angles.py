@@ -178,6 +178,12 @@ _THIRD = -np.add.outer(np.arange(3), np.arange(3)) % 3
 _DIAGONAL = np.eye(3, dtype=bool)
 
 
+def _boundary_error(refused: np.ndarray) -> BoundaryError:
+    """The derivatives' one refusal, naming the faces that ``refused`` marks."""
+    return BoundaryError("angle derivatives are undefined on or next to the degenerate "
+                         f"boundary in faces {np.flatnonzero(refused).tolist()}")
+
+
 def angle_jacobians_batch(
     background: Background, factors, inversive: np.ndarray, edges, faces, tables
 ) -> np.ndarray:
@@ -188,28 +194,27 @@ def angle_jacobians_batch(
 
     Entry [f, p, q] is the derivative of angle p with respect to the
     u-coordinate of vertex q in face f.  Every face must satisfy the strict
-    triangle inequalities, by the rule of ``extended_angles_batch``; at or
-    beyond that boundary the derivative blows up and BoundaryError is
-    raised instead.
+    triangle inequalities, by the rule of ``extended_angles_batch``; on,
+    beyond or within rounding of that boundary the derivative blows up, and
+    a BoundaryError naming the refused rows of ``faces`` is raised instead.
     """
     excess, sx = edges
-    opposite, nxt, prv = tables
+    opposite = tables[0]
     num, den = _cosine_law(background, excess, sx, tables)
-    if np.count_nonzero(np.add(num, den) <= 0.0):
-        raise BoundaryError(
-            "angle derivatives are undefined on or beyond the degenerate boundary"
-        )
     cos = np.divide(num, den, out=num)
+    # This refuses every degenerate corner, as extended_angles_batch's screen
+    # argues: fl(num + den) <= 0 gives num / den <= -1, so 1 - cos^2 <= 0.
     sin_sq = 1.0 - cos**2
-    if (sin_sq <= 0).any():
-        raise BoundaryError("triangle too close to the degenerate boundary")
+    refused = sin_sq <= 0
+    if refused.any():
+        raise _boundary_error(refused.any(axis=1))
     sin = np.sqrt(sin_sq)
 
     # dtheta/dx: diagonal D_m = x'_m / (x'_j x'_k sin theta_m) with
     # x' = sinh x (hyperbolic) or x (euclidean); off-diagonal
     # dtheta_m/dx_a = -D_m cos theta_b, {m, a, b} = {0, 1, 2}.
     sx_m = sx[opposite]
-    d = sx_m / (sx[nxt] * sx[prv] * sin)
+    d = sx_m / (den * sin)
     dtheta_dx = d[:, :, None] * np.where(_DIAGONAL, 1.0, -cos[:, _THIRD])
 
     # dx/du = dx/dr dr/du with dr/du = s = sinh r = P (hyperbolic) or r
@@ -227,7 +232,7 @@ def angle_jacobians_batch(
     out = dtheta_dx @ np.where(_DIAGONAL, 0.0, dx_dr * s_a)
     if not np.isfinite(out).all():
         # strict inequalities can hold by less than an ulp while 1/sin blows up
-        raise BoundaryError("triangle too close to the degenerate boundary")
+        raise _boundary_error(~np.isfinite(out).all(axis=(1, 2)))
     return out
 
 
@@ -259,8 +264,8 @@ def degenerate_threshold_radius(
     when inv_jk > 1, so the root is unique; for inv_jk in [0, 1] the face
     never degenerates by shrinking r_i and the threshold is 0.  The root is
     bisected to rounding on the curvature kernel's own degeneracy rule, the
-    sign of min_m (num_m + den_m), which may see no root (threshold 0) when
-    inv_jk is within rounding of 1.  The bracket doubles to 256 at most:
+    mask of ``extended_angles_batch``, which may see no root (threshold 0)
+    when inv_jk is within rounding of 1.  The bracket doubles to 256 at most:
     l_ij >= r_i for I >= 0, so the gap is positive once r_i > 175, as
     l_jk <= 350.
     """
@@ -276,8 +281,7 @@ def degenerate_threshold_radius(
     def admissible(r_i: float) -> bool:
         factors = _radius_factors(bg, np.array([r_i, r_j, r_k]))
         edges = _edge_lengths_arrays(bg, factors, _NEXT, _PREV, inversive)
-        num, den = _cosine_law(bg, *edges, _TRIANGLE_TABLES)
-        return bool((num + den).min() > 0.0)
+        return not extended_angles_batch(bg, *edges, _TRIANGLE_TABLES)[1][0]
 
     lo, hi = 0.0, 1.0
     if admissible(lo):

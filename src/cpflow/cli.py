@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .curvature import _defect, curvature, extended_curvature, gauss_bonnet_defect
 from .errors import ConfigError, CPFlowError, ParseError
-from .flow import FlowConfig, run_flow
+from .flow import INTEGRATORS, VARIANTS, FlowConfig, run_flow
 from .io import (
     _write_json,
     load_subsets,
@@ -289,15 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flow", help="integrate the combinatorial Ricci flow")
     add_common(p)
-    p.add_argument("--variant", choices=("classical", "extended", "prescribed"),
-                   default="extended")
+    flow = FlowConfig()
+    p.add_argument("--variant", choices=VARIANTS, default=flow.variant)
     p.add_argument("--target-file", help="prescribed-curvature target (JSON)")
-    p.add_argument("--dt", type=float, default=0.05, help="time step (default 0.05)")
-    p.add_argument("--tol", type=float, default=1e-9, help="residual tolerance")
-    p.add_argument("--max-time", type=float, default=500.0)
-    p.add_argument("--sample-every", type=int, default=10, metavar="STEPS")
-    p.add_argument("--integrator", choices=("rk4", "euler"), default="rk4")
-    p.add_argument("--radius-cap", type=float, default=300.0,
+    p.add_argument("--dt", type=float, default=flow.step, help=f"time step (default {flow.step})")
+    p.add_argument("--tol", type=float, default=flow.tolerance, help="residual tolerance")
+    p.add_argument("--max-time", type=float, default=flow.max_time)
+    p.add_argument("--sample-every", type=int, default=flow.sample_every, metavar="STEPS")
+    p.add_argument("--integrator", choices=INTEGRATORS, default=flow.integrator)
+    p.add_argument("--radius-cap", type=float, default=flow.divergence_radius_cap,
                    help="declare divergence past this radius")
     p.add_argument("--no-potential", action="store_true",
                    help="skip potential values in the trace")

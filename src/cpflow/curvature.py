@@ -18,7 +18,7 @@ import numpy as np
 
 from .angles import angle_jacobians_batch, extended_angles_batch
 from .complexes import SurfaceComplex
-from .errors import BoundaryError, NotAdmissibleError
+from .errors import NotAdmissibleError
 from .packing import (
     Background,
     PackingMetric,
@@ -157,14 +157,8 @@ def curvature_jacobian(complex: SurfaceComplex, metric: PackingMetric) -> np.nda
     its kernel (scaling invariance).
     """
     _check_fits(complex, metric)
-    try:
-        factors = _radius_factors(metric.background, metric.radii)
-        blocks = _jacobian_blocks(complex, metric.background, factors, metric.inversive)
-    except BoundaryError:
-        _, bad = is_admissible(complex, metric)
-        raise BoundaryError(
-            f"curvature Jacobian undefined: degenerate or boundary faces {bad}"
-        ) from None
+    factors = _radius_factors(metric.background, metric.radii)
+    blocks = _jacobian_blocks(complex, metric.background, factors, metric.inversive)
 
     # Flat index row * n + col of every block entry, in blocks' (f, p, q) order.
     n = complex.vertex_count

@@ -40,7 +40,7 @@ from .packing import (
 from .potential import PotentialContext, _domain_ok, potential_gradient, segment_integral
 
 VARIANTS = ("classical", "extended", "prescribed")
-INTEGRATORS = ("euler", "rk4")
+INTEGRATORS = ("rk4", "euler")
 
 #: consecutive in-tolerance samples required before declaring convergence
 _SUSTAINED_SAMPLES = 3

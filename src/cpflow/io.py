@@ -257,12 +257,13 @@ def save_surface(path, complex, background, inversive, radii, permissive=False) 
     """Write a surface file that re-parses to bit-identical data.
 
     The text is the compact ``json.dumps`` of the document, byte for byte,
-    built from the arrays with one ``repr`` per float.  A constant inversive
-    field is written as one number, any other as one entry per edge in the
-    canonical edge order.
+    built from the arrays with one ``repr`` per float.  An inversive field
+    of one bit pattern is written as one number, any other (0.0 and -0.0
+    mixed, too) as one entry per edge in the canonical edge order.
     """
     inversive = np.asarray(inversive, dtype=float)
-    if np.all(inversive == inversive[0]):
+    bits = inversive.view(np.uint64)
+    if (bits == bits[0]).all():
         inversive_text = _float_texts(inversive[:1])[0]
     else:
         inversive_text = "[" + ", ".join([

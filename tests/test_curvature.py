@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -157,12 +159,60 @@ def test_jacobian_finite_differences(background, genus2, rng):
         assert np.max(np.abs(jac - fd)) / np.max(np.abs(fd)) <= 1e-6
 
 
-def test_jacobian_refused_on_degenerate(tetra):
+def _degenerate_tetrahedron(tetra):
+    """Face 2 = {0, 2, 3} degenerate: I = 3 on edge {2, 3}, a tiny radius at 0."""
     inversive = np.zeros(6)
     inversive[tetra.edge_id(2, 3)] = 3.0
-    metric = PackingMetric(HYP, inversive, np.array([1e-8, 1.0, 1.0, 1.0]))
-    with pytest.raises(BoundaryError):
+    return PackingMetric(HYP, inversive, np.array([1e-8, 1.0, 1.0, 1.0]))
+
+
+def _thin_tetrahedron(tetra):
+    """An admissible tetrahedron whose face 0 = {0, 1, 2} has a large radius
+    between tiny neighbours, where the angle at vertex 2 rounds to 0 in the
+    derivative's cosine (the strictly expected failure of
+    ``test_jacobian_of_a_large_radius_between_tiny_neighbours``)."""
+    inversive = np.full(6, 0.5)
+    for edge, value in (((1, 2), 0.635), ((0, 2), 1.836), ((0, 1), 0.167)):
+        inversive[tetra.edge_id(*edge)] = value
+    return PackingMetric(HYP, inversive, np.array([1.04e-3, 4.89e-3, 17.7, 1.0]))
+
+
+def test_jacobian_refused_on_degenerate(tetra):
+    with pytest.raises(BoundaryError, match=r"in faces \[2\]$"):
+        curvature_jacobian(tetra, _degenerate_tetrahedron(tetra))
+
+
+def test_jacobian_refusal_names_an_admissible_boundary_face(tetra):
+    # The kernel calls every face admissible, yet face 0 lies within
+    # rounding of the boundary for the derivative; the refusal names it.
+    metric = _thin_tetrahedron(tetra)
+    assert is_admissible(tetra, metric) == (True, [])
+    with pytest.raises(BoundaryError, match=r"in faces \[0\]$"):
         curvature_jacobian(tetra, metric)
+
+
+@pytest.mark.parametrize("case", ["admissible", "degenerate", "thin"])
+def test_jacobian_evaluates_no_curvature(tetra, monkeypatch, case):
+    # The refusal comes from the derivative itself, with no curvature run
+    # to find the faces it names.
+    angles_module = importlib.import_module("cpflow.angles")
+    curvature_module = importlib.import_module("cpflow.curvature")
+    calls = []
+    original = angles_module.extended_angles_batch
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for module in (angles_module, curvature_module):
+        monkeypatch.setattr(module, "extended_angles_batch", counted)
+    if case == "admissible":
+        curvature_jacobian(tetra, PackingMetric(HYP, np.zeros(6), np.ones(4)))
+    else:
+        metric = (_degenerate_tetrahedron if case == "degenerate" else _thin_tetrahedron)(tetra)
+        with pytest.raises(BoundaryError):
+            curvature_jacobian(tetra, metric)
+    assert calls == []
 
 
 def test_symmetry_of_mixed_partials(octa, rng):

@@ -1,0 +1,39 @@
+"""numpy is the package's one runtime dependency, and pytest and hypothesis
+are the tests' only additions: scipy, networkx and mpmath may serve as
+oracles outside the repository, never from ``src/`` or ``tests/``."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+ALLOWED = {
+    "src/cpflow": set(sys.stdlib_module_names) | {"numpy"},
+    "tests": set(sys.stdlib_module_names) | {"numpy", "pytest", "hypothesis", "cpflow", "conftest"},
+}
+
+
+def _absolute_imports(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in one module."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("tree", sorted(ALLOWED))
+def test_imports_stay_within_the_declared_dependencies(tree):
+    modules = sorted((ROOT / tree).glob("*.py"))
+    assert modules
+    foreign = {
+        str(path.relative_to(ROOT)): sorted(_absolute_imports(path) - ALLOWED[tree])
+        for path in modules
+    }
+    assert {path: names for path, names in foreign.items() if names} == {}

@@ -4,6 +4,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpflow import (
     Background,
@@ -12,8 +14,10 @@ from cpflow import (
     PackingMetric,
     QuadratureError,
     StepError,
+    build_complex,
     curvature,
     curvature_jacobian,
+    genus2_surface,
     is_admissible,
     newton_solve,
     potential_gradient,
@@ -29,7 +33,7 @@ from cpflow.io import write_trace_csv
 from cpflow.packing import U_COORDINATE_FLOOR, UCoords, from_u, radii_to_u_array, u_to_radii_array
 from cpflow.potential import PotentialContext, segment_integral
 
-from conftest import random_admissible_metric, segment_reference
+from conftest import flip_edges, random_admissible_metric, segment_reference
 
 HYP = Background.HYPERBOLIC
 EUC = Background.EUCLIDEAN
@@ -43,8 +47,6 @@ def _u(radii, background=HYP):
 def zero_curvature_genus2():
     """Zero-curvature tangency metric on the genus-2 complex (exists and is
     unique; found once by Newton and reused)."""
-    from cpflow import genus2_surface
-
     complex = genus2_surface()
     inversive = np.ones(complex.edge_count)
     start = _u(np.full(complex.vertex_count, 1.0))
@@ -648,3 +650,38 @@ def test_flow_steps_map_no_u_to_radii(genus2, monkeypatch):
     assert result.iterations == 40
     assert calls["evals"] == 1 + 4 * result.iterations
     assert calls["radii"] == 0
+
+
+# ---------------------------------------------------------------------------
+# Rigidity on generated surfaces
+# ---------------------------------------------------------------------------
+
+_RIGIDITY_BASES = [genus2_surface(), triangulated_torus(4, 4)]
+
+
+@st.composite
+def _rigidity_cases(draw):
+    """A flipped genus-2 or 4 x 4 torus surface, I ~ U[0, 1], and a start and
+    a target metric with radii log-uniform in [0.3, 2]."""
+    base = draw(st.sampled_from(_RIGIDITY_BASES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex = build_complex(flip_edges(base.faces, rng, draw(st.integers(0, 2 * base.face_count))))
+    inversive = rng.uniform(0.0, 1.0, complex.edge_count)
+    start, radii_bar = np.exp(rng.uniform(np.log(0.3), np.log(2.0), (2, complex.vertex_count)))
+    return complex, inversive, _u(start), radii_bar
+
+
+@settings(max_examples=12)
+@given(_rigidity_cases())
+def test_prescribed_flow_and_newton_agree(case):
+    # Rigidity: a metric is determined by its curvature, so the prescribed
+    # flow and Newton's method reach the same u from the same start.
+    complex, inversive, start, radii_bar = case
+    target = curvature(complex, PackingMetric(HYP, inversive, radii_bar)).values
+    config = FlowConfig(variant="prescribed", target=target, tolerance=1e-10,
+                        max_time=2000.0, record_potential=False)
+    result = run_flow(complex, inversive, start, config)
+    assert result.status == "converged"
+    ctx = PotentialContext(complex, inversive, start, target)
+    newton_u, _ = newton_solve(ctx, start, tol=1e-11)
+    assert np.max(np.abs(newton_u.values - result.final_u.values)) <= 1e-9

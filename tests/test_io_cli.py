@@ -20,6 +20,7 @@ from cpflow import (
     Background, PackingMetric, ParseError, curvature, subset_lower_bound, tetrahedron,
 )
 from cpflow.cli import build_parser, main
+from cpflow.flow import INTEGRATORS, VARIANTS, FlowConfig
 from cpflow.io import (
     load_surface,
     load_target,
@@ -145,7 +146,7 @@ def surface_document(complex, background, inversive, radii, permissive=False) ->
     """Reference for ``save_surface``: the surface file as a JSON document,
     whose compact ``json.dumps`` plus a newline is the file's text."""
     inversive = np.asarray(inversive, dtype=float)
-    if np.all(inversive == inversive[0]):
+    if len(set(inversive.view(np.uint64).tolist())) == 1:
         inv_field = float(inversive[0])
     else:
         inv_field = [
@@ -197,7 +198,10 @@ def test_saved_surface_equals_reference_bytes(tmp_path, case, background):
     per_edge[rng.integers(complex.edge_count)] = -0.0
     per_edge[rng.integers(complex.edge_count)] = 2  # an integral value
     radii = np.exp(rng.uniform(-30.0, 30.0, complex.vertex_count))
-    fields = [per_edge, np.full(complex.edge_count, 0.75), np.full(complex.edge_count, -0.0)]
+    signed_zeros = np.zeros(complex.edge_count)
+    signed_zeros[1::3] = -0.0  # equal values, two bit patterns: one entry per edge
+    fields = [per_edge, np.full(complex.edge_count, 0.75), np.full(complex.edge_count, -0.0),
+              signed_zeros]
     path = tmp_path / "s.json"
     for inversive, with_radii, permissive in itertools.product(fields, (True, False),
                                                                (False, True)):
@@ -211,6 +215,7 @@ def test_saved_surface_equals_reference_bytes(tmp_path, case, background):
         assert loaded.complex.faces.tolist() == complex.faces.tolist()
         assert loaded.permissive is permissive and loaded.background is background
         assert loaded.inversive.view(np.uint64).tolist() == inversive.view(np.uint64).tolist()
+        assert np.signbit(loaded.inversive).tolist() == np.signbit(inversive).tolist()
         if with_radii:
             assert loaded.radii.view(np.uint64).tolist() == radii.view(np.uint64).tolist()
         else:
@@ -780,3 +785,18 @@ def test_readme_cli_synopsis_lists_every_option():
                    if o not in ("-h", "--help")]
         missing = [o for o in options if not re.search(re.escape(o) + r"(?![\w-])", usage[name])]
         assert not missing, f"README synopsis of {name} lacks {missing}"
+
+
+def test_cli_flow_options_default_to_the_flow_config():
+    flow = next(
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )["flow"]
+    options = {action.dest: action for action in flow._actions}
+    config = FlowConfig()
+    defaults = {"variant": config.variant, "dt": config.step, "tol": config.tolerance,
+                "max_time": config.max_time, "sample_every": config.sample_every,
+                "integrator": config.integrator, "radius_cap": config.divergence_radius_cap}
+    assert {dest: options[dest].default for dest in defaults} == defaults
+    assert options["variant"].choices == VARIANTS
+    assert options["integrator"].choices == INTEGRATORS

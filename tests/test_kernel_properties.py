@@ -630,8 +630,8 @@ def test_jacobian_blocks_are_symmetric_and_definite(case):
     raises=BoundaryError,
     reason="open FOUND in CHANGES.md: at a large radius between tiny neighbours "
     "the 2e-10 angle at the large vertex rounds to 0, so angle_jacobians_batch "
-    "raises BoundaryError (triangle too close to the degenerate boundary) on an "
-    "admissible face",
+    "raises BoundaryError (angle derivatives are undefined on or next to the "
+    "degenerate boundary in faces [0]) on an admissible face",
 )
 def test_jacobian_of_a_large_radius_between_tiny_neighbours():
     # The reference value is a 60-digit finite difference of the angle.
