@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import sys
 from pathlib import Path
 
@@ -45,6 +46,13 @@ _EXIT_PARSE = 2
 _EXIT_DOMAIN = 3
 _EXIT_MAX_TIME = 4
 _EXIT_LEFT_OR_DIVERGED = 5
+
+#: each flow option's dest, which is also its manifest key, and the FlowConfig field it sets
+_FLOW_SETTINGS = {
+    "variant": "variant", "integrator": "integrator", "dt": "step", "tol": "tolerance",
+    "max_time": "max_time", "sample_every": "sample_every",
+    "radius_cap": "divergence_radius_cap", "record_potential": "record_potential",
+}
 
 _FLOW_EXIT = {
     "converged": _EXIT_OK,
@@ -144,28 +152,9 @@ def _cmd_flow(args, run: _Run) -> int:
     if args.target_file:
         target = load_target(args.target_file, surface.complex.vertex_count)
 
-    config = FlowConfig(
-        variant=args.variant,
-        target=target,
-        integrator=args.integrator,
-        step=args.dt,
-        max_time=args.max_time,
-        tolerance=args.tol,
-        sample_every=args.sample_every,
-        divergence_radius_cap=args.radius_cap,
-        record_potential=not args.no_potential,
-    )
-    run.config = {
-        "variant": config.variant,
-        "target_file": args.target_file,
-        "integrator": config.integrator,
-        "dt": config.step,
-        "tol": config.tolerance,
-        "max_time": config.max_time,
-        "sample_every": config.sample_every,
-        "radius_cap": config.divergence_radius_cap,
-        "record_potential": config.record_potential,
-    }
+    settings = {dest: getattr(args, dest) for dest in _FLOW_SETTINGS}
+    run.config = {"target_file": args.target_file, **settings}
+    config = FlowConfig(target=target, **{_FLOW_SETTINGS[d]: v for d, v in settings.items()})
 
     result = run_flow(surface.complex, surface.inversive, to_u(metric), config)
     run.status = result.status
@@ -290,16 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="integrate the combinatorial Ricci flow")
     add_common(p)
     flow = FlowConfig()
-    p.add_argument("--variant", choices=VARIANTS, default=flow.variant)
+    p.set_defaults(**{dest: getattr(flow, field) for dest, field in _FLOW_SETTINGS.items()})
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--target-file", help="prescribed-curvature target (JSON)")
-    p.add_argument("--dt", type=float, default=flow.step, help=f"time step (default {flow.step})")
-    p.add_argument("--tol", type=float, default=flow.tolerance, help="residual tolerance")
-    p.add_argument("--max-time", type=float, default=flow.max_time)
-    p.add_argument("--sample-every", type=int, default=flow.sample_every, metavar="STEPS")
-    p.add_argument("--integrator", choices=INTEGRATORS, default=flow.integrator)
-    p.add_argument("--radius-cap", type=float, default=flow.divergence_radius_cap,
-                   help="declare divergence past this radius")
-    p.add_argument("--no-potential", action="store_true",
+    p.add_argument("--dt", type=float, help="time step (default %(default)s)")
+    p.add_argument("--tol", type=float, help="residual tolerance")
+    p.add_argument("--max-time", type=float)
+    p.add_argument("--sample-every", type=int, metavar="STEPS")
+    p.add_argument("--integrator", choices=INTEGRATORS)
+    p.add_argument("--radius-cap", type=float, help="declare divergence past this radius")
+    p.add_argument("--no-potential", dest="record_potential", action="store_false",
                    help="skip potential values in the trace")
     p.add_argument("--trace", help="trace CSV path")
     p.add_argument("--trace-json", help="trace JSON path")
@@ -309,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="Newton descent to a prescribed curvature")
     add_common(p)
     p.add_argument("--target-file", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100)
+    solve = inspect.signature(newton_solve).parameters
+    p.add_argument("--tol", type=float, default=solve["tol"].default)
+    p.add_argument("--max-iter", type=int, default=solve["max_iter"].default)
     p.add_argument("--report", help="JSON report path")
     p.add_argument("--radii-out", help="write the solution as a surface file")
     p.set_defaults(func=_cmd_solve)

@@ -139,8 +139,6 @@ def build_complex(faces: Sequence[Sequence[int]]) -> SurfaceComplex:
         Some vertex label in ``0..max`` is unused, or the faces around some
         vertex do not form a single cycle.
     """
-    if len(faces) == 0:
-        raise BadFaceError("face list is empty")
     faces = list(faces)
     if not set(map(type, chain.from_iterable(faces))) <= {int}:
         for face in faces:

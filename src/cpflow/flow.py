@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import SurfaceComplex
+from .complexes import SurfaceComplex, _is_integer
 from .curvature import _not_admissible, curvature_jacobian
 from .errors import (
     ConfigError,
@@ -103,7 +103,7 @@ def _validate_config(config: FlowConfig) -> None:
     for name in ("step", "max_time", "tolerance", "divergence_radius_cap"):
         if not 0 < getattr(config, name) < math.inf:
             raise ConfigError(f"{name} must be finite and positive")
-    if config.sample_every < 1:
+    if not _is_integer(config.sample_every) or config.sample_every < 1:
         raise ConfigError("sample_every must be a positive integer")
     if config.variant == "prescribed" and config.target is None:
         raise ConfigError("prescribed flow requires a target curvature")

@@ -26,7 +26,8 @@ import numpy as np
 
 from .angles import clamped_arccos
 from .complexes import (
-    _DOUBLE_TRIANGLE, SurfaceComplex, _subcomplex_counts, link_pairs, normalize_subset,
+    _DOUBLE_TRIANGLE, SurfaceComplex, _is_integer, _subcomplex_counts, link_pairs,
+    normalize_subset,
 )
 from .curvature import curvature, extended_curvature
 from .errors import ConfigError, DomainError, MaxIterationsError, NoDescentError, NotFoundError
@@ -243,10 +244,12 @@ def check_zero_curvature_obstructions(
         matrices = tuple(np.array([s for s in resolved if len(s) == k]) for k in sorted(set(sizes)))
         order = np.argsort(np.argsort(sizes, kind="stable"))  # inverse of the grouping
     else:
-        if subset_cap is not None and subset_cap < 1:
-            raise ConfigError(f"subset cap must be at least 1, got {subset_cap}")
         if subset_cap is None:
             subset_cap = n - 1 if n <= EXHAUSTIVE_VERTEX_LIMIT else DEFAULT_SUBSET_CAP
+        elif not _is_integer(subset_cap):
+            raise ConfigError(f"subset cap must be an integer, got {subset_cap!r}")
+        elif subset_cap < 1:
+            raise ConfigError(f"subset cap must be at least 1, got {subset_cap}")
         matrices = tuple(
             np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64).reshape(-1, k)
             for k in range(1, min(subset_cap, n - 1) + 1))
@@ -286,7 +289,7 @@ def degeneration_limit_table(
 
     The sums approach the subset lower bound from above; the factors should
     decrease geometrically because the hyperbolic limits are approached
-    slowly.
+    slowly.  ConfigError when there are no factors.
     """
     inversive = check_inversive(inversive, complex)
     members = normalize_subset(complex.vertex_count, subset)
@@ -302,6 +305,8 @@ def degeneration_limit_table(
         metric = PackingMetric(Background.HYPERBOLIC, inversive, radii)
         observed = float(extended_curvature(complex, metric).values[mask].sum())
         rows.append(DegenerationRow(float(factor), observed, observed - limit))
+    if not rows:
+        raise ConfigError("no shrink factors to apply")
     return DegenerationTable(tuple(sorted(members)), limit, tuple(rows))
 
 

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import _NEXT, _PREV, _cosine_law
-from .complexes import SurfaceComplex
+from .angles import _NEXT, _PREV, extended_angles_batch
+from .complexes import SurfaceComplex, _is_integer
 from .curvature import _jacobian_blocks, make_curvature_evaluator
 from .errors import (
     BoundaryError,
@@ -204,21 +204,16 @@ class _Crossing(Exception):
         self.s_known, self.s_new, self.faces = s_known, s_new, faces
 
 
-def _face_slack(ctx, u_from, direction, faces):
-    """The slack of ``faces`` along the segment u_from + s direction, as a
-    function of an (faces, points) array of parameters s.
-
-    Works on the faces' own three edges only.  A face's slack is
-    min_m (num_m + den_m) of its cosine-law terms, formed by the evaluator's
-    own operations on the same u-values and factors, so it is <= 0 exactly
-    when the evaluator marks the face degenerate at that s.
-    """
+def _face_states(ctx, u_from, direction, faces):
+    """Whether each of ``faces`` is degenerate at u_from + s direction, as a
+    function of an (faces, points) array of parameters s: the mask of
+    ``extended_angles_batch`` on the faces' own three edges."""
     opposite = ctx.complex.face_opposite_edges[faces]
     vertices = ctx.complex.edges[opposite][:, None]  # (faces, 1, 3 edges, 2 ends)
     u_ends, d_ends = u_from[vertices], direction[vertices]
     inversive = ctx.inversive[opposite][:, None]
 
-    def slack(s: np.ndarray) -> np.ndarray:
+    def states(s: np.ndarray) -> np.ndarray:
         # u_from[v] + s d[v], as the evaluator computes it at s
         u = (u_ends + s[:, :, None, None] * d_ends).ravel()
         pairs = np.arange(0, len(u), 2)
@@ -227,29 +222,28 @@ def _face_slack(ctx, u_from, direction, faces):
         edges = _edge_lengths_arrays(ctx.background, factors, pairs, pairs + 1, inv)
         corners = np.arange(len(pairs)).reshape(-1, 3)
         tables = corners, corners[:, _NEXT], corners[:, _PREV]
-        num, den = _cosine_law(ctx.background, *edges, tables)
-        return (num + den).min(axis=1).reshape(s.shape)
+        return extended_angles_batch(ctx.background, *edges, tables)[1].reshape(s.shape)
 
-    return slack
+    return states
 
 
 def _crossings(ctx, u_from, direction, faces, s_a, s_b, width):
     """Where ``faces`` cross the degenerate boundary between s_a and s_b.
 
-    Each step evaluates the faces' ``_face_slack`` at the ends and
+    Each step evaluates the faces' ``_face_states`` at the ends and
     _ROOT_POINTS interior points of every bracket at once, as so small an
     array costs about what one point does, and keeps the first cell where
-    its sign changes, until the brackets are narrower than ``width``.
-    Returns the faces whose slack changes sign with the midpoints of their
-    brackets, and the faces whose slack does not.
+    the state changes, until the brackets are narrower than ``width``.
+    Returns the faces whose state differs at the ends with the midpoints
+    of their brackets, and the faces whose state does not.
     """
-    slack = _face_slack(ctx, u_from, direction, faces)
+    face_states = _face_states(ctx, u_from, direction, faces)
     lo, hi = np.full(len(faces), min(s_a, s_b)), np.full(len(faces), max(s_a, s_b))
     rows, fractions = np.arange(len(faces)), np.arange(_ROOT_POINTS + 2) / (_ROOT_POINTS + 1)
     flips = None
     for _ in range(_ROOT_STEPS):
         grid = lo[:, None] + (hi - lo)[:, None] * fractions
-        states = slack(grid) <= 0
+        states = face_states(grid)
         if flips is None:
             flips = states[:, 0] != states[:, -1]
             hi[~flips] = lo[~flips]
@@ -347,7 +341,7 @@ def segment_integral(
                 ctx, u_from, direction, crossing.faces, crossing.s_known, crossing.s_new, root_width
             )
             # A face whose crossing is an end of this piece, or which the
-            # slack does not see flip, differs by rounding at a cut.
+            # search does not see flip, differs by rounding at a cut.
             inside = (roots - a > root_width) & (b - roots > root_width)
             ignore[stray] = ignore[flipping[~inside]] = True
             new = []
@@ -504,6 +498,8 @@ def newton_solve(
     if np.any(ctx.target >= 2.0 * np.pi):
         raise ConfigError("every target curvature must be < 2*pi")
     u = ctx._point(u_init).copy()
+    if not _is_integer(max_iter):
+        raise ConfigError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 0 or not 0 < tol < np.inf:
         raise ConfigError("max_iter must be >= 0 and tol must be finite and positive")
 

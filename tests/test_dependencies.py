@@ -1,6 +1,8 @@
 """numpy is the package's one runtime dependency, and pytest and hypothesis
 are the tests' only additions: scipy, networkx and mpmath may serve as
-oracles outside the repository, never from ``src/`` or ``tests/``."""
+oracles outside the repository, never from ``src/`` or ``tests/``.  Inside
+the package, only the angle kernel forms the cosine law that decides
+which faces are degenerate."""
 
 from __future__ import annotations
 
@@ -37,3 +39,22 @@ def test_imports_stay_within_the_declared_dependencies(tree):
         for path in modules
     }
     assert {path: names for path, names in foreign.items() if names} == {}
+
+
+def _borrowed_names(path: Path) -> set[str]:
+    """The names one module imports from others or reads as attributes."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_only_the_angle_kernel_forms_the_cosine_law():
+    # The degenerate-face rule lives in angles._cosine_law; every other
+    # module reads the rule's result, the mask of extended_angles_batch.
+    importers = [path.name for path in sorted((ROOT / "src/cpflow").glob("*.py"))
+                 if path.name != "angles.py" and "_cosine_law" in _borrowed_names(path)]
+    assert importers == []

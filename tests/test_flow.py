@@ -72,6 +72,12 @@ def test_config_validation(genus2):
         run_flow(genus2, inversive, u0, FlowConfig(step=-0.1))
     with pytest.raises(ConfigError):
         run_flow(genus2, inversive, u0, FlowConfig(sample_every=0))
+    # a step count is a Python or numpy integer, not a float, string or bool
+    for value in (2.5, 2.0, "3", True, np.float64(2.0)):
+        with pytest.raises(ConfigError, match="sample_every"):
+            run_flow(genus2, inversive, u0, FlowConfig(sample_every=value, max_time=0.1))
+    run = run_flow(genus2, inversive, u0, FlowConfig(sample_every=np.int64(2), max_time=0.1))
+    assert [sample.t for sample in run.trace] == [0.0, 0.1]
     for name in ("step", "max_time", "tolerance", "divergence_radius_cap"):
         for value in (0.0, float("inf"), float("nan")):
             with pytest.raises(ConfigError):

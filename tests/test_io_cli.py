@@ -4,6 +4,7 @@ import argparse
 import functools
 import gc
 import importlib
+import inspect
 import itertools
 import json
 import os
@@ -17,10 +18,12 @@ import pytest
 
 import cpflow
 from cpflow import (
-    Background, PackingMetric, ParseError, curvature, subset_lower_bound, tetrahedron,
+    Background, PackingMetric, ParseError, curvature, newton_solve, subset_lower_bound,
+    tetrahedron,
 )
+import cpflow.cli as cli_module
 from cpflow.cli import build_parser, main
-from cpflow.flow import INTEGRATORS, VARIANTS, FlowConfig
+from cpflow.flow import INTEGRATORS, VARIANTS, FlowConfig, run_flow
 from cpflow.io import (
     load_surface,
     load_target,
@@ -787,16 +790,61 @@ def test_readme_cli_synopsis_lists_every_option():
         assert not missing, f"README synopsis of {name} lacks {missing}"
 
 
-def test_cli_flow_options_default_to_the_flow_config():
-    flow = next(
+def _subcommand_options(name):
+    """The options of one subcommand's parser, by dest."""
+    command = next(
         action.choices for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
-    )["flow"]
-    options = {action.dest: action for action in flow._actions}
+    )[name]
+    return {action.dest: action for action in command._actions}
+
+
+def test_cli_flow_options_default_to_the_flow_config():
+    options = _subcommand_options("flow")
     config = FlowConfig()
     defaults = {"variant": config.variant, "dt": config.step, "tol": config.tolerance,
                 "max_time": config.max_time, "sample_every": config.sample_every,
-                "integrator": config.integrator, "radius_cap": config.divergence_radius_cap}
+                "integrator": config.integrator, "radius_cap": config.divergence_radius_cap,
+                "record_potential": config.record_potential}
     assert {dest: options[dest].default for dest in defaults} == defaults
     assert options["variant"].choices == VARIANTS
     assert options["integrator"].choices == INTEGRATORS
+
+
+def test_cli_solve_options_default_to_newton_solve():
+    options = _subcommand_options("solve")
+    parameters = inspect.signature(newton_solve).parameters
+    defaults = {"tol": parameters["tol"].default, "max_iter": parameters["max_iter"].default}
+    assert {dest: options[dest].default for dest in defaults} == defaults
+
+
+def test_cli_flow_passes_every_option_to_the_run_and_the_manifest(workdir, monkeypatch):
+    # Every flow option at a value other than its default: the manifest's
+    # config echoes each under its dest, and the run receives each in its field.
+    surface = _write(workdir / "t.json", _tetra_doc(inversive=1.0))
+    save_target(workdir / "target.json",
+                curvature(tetrahedron(), load_surface(surface).require_metric()).values)
+    configs = []
+
+    def recorded(complex, inversive, u0, config):
+        configs.append(config)
+        return run_flow(complex, inversive, u0, config)
+
+    monkeypatch.setattr(cli_module, "run_flow", recorded)
+    code = main(["flow", "t.json", "--variant", "prescribed", "--target-file", "target.json",
+                 "--integrator", "euler", "--dt", "0.02", "--tol", "1e-6", "--max-time", "0.5",
+                 "--sample-every", "3", "--radius-cap", "50", "--no-potential",
+                 "--manifest", "m.json"])
+    assert code in (0, 4)
+    expected = {"variant": "prescribed", "target_file": "target.json", "integrator": "euler",
+                "dt": 0.02, "tol": 1e-6, "max_time": 0.5, "sample_every": 3,
+                "radius_cap": 50.0, "record_potential": False}
+    assert json.loads((workdir / "m.json").read_text())["config"] == expected
+    fields = {"variant": "variant", "integrator": "integrator", "dt": "step", "tol": "tolerance",
+              "max_time": "max_time", "sample_every": "sample_every",
+              "radius_cap": "divergence_radius_cap", "record_potential": "record_potential"}
+    assert all(getattr(FlowConfig(), field) != expected[dest] for dest, field in fields.items())
+    (config,) = configs
+    assert {dest: getattr(config, field) for dest, field in fields.items()} == {
+        dest: expected[dest] for dest in fields}
+    assert config.target is not None

@@ -39,7 +39,7 @@ from cpflow import (
     triangulated_torus,
 )
 from cpflow.curvature import _jacobian_blocks, make_curvature_evaluator
-from cpflow.potential import _crossings, _face_slack
+from cpflow.potential import _crossings, _face_states
 from cpflow.packing import (
     _OVERFLOW_FREE_INVERSIVE,
     _U_SIZE_LIMIT,
@@ -363,12 +363,12 @@ def test_kernel_screens_are_exact_at_their_edges(case):
 
 
 @pytest.mark.parametrize("far_end", ["admissible", "past-size-limit"])
-def test_face_slack_on_a_parameter_grid_is_the_chain(far_end):
-    # _face_slack stacks a 2-D (faces, points) grid of parameters s into the
+def test_face_states_on_a_parameter_grid_are_the_chain(far_end):
+    # _face_states stacks a 2-D (faces, points) grid of parameters s into the
     # stages, whose screens reduce over every element.  Along a segment
-    # through the threshold its sign is the chain's mask at every point;
-    # with an edge past the size limit at the far end it raises the
-    # chain's error there.
+    # through the threshold they are the chain's mask at every point; with
+    # an edge past the size limit at the far end they raise the chain's
+    # error there.
     complex, inversive, _, u_root = _threshold_tetrahedron()
     u_from = radii_to_u_array(np.ones(complex.vertex_count), HYP)
     u_from[1] = u_root - 0.5
@@ -384,14 +384,14 @@ def test_face_slack_on_a_parameter_grid_is_the_chain(far_end):
         factors = _reference_u_factors(u_from + s * direction, HYP)
         return _reference_curvature(complex, HYP, factors, inversive)[1]
 
-    slack = _face_slack(PotentialContext(complex, inversive, UCoords(u_from, HYP)),
-                        u_from, direction, faces)
+    states = _face_states(PotentialContext(complex, inversive, UCoords(u_from, HYP)),
+                          u_from, direction, faces)
     if far_end == "admissible":
         expected = [[chain(s)[f] for s in row] for f, row in zip(faces, grid)]
-        assert (slack(grid) <= 0).tolist() == expected
+        assert states(grid).tolist() == expected
         assert np.array(expected).any() and not np.array(expected).all()
     else:
-        _assert_same(_outcome(lambda: [slack(grid)]), _outcome(lambda: [chain(1.0)]))
+        _assert_same(_outcome(lambda: [states(grid)]), _outcome(lambda: [chain(1.0)]))
         assert isinstance(_outcome(lambda: [chain(1.0)])[0], type)
 
 
@@ -522,9 +522,9 @@ def _crossing_segments(draw):
 
 @settings(max_examples=40)
 @given(_crossing_segments())
-def test_face_slack_sign_is_the_evaluator_mask(segment):
-    # The crossing search's slack is <= 0 exactly where the evaluator marks a
-    # face degenerate: on a grid, and next to each crossing it locates.
+def test_face_states_are_the_evaluator_mask(segment):
+    # The crossing search's states are the evaluator's degenerate-face mask:
+    # on a grid, and next to each crossing it locates.
     complex, background, inversive, (u0, u1) = segment
     ctx = PotentialContext(complex, inversive, UCoords(u0, background))
     direction, faces = u1 - u0, np.arange(complex.face_count)
@@ -537,8 +537,8 @@ def test_face_slack_sign_is_the_evaluator_mask(segment):
     assume((on_grid != on_grid[0]).any())
     _, roots, _ = _crossings(ctx, u0, direction, faces, 0.0, 1.0, 0.0)
     points = np.concatenate([grid, roots, np.nextafter(roots, 0.0), np.nextafter(roots, 1.0)])
-    slack = _face_slack(ctx, u0, direction, faces)(np.tile(points, (len(faces), 1)))
-    assert np.array_equal((slack <= 0).T, masks(points))
+    states = _face_states(ctx, u0, direction, faces)(np.tile(points, (len(faces), 1)))
+    assert np.array_equal(states.T, masks(points))
 
 
 # ---------------------------------------------------------------------------

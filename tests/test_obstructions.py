@@ -192,6 +192,19 @@ def test_explicit_subsets_refuse_a_cap_and_an_empty_list(octa):
             entry(octa, first, subsets=iter(()))
 
 
+@pytest.mark.parametrize("cap", [0, -1, 2.5, 2.0, "2", True, np.float64(2.0)])
+def test_subset_cap_is_an_integer_of_at_least_one(octa, cap):
+    # booleans, floats and strings are refused even where they compare like a cap
+    with pytest.raises(ConfigError, match="subset cap must be"):
+        check_zero_curvature_obstructions(octa, np.ones(octa.edge_count), subset_cap=cap)
+
+
+def test_subset_cap_may_be_a_numpy_integer(octa):
+    inversive = np.ones(octa.edge_count)
+    assert (check_zero_curvature_obstructions(octa, inversive, subset_cap=np.int64(2))
+            == check_zero_curvature_obstructions(octa, inversive, subset_cap=2))
+
+
 def test_zero_curvature_necessary_consistent_with_solver(genus2):
     # tangency packing on the genus-2 surface: a zero-curvature metric
     # exists (found by Newton), so every necessary condition must hold
@@ -227,6 +240,13 @@ def test_degeneration_limit_refuses_base_radii_of_the_wrong_length(genus2):
     # genus2 has 15 vertices
     with pytest.raises(ConfigError, match="radii array of length 5"):
         degeneration_limit_table(genus2, np.ones(genus2.edge_count), [0, 1], np.ones(5))
+
+
+@pytest.mark.parametrize("factors", [[], iter(())])
+def test_degeneration_limit_refuses_no_shrink_factors(tetra, factors):
+    # an empty table would have no final_gap
+    with pytest.raises(ConfigError, match="no shrink factors"):
+        degeneration_limit_table(tetra, np.zeros(6), {0}, np.ones(4), factors)
 
 
 def test_degeneration_limit_generic(octa, rng):

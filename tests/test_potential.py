@@ -187,6 +187,11 @@ def test_newton_rejects_bad_configs(genus2):
     for budget in [{"max_iter": -1}, {"tol": 0.0}, {"tol": -1e-10}, {"tol": float("nan")}]:
         with pytest.raises(ConfigError):
             newton_solve(ctx, u_hyp, **budget)
+    for max_iter in (2.5, 2.0, "3", True, np.float64(2.0)):
+        with pytest.raises(ConfigError, match="max_iter must be an integer"):
+            newton_solve(ctx, u_hyp, max_iter=max_iter)
+    with pytest.raises(MaxIterationsError, match="in 0 iterations"):
+        newton_solve(ctx, u_hyp, max_iter=np.int64(0))
 
 
 def test_newton_budget_exhausted(genus2, rng):
