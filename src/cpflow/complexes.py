@@ -10,9 +10,11 @@ exactly two faces and the faces around each vertex must form a single cycle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from numbers import Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -118,6 +120,12 @@ def _split_links(ids: np.ndarray, twin: np.ndarray, first_corner: np.ndarray) ->
 def _is_integer(v) -> bool:
     """Whether ``v`` is a Python or numpy integer; booleans are not."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_positive_finite(v) -> bool:
+    """Whether ``v`` is a Python or numpy real number in (0, inf); booleans,
+    strings and other objects are not."""
+    return isinstance(v, Real) and not isinstance(v, bool) and 0 < v < math.inf
 
 
 def build_complex(faces: Sequence[Sequence[int]]) -> SurfaceComplex:

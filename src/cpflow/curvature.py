@@ -148,6 +148,40 @@ def _jacobian_blocks(
     )
 
 
+# The off-diagonal entries [p, q] of a 3 x 3 block, flat index 3 p + q, and
+# the corner r = 3 - p - q opposite the edge joining corners p and q.
+_OFF_DIAGONAL = np.array([1, 3, 2, 6, 5, 7])
+_OFF_OPPOSITE = np.array([2, 2, 1, 1, 0, 0])
+_OFF_REVERSED = np.array([0, 1, 0, 1, 0, 1])  # p > q: from the edge's head
+
+
+def _assemble_hessian(complex: SurfaceComplex, blocks: np.ndarray):
+    """The per-face ``blocks`` summed into H, as (diagonal, rows, cols, couplings).
+
+    ``diagonal`` holds H's N diagonal entries, and ``couplings[k]`` is
+    H[rows[k], cols[k]] for each edge (tail, head) in both orientations,
+    tail to head at k = e and head to tail at k = E + e, as the blocks are
+    symmetric only up to rounding.  Relies on the ascending face rows: corner
+    p < q of a face is the tail of the edge joining p and q.
+    """
+    n, e = complex.vertex_count, complex.edge_count
+    flat = blocks.reshape(-1, 9)
+    diagonal = np.bincount(complex.faces.ravel(), flat[:, ::4].ravel(), n)
+    slots = complex.face_opposite_edges.take(_OFF_OPPOSITE, axis=1) + e * _OFF_REVERSED
+    couplings = np.bincount(slots.ravel(), flat.take(_OFF_DIAGONAL, axis=1).ravel(), 2 * e)
+    tail, head = complex.edges.T
+    return diagonal, np.concatenate((tail, head)), np.concatenate((head, tail)), couplings
+
+
+def _dense_hessian(diagonal, rows, cols, couplings) -> np.ndarray:
+    """The N x N matrix of ``_assemble_hessian``'s entries."""
+    n = len(diagonal)
+    matrix = np.zeros((n, n))
+    matrix[rows, cols] = couplings
+    matrix.flat[:: n + 1] = diagonal
+    return matrix
+
+
 def curvature_jacobian(complex: SurfaceComplex, metric: PackingMetric) -> np.ndarray:
     """The N x N matrix d(K)/d(u), assembled from per-face angle Jacobians.
 
@@ -159,9 +193,4 @@ def curvature_jacobian(complex: SurfaceComplex, metric: PackingMetric) -> np.nda
     _check_fits(complex, metric)
     factors = _radius_factors(metric.background, metric.radii)
     blocks = _jacobian_blocks(complex, metric.background, factors, metric.inversive)
-
-    # Flat index row * n + col of every block entry, in blocks' (f, p, q) order.
-    n = complex.vertex_count
-    faces = complex.faces
-    cells = np.repeat(faces, 3, axis=1) * n + np.tile(faces, 3)
-    return np.bincount(cells.ravel(), weights=blocks.ravel(), minlength=n * n).reshape(n, n)
+    return _dense_hessian(*_assemble_hessian(complex, blocks))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import SurfaceComplex, _is_integer
+from .complexes import SurfaceComplex, _is_integer, _is_positive_finite
 from .curvature import _not_admissible, curvature_jacobian
 from .errors import (
     ConfigError,
@@ -101,8 +101,10 @@ def _validate_config(config: FlowConfig) -> None:
     if config.integrator not in INTEGRATORS:
         raise ConfigError(f"unknown integrator {config.integrator!r}")
     for name in ("step", "max_time", "tolerance", "divergence_radius_cap"):
-        if not 0 < getattr(config, name) < math.inf:
-            raise ConfigError(f"{name} must be finite and positive")
+        if not _is_positive_finite(getattr(config, name)):
+            raise ConfigError(f"{name} must be a finite and positive number")
+    if not isinstance(config.record_potential, (bool, np.bool_)):
+        raise ConfigError("record_potential must be a boolean")
     if not _is_integer(config.sample_every) or config.sample_every < 1:
         raise ConfigError("sample_every must be a positive integer")
     if config.variant == "prescribed" and config.target is None:

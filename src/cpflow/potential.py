@@ -37,8 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import _NEXT, _PREV, extended_angles_batch
-from .complexes import SurfaceComplex, _is_integer
-from .curvature import _jacobian_blocks, make_curvature_evaluator
+from .complexes import SurfaceComplex, _is_integer, _is_positive_finite
+from .curvature import (
+    _assemble_hessian,
+    _dense_hessian,
+    _jacobian_blocks,
+    make_curvature_evaluator,
+)
 from .errors import (
     BoundaryError,
     ConfigError,
@@ -77,6 +82,9 @@ _ROOT_STEPS = 12
 _CG_TOLERANCE = 1e-13
 #: and counts the matrix as not positive definite after this many steps
 _CG_MAX_ITERATIONS = 2000
+#: Newton directions on at most this many vertices solve a dense Hessian by
+#: Cholesky; above it, conjugate gradients costs less
+_DENSE_VERTEX_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -277,8 +285,8 @@ def segment_integral(
     whose flat ends turn the angles' square-root behaviour smooth.
     """
     u_from, u_to = ctx._point(u_from), ctx._point(u_to)
-    if not 0.0 < tolerance < math.inf:
-        raise ConfigError("quadrature tolerance must be finite and positive")
+    if not _is_positive_finite(tolerance):
+        raise ConfigError("quadrature tolerance must be a finite and positive number")
     direction = u_to - u_from
     if not direction.any():
         return 0.0
@@ -378,34 +386,56 @@ class NewtonReport:
 def _newton_direction(ctx: PotentialContext, u: np.ndarray, grad: np.ndarray):
     """Regularized Newton direction, or None when the Hessian is unusable.
 
-    Solves (H + mu I) d = -grad for H = dK/du given by its per-face blocks,
-    never as an N x N matrix.  mu climbs 0, 1e-10, 1e-9, ... while conjugate
-    gradients finds H + mu I not positive definite, and gives up above 1e-2.
+    Solves (H + mu I) d = -grad for H = dK/du, its per-face blocks summed
+    once into N diagonal and 2E edge entries.  mu climbs 0, 1e-10, 1e-9, ...
+    while H + mu I shows itself not positive definite, and gives up above
+    1e-2.  On at most _DENSE_VERTEX_LIMIT vertices H is formed as a matrix,
+    and Cholesky decides each mu; on more, conjugate gradients on the
+    entries decides it, and no N x N matrix is formed.
     """
     factors = _u_factors(ctx.background, u)
     try:
         blocks = _jacobian_blocks(ctx.complex, ctx.background, factors, ctx.inversive)
     except BoundaryError:
         return None
+    hessian = _assemble_hessian(ctx.complex, blocks)
+    dense = _dense_hessian(*hessian) if len(grad) <= _DENSE_VERTEX_LIMIT else None
     mu = 0.0
     while mu <= 1e-2:
-        direction = _conjugate_gradient(blocks, ctx.complex.faces, mu, -grad)
+        if dense is None:
+            direction = _conjugate_gradient(*hessian, mu, -grad)
+        else:
+            direction = _cholesky_solve(dense, mu, -grad)
         if direction is not None:
             return direction
         mu = 1e-10 if mu == 0.0 else mu * 10.0
     return None
 
 
-def _conjugate_gradient(blocks, faces, mu, rhs):
+def _cholesky_solve(matrix, mu, rhs):
+    """Solve (matrix + mu I) x = rhs, or None when the shifted matrix shows
+    itself not positive definite: the Cholesky factorization fails, the
+    solve finds it singular, or x is not finite."""
+    shifted = matrix + mu * np.eye(len(rhs)) if mu else matrix
+    try:
+        np.linalg.cholesky(shifted)
+        x = np.linalg.solve(shifted, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.isfinite(x).all() else None
+
+
+def _conjugate_gradient(diagonal, rows, cols, couplings, mu, rhs):
     """Solve (H + mu I) x = rhs by Jacobi-preconditioned conjugate gradients.
 
-    H is the sum of the per-face ``blocks`` placed at the ``faces``' vertices.
+    H is given by the entries of ``_assemble_hessian``: its ``diagonal``, and
+    H[rows[k], cols[k]] = couplings[k] for both orientations of every edge.
     Returns None when H + mu I shows itself not positive definite: a diagonal
     entry <= 0, a direction p with p.Ap <= 0, a non-finite value, or no
     convergence to relative residual _CG_TOLERANCE in _CG_MAX_ITERATIONS steps.
     """
-    corners = faces.ravel()
-    diagonal = np.bincount(corners, np.einsum("fpp->fp", blocks).ravel(), len(rhs)) + mu
+    n = len(rhs)
+    diagonal = diagonal + mu
     if not (diagonal > 0).all():
         return None
     x, r = np.zeros_like(rhs), rhs.copy()
@@ -415,8 +445,7 @@ def _conjugate_gradient(blocks, faces, mu, rhs):
     for _ in range(_CG_MAX_ITERATIONS):
         if float(r @ r) <= stop:
             return x if np.isfinite(x).all() else None
-        products = np.einsum("fpq,fq->fp", blocks, p[faces]).ravel()
-        ap = np.bincount(corners, products, len(rhs)) + mu * p
+        ap = np.bincount(rows, couplings * p[cols], n) + diagonal * p
         pap = float(p @ ap)
         if not pap > 0.0:  # also catches NaN
             return None
@@ -500,8 +529,8 @@ def newton_solve(
     u = ctx._point(u_init).copy()
     if not _is_integer(max_iter):
         raise ConfigError(f"max_iter must be an integer, got {max_iter!r}")
-    if max_iter < 0 or not 0 < tol < np.inf:
-        raise ConfigError("max_iter must be >= 0 and tol must be finite and positive")
+    if max_iter < 0 or not _is_positive_finite(tol):
+        raise ConfigError("max_iter must be >= 0 and tol must be a finite and positive number")
 
     report = NewtonReport()
     at_u = ctx._evaluate(u)

@@ -82,6 +82,12 @@ def test_config_validation(genus2):
         for value in (0.0, float("inf"), float("nan")):
             with pytest.raises(ConfigError):
                 run_flow(genus2, inversive, u0, FlowConfig(**{name: value}))
+    # numpy numbers and booleans are settings like Python ones
+    run = run_flow(genus2, inversive, u0, FlowConfig(
+        step=np.float64(0.05), max_time=np.int64(1), tolerance=np.float32(1e-9),
+        divergence_radius_cap=np.float64(300.0), record_potential=np.bool_(False),
+    ))
+    assert run.trace[-1].t == 1.0 and run.trace[-1].potential is None
     with pytest.raises(ConfigError):
         run_flow(
             genus2, inversive, u0,
@@ -93,6 +99,23 @@ def test_config_validation(genus2):
     for record in (True, False):
         with pytest.raises(ConfigError):
             run_flow(genus2, inversive, long_u0, FlowConfig(record_potential=record))
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        *({name: value} for name in ("step", "max_time", "tolerance", "divergence_radius_cap")
+          for value in ("0.05", True, None, 1j)),
+        {"record_potential": "no"}, {"record_potential": 1}, {"record_potential": None},
+    ],
+    ids=lambda setting: "{}={!r}".format(*next(iter(setting.items()))),
+)
+def test_flow_settings_refuse_values_of_another_type(genus2, setting):
+    inversive = np.ones(genus2.edge_count)
+    u0 = _u(np.ones(genus2.vertex_count))
+    (name,) = setting
+    with pytest.raises(ConfigError, match=name):
+        run_flow(genus2, inversive, u0, FlowConfig(**setting))
 
 
 def _context(complex, inversive, target):

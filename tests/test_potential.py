@@ -194,6 +194,14 @@ def test_newton_rejects_bad_configs(genus2):
         newton_solve(ctx, u_hyp, max_iter=np.int64(0))
 
 
+@pytest.mark.parametrize("tol", ["1e-10", True, None, 1j, [1e-10]], ids=repr)
+def test_newton_solve_refuses_a_tolerance_that_is_not_a_number(genus2, tol):
+    u = _u(np.ones(genus2.vertex_count))
+    ctx = PotentialContext(genus2, np.ones(genus2.edge_count), u)
+    with pytest.raises(ConfigError, match="tol must be a finite and positive number"):
+        newton_solve(ctx, u, tol=tol)
+
+
 def test_newton_budget_exhausted(genus2, rng):
     # a realizable target from a far start needs more than one iteration
     metric = random_admissible_metric(genus2, rng, HYP, (0.5, 2.0), (0.0, 1.0))
@@ -382,14 +390,17 @@ def test_segment_ends_are_reused(genus2, crossing):
 # ---------------------------------------------------------------------------
 
 STOCK = [tetrahedron(), octahedron(), icosahedron(), genus2_surface(), triangulated_torus(3, 3)]
+#: N = 144, above potential._DENSE_VERTEX_LIMIT: conjugate gradients decides
+LARGE = [triangulated_torus(12, 12)]
 
 
 @st.composite
-def _surfaces(draw):
-    """A stock surface, or one after random edge flips, and a numpy generator."""
-    base = draw(st.sampled_from(STOCK))
+def _surfaces(draw, bases=STOCK, max_flips=None):
+    """A surface of ``bases``, or one after random edge flips (by default up
+    to twice its face count), and a numpy generator."""
+    base = draw(st.sampled_from(bases))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    flips = draw(st.integers(0, 2 * base.face_count))
+    flips = draw(st.integers(0, 2 * base.face_count if max_flips is None else max_flips))
     return build_complex(flip_edges(base.faces, rng, flips)), rng
 
 
@@ -418,54 +429,112 @@ def _direction(complex, inversive, radii, grad):
     return _newton_direction(ctx, u, grad)
 
 
-@settings(max_examples=40)
-@given(_surfaces())
-def test_newton_direction_matches_dense_solve(case):
-    complex, rng = case
-    radii = _log_uniform_radii(rng, complex.vertex_count)
-    inversive = rng.uniform(0.0, 3.0, complex.edge_count)
-    # Redraw I in [0, 1] on the edges of violating faces; a face whose three
-    # inversive distances lie in [0, 1] satisfies the triangle inequalities.
+def _redrawn_until_admissible(complex, inversive, radii, redraw):
+    """The metric after ``redraw`` replaced the inversive distances of the
+    edges of each violating face, until none violates."""
     while True:
-        metric = PackingMetric(HYP, inversive, radii)
+        metric = PackingMetric(HYP, inversive, radii, permissive=True)
         ok, bad = is_admissible(complex, metric)
         if ok:
-            break
+            return metric
         edges = np.unique(complex.face_opposite_edges[bad])
         inversive = inversive.copy()
-        inversive[edges] = rng.uniform(0.0, np.minimum(inversive[edges], 1.0))
+        inversive[edges] = redraw(inversive[edges])
 
+
+def _check_direction_matches_dense_solve(complex, rng):
+    radii = _log_uniform_radii(rng, complex.vertex_count)
+    # Redraw I in [0, 1] on the edges of violating faces; a face whose three
+    # inversive distances lie in [0, 1] satisfies the triangle inequalities.
+    metric = _redrawn_until_admissible(
+        complex, rng.uniform(0.0, 3.0, complex.edge_count), radii,
+        lambda inversive: rng.uniform(0.0, np.minimum(inversive, 1.0)),
+    )
     jac = curvature_jacobian(complex, metric)
     assert np.max(np.abs(jac - jac.T)) <= 1e-9 * np.max(np.abs(jac))
     np.linalg.cholesky(jac)  # positive definite
 
     grad = rng.normal(size=complex.vertex_count)
-    direction = _direction(complex, inversive, radii, grad)
+    direction = _direction(complex, metric.inversive, radii, grad)
     expected = np.linalg.solve(jac, -grad)
     assert np.linalg.norm(direction - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
-@settings(max_examples=40)
-@given(_surfaces())
-def test_newton_direction_on_indefinite_hessian(case):
+def _check_ladders_end_alike(complex, rng, metric, radii):
     # permissive I < 0 can make the Hessian indefinite; the regularization
     # ladder must end where the dense Cholesky ladder ends
-    complex, rng = case
-    radii = _log_uniform_radii(rng, complex.vertex_count)
-    inversive = rng.uniform(-0.99, 0.0, complex.edge_count)
-    metric = PackingMetric(HYP, inversive, radii, permissive=True)
-    assume(is_admissible(complex, metric)[0])
     jac = curvature_jacobian(complex, metric)
     assume(np.linalg.eigvalsh(jac)[0] < 0)
 
     grad = rng.normal(size=complex.vertex_count)
-    direction = _direction(complex, inversive, radii, grad)
+    direction = _direction(complex, metric.inversive, radii, grad)
     expected = _dense_direction(jac, grad)
     if expected is None:
         assert direction is None
     else:
         assert direction is not None
         assert np.linalg.norm(direction - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+@settings(max_examples=40)
+@given(_surfaces())
+def test_newton_direction_matches_dense_solve(case):
+    _check_direction_matches_dense_solve(*case)
+
+
+@settings(max_examples=4)
+@given(_surfaces(LARGE, max_flips=64))
+def test_newton_direction_matches_dense_solve_above_the_dense_limit(case):
+    _check_direction_matches_dense_solve(*case)
+
+
+@settings(max_examples=40)
+@given(_surfaces())
+def test_newton_direction_on_indefinite_hessian(case):
+    complex, rng = case
+    radii = _log_uniform_radii(rng, complex.vertex_count)
+    inversive = rng.uniform(-0.99, 0.0, complex.edge_count)
+    metric = PackingMetric(HYP, inversive, radii, permissive=True)
+    assume(is_admissible(complex, metric)[0])
+    _check_ladders_end_alike(complex, rng, metric, radii)
+
+
+@settings(max_examples=4)
+@given(_surfaces(LARGE, max_flips=64), st.floats(0.02, 0.2))
+def test_newton_direction_on_indefinite_hessian_above_the_dense_limit(case, negative_share):
+    # I < 0 on every edge leaves almost no large surface admissible; here a
+    # share of the edges has I in [-0.99, 0], halved on violating faces.
+    complex, rng = case
+    radii = _log_uniform_radii(rng, complex.vertex_count)
+    inversive = np.where(
+        rng.random(complex.edge_count) < negative_share,
+        rng.uniform(-0.99, 0.0, complex.edge_count),
+        rng.uniform(0.0, 1.0, complex.edge_count),
+    )
+    metric = _redrawn_until_admissible(
+        complex, inversive, radii, lambda inversive: np.maximum(inversive, 0.5 * inversive)
+    )
+    _check_ladders_end_alike(complex, rng, metric, radii)
+
+
+def test_newton_direction_is_dense_up_to_the_limit():
+    # At or below _DENSE_VERTEX_LIMIT vertices Cholesky decides the step and
+    # conjugate gradients is never called; above it, the reverse.
+    def refused(*args):
+        raise AssertionError("called on the wrong side of the vertex limit")
+
+    for complex, dense in ((triangulated_torus(10, 10), True), (triangulated_torus(10, 11), False)):
+        assert (complex.vertex_count <= potential._DENSE_VERTEX_LIMIT) == dense
+        rng = np.random.default_rng(complex.vertex_count)
+        radii = _log_uniform_radii(rng, complex.vertex_count)
+        inversive = rng.uniform(0.0, 1.0, complex.edge_count)
+        grad = rng.normal(size=complex.vertex_count)
+        with pytest.MonkeyPatch.context() as patch:
+            if dense:
+                patch.setattr(potential, "_conjugate_gradient", refused)
+            else:
+                patch.setattr(np.linalg, "cholesky", refused)
+            assert _direction(complex, inversive, radii, grad) is not None
 
 
 def test_newton_solve_at_scale():
