@@ -238,8 +238,8 @@ def angle_jacobians_batch(
 
 def angle_jacobian_u(background: Background, radii, inversive) -> np.ndarray:
     """d(angles)/d(u) for one triangle given vertex radii and the inversive
-    distances on the opposite edges.  Symmetric and, for inversive >= 0,
-    negative definite."""
+    distances on the opposite edges.  Symmetric up to rounding and, for
+    inversive >= 0, negative definite."""
     r = check_radii(np.reshape(radii, 3))
     inv = check_inversive(np.reshape(inversive, 3), permissive=True)
     # RangeError for radii and lengths past the size limit

@@ -135,19 +135,6 @@ def gauss_bonnet_defect(complex: SurfaceComplex, metric: PackingMetric) -> float
     return _defect(complex, metric.background, extended_curvature(complex, metric))
 
 
-def _jacobian_blocks(
-    complex: SurfaceComplex, background: Background, factors, inversive: np.ndarray
-) -> np.ndarray:
-    """(F, 3, 3) blocks: [f, p, q] is face f's share of dK/du at (faces[f, p], faces[f, q]),
-    from the per-vertex ``factors`` of ``_radius_factors`` or ``_u_factors``.
-
-    Raises BoundaryError unless every face is strictly admissible."""
-    edges = _edge_lengths_arrays(background, factors, *complex.edges.T, inversive)
-    return -angle_jacobians_batch(
-        background, factors, inversive, edges, complex.faces, complex.face_edge_tables
-    )
-
-
 # The off-diagonal entries [p, q] of a 3 x 3 block, flat index 3 p + q, and
 # the corner r = 3 - p - q opposite the edge joining corners p and q.
 _OFF_DIAGONAL = np.array([1, 3, 2, 6, 5, 7])
@@ -155,17 +142,20 @@ _OFF_OPPOSITE = np.array([2, 2, 1, 1, 0, 0])
 _OFF_REVERSED = np.array([0, 1, 0, 1, 0, 1])  # p > q: from the edge's head
 
 
-def _assemble_hessian(complex: SurfaceComplex, blocks: np.ndarray):
-    """The per-face ``blocks`` summed into H, as (diagonal, rows, cols, couplings).
-
-    ``diagonal`` holds H's N diagonal entries, and ``couplings[k]`` is
+def _hessian(complex: SurfaceComplex, background: Background, factors, inversive: np.ndarray):
+    """H = dK/du at the per-vertex ``factors`` of ``_radius_factors`` or
+    ``_u_factors``: the negated per-face angle Jacobians summed into
+    (diagonal, rows, cols, couplings), N + 2E entries.  ``couplings[k]`` is
     H[rows[k], cols[k]] for each edge (tail, head) in both orientations,
-    tail to head at k = e and head to tail at k = E + e, as the blocks are
-    symmetric only up to rounding.  Relies on the ascending face rows: corner
-    p < q of a face is the tail of the edge joining p and q.
-    """
+    tail to head at k = e and head to tail at k = E + e, as the face shares
+    are symmetric only up to rounding; as face rows ascend, corner p < q of a
+    face is the tail of the edge joining p and q.  BoundaryError unless
+    every face is strictly admissible."""
+    edges = _edge_lengths_arrays(background, factors, *complex.edges.T, inversive)
+    flat = -angle_jacobians_batch(
+        background, factors, inversive, edges, complex.faces, complex.face_edge_tables
+    ).reshape(-1, 9)
     n, e = complex.vertex_count, complex.edge_count
-    flat = blocks.reshape(-1, 9)
     diagonal = np.bincount(complex.faces.ravel(), flat[:, ::4].ravel(), n)
     slots = complex.face_opposite_edges.take(_OFF_OPPOSITE, axis=1) + e * _OFF_REVERSED
     couplings = np.bincount(slots.ravel(), flat.take(_OFF_DIAGONAL, axis=1).ravel(), 2 * e)
@@ -174,7 +164,7 @@ def _assemble_hessian(complex: SurfaceComplex, blocks: np.ndarray):
 
 
 def _dense_hessian(diagonal, rows, cols, couplings) -> np.ndarray:
-    """The N x N matrix of ``_assemble_hessian``'s entries."""
+    """The N x N matrix of ``_hessian``'s entries."""
     n = len(diagonal)
     matrix = np.zeros((n, n))
     matrix[rows, cols] = couplings
@@ -186,11 +176,10 @@ def curvature_jacobian(complex: SurfaceComplex, metric: PackingMetric) -> np.nda
     """The N x N matrix d(K)/d(u), assembled from per-face angle Jacobians.
 
     Requires every face to be strictly admissible (BoundaryError otherwise).
-    Symmetric; positive definite in hyperbolic background for inversive
-    distances >= 0; in euclidean background it has the all-ones vector in
-    its kernel (scaling invariance).
+    Symmetric up to rounding; positive definite in hyperbolic background for
+    inversive distances >= 0; in euclidean background it has the all-ones
+    vector in its kernel (scaling invariance).
     """
     _check_fits(complex, metric)
     factors = _radius_factors(metric.background, metric.radii)
-    blocks = _jacobian_blocks(complex, metric.background, factors, metric.inversive)
-    return _dense_hessian(*_assemble_hessian(complex, blocks))
+    return _dense_hessian(*_hessian(complex, metric.background, factors, metric.inversive))

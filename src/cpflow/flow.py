@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import SurfaceComplex, _is_integer, _is_positive_finite
-from .curvature import _not_admissible, curvature_jacobian
+from .curvature import _dense_hessian, _not_admissible
 from .errors import (
     ConfigError,
     DomainError,
@@ -34,7 +34,6 @@ from .packing import (
     U_COORDINATE_FLOOR,
     Background,
     UCoords,
-    from_u,
     radii_to_u_array,
 )
 from .potential import PotentialContext, _domain_ok, potential_gradient, segment_integral
@@ -303,8 +302,8 @@ def stability_certificate(
     asymptotic decay rate is estimated by a least-squares fit of the log
     residual over the trace tail.
     """
-    jac = curvature_jacobian(complex, from_u(u_star, inversive, permissive=True))
     ctx = PotentialContext(complex, inversive, u_star, target)
+    jac = _dense_hessian(*ctx._hessian(u_star.values))
     projected = u_star.background is Background.EUCLIDEAN
     if projected:
         # Lift the all-ones kernel to c = 1 + the Gershgorin bound, above the

@@ -26,8 +26,8 @@ import numpy as np
 
 from .angles import clamped_arccos
 from .complexes import (
-    _DOUBLE_TRIANGLE, SurfaceComplex, _is_integer, _subcomplex_counts, link_pairs,
-    normalize_subset,
+    _DOUBLE_TRIANGLE, SurfaceComplex, _is_integer, _is_positive_finite, _subcomplex_counts,
+    link_pairs, normalize_subset,
 )
 from .curvature import curvature, extended_curvature
 from .errors import ConfigError, DomainError, MaxIterationsError, NoDescentError, NotFoundError
@@ -123,13 +123,25 @@ class _Records(Sequence):
                          r.observed.tolist()))
 
 
+def _size_matrices(n: int, cap) -> tuple:
+    """Proper subsets of n vertices with 1 .. cap members: a matrix of sorted members
+    per size, rows in ``combinations`` order (ConfigError unless cap is an integer >= 1)."""
+    if not _is_integer(cap):
+        raise ConfigError(f"subset cap must be an integer, got {cap!r}")
+    if cap < 1:
+        raise ConfigError(f"subset cap must be at least 1, got {cap}")
+    return tuple(
+        np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64).reshape(-1, k)
+        for k in range(1, min(cap, n - 1) + 1))
+
+
 def enumerate_subsets(
     complex: SurfaceComplex, max_size: int | None = None
 ) -> list[frozenset]:
     """Nonempty proper vertex subsets, optionally capped by size."""
     n = complex.vertex_count
-    top = n - 1 if max_size is None else min(max_size, n - 1)
-    return [frozenset(c) for size in range(1, top + 1) for c in combinations(range(n), size)]
+    matrices = _size_matrices(n, n - 1 if max_size is None else max_size)
+    return [frozenset(row) for members in matrices for row in members.tolist()]
 
 
 def subset_lower_bound(
@@ -246,13 +258,7 @@ def check_zero_curvature_obstructions(
     else:
         if subset_cap is None:
             subset_cap = n - 1 if n <= EXHAUSTIVE_VERTEX_LIMIT else DEFAULT_SUBSET_CAP
-        elif not _is_integer(subset_cap):
-            raise ConfigError(f"subset cap must be an integer, got {subset_cap!r}")
-        elif subset_cap < 1:
-            raise ConfigError(f"subset cap must be at least 1, got {subset_cap}")
-        matrices = tuple(
-            np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64).reshape(-1, k)
-            for k in range(1, min(subset_cap, n - 1) + 1))
+        matrices = _size_matrices(n, subset_cap)
         order = np.arange(sum(map(len, matrices)))
     bounds = _subset_lower_bounds(complex, inversive, matrices)[order]
     return ObstructionReport(matrices, order, bounds, np.zeros(len(bounds)))
@@ -289,7 +295,7 @@ def degeneration_limit_table(
 
     The sums approach the subset lower bound from above; the factors should
     decrease geometrically because the hyperbolic limits are approached
-    slowly.  ConfigError when there are no factors.
+    slowly.  ConfigError without factors or for one not finite and positive.
     """
     inversive = check_inversive(inversive, complex)
     members = normalize_subset(complex.vertex_count, subset)
@@ -300,6 +306,8 @@ def degeneration_limit_table(
     limit = subset_lower_bound(complex, inversive, members)
     rows = []
     for factor in shrink_factors:
+        if not _is_positive_finite(factor):
+            raise ConfigError(f"shrink factors must be finite and positive numbers, got {factor!r}")
         radii = base_radii.copy()
         radii[mask] *= factor
         metric = PackingMetric(Background.HYPERBOLIC, inversive, radii)
@@ -343,7 +351,9 @@ class TriangleAngleSpace:
 
     def sample(self, rng: np.random.Generator, count: int = 1) -> np.ndarray:
         """Uniform points of the angle space by rejection from its bounding box:
-        a (count, 3) array, or one point for count = 1 (ConfigError below 1)."""
+        a (count, 3) array, or one point for count = 1; count is an integer >= 1."""
+        if not _is_integer(count):
+            raise ConfigError(f"sample count must be an integer, got {count!r}")
         if count < 1:
             raise ConfigError(f"sample count must be at least 1, got {count}")
         bounds = self.upper_bounds

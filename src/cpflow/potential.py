@@ -38,12 +38,7 @@ import numpy as np
 
 from .angles import _NEXT, _PREV, extended_angles_batch
 from .complexes import SurfaceComplex, _is_integer, _is_positive_finite
-from .curvature import (
-    _assemble_hessian,
-    _dense_hessian,
-    _jacobian_blocks,
-    make_curvature_evaluator,
-)
+from .curvature import _dense_hessian, _hessian, make_curvature_evaluator
 from .errors import (
     BoundaryError,
     ConfigError,
@@ -56,6 +51,7 @@ from .packing import (
     U_COORDINATE_FLOOR,
     UCoords,
     _edge_lengths_arrays,
+    _misfit,
     _u_factors,
     check_inversive,
 )
@@ -104,7 +100,7 @@ class PotentialContext:
     target: np.ndarray | None = None
 
     def __post_init__(self):
-        # Read-only, so the Jacobian blocks see the values the evaluator checked.
+        # Read-only, so the Hessian sees the values the evaluator checked.
         inv = check_inversive(self.inversive, self.complex, permissive=True)
         object.__setattr__(self, "inversive", inv)
         evaluate = make_curvature_evaluator(self.complex, self.background, inv)
@@ -132,8 +128,13 @@ class PotentialContext:
             u = u.values
         values = np.asarray(u, dtype=float)
         if values.shape != (self.complex.vertex_count,):
-            raise ConfigError(f"u-coordinates must have {self.complex.vertex_count} values")
+            raise _misfit(f"u-coordinates of shape {values.shape}", self.complex)
         return values
+
+    def _hessian(self, u: np.ndarray):
+        """dK/du at the u-values u: ``curvature._hessian`` on their ``_u_factors``."""
+        factors = _u_factors(self.background, u)
+        return _hessian(self.complex, self.background, factors, self.inversive)
 
 
 class _Budget:
@@ -393,12 +394,10 @@ def _newton_direction(ctx: PotentialContext, u: np.ndarray, grad: np.ndarray):
     and Cholesky decides each mu; on more, conjugate gradients on the
     entries decides it, and no N x N matrix is formed.
     """
-    factors = _u_factors(ctx.background, u)
     try:
-        blocks = _jacobian_blocks(ctx.complex, ctx.background, factors, ctx.inversive)
+        hessian = ctx._hessian(u)
     except BoundaryError:
         return None
-    hessian = _assemble_hessian(ctx.complex, blocks)
     dense = _dense_hessian(*hessian) if len(grad) <= _DENSE_VERTEX_LIMIT else None
     mu = 0.0
     while mu <= 1e-2:
@@ -428,7 +427,7 @@ def _cholesky_solve(matrix, mu, rhs):
 def _conjugate_gradient(diagonal, rows, cols, couplings, mu, rhs):
     """Solve (H + mu I) x = rhs by Jacobi-preconditioned conjugate gradients.
 
-    H is given by the entries of ``_assemble_hessian``: its ``diagonal``, and
+    H is given by ``PotentialContext._hessian``'s entries: its ``diagonal``, and
     H[rows[k], cols[k]] = couplings[k] for both orientations of every edge.
     Returns None when H + mu I shows itself not positive definite: a diagonal
     entry <= 0, a direction p with p.Ap <= 0, a non-finite value, or no

@@ -2,7 +2,8 @@
 are the tests' only additions: scipy, networkx and mpmath may serve as
 oracles outside the repository, never from ``src/`` or ``tests/``.  Inside
 the package, only the angle kernel forms the cosine law that decides
-which faces are degenerate."""
+which faces are degenerate, and only the curvature module sums its angle
+Jacobians into dK/du."""
 
 from __future__ import annotations
 
@@ -58,3 +59,20 @@ def test_only_the_angle_kernel_forms_the_cosine_law():
     importers = [path.name for path in sorted((ROOT / "src/cpflow").glob("*.py"))
                  if path.name != "angles.py" and "_cosine_law" in _borrowed_names(path)]
     assert importers == []
+
+
+def test_only_the_curvature_module_sums_angle_jacobians():
+    # dK/du is built in curvature._hessian alone; the package's other
+    # modules read it through curvature_jacobian or PotentialContext._hessian.
+    readers = [path.name for path in sorted((ROOT / "src/cpflow").glob("*.py"))
+               if "angle_jacobians_batch" in _borrowed_names(path)]
+    assert readers == ["curvature.py"]
+
+
+@pytest.mark.parametrize("module", ["flow.py", "potential.py"])
+def test_u_space_modules_take_dk_du_from_the_context(module):
+    # The Newton direction and the stability certificate read dK/du at u
+    # through PotentialContext._hessian: no radii, no rebuilt metric.
+    radii_side = {"from_u", "PackingMetric", "_radius_factors", "curvature_jacobian",
+                  "angle_jacobians_batch"}
+    assert sorted(_borrowed_names(ROOT / "src/cpflow" / module) & radii_side) == []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cpflow import (
     Background,
+    BoundaryError,
     ConfigError,
     FlowConfig,
     PackingMetric,
@@ -18,6 +19,7 @@ from cpflow import (
     curvature,
     curvature_jacobian,
     genus2_surface,
+    icosahedron,
     is_admissible,
     newton_solve,
     potential_gradient,
@@ -156,6 +158,18 @@ def test_point_or_target_of_the_wrong_size_is_refused(genus2, entry, n_u, n_targ
     u = _u(np.ones(n_u))
     with pytest.raises(ConfigError):
         entry(genus2, np.ones(genus2.edge_count), u, np.zeros(n_target))
+
+
+@pytest.mark.parametrize("n_u", [14, 16])
+@pytest.mark.parametrize(
+    "entry", [_flow, residual, _certificate, _value, _gradient, _segment, _newton]
+)
+def test_point_of_the_wrong_size_is_refused_as_a_misfit(genus2, entry, n_u):
+    # the message every (complex, array) input shares names the complex
+    edges = genus2.edge_count
+    message = f"does not fit a complex with 15 vertices and {edges} edges"
+    with pytest.raises(ConfigError, match=message):
+        entry(genus2, np.ones(edges), _u(np.ones(n_u)), np.zeros(15))
 
 
 def test_fixed_point_start(zero_curvature_genus2):
@@ -714,3 +728,57 @@ def test_prescribed_flow_and_newton_agree(case):
     ctx = PotentialContext(complex, inversive, start, target)
     newton_u, _ = newton_solve(ctx, start, tol=1e-11)
     assert np.max(np.abs(newton_u.values - result.final_u.values)) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Stability certificate against the radii path
+# ---------------------------------------------------------------------------
+
+_CERTIFICATE_BASES = [genus2_surface(), triangulated_torus(6, 6), icosahedron()]
+
+
+@st.composite
+def _certificate_cases(draw):
+    """A flipped genus-2, 6 x 6 torus or icosahedron surface, a background,
+    I ~ U[0, 1] and the u of radii log-uniform in [0.3, 2]."""
+    base = draw(st.sampled_from(_CERTIFICATE_BASES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex = build_complex(flip_edges(base.faces, rng, draw(st.integers(0, 2 * base.face_count))))
+    background = draw(st.sampled_from([HYP, EUC]))
+    inversive = rng.uniform(0.0, 1.0, complex.edge_count)
+    radii = np.exp(rng.uniform(np.log(0.3), np.log(2.0), complex.vertex_count))
+    return complex, inversive, _u(radii, background)
+
+
+def _radii_path_eigenvalue(complex, inversive, u):
+    """The smallest eigenvalue of dK/du as computed on the radii of u: the
+    curvature Jacobian of ``from_u``'s metric, with the certificate's
+    euclidean rank-one lift of the all-ones kernel above the spectrum."""
+    jac = curvature_jacobian(complex, from_u(u, inversive, permissive=True))
+    if u.background is EUC:
+        jac += (1.0 + np.abs(jac).sum(axis=1).max()) / complex.vertex_count
+    return float(np.linalg.eigvalsh(jac)[0])
+
+
+@settings(max_examples=20)
+@given(_certificate_cases())
+def test_certificate_matches_the_radii_path(case):
+    # The certificate reads dK/du on the factors of u, which differ from
+    # those of the radii of u by rounding only.
+    complex, inversive, u = case
+    expected = _radii_path_eigenvalue(complex, inversive, u)
+    report = stability_certificate(complex, inversive, u)
+    assert abs(report.smallest_eigenvalue - expected) <= 1e-12 * abs(expected)
+    assert report.certified == (expected > 0)
+
+
+@pytest.mark.parametrize("background", [HYP, EUC])
+def test_certificate_refuses_a_degenerate_point(octa, background):
+    # one edge's large inversive distance between small radii degenerates its faces
+    inversive = np.zeros(octa.edge_count)
+    inversive[0] = 30.0
+    u = _u(np.full(octa.vertex_count, 0.05), background)
+    with pytest.raises(BoundaryError):
+        _radii_path_eigenvalue(octa, inversive, u)
+    with pytest.raises(BoundaryError, match="degenerate boundary in faces"):
+        stability_certificate(octa, inversive, u)

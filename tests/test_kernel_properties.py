@@ -39,7 +39,8 @@ from cpflow import (
     tetrahedron,
     triangulated_torus,
 )
-from cpflow.curvature import _jacobian_blocks, make_curvature_evaluator
+from cpflow.angles import angle_jacobians_batch
+from cpflow.curvature import make_curvature_evaluator
 from cpflow.potential import _crossings, _face_states
 from cpflow.packing import (
     _OVERFLOW_FREE_INVERSIVE,
@@ -549,6 +550,15 @@ def test_face_states_are_the_evaluator_mask(segment):
 #: [m, a] -> the third slot of {m, a, b} = {0, 1, 2} off the diagonal
 _THIRD = -np.add.outer(np.arange(3), np.arange(3)) % 3
 _DIAGONAL = np.eye(3, dtype=bool)
+
+
+def _jacobian_blocks(complex, background, factors, inversive):
+    """(F, 3, 3) blocks: [f, p, q] is face f's share of dK/du at (faces[f, p],
+    faces[f, q]), the negated angle Jacobians that ``curvature._hessian`` sums."""
+    edges = _edge_lengths_arrays(background, factors, *complex.edges.T, inversive)
+    return -angle_jacobians_batch(
+        background, factors, inversive, edges, complex.faces, complex.face_edge_tables
+    )
 
 
 def _reference_jacobian_blocks(complex, background, radii, inversive):

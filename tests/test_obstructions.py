@@ -199,6 +199,17 @@ def test_subset_cap_is_an_integer_of_at_least_one(octa, cap):
         check_zero_curvature_obstructions(octa, np.ones(octa.edge_count), subset_cap=cap)
 
 
+@pytest.mark.parametrize("cap", [0, -1, 2.5, "2", True, np.float64(2.0)])
+def test_enumerate_subsets_takes_the_subset_cap_rule(tetra, cap):
+    with pytest.raises(ConfigError, match="subset cap must be"):
+        enumerate_subsets(tetra, cap)
+
+
+def test_enumerate_subsets_lists_the_reports_subsets_in_order(genus2):
+    report = check_zero_curvature_obstructions(genus2, np.ones(genus2.edge_count), subset_cap=3)
+    assert enumerate_subsets(genus2, np.int64(3)) == list(map(frozenset, report.subset_lists()))
+
+
 def test_subset_cap_may_be_a_numpy_integer(octa):
     inversive = np.ones(octa.edge_count)
     assert (check_zero_curvature_obstructions(octa, inversive, subset_cap=np.int64(2))
@@ -249,6 +260,12 @@ def test_degeneration_limit_refuses_no_shrink_factors(tetra, factors):
         degeneration_limit_table(tetra, np.zeros(6), {0}, np.ones(4), factors)
 
 
+@pytest.mark.parametrize("factor", ["a", True, 0.0, -0.5, np.nan, np.inf, None])
+def test_degeneration_limit_refuses_a_shrink_factor_that_is_not_positive(tetra, factor):
+    with pytest.raises(ConfigError, match="shrink factors must be finite and positive"):
+        degeneration_limit_table(tetra, np.zeros(6), {0}, np.ones(4), [0.5, factor])
+
+
 def test_degeneration_limit_generic(octa, rng):
     inversive = rng.uniform(0.0, 0.9, octa.edge_count)
     base = np.exp(rng.uniform(np.log(0.5), np.log(2.0), octa.vertex_count))
@@ -288,6 +305,16 @@ def test_angle_space_sampler(rng):
 def test_angle_space_sampler_refuses_a_count_below_one(rng, count):
     with pytest.raises(ConfigError, match="at least 1"):
         TriangleAngleSpace((0.2, 1.3, 2.5)).sample(rng, count)
+
+
+@pytest.mark.parametrize("count", [2.5, 3.0, "3", True, np.float64(3.0)])
+def test_angle_space_sampler_refuses_a_count_that_is_not_an_integer(rng, count):
+    with pytest.raises(ConfigError, match="sample count must be an integer"):
+        TriangleAngleSpace((0.2, 1.3, 2.5)).sample(rng, count)
+
+
+def test_angle_space_sampler_takes_a_numpy_count(rng):
+    assert TriangleAngleSpace((0.2, 1.3, 2.5)).sample(rng, np.int64(4)).shape == (4, 3)
 
 
 def test_forward_images_in_space(rng):
@@ -391,7 +418,7 @@ def test_triangle_from_angles_lets_programming_errors_through(monkeypatch):
     def broken(*args):
         raise TypeError("broken angle Jacobian")
 
-    monkeypatch.setattr(potential_module, "_jacobian_blocks", broken)
+    monkeypatch.setattr(potential_module, "_hessian", broken)
     with pytest.raises(TypeError, match="broken angle Jacobian"):
         triangle_from_angles(np.full(3, 0.5), np.full(3, 0.6))
 
