@@ -31,6 +31,7 @@ from .io import (
     load_target,
     save_surface,
     write_check_report,
+    write_curvature_report,
     write_manifest,
     write_trace_csv,
     write_trace_json,
@@ -115,22 +116,11 @@ def _cmd_curvature(args, run: _Run) -> int:
     print(f"total area      {curv.total_area!r}")
     print(f"gauss-bonnet    {defect!r}")
     print("vertex  curvature")
-    print("\n".join([f"{i:>6}  {k!r}" for i, k in enumerate(curv.values.tolist())]))
+    texts = list(map(repr, curv.values.tolist()))
+    print("\n".join([f"{i:>6}  {k}" for i, k in enumerate(texts)]))
 
     report_path = args.report or f"{Path(args.surface).stem}.curvature.json"
-    _write_json(
-        report_path,
-        {
-            "format": 1,
-            "background": surface.background.value,
-            "extended": curv.extended,
-            "curvature": curv.values.tolist(),
-            "total_area": curv.total_area,
-            "gauss_bonnet_defect": defect,
-            "admissible": admissible,
-            "violating_faces": violations,
-        },
-    )
+    write_curvature_report(report_path, surface.background, curv, defect, violations, texts)
     run.outputs["report"] = str(report_path)
     run.status = "ok"
     return _EXIT_OK

@@ -78,6 +78,17 @@ class SurfaceComplex:
         return self.edge_index[key]
 
 
+#: Dart 2h + k, k = 0, 1, leaves by half-edge h = 3f + m from the corner at
+#: slot (m + 1 + k) % 3 of face f: the slot of each of a face's six darts.
+_DART_SLOTS = np.array([1, 2, 2, 0, 0, 1])
+
+#: [a, e]: the dart, among the six of face g, that leaves the corner reached
+#: across half-edge 3g + a, where e = 0 for the corner at slot (a + 1) % 3
+#: and e = 1 for the one at slot (a + 2) % 3: it leaves by the half-edge
+#: opposite the third slot.
+_SUCCESSOR = np.array([[5, 2], [1, 4], [3, 0]])
+
+
 def _split_links(ids: np.ndarray, twin: np.ndarray, first_corner: np.ndarray) -> np.ndarray:
     """Vertex ids, with repeats, whose faces form more than one cycle.
 
@@ -93,27 +104,25 @@ def _split_links(ids: np.ndarray, twin: np.ndarray, first_corner: np.ndarray) ->
     smallest corner index around each cycle in O(log max-degree) passes, and a
     vertex has a single cycle iff all of its corners end with its first corner.
     """
-    # Dart 2h + k - 1 leaves by half-edge h = 3f + m from the corner at slot
-    # (m + k) % 3 of face f, for k = 1, 2.
-    n_half = twin.size
-    half = np.repeat(np.arange(n_half), 2)
-    face, slot = np.divmod(half, 3)
-    corner_slot = (slot + np.tile([1, 2], n_half)) % 3
-    vertex = ids[face, corner_slot]
-    # In the face across, the vertex sits at one end of the shared edge; the
-    # dart leaves by the half-edge opposite the third slot.
-    across, across_slot = np.divmod(twin[half], 3)
-    end = (across_slot + 1) % 3
-    at = np.where(ids[across, end] == vertex, end, (across_slot + 2) % 3)
-    exit_slot = 3 - at - across_slot
-    successor = 2 * (3 * across + exit_slot) + (at - exit_slot) % 3 - 1
+    flat = ids.ravel()
+    label = (3 * np.arange(len(ids))[:, None] + _DART_SLOTS).ravel()
+    # Dart 2h sits at the end of edge h that dart 2 twin[h] sits at, or at
+    # the other end; dart 2h + 1 sits at the end dart 2h does not.
+    first = flat[label[0::2]]
+    end = (first[twin] != first).view(np.int8)
+    across, slot = np.divmod(twin, 3)
+    successor = np.repeat(6 * across, 2)
+    successor[0::2] += _SUCCESSOR[slot, end]
+    successor[1::2] += _SUCCESSOR[slot, 1 - end]
+    del first, end, across, slot  # not held through the doubling loop
 
-    label = 3 * face + corner_slot
-    reach, longest = 1, np.bincount(ids.ravel()).max()
+    reach, longest = 1, np.bincount(flat).max()
     while reach < longest:
-        label = np.minimum(label, label[successor])
+        np.minimum(label, label[successor], out=label)
         successor = successor[successor]
         reach *= 2
+    # Each dart's label is a corner of its own vertex.
+    vertex = flat[label]
     return vertex[label != first_corner[vertex]]
 
 
@@ -188,12 +197,14 @@ def _build_complex(faces: list) -> SurfaceComplex:
     ids = ids.reshape(face_arr.shape)
     n_vertices = len(labels)
 
-    # Half-edge (f, m) is the edge of face f opposite its m-th vertex.
-    keys = ids[:, [1, 0, 0]] * n_vertices + ids[:, [2, 2, 1]]
-    edge_keys, half_edges, counts = np.unique(
-        keys.ravel(), return_inverse=True, return_counts=True
-    )
-    edge_arr = np.column_stack(np.divmod(edge_keys, n_vertices))
+    # Half-edge 3f + m is the edge of face f opposite its m-th vertex.  One
+    # stable sort of their keys groups each edge's half-edges in face order.
+    keys = (ids[:, [1, 0, 0]] * n_vertices + ids[:, [2, 2, 1]]).ravel()
+    by_edge = np.argsort(keys, kind="stable")
+    keys = keys[by_edge]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    counts = np.diff(starts, append=keys.size)
+    edge_arr = np.column_stack(np.divmod(keys[starts], n_vertices))
     bad = np.flatnonzero(counts != 2)
     if bad.size:
         detail = ", ".join(
@@ -202,9 +213,10 @@ def _build_complex(faces: list) -> SurfaceComplex:
         )
         raise NonManifoldError(f"not a closed surface: {detail}")
 
-    pairs = np.argsort(half_edges, kind="stable").reshape(-1, 2)
-    twin = np.empty_like(half_edges)
-    twin[pairs[:, 0]], twin[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    # Every edge has two half-edges: edge k holds by_edge[2k] and by_edge[2k + 1].
+    pairs = by_edge.reshape(-1, 2)
+    twin = np.empty_like(by_edge)
+    twin[by_edge] = pairs[:, ::-1].ravel()
     unused = np.flatnonzero(labels != np.arange(n_vertices))
     split = _split_links(ids, twin, first_corner)
     if unused.size and (not split.size or unused[0] < labels[split.min()]):
@@ -216,7 +228,9 @@ def _build_complex(faces: list) -> SurfaceComplex:
 
     # Every label is used from here on, so the dense ids are the labels.
     edge_faces = pairs // 3
-    opposite = half_edges.reshape(face_arr.shape)
+    opposite = np.empty_like(by_edge)
+    opposite[by_edge] = np.arange(by_edge.size) >> 1
+    opposite = opposite.reshape(face_arr.shape)
     # opposite[:, idx] yields an F-ordered array; C-ordered tables gather faster.
     tables = (opposite, *(np.ascontiguousarray(opposite[:, idx]) for idx in ([1, 2, 0], [2, 0, 1])))
     degree = np.bincount(edge_arr.ravel(), minlength=n_vertices)

@@ -1,12 +1,14 @@
-"""File formats: surface files, target files, trace CSV, check reports, run manifests.
+"""File formats: surface files, target files, trace CSV, curvature and check
+reports, run manifests.
 
 Structured inputs and reports are JSON, written compact on one line; flow
-traces are CSV.  Check reports and surface files are assembled as text from
-their arrays, byte-identical to the compact ``json.dumps`` form.  All floats are
-serialized with the shortest round-trip representation, so re-parsing an
-emitted file reproduces the values bit for bit and identical runs produce
-byte-identical outputs.  Every format carries a ``"format": 1`` version
-field and unknown fields are rejected.  A path that cannot be written is a
+traces are CSV, written row by row.  Curvature and check reports and surface
+files are assembled as text from their arrays, byte-identical to the compact
+``json.dumps`` form.  All floats are serialized with the shortest round-trip
+representation, so re-parsing an emitted file reproduces the values bit for
+bit and identical runs produce byte-identical outputs.  Every format carries
+a ``"format": 1`` version field and unknown fields are rejected.  Every file
+goes through one writer, and a path that cannot be written is a
 ``ConfigError``.
 """
 
@@ -79,13 +81,19 @@ def _is_list_of(raw, kinds: frozenset) -> bool:
     return isinstance(raw, list) and set(map(type, raw)) <= kinds
 
 
-def _write_text(path, text: str) -> None:
-    """Every file the program writes; a path that cannot be written is a
-    configuration error."""
+def _write_chunks(path, chunks) -> None:
+    """Every file the program writes: the strings of ``chunks`` in UTF-8,
+    each written as it comes, so that a long file is never held whole.  A
+    path that cannot be written is a configuration error."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
+def _write_text(path, text: str) -> None:
+    _write_chunks(path, (text,))
 
 
 def _write_json(path, doc: dict, sort_keys: bool = False) -> None:
@@ -333,14 +341,18 @@ def trace_header(n_vertices: int) -> list[str]:
     )
 
 
-def write_trace_csv(path, n_vertices: int, trace) -> None:
-    """Write flow samples as CSV: t, u_0..u_{N-1}, K_0..K_{N-1}, M, m, potential."""
-    lines = [",".join(trace_header(n_vertices))]
+def _trace_rows(n_vertices: int, trace):
+    yield ",".join(trace_header(n_vertices)) + "\n"
     for s in trace:
         row = np.concatenate(([s.t], s.u, s.curvature, [s.curvature_max, s.curvature_min]))
         potential = "" if s.potential is None else repr(float(s.potential))
-        lines.append(",".join(map(repr, row.tolist())) + "," + potential)
-    _write_text(path, "\n".join(lines) + "\n")
+        yield ",".join(map(repr, row.tolist())) + "," + potential + "\n"
+
+
+def write_trace_csv(path, n_vertices: int, trace) -> None:
+    """Write flow samples as CSV: t, u_0..u_{N-1}, K_0..K_{N-1}, M, m, potential,
+    one row at a time as each is formatted."""
+    _write_chunks(path, _trace_rows(n_vertices, trace))
 
 
 def write_trace_json(path, n_vertices: int, trace) -> None:
@@ -357,6 +369,23 @@ def write_trace_json(path, n_vertices: int, trace) -> None:
     ]
     doc = {"format": FORMAT_VERSION, "columns": trace_header(n_vertices), "samples": rows}
     _write_json(path, doc)
+
+
+# ---------------------------------------------------------------------------
+# Curvature report
+# ---------------------------------------------------------------------------
+
+def write_curvature_report(path, background: Background, curv, defect: float,
+                           violations: list[int], texts: list[str]) -> None:
+    """The ``curvature`` report, the compact ``json.dumps`` of its fields byte
+    for byte, with ``texts`` as the curvature values: the caller's ``repr`` of
+    each, which it also prints.  Curvatures are 2 pi minus sums of angles in
+    [0, pi], so finite, and ``repr`` is the text ``json.dumps`` would write."""
+    _write_text(path, f'{{"format": {FORMAT_VERSION}, "background": "{background.value}", '
+                      f'"extended": {json.dumps(curv.extended)}, "curvature": [{", ".join(texts)}], '
+                      f'"total_area": {json.dumps(curv.total_area)}, '
+                      f'"gauss_bonnet_defect": {json.dumps(defect)}, '
+                      f'"admissible": {json.dumps(not violations)}, "violating_faces": {violations}}}\n')
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,9 @@ _U_SIZE_LIMIT = -2.0 * float(np.exp(-HYPERBOLIC_SIZE_LIMIT))
 #: from about 1e-162 the excess underflows to 0, a DomainError.
 U_COORDINATE_FLOOR = -300.0
 
+#: the largest u whose e^u is finite: ln of the largest double.
+_U_EXP_LIMIT = float(np.log(np.finfo(float).max))
+
 
 class Background(Enum):
     """Model geometry realizing the face lengths."""
@@ -194,11 +197,17 @@ def _hyperbolic_x(u: np.ndarray, u_max: float = -5e-324) -> np.ndarray:
         above = np.count_nonzero(u > u_max)
         if above and np.count_nonzero(u >= 0):
             raise DomainError("hyperbolic u-coordinates must be negative")
+    x = _nonzero_exp(u)
+    if above:
+        raise _size_error("radii")
+    return x
+
+
+def _nonzero_exp(u: np.ndarray) -> np.ndarray:
+    """e^u, refused with DomainError where it underflows to 0."""
     x = np.exp(u)
     if np.count_nonzero(x) < x.size:
         raise DomainError("radius underflow: u-coordinate too negative")
-    if above:
-        raise _size_error("radii")
     return x
 
 
@@ -207,9 +216,14 @@ def _u_factors(background: Background, u: np.ndarray):
     formed: r = e^u (euclidean), or, with x = e^u and 1 - x^2 = -expm1(2u),
     P = 2x / (1 - x^2) and T = x P (hyperbolic), within about an ulp of the
     exact values.  Refused as the radii of u would be, a radius above the
-    size limit as u > ln tanh(175)."""
+    size limit as u > ln tanh(175); a euclidean e^u that would overflow to
+    inf or underflow to 0 is a DomainError."""
     if background is _EUCLIDEAN:
-        return np.exp(u)
+        # Screened before np.exp, whose overflow would warn.
+        if (not np.maximum.reduce(u, axis=None, initial=-np.inf) <= _U_EXP_LIMIT
+                and np.count_nonzero(u > _U_EXP_LIMIT)):
+            raise DomainError("radius overflow: u-coordinate too large")
+        return _nonzero_exp(u)
     x = _hyperbolic_x(u, _U_SIZE_LIMIT)
     p = np.expm1(u + u)
     np.divide(_MINUS_TWO * x, p, out=p)

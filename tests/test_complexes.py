@@ -196,7 +196,64 @@ def _as_lists(complex):
     return out
 
 
-STOCK = [tetrahedron(), octahedron(), icosahedron(), triangulated_torus(3, 4), genus2_surface()]
+def _klein_bottle(rows, cols):
+    """A rows x cols grid with diagonals, glued top to bottom as the torus
+    is and left to right with the rows reversed: a Klein bottle, chi = 0."""
+    def vid(i, j):
+        if j == cols:
+            i, j = -i, 0
+        return (i % rows) * cols + j
+
+    return build_complex([
+        face
+        for i in range(rows) for j in range(cols)
+        for a, b, c, d in [(vid(i, j), vid(i + 1, j), vid(i, j + 1), vid(i + 1, j + 1))]
+        for face in ((a, b, d), (a, d, c))
+    ])
+
+
+# The 6-vertex projective plane (the hemi-icosahedron), chi = 1.
+RP2 = build_complex([
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+])
+
+# The last two are not orientable: no orientation of their faces agrees
+# across every edge, which the dart successors must not assume.
+STOCK = [tetrahedron(), octahedron(), icosahedron(), triangulated_torus(3, 4), genus2_surface(),
+         RP2, _klein_bottle(3, 4)]
+
+
+def _orientable(complex):
+    """Whether the faces can be given cyclic orders in which the two faces of
+    every edge run it in opposite directions: spread an order from face 0
+    across the edges and look for a clash."""
+    faces = complex.faces.tolist()
+    edge_faces = {}
+    for f, face in enumerate(faces):
+        for m in range(3):
+            edge_faces.setdefault(frozenset(face[:m] + face[m + 1:]), []).append(f)
+
+    def steps(cycle):
+        return set(zip(cycle, cycle[1:] + cycle[:1]))
+
+    cycles, stack = {0: faces[0]}, [0]
+    while stack:
+        f = stack.pop()
+        for a, b in steps(cycles[f]):
+            (g,) = set(edge_faces[frozenset((a, b))]) - {f}
+            want = faces[g] if (b, a) in steps(faces[g]) else faces[g][::-1]
+            if g not in cycles:
+                cycles[g] = want
+                stack.append(g)
+            elif steps(cycles[g]) != steps(want):
+                return False
+    return True
+
+
+def test_stock_bases_cover_both_orientabilities():
+    assert [_orientable(c) for c in STOCK] == [True] * 5 + [False] * 2
+    assert [c.euler_characteristic for c in STOCK[-2:]] == [1, 0]
 
 
 @st.composite

@@ -2,8 +2,8 @@
 are the tests' only additions: scipy, networkx and mpmath may serve as
 oracles outside the repository, never from ``src/`` or ``tests/``.  Inside
 the package, only the angle kernel forms the cosine law that decides
-which faces are degenerate, and only the curvature module sums its angle
-Jacobians into dK/du."""
+which faces are degenerate, only the curvature module sums its angle
+Jacobians into dK/du, and only one output helper opens a file to write."""
 
 from __future__ import annotations
 
@@ -76,3 +76,31 @@ def test_u_space_modules_take_dk_du_from_the_context(module):
     radii_side = {"from_u", "PackingMetric", "_radius_factors", "curvature_jacobian",
                   "angle_jacobians_batch"}
     assert sorted(_borrowed_names(ROOT / "src/cpflow" / module) & radii_side) == []
+
+
+def _file_writes(path: Path) -> set[tuple[str | None, str]]:
+    """(enclosing function, callee) of each call in one module to ``open``,
+    ``write_text`` or ``write_bytes``; None for a call outside functions."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if callee in ("open", "write_text", "write_bytes"):
+                    found.add((owner, callee))
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), None)
+    return found
+
+
+def test_every_file_is_written_through_the_one_output_helper():
+    # io._write_chunks turns a path that cannot be written into a
+    # ConfigError; a writer that opened its own file would not.
+    writes = {(path.name, *call) for path in sorted((ROOT / "src/cpflow").glob("*.py"))
+              for call in _file_writes(path)}
+    assert writes == {("io.py", "_write_chunks", "open")}

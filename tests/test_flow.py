@@ -11,6 +11,7 @@ from cpflow import (
     Background,
     BoundaryError,
     ConfigError,
+    DomainError,
     FlowConfig,
     PackingMetric,
     QuadratureError,
@@ -559,6 +560,21 @@ def test_stability_certificate_euclidean_gauge(torus):
     report = stability_certificate(torus, metric.inversive, to_u(metric))
     assert report.euclidean_gauge_projected
     assert report.certified
+
+
+@pytest.mark.parametrize("entry", [residual, stability_certificate])
+@pytest.mark.parametrize("u_0, message", [
+    (-800.0, "radius underflow: u-coordinate too negative"),
+    (800.0, "radius overflow: u-coordinate too large"),
+])
+def test_euclidean_u_whose_radius_is_not_a_positive_double_is_refused(torus, entry, u_0, message):
+    # e^-800 underflows to a zero radius and e^800 overflows: both are
+    # refused, with no numpy RuntimeWarning (an error under this suite's
+    # filter) on the way.
+    u = np.zeros(torus.vertex_count)
+    u[0] = u_0
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        entry(torus, np.ones(torus.edge_count), UCoords(u, EUC))
 
 
 @pytest.mark.parametrize("background", [HYP, EUC])

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +24,14 @@ from cpflow import (
 )
 import cpflow.cli as cli_module
 from cpflow.cli import build_parser, main
-from cpflow.flow import INTEGRATORS, VARIANTS, FlowConfig, run_flow
+from cpflow.flow import INTEGRATORS, VARIANTS, FlowConfig, FlowSample, run_flow
 from cpflow.io import (
     load_surface,
     load_target,
     save_surface,
     save_target,
     trace_header,
+    write_trace_csv,
 )
 
 from conftest import flip_edges
@@ -349,6 +351,39 @@ def test_cli_curvature_extended_flags_degenerate(workdir):
     assert main(["curvature", str(surface)]) == 3
 
 
+@pytest.mark.parametrize("case", ["torus20", "degenerate-genus2"])
+def test_cli_curvature_prints_and_reports_one_text_per_value(workdir, capsys, case):
+    rng = np.random.default_rng(11)
+    if case == "torus20":
+        complex, flags = cpflow.triangulated_torus(20, 20), []
+        inversive = rng.uniform(0.0, 1.0, complex.edge_count)
+        radii = np.exp(rng.uniform(np.log(0.5), np.log(2.0), complex.vertex_count))
+    else:
+        complex, flags = cpflow.genus2_surface(), ["--extended"]
+        inversive = rng.uniform(0.0, 3.0, complex.edge_count)
+        radii = np.exp(rng.uniform(np.log(0.1), np.log(5.0), complex.vertex_count))
+    metric = PackingMetric(HYP, inversive, radii)
+    save_surface(workdir / "s.json", complex, HYP, inversive, radii)
+    assert main(["curvature", "s.json", *flags, "--report", "r.json"]) == 0
+
+    curv = cpflow.extended_curvature(complex, metric)
+    violations = curv.degenerate.nonzero()[0].tolist()
+    assert bool(violations) == (case != "torus20")
+    doc = {
+        "format": 1,
+        "background": "hyperbolic",
+        "extended": curv.extended,
+        "curvature": curv.values.tolist(),
+        "total_area": curv.total_area,
+        "gauss_bonnet_defect": cpflow.gauss_bonnet_defect(complex, metric),
+        "admissible": not violations,
+        "violating_faces": violations,
+    }
+    assert (workdir / "r.json").read_text() == json.dumps(doc) + "\n"
+    table = capsys.readouterr().out.split("vertex  curvature\n")[1].splitlines()
+    assert table == [f"{i:>6}  {k!r}" for i, k in enumerate(doc["curvature"])]
+
+
 def test_cli_gb(workdir, capsys):
     surface = _write(workdir / "t.json", _tetra_doc())
     assert main(["gb", str(surface)]) == 0
@@ -415,6 +450,55 @@ def test_cli_flow_deterministic(workdir):
     assert main(args) in (0, 4)
     assert (workdir / "trace.csv").read_bytes() == first
     assert (workdir / "m.json").read_bytes() == first_manifest
+
+
+def _joined_trace(n_vertices, trace) -> str:
+    """The trace CSV as one string, every row's text joined: the bytes the
+    row-by-row writer must reproduce."""
+    lines = [",".join(trace_header(n_vertices))]
+    for s in trace:
+        row = np.concatenate(([s.t], s.u, s.curvature, [s.curvature_max, s.curvature_min]))
+        potential = "" if s.potential is None else repr(float(s.potential))
+        lines.append(",".join(map(repr, row.tolist())) + "," + potential)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-potential"]])
+def test_cli_trace_is_the_joined_text(workdir, monkeypatch, flags):
+    traces = []
+    write = cli_module.write_trace_csv
+
+    def kept(path, n_vertices, trace):
+        traces.append((n_vertices, trace))
+        write(path, n_vertices, trace)
+
+    monkeypatch.setattr(cli_module, "write_trace_csv", kept)
+    _write(workdir / "t.json", _tetra_doc(inversive=1.0))
+    assert main(["flow", "t.json", "--variant", "extended", "--max-time", "3",
+                 "--trace", "trace.csv", *flags]) in (0, 4)
+    (n_vertices, trace), = traces
+    assert len(trace) >= 2
+    assert (workdir / "trace.csv").read_bytes() == _joined_trace(n_vertices, trace).encode()
+    rows = (workdir / "trace.csv").read_text().splitlines()[1:]
+    assert all(row.endswith(",") for row in rows) == bool(flags)
+
+
+def test_trace_writer_holds_about_one_row(tmp_path):
+    # Joined, 40 rows would be held three times over (rows, their join and
+    # its encoding): about 120 rows' text.  Streamed, about six.
+    n = 4000
+    rng = np.random.default_rng(5)
+    trace = [FlowSample(0.1 * k, rng.normal(size=n), rng.normal(size=n), 1.0, -1.0, 0.5 * k)
+             for k in range(40)]
+    row = len(_joined_trace(n, trace[:1]).splitlines()[1])
+    tracemalloc.start()
+    try:
+        write_trace_csv(tmp_path / "trace.csv", n, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "trace.csv").read_text() == _joined_trace(n, trace)
+    assert peak <= 10 * row
 
 
 def test_cli_flow_classical_exit(workdir):

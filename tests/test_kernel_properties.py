@@ -179,7 +179,12 @@ def _reference_u_factors(u, background):
     """r = e^u (euclidean), or (cosh r - 1, sinh r) from x = e^u as
     (x P, 2x / (1 - x^2)) with 1 - x^2 = -expm1(2u) (hyperbolic)."""
     if background is EUC:
-        return np.exp(u)
+        if (u > np.log(np.finfo(float).max)).any():
+            raise DomainError("radius overflow: u-coordinate too large")
+        r = np.exp(u)
+        if (r <= 0).any():
+            raise DomainError("radius underflow: u-coordinate too negative")
+        return r
     if (u >= 0).any():
         raise DomainError("hyperbolic u-coordinates must be negative")
     x = np.exp(u)
