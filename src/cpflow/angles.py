@@ -106,19 +106,20 @@ def extended_angles_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Extended angles of the faces that ``tables`` = (opposite, next,
     previous) edge tables gather from per-edge excesses and x' as the
-    edge-length kernel returns and validates them.
+    edge-length kernel returns them, positive and finite.
 
     Returns the (F, 3) angle array and an (F,) boolean mask of degenerate
-    faces, those with a corner where num_m <= -den_m.
+    faces, those with a corner where num_m <= -den_m.  One reduction,
+    max |num_m / den_m| < 1, screens every corner; the exact test runs only
+    where it fails.
     """
     num, den = _cosine_law(background, excess, sx, tables)
     angles = num / den
     # Screen, then diagnose.  fl(num + den) <= 0 means num <= -den exactly,
     # so num / den <= -1, and division rounds monotonically onto the double
-    # -1; so when every ratio lies in (-1, 1), no corner is degenerate and
-    # the clamp does nothing.
-    if (np.minimum.reduce(angles, axis=None) > -1.0
-            and np.maximum.reduce(angles, axis=None) < 1.0):
+    # -1; so when every |ratio| is below 1, no corner is degenerate and the
+    # clamp does nothing.  One reduction, which a NaN fails as max propagates it.
+    if np.maximum.reduce(np.abs(angles), axis=None) < 1.0:
         return np.arccos(angles, out=angles), np.zeros(len(angles), dtype=bool)
     violated = np.add(num, den) <= 0.0
     # clamped_arccos in place: (F, 3) temporaries are costly on large meshes

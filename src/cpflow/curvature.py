@@ -22,11 +22,11 @@ from .errors import NotAdmissibleError
 from .packing import (
     Background,
     PackingMetric,
-    _OVERFLOW_FREE_INVERSIVE,
     _check_fits,
     _edge_lengths_arrays,
     _metric_edge_arrays,
     _radius_factors,
+    _u_band,
     _u_factors,
     check_inversive,
 )
@@ -90,19 +90,26 @@ def make_curvature_evaluator(
     returned callable maps u to ``(K, mask)`` by the kernel of
     ``extended_curvature`` on the factors of ``_u_factors``, forming no
     radii, so its K differs from that of the radii of u by rounding.
-    Whether I P_i P_j may overflow is decided once, from the inversive
-    distances.  ``PotentialContext`` builds the one that every u-space path uses.
+    The ``_u_band`` of the inversive distances is computed once: a u whose
+    min and max lie in it runs the stages with ``screen=False``, the same
+    arithmetic without their refusal screens or ``np.errstate``, as none
+    can fire there; any other u, NaN included, takes the screened stages
+    and raises what they raise.  ``PotentialContext`` builds the one that
+    every u-space path uses.
     """
     inv = check_inversive(inversive, complex, permissive=True)
     tail, head = np.ascontiguousarray(complex.edges.T)
-    overflow = bool(inv.max(initial=0.0) > _OVERFLOW_FREE_INVERSIVE)
+    lo, hi = _u_band(background, inv)
     tables, corners, n = complex.face_edge_tables, complex.faces.ravel(), complex.vertex_count
     two_pi = np.array(2.0 * np.pi)  # a 0-d array operand, as packing._TWO
 
     def evaluate(u_values: np.ndarray):
         # the stages of _curvature_vector, on the factors of u
+        screen = not (lo <= np.minimum.reduce(u_values, axis=None)
+                      and np.maximum.reduce(u_values, axis=None) <= hi)
         excess, sx = _edge_lengths_arrays(
-            background, _u_factors(background, u_values), tail, head, inv, overflow
+            background, _u_factors(background, u_values, screen=screen), tail, head, inv,
+            screen=screen,
         )
         angles, degenerate = extended_angles_batch(background, excess, sx, tables)
         sums = np.bincount(corners, angles.ravel(), n)

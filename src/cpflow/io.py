@@ -355,9 +355,11 @@ def write_trace_csv(path, n_vertices: int, trace) -> None:
     _write_chunks(path, _trace_rows(n_vertices, trace))
 
 
-def write_trace_json(path, n_vertices: int, trace) -> None:
-    rows = [
-        {
+def _trace_json_chunks(n_vertices: int, trace):
+    yield (f'{{"format": {FORMAT_VERSION}, "columns": {json.dumps(trace_header(n_vertices))}, '
+           '"samples": [')
+    for i, s in enumerate(trace):
+        sample = {
             "t": float(s.t),
             "u": s.u.tolist(),
             "K": s.curvature.tolist(),
@@ -365,10 +367,15 @@ def write_trace_json(path, n_vertices: int, trace) -> None:
             "m": float(s.curvature_min),
             "potential": None if s.potential is None else float(s.potential),
         }
-        for s in trace
-    ]
-    doc = {"format": FORMAT_VERSION, "columns": trace_header(n_vertices), "samples": rows}
-    _write_json(path, doc)
+        yield (", " if i else "") + json.dumps(sample)
+    yield "]}\n"
+
+
+def write_trace_json(path, n_vertices: int, trace) -> None:
+    """Write flow samples as one JSON document, the compact ``json.dumps`` of
+    {"format", "columns", "samples"} byte for byte, one sample at a time as
+    each is formatted."""
+    _write_chunks(path, _trace_json_chunks(n_vertices, trace))
 
 
 # ---------------------------------------------------------------------------

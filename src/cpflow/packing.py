@@ -15,6 +15,8 @@ The length kernel reads per-vertex factors: a metric's radii enter through
 
 from __future__ import annotations
 
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,9 +30,6 @@ HYPERBOLIC_SIZE_LIMIT = 350.0
 
 #: cosh(l) - 1 at the size limit: a larger excess is a longer edge.
 _EXCESS_LIMIT = float(np.cosh(HYPERBOLIC_SIZE_LIMIT)) - 1.0
-
-#: I P_i P_j cannot overflow for I up to this, as P <= sinh 350 (halved for rounding)
-_OVERFLOW_FREE_INVERSIVE = 0.5 * float(np.finfo(float).max / np.sinh(HYPERBOLIC_SIZE_LIMIT) ** 2)
 
 #: ln tanh(175), which ``radii_to_u_array`` rounds to -2 e^-350: a radius is
 #: above the size limit exactly when its u is above this.
@@ -73,6 +72,9 @@ def _as_readonly(values, dtype=float) -> np.ndarray:
 #: constant operands of the hot path as 0-d arrays: NumPy 2 resolves a Python
 #: float operand's type on every call, about 0.2 us, and a 0-d array's not
 _TWO, _MINUS_TWO = _as_readonly(2.0), _as_readonly(-2.0)
+
+#: the stand-in for ``np.errstate`` where ``screen=False`` shows nothing can overflow
+_NO_ERRSTATE = nullcontext()
 
 
 def _misfit(what: str, complex: SurfaceComplex) -> ConfigError:
@@ -211,27 +213,58 @@ def _nonzero_exp(u: np.ndarray) -> np.ndarray:
     return x
 
 
-def _u_factors(background: Background, u: np.ndarray):
+def _u_factors(background: Background, u: np.ndarray, *, screen: bool = True):
     """The factors of ``_radius_factors`` at u-coordinates u, with no radii
     formed: r = e^u (euclidean), or, with x = e^u and 1 - x^2 = -expm1(2u),
     P = 2x / (1 - x^2) and T = x P (hyperbolic), within about an ulp of the
     exact values.  Refused as the radii of u would be, a radius above the
     size limit as u > ln tanh(175); a euclidean e^u that would overflow to
-    inf or underflow to 0 is a DomainError."""
+    inf or underflow to 0 is a DomainError.  ``screen=False`` leaves out
+    every refusal, for u inside the ``_u_band`` of the caller's inversive
+    distances, where none can fire."""
     if background is _EUCLIDEAN:
+        if not screen:
+            return np.exp(u)
         # Screened before np.exp, whose overflow would warn.
         if (not np.maximum.reduce(u, axis=None, initial=-np.inf) <= _U_EXP_LIMIT
                 and np.count_nonzero(u > _U_EXP_LIMIT)):
             raise DomainError("radius overflow: u-coordinate too large")
         return _nonzero_exp(u)
-    x = _hyperbolic_x(u, _U_SIZE_LIMIT)
+    x = _hyperbolic_x(u, _U_SIZE_LIMIT) if screen else np.exp(u)
     p = np.expm1(u + u)
     np.divide(_MINUS_TWO * x, p, out=p)
     return x * p, p
 
 
+def _u_band(background: Background, inv: np.ndarray) -> tuple[float, float]:
+    """[lo, hi]: while every u lies in it, no refusal of ``_u_factors`` or
+    ``_edge_lengths_arrays`` can fire for the inversive distances ``inv``
+    (each > -1), and no step of theirs overflows.  Empty (lo > hi) where
+    none is proven.  lo is ``U_COORDINATE_FLOOR`` in both backgrounds.
+
+    Hyperbolic, for I >= 0 (empty otherwise, as I P_i P_j < 0 can cancel
+    the excess): at u >= lo, T >= 2 e^(2u) >= 1e-261, so the excess is
+    positive.  hi = ln tanh(r*/2) with r* = (350 - log1p(I_max)) / 2 - 2,
+    so cosh l <= (1 + I_max) cosh^2 r* <= e^346 < cosh 350 - 1 with a
+    margin of 27 for rounding, and I P_i P_j, T_i T_j and the angle
+    stage's products of excesses stay below e^692.  Empty where r* <= 0.
+
+    Euclidean: r >= e^-300 and 1 + I >= 2^-53 keep each factor of
+    2 (1 + I) r_i r_j, hence l^2, a normal double.  hi = (ln(max double)
+    - log1p(2 (1 + I_max))) / 2 - 2 keeps l^2 <= (1 + 2 (1 + I_max)) r^2
+    below e^-4 times the largest double; empty where 2 (1 + I_max)
+    overflows."""
+    i_max = float(inv.max(initial=0.0))
+    if background is _EUCLIDEAN:
+        return U_COORDINATE_FLOOR, 0.5 * (_U_EXP_LIMIT - math.log1p(2.0 * (1.0 + i_max))) - 2.0
+    r_max = 0.5 * (HYPERBOLIC_SIZE_LIMIT - math.log1p(i_max)) - 2.0
+    if r_max <= 0.0 or inv.min(initial=0.0) < 0.0:
+        return U_COORDINATE_FLOOR, -math.inf
+    return U_COORDINATE_FLOOR, float(radii_to_u_array(np.array([r_max]), background)[0])
+
+
 def _edge_lengths_arrays(
-    background: Background, factors, tail, head, inv: np.ndarray, overflow: bool = True
+    background: Background, factors, tail, head, inv: np.ndarray, *, screen: bool = True
 ) -> tuple[np.ndarray, np.ndarray]:
     """Excesses e and x' = sinh l or l of the edges joining the vertices
     ``tail`` and ``head`` (index arrays into the per-vertex ``factors``):
@@ -254,15 +287,18 @@ def _edge_lengths_arrays(
     longer than the size limit raises RangeError, however far its length
     would overflow, and any other undefined length (an overflowing euclidean
     one too) raises DomainError with the index of the first such edge as ``edge``.
-    A caller whose I are at most ``_OVERFLOW_FREE_INVERSIVE`` may pass
-    ``overflow=False`` to form the hyperbolic I P_i P_j without ``np.errstate``.
+    ``screen=False`` leaves out these refusals and ``np.errstate``, for
+    factors of u inside the ``_u_band`` of ``inv``, where none can fire.
     """
+    # An overflow to inf is refused below.
+    quiet = np.errstate(over="ignore") if screen else _NO_ERRSTATE
     if background is _EUCLIDEAN:
         ri, rj = factors[tail], factors[head]
-        with np.errstate(over="ignore"):  # inf is refused below
+        with quiet:
             sq = (ri - rj) ** 2 + 2.0 * (1.0 + inv) * ri * rj
-        _require_defined((sq > 0) & (sq < np.inf),
-                         "euclidean edge length is not defined (l^2 <= 0 or not finite)")
+        if screen:
+            _require_defined((sq > 0) & (sq < np.inf),
+                             "euclidean edge length is not defined (l^2 <= 0 or not finite)")
         excess = 0.5 * sq
         return excess, np.sqrt(2.0 * excess)
     t, p = factors
@@ -270,18 +306,13 @@ def _edge_lengths_arrays(
     excess = t_i + t_j
     t_i *= t_j
     excess += t_i
-    # I P_i P_j may overflow to inf, which the size check below catches.
-    if overflow:
-        with np.errstate(over="ignore"):
-            product = inv * p[tail]
-            product *= p[head]
-    else:
+    with quiet:
         product = inv * p[tail]
         product *= p[head]
     excess += product
     # Screen, then diagnose: a NaN fails the screen too, as min and max propagate it.
-    if not (np.minimum.reduce(excess, axis=None) > 0.0
-            and np.maximum.reduce(excess, axis=None) <= _EXCESS_LIMIT):
+    if screen and not (np.minimum.reduce(excess, axis=None) > 0.0
+                       and np.maximum.reduce(excess, axis=None) <= _EXCESS_LIMIT):
         _require_defined(excess > 0, "hyperbolic edge length is not defined (cosh l - 1 not > 0)")
         if np.count_nonzero(excess > _EXCESS_LIMIT):
             raise _size_error("lengths")
@@ -389,11 +420,13 @@ def u_to_radii_array(u: np.ndarray, background: Background) -> np.ndarray:
     """Inverse coordinate change; hyperbolic r = 2 artanh(e^u).
 
     Written as log1p(2 e^u / (1 - e^u)) with the denominator from expm1,
-    exact from u near 0 (huge radii) down to the underflow floor.
+    exact from u near 0 (huge radii) down to the underflow floor.  A u at
+    or above 0 (hyperbolic), or whose e^u underflows to 0, or (euclidean)
+    overflows, is refused with the DomainError of ``_u_factors``.
     """
     u = np.asarray(u, dtype=float)
     if background is Background.EUCLIDEAN:
-        return np.exp(u)
+        return _u_factors(background, u)
     return np.log1p(2.0 * _hyperbolic_x(u) / (-np.expm1(u)))
 
 

@@ -3,7 +3,9 @@ are the tests' only additions: scipy, networkx and mpmath may serve as
 oracles outside the repository, never from ``src/`` or ``tests/``.  Inside
 the package, only the angle kernel forms the cosine law that decides
 which faces are degenerate, only the curvature module sums its angle
-Jacobians into dK/du, and only one output helper opens a file to write."""
+Jacobians into dK/du, only its curvature evaluator runs the per-vertex and
+per-edge stages without their refusal screens, and only one output helper
+opens a file to write."""
 
 from __future__ import annotations
 
@@ -104,3 +106,28 @@ def test_every_file_is_written_through_the_one_output_helper():
     writes = {(path.name, *call) for path in sorted((ROOT / "src/cpflow").glob("*.py"))
               for call in _file_writes(path)}
     assert writes == {("io.py", "_write_chunks", "open")}
+
+
+def _unscreened_calls(path: Path) -> set[tuple[str, str | None, str]]:
+    """(module, enclosing top-level function, callee) of each call that passes
+    the keyword-only ``screen`` of ``_u_factors`` or ``_edge_lengths_arrays``."""
+    found = set()
+    for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                keywords = {keyword.arg for keyword in node.keywords}
+                if callee in ("_u_factors", "_edge_lengths_arrays") and (
+                        "screen" in keywords or None in keywords):
+                    found.add((path.name, owner, callee))
+    return found
+
+
+def test_only_the_evaluator_reaches_the_unscreened_stages():
+    # With screen=False the stages leave out their refusals, which only the
+    # evaluator's u-band test shows cannot fire; any other caller that
+    # passed it could hand an undefined length to the angle kernel.
+    calls = set().union(*map(_unscreened_calls, sorted((ROOT / "src/cpflow").glob("*.py"))))
+    assert calls == {("curvature.py", "make_curvature_evaluator", "_u_factors"),
+                     ("curvature.py", "make_curvature_evaluator", "_edge_lengths_arrays")}

@@ -32,6 +32,7 @@ from cpflow.io import (
     save_target,
     trace_header,
     write_trace_csv,
+    write_trace_json,
 )
 
 from conftest import flip_edges
@@ -499,6 +500,31 @@ def test_trace_writer_holds_about_one_row(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "trace.csv").read_text() == _joined_trace(n, trace)
     assert peak <= 10 * row
+
+
+def test_trace_json_is_the_dumped_document_held_about_one_sample_at_a_time(tmp_path):
+    # The streamed document is json.dumps of the whole one, byte for byte,
+    # a None potential included; dumped whole, 40 samples would be held at
+    # least twice over.
+    n = 4000
+    rng = np.random.default_rng(6)
+    trace = [FlowSample(0.1 * k, rng.normal(size=n), rng.normal(size=n), 1.0, -1.0,
+                        0.5 * k if k < 39 else None) for k in range(40)]
+    doc = {"format": 1, "columns": trace_header(n), "samples": [
+        {"t": s.t, "u": s.u.tolist(), "K": s.curvature.tolist(), "M": s.curvature_max,
+         "m": s.curvature_min, "potential": s.potential} for s in trace]}
+    expected = json.dumps(doc) + "\n"
+    sample = len(json.dumps(doc["samples"][0]))
+    tracemalloc.start()
+    try:
+        write_trace_json(tmp_path / "trace.json", n, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "trace.json").read_text() == expected
+    assert peak <= 10 * sample
+    write_trace_json(tmp_path / "empty.json", n, [])
+    assert (tmp_path / "empty.json").read_text() == json.dumps({**doc, "samples": []}) + "\n"
 
 
 def test_cli_flow_classical_exit(workdir):

@@ -11,9 +11,11 @@ for the symmetry and definiteness of a Hessian.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, note, settings
 from hypothesis import strategies as st
 
 from cpflow import (
@@ -43,10 +45,11 @@ from cpflow.angles import angle_jacobians_batch
 from cpflow.curvature import make_curvature_evaluator
 from cpflow.potential import _crossings, _face_states
 from cpflow.packing import (
-    _OVERFLOW_FREE_INVERSIVE,
+    U_COORDINATE_FLOOR,
     _U_SIZE_LIMIT,
     _edge_lengths_arrays,
     _radius_factors,
+    _u_band,
     _u_factors,
     all_edge_lengths,
     radii_to_u_array,
@@ -295,23 +298,64 @@ def _assert_kernel_is_the_chain(complex, background, inversive, u, radii=None):
     )
 
 
-@settings(max_examples=50)
-@given(_permissive_cases(), st.sampled_from(["none", "u0", "floor", "radius", "edge"]))
-def test_fused_kernel_equals_unfused_chain(case, spoil):
-    complex, background, inversive, radii = case
-    if spoil == "radius":
-        radii[0] = 400.0
-    elif spoil == "edge":  # two radii of 200 make an edge of length >= 400
-        radii[complex.edges[0]] = 200.0
-        inversive = np.abs(inversive)
-    u = radii_to_u_array(radii, background)
-    if spoil == "u0":
-        u[0] = 0.0
-    elif spoil == "floor":
-        u[0] = -800.0
-    _assert_kernel_is_the_chain(
-        complex, background, inversive, u, None if spoil in ("u0", "floor") else radii
-    )
+#: spoils at the edges of the evaluator's u-band, where it stops leaving out
+#: the stages' screens: (edge, direction of the one-ulp step)
+_BAND_EDGES = {"lo-inside": (0, np.inf), "lo-outside": (0, -np.inf),
+               "hi-inside": (1, -np.inf), "hi-outside": (1, np.inf)}
+_SPOILS = ["none", "u0", "floor", "radius", "edge", "nan", "-inf", "negative-I", "huge-I",
+           *_BAND_EDGES]
+
+
+@settings(max_examples=12)
+@given(_permissive_cases())
+def test_fused_kernel_equals_unfused_chain(case):
+    # Every spoil, in both backgrounds, on each drawn surface and metric.
+    complex, _, drawn_inversive, drawn_radii = case
+    for background, spoil in itertools.product([HYP, EUC], _SPOILS):
+        note(f"spoil {spoil!r} in {background}")
+        inversive, radii = drawn_inversive.copy(), drawn_radii.copy()
+        if spoil == "radius":
+            radii[0] = 400.0
+        elif spoil == "edge":  # two radii of 200 make an edge of length >= 400
+            radii[complex.edges[0]] = 200.0
+            inversive = np.abs(inversive)
+        elif spoil == "negative-I":
+            # I P_i P_j cancels the rest of the excess to 0.0 at equal radii of 2
+            inversive[0], radii[complex.edges[0]] = np.nextafter(-1.0, 0.0), 2.0
+        elif spoil == "huge-I":
+            inversive[0] = 1e300
+        band = _u_band(background, inversive)
+        if spoil in ("negative-I", "huge-I"):
+            assert (band[0] > band[1]) == (background is HYP)
+        u = radii_to_u_array(radii, background)
+        if spoil == "u0":
+            u[0] = 0.0
+        elif spoil == "floor":
+            u[0] = -800.0
+        elif spoil in ("nan", "-inf"):
+            u[0] = float(spoil)
+        elif spoil in _BAND_EDGES:
+            if band[0] > band[1]:
+                continue
+            edge, step = _BAND_EDGES[spoil]
+            u[0] = np.nextafter(band[edge], step)
+        # (from radii, an undefined length's message names its edge, which the chain's does not)
+        on_radii = spoil not in ("u0", "floor", "nan", "-inf", "negative-I", *_BAND_EDGES)
+        _assert_kernel_is_the_chain(complex, background, inversive, u, radii if on_radii else None)
+
+
+def test_u_band_of_the_stock_inversive_distances():
+    # The band's floor is the Newton floor; its ceiling is ln tanh(r*/2),
+    # r* = (350 - log1p(I_max)) / 2 - 2, or in euclidean background
+    # (ln(max double) - log1p(2 (1 + I_max))) / 2 - 2.
+    inversive = np.array([0.0, 0.5, 1.0])
+    r_star = (350.0 - np.log1p(1.0)) / 2 - 2
+    assert _u_band(HYP, inversive) == (U_COORDINATE_FLOOR, radii_to_u_array(np.array([r_star]), HYP)[0])
+    lo, hi = _u_band(EUC, inversive)
+    assert lo == U_COORDINATE_FLOOR and hi == pytest.approx(0.5 * (709.782712893384 - np.log(5.0)) - 2)
+    # empty where 2 (1 + I_max) overflows
+    lo, hi = _u_band(EUC, np.array([1.7e308]))
+    assert lo > hi
 
 
 def _threshold_tetrahedron():
@@ -465,12 +509,11 @@ def test_the_size_limit_itself(radius, message):
         extended_curvature(complex, PackingMetric(HYP, inversive, radii))
 
 
-@pytest.mark.parametrize("inversive", [1e5, _OVERFLOW_FREE_INVERSIVE])
+@pytest.mark.parametrize("inversive", [1e5, 35449.34566935989])
 def test_huge_inversive_distance_is_refused_without_a_warning(inversive):
     # At radii 350, I P_i P_j overflows for I = 1e5, and stays finite up to
-    # _OVERFLOW_FREE_INVERSIVE, where the evaluator leaves out np.errstate.
-    # Either way the edge is refused, and an overflow warning would be an
-    # error under pytest.
+    # max double / (2 sinh^2 350) = 35449.3...  Either way the edge is
+    # refused, and an overflow warning would be an error under pytest.
     evaluate = make_curvature_evaluator(tetrahedron(), HYP, np.full(6, inversive))
     radii = np.array([350.0, 350.0, np.nextafter(350.0, 0.0), 349.5])
     with pytest.raises(RangeError, match="lengths above 350"):

@@ -12,6 +12,7 @@ from cpflow import (
     DomainError,
     PackingMetric,
     RangeError,
+    UCoords,
     all_edge_lengths,
     curvature,
     curvature_jacobian,
@@ -338,3 +339,17 @@ def test_from_u_validation(tetra):
         u_to_radii_array(np.array([0.0]), HYP)
     with pytest.raises(DomainError):
         u_to_radii_array(np.array([-800.0]), HYP)
+
+
+@pytest.mark.parametrize("u, message", [
+    (800.0, "radius overflow: u-coordinate too large"),
+    (-800.0, "radius underflow: u-coordinate too negative"),
+])
+def test_euclidean_u_out_of_range_is_refused_without_a_warning(u, message):
+    # e^800 overflows and e^-800 underflows to a zero radius: both are the
+    # DomainErrors of _u_factors, with no numpy warning on the way.
+    values = np.array([0.0, u, 1.0])
+    with pytest.raises(DomainError, match=message):
+        u_to_radii_array(values, EUC)
+    with pytest.raises(DomainError, match=message):
+        from_u(UCoords(values, EUC), np.zeros(3))
