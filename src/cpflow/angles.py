@@ -49,8 +49,9 @@ from .packing import (
     triangle_inequality_violations,
 )
 
-#: vertex slots m + 1 and m + 2 (mod 3), the endpoints of the edge opposite m
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+#: vertex slots m, m + 1 and m + 2 (mod 3); the last two are the endpoints
+#: of the edge opposite m
+_SLOTS, _NEXT, _PREV = np.arange(3), np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def clamped_arccos(x):
@@ -75,7 +76,7 @@ class GeneralizedAngles:
 
 #: face edge tables of a lone triangle whose edge m joins slots m + 1 and
 #: m + 2; the opposite table doubles as its face vertex table
-_TRIANGLE_TABLES = (np.arange(3).reshape(1, 3), _NEXT.reshape(1, 3), _PREV.reshape(1, 3))
+_TRIANGLE_TABLES = (_SLOTS.reshape(1, 3), _NEXT.reshape(1, 3), _PREV.reshape(1, 3))
 
 
 def _cosine_law(
@@ -174,30 +175,39 @@ def triangle_area(background: Background, angles: GeneralizedAngles) -> float:
 # Angle derivatives in u-coordinates
 # ---------------------------------------------------------------------------
 
-#: [m, a] -> the third slot b of {m, a, b} = {0, 1, 2} off the diagonal, m on it
-_THIRD = -np.add.outer(np.arange(3), np.arange(3)) % 3
-_DIAGONAL = np.eye(3, dtype=bool)
-
-
 def _boundary_error(refused: np.ndarray) -> BoundaryError:
     """The derivatives' one refusal, naming the faces that ``refused`` marks."""
     return BoundaryError("angle derivatives are undefined on or next to the degenerate "
                          f"boundary in faces {np.flatnonzero(refused).tolist()}")
 
 
-def angle_jacobians_batch(
-    background: Background, factors, inversive: np.ndarray, edges, faces, tables
-) -> np.ndarray:
-    """d(angles)/d(u) of the faces, shape (F, 3, 3), from the per-vertex
-    factors of the edge-length kernel, per-edge inversive distances and
-    ``edges`` = (excesses, x') as that kernel returns them, gathered through
-    the face vertex and (opposite, next, previous) face edge tables.
+#: 1 where slot m + 1, and where slot m + 2, is the head of the edge opposite
+#: slot m, when every edge runs from the lower slot of a face to the higher
+_NEXT_AT_HEAD, _PREV_AT_HEAD = np.array([0, 1, 0]), np.array([1, 0, 1])
+#: (tail, head) of the edges of a lone triangle in that orientation
+_TRIANGLE_ENDS = (np.array([1, 0, 0]), np.array([2, 2, 1]))
 
-    Entry [f, p, q] is the derivative of angle p with respect to the
-    u-coordinate of vertex q in face f.  Every face must satisfy the strict
-    triangle inequalities, by the rule of ``extended_angles_batch``; on,
+
+def angle_jacobians_batch(
+    background: Background, factors, inversive: np.ndarray, edges, ends, tables
+) -> tuple[np.ndarray, np.ndarray]:
+    """d(angles)/d(u) of the faces as two (F, 3) arrays (diagonal, coupling),
+    from the per-vertex factors of the edge-length kernel, per-edge inversive
+    distances and ``edges`` = (excesses, x') as that kernel returns them for
+    the edges ``ends`` = (tail, head), gathered through the (opposite, next,
+    previous) face edge tables.  Each edge must run from the lower slot of
+    every face that has it to the higher, as the edges of a SurfaceComplex
+    do in its ascending face rows.
+
+    ``diagonal[f, p]`` is the derivative of angle p of face f with respect to
+    the u-coordinate of its vertex p, and ``coupling[f, p]`` that of angle p
+    with respect to vertex p + 1, which equals that of angle p + 1 with
+    respect to vertex p (Guo 2011): the pair (p, p + 1) lies on the edge
+    opposite p + 2, and each face's 3 x 3 block, as ``angle_jacobian_blocks``
+    expands it, is symmetric by construction.  Every face must satisfy the
+    strict triangle inequalities, by the rule of ``extended_angles_batch``; on,
     beyond or within rounding of that boundary the derivative blows up, and
-    a BoundaryError naming the refused rows of ``faces`` is raised instead.
+    a BoundaryError naming the refused rows of ``tables`` is raised instead.
     """
     excess, sx = edges
     opposite = tables[0]
@@ -209,46 +219,64 @@ def angle_jacobians_batch(
     refused = sin_sq <= 0
     if refused.any():
         raise _boundary_error(refused.any(axis=1))
-    sin = np.sqrt(sin_sq)
 
-    # dtheta/dx: diagonal D_m = x'_m / (x'_j x'_k sin theta_m) with
-    # x' = sinh x (hyperbolic) or x (euclidean); off-diagonal
-    # dtheta_m/dx_a = -D_m cos theta_b, {m, a, b} = {0, 1, 2}.
-    sx_m = sx[opposite]
-    d = sx_m / (den * sin)
-    dtheta_dx = d[:, :, None] * np.where(_DIAGONAL, 1.0, -cos[:, _THIRD])
-
-    # dx/du = dx/dr dr/du with dr/du = s = sinh r = P (hyperbolic) or r
-    # (euclidean).  x_m joins the vertices a and b other than m, so the
-    # diagonal is 0 and dx_m/dr_a = (s_a c_b + I_m c_a s_b) / x'_m, with
-    # c = cosh r = 1 + T (hyperbolic) or 1 (euclidean).
-    if background is Background.HYPERBOLIC:
+    # dtheta_m/dl_m = D_m = x'_m / (x'_j x'_k sin theta_m), with x' = sinh l
+    # (hyperbolic) or l (euclidean), and dtheta_m/dl_a = -D_m cos theta_b
+    # for {m, a, b} = {0, 1, 2}.
+    d = sx[opposite] / np.multiply(den, np.sqrt(sin_sq, out=sin_sq), out=den)
+    # dl/du_a = s_a (s_a c_b + I c_a s_b) / x' at the ends a, b of an edge,
+    # with s = dr/du = sinh r = P and c = cosh r = 1 + T (hyperbolic), or
+    # s = r and c = 1 (euclidean): once per edge end, tails then heads.
+    tail, head = ends
+    if background is _HYPERBOLIC:
         t, p = factors
-        s, c = p[faces], 1.0 + t[faces]
+        c = 1.0 + t
+        s_tail, s_head = p[tail], p[head]
+        cross_tail, cross_head = s_tail * c[head], s_head * c[tail]
     else:
-        s, c = factors[faces], np.ones(faces.shape)
-    s_a, c_a = s[:, None, :], c[:, None, :]
-    inv_m = inversive[opposite][:, :, None]
-    dx_dr = (s_a * c[:, _THIRD] + inv_m * c_a * s[:, _THIRD]) / sx_m[:, :, None]
-    out = dtheta_dx @ np.where(_DIAGONAL, 0.0, dx_dr * s_a)
-    if not np.isfinite(out).all():
+        s_tail = cross_tail = factors[tail]
+        s_head = cross_head = factors[head]
+    at_ends = np.concatenate((s_tail * (cross_tail + inversive * cross_head) / sx,
+                              s_head * (cross_head + inversive * cross_tail) / sx))
+    # L_{m,m+1} and L_{m,m+2}: dl_m/du at the ends m + 1 and m + 2 of edge m
+    to_next = at_ends[opposite + len(sx) * _NEXT_AT_HEAD]
+    to_prev = at_ends[opposite + len(sx) * _PREV_AT_HEAD]
+
+    # dtheta_p/du_{p+1} = D_p (L_{p,p+1} - cos theta_{p+1} L_{p+2,p+1}) and
+    # dtheta_p/du_p = -D_p (cos theta_{p+2} L_{p+1,p} + cos theta_{p+1} L_{p+2,p}).
+    cos_next = cos[:, _NEXT]
+    coupling = d * (to_next - cos_next * to_prev[:, _PREV])
+    diagonal = -d * (cos[:, _PREV] * to_prev[:, _NEXT] + cos_next * to_next[:, _PREV])
+    finite = np.isfinite(coupling) & np.isfinite(diagonal)
+    if not finite.all():
         # strict inequalities can hold by less than an ulp while 1/sin blows up
-        raise _boundary_error(~np.isfinite(out).all(axis=(1, 2)))
-    return out
+        raise _boundary_error(~finite.all(axis=1))
+    return diagonal, coupling
+
+
+def angle_jacobian_blocks(diagonal: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """The (F, 3, 3) blocks of ``angle_jacobians_batch``'s per-corner arrays:
+    [f, p, q] is the derivative of angle p of face f with respect to the
+    u-coordinate of its vertex q, each block symmetric bit for bit."""
+    blocks = np.empty((len(diagonal), 3, 3))
+    blocks[:, _SLOTS, _SLOTS] = diagonal
+    blocks[:, _SLOTS, _NEXT] = coupling
+    blocks[:, _NEXT, _SLOTS] = coupling
+    return blocks
 
 
 def angle_jacobian_u(background: Background, radii, inversive) -> np.ndarray:
     """d(angles)/d(u) for one triangle given vertex radii and the inversive
-    distances on the opposite edges.  Symmetric up to rounding and, for
+    distances on the opposite edges.  Symmetric bit for bit and, for
     inversive >= 0, negative definite."""
     r = check_radii(np.reshape(radii, 3))
     inv = check_inversive(np.reshape(inversive, 3), permissive=True)
     # RangeError for radii and lengths past the size limit
     factors = _radius_factors(background, r)
-    edges = _edge_lengths_arrays(background, factors, _NEXT, _PREV, inv)
-    return angle_jacobians_batch(
-        background, factors, inv, edges, _TRIANGLE_TABLES[0], _TRIANGLE_TABLES
-    )[0]
+    edges = _edge_lengths_arrays(background, factors, *_TRIANGLE_ENDS, inv)
+    return angle_jacobian_blocks(*angle_jacobians_batch(
+        background, factors, inv, edges, _TRIANGLE_ENDS, _TRIANGLE_TABLES
+    ))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,10 @@ def make_curvature_evaluator(
     min and max lie in it runs the stages with ``screen=False``, the same
     arithmetic without their refusal screens or ``np.errstate``, as none
     can fire there; any other u, NaN included, takes the screened stages
-    and raises what they raise.  ``PotentialContext`` builds the one that
-    every u-space path uses.
+    and raises what they raise.  A caller that has already reduced u passes
+    its (min, max) as ``extrema``, and the band test reads them instead of
+    reducing u again.  ``PotentialContext`` builds the one that every
+    u-space path uses.
     """
     inv = check_inversive(inversive, complex, permissive=True)
     tail, head = np.ascontiguousarray(complex.edges.T)
@@ -103,10 +105,12 @@ def make_curvature_evaluator(
     tables, corners, n = complex.face_edge_tables, complex.faces.ravel(), complex.vertex_count
     two_pi = np.array(2.0 * np.pi)  # a 0-d array operand, as packing._TWO
 
-    def evaluate(u_values: np.ndarray):
+    def evaluate(u_values: np.ndarray, extrema=None):
         # the stages of _curvature_vector, on the factors of u
-        screen = not (lo <= np.minimum.reduce(u_values, axis=None)
-                      and np.maximum.reduce(u_values, axis=None) <= hi)
+        if extrema is None:
+            extrema = (np.minimum.reduce(u_values, axis=None),
+                       np.maximum.reduce(u_values, axis=None))
+        screen = not (lo <= extrema[0] and extrema[1] <= hi)
         excess, sx = _edge_lengths_arrays(
             background, _u_factors(background, u_values, screen=screen), tail, head, inv,
             screen=screen,
@@ -142,32 +146,26 @@ def gauss_bonnet_defect(complex: SurfaceComplex, metric: PackingMetric) -> float
     return _defect(complex, metric.background, extended_curvature(complex, metric))
 
 
-# The off-diagonal entries [p, q] of a 3 x 3 block, flat index 3 p + q, and
-# the corner r = 3 - p - q opposite the edge joining corners p and q.
-_OFF_DIAGONAL = np.array([1, 3, 2, 6, 5, 7])
-_OFF_OPPOSITE = np.array([2, 2, 1, 1, 0, 0])
-_OFF_REVERSED = np.array([0, 1, 0, 1, 0, 1])  # p > q: from the edge's head
-
-
 def _hessian(complex: SurfaceComplex, background: Background, factors, inversive: np.ndarray):
     """H = dK/du at the per-vertex ``factors`` of ``_radius_factors`` or
-    ``_u_factors``: the negated per-face angle Jacobians summed into
+    ``_u_factors``: the negated per-corner angle derivatives summed into
     (diagonal, rows, cols, couplings), N + 2E entries.  ``couplings[k]`` is
     H[rows[k], cols[k]] for each edge (tail, head) in both orientations,
-    tail to head at k = e and head to tail at k = E + e, as the face shares
-    are symmetric only up to rounding; as face rows ascend, corner p < q of a
-    face is the tail of the edge joining p and q.  BoundaryError unless
-    every face is strictly admissible."""
-    edges = _edge_lengths_arrays(background, factors, *complex.edges.T, inversive)
-    flat = -angle_jacobians_batch(
-        background, factors, inversive, edges, complex.faces, complex.face_edge_tables
-    ).reshape(-1, 9)
-    n, e = complex.vertex_count, complex.edge_count
-    diagonal = np.bincount(complex.faces.ravel(), flat[:, ::4].ravel(), n)
-    slots = complex.face_opposite_edges.take(_OFF_OPPOSITE, axis=1) + e * _OFF_REVERSED
-    couplings = np.bincount(slots.ravel(), flat.take(_OFF_DIAGONAL, axis=1).ravel(), 2 * e)
-    tail, head = complex.edges.T
-    return diagonal, np.concatenate((tail, head)), np.concatenate((head, tail)), couplings
+    tail to head at k = e and head to tail at k = E + e, one sum per edge
+    mirrored, so H is symmetric bit for bit.  BoundaryError unless every
+    face is strictly admissible."""
+    ends = complex.edges.T
+    edges = _edge_lengths_arrays(background, factors, *ends, inversive)
+    diagonal, coupling = angle_jacobians_batch(
+        background, factors, inversive, edges, ends, complex.face_edge_tables
+    )
+    # corners p and p + 1 of a face span the edge opposite p + 2
+    on_edges = np.bincount(complex.face_edge_tables[2].ravel(), coupling.ravel(),
+                           complex.edge_count)
+    sums = np.bincount(complex.faces.ravel(), diagonal.ravel(), complex.vertex_count)
+    tail, head = ends
+    return (np.negative(sums, out=sums), np.concatenate((tail, head)),
+            np.concatenate((head, tail)), -np.concatenate((on_edges, on_edges)))
 
 
 def _dense_hessian(diagonal, rows, cols, couplings) -> np.ndarray:
@@ -180,10 +178,10 @@ def _dense_hessian(diagonal, rows, cols, couplings) -> np.ndarray:
 
 
 def curvature_jacobian(complex: SurfaceComplex, metric: PackingMetric) -> np.ndarray:
-    """The N x N matrix d(K)/d(u), assembled from per-face angle Jacobians.
+    """The N x N matrix d(K)/d(u), assembled from per-corner angle derivatives.
 
     Requires every face to be strictly admissible (BoundaryError otherwise).
-    Symmetric up to rounding; positive definite in hyperbolic background for
+    Symmetric bit for bit; positive definite in hyperbolic background for
     inversive distances >= 0; in euclidean background it has the all-ones
     vector in its kernel (scaling invariance).
     """

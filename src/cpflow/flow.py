@@ -155,7 +155,8 @@ def run_flow(
     classical = config.variant == "classical"
     u_cap = _u_cap(background, config.divergence_radius_cap)
     # A step whose min and max lie in (floor, ceiling] is finite, in the
-    # domain and within the cap; any other takes the exact checks.
+    # domain and within the cap; any other takes the exact checks.  The
+    # evaluator's u-band test reads the same min and max.
     if background is Background.HYPERBOLIC:
         floor, ceiling = U_COORDINATE_FLOOR, min(u_cap, -5e-324)
     else:
@@ -163,8 +164,8 @@ def run_flow(
 
     evaluate = ctx._evaluate
     if classical:
-        def evaluate(u_arr: np.ndarray) -> tuple:
-            evaluation = ctx._evaluate(u_arr)
+        def evaluate(u_arr: np.ndarray, extrema=None) -> tuple:
+            evaluation = ctx._evaluate(u_arr, extrema)
             if np.count_nonzero(evaluation[1]):
                 raise _not_admissible(evaluation[1])
             return evaluation
@@ -243,7 +244,8 @@ def run_flow(
                 # A stage point left the representable u-domain, in either direction.
                 status = "diverged"
                 break
-            if not (np.minimum.reduce(u_next) > floor and np.maximum.reduce(u_next) <= ceiling):
+            extrema = np.minimum.reduce(u_next), np.maximum.reduce(u_next)
+            if not (extrema[0] > floor and extrema[1] <= ceiling):
                 if not np.isfinite(u_next).all():
                     raise StepError(f"non-finite state at t={(step_index + 1) * dt:g}")
                 if not _domain_ok(background, u_next) or np.count_nonzero(u_next > u_cap):
@@ -251,7 +253,7 @@ def run_flow(
                     break
 
             try:
-                at_next = evaluate(u_next)
+                at_next = evaluate(u_next, extrema)
             except NotAdmissibleError:
                 status = "left_admissible"
                 break

@@ -39,7 +39,7 @@ from cpflow import (
     tetrahedron,
     triangle_from_angles,
 )
-from cpflow.angles import angle_jacobians_batch
+from cpflow.angles import angle_jacobian_blocks, angle_jacobians_batch
 from cpflow.cli import main as cli_main
 from cpflow.io import save_surface, save_target
 from cpflow.obstructions import enumerate_subsets
@@ -192,14 +192,14 @@ def test_criterion_03_jacobian_contracts(genus2):
                 )
                 if is_admissible(complex, metric)[0]:
                     break
-            face_jacs = angle_jacobians_batch(
+            face_jacs = angle_jacobian_blocks(*angle_jacobians_batch(
                 HYP,
                 _radius_factors(HYP, metric.radii),
                 metric.inversive,
                 _metric_edge_arrays(complex, metric),
-                complex.faces,
+                complex.edges.T,
                 complex.face_edge_tables,
-            )
+            ))
             for jac in face_jacs:
                 assert np.max(np.abs(jac - jac.T)) <= 1e-9
                 assert np.linalg.eigvalsh(jac).max() < 0

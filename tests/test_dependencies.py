@@ -64,11 +64,16 @@ def test_only_the_angle_kernel_forms_the_cosine_law():
 
 
 def test_only_the_curvature_module_sums_angle_jacobians():
-    # dK/du is built in curvature._hessian alone; the package's other
-    # modules read it through curvature_jacobian or PotentialContext._hessian.
-    readers = [path.name for path in sorted((ROOT / "src/cpflow").glob("*.py"))
-               if "angle_jacobians_batch" in _borrowed_names(path)]
+    # dK/du is built in curvature._hessian alone, from the per-corner arrays
+    # of angle_jacobians_batch; the package's other modules read it through
+    # curvature_jacobian or PotentialContext._hessian.  Only angles.py (for
+    # angle_jacobian_u) expands the arrays into 3 x 3 blocks.
+    paths = sorted((ROOT / "src/cpflow").glob("*.py"))
+    readers = [path.name for path in paths if "angle_jacobians_batch" in _borrowed_names(path)]
     assert readers == ["curvature.py"]
+    expanders = [path.name for path in paths
+                 if path.name != "angles.py" and "angle_jacobian_blocks" in _borrowed_names(path)]
+    assert expanders == []
 
 
 @pytest.mark.parametrize("module", ["flow.py", "potential.py"])

@@ -19,6 +19,7 @@ from cpflow import (
     build_complex,
     curvature,
     curvature_jacobian,
+    gauss_bonnet_defect,
     genus2_surface,
     icosahedron,
     is_admissible,
@@ -33,7 +34,14 @@ from cpflow import (
 )
 import cpflow.flow as flow_module
 from cpflow.io import write_trace_csv
-from cpflow.packing import U_COORDINATE_FLOOR, UCoords, from_u, radii_to_u_array, u_to_radii_array
+from cpflow.packing import (
+    U_COORDINATE_FLOOR,
+    UCoords,
+    _u_band,
+    from_u,
+    radii_to_u_array,
+    u_to_radii_array,
+)
 from cpflow.potential import PotentialContext, segment_integral
 
 from conftest import flip_edges, random_admissible_metric, segment_reference
@@ -652,6 +660,41 @@ def test_one_euler_step_verdicts(genus2, background, radius, landing, cap, verdi
         assert np.allclose(result.final_u.values, landing, rtol=0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("background, cap, edge, verdict", [
+    (HYP, 300.0, "floor", "diverged"),
+    (EUC, 300.0, "floor", "goes on"),
+    (HYP, 2.0, "cap", "goes on"),
+    (HYP, 2.0, "past the cap", "diverged"),
+    (EUC, 2.0, "cap", "goes on"),
+    (EUC, 2.0, "past the cap", "diverged"),
+    (HYP, 300.0, "band top", "goes on"),
+    (HYP, 300.0, "past the band top", "goes on"),
+    (EUC, 1e200, "past the band top", "goes on"),
+], ids=["hyp-at-floor", "euc-at-floor", "hyp-at-cap-below-band", "hyp-past-cap-below-band",
+        "euc-at-cap-below-band", "euc-past-cap-below-band", "hyp-at-band-top",
+        "hyp-above-band-below-cap", "euc-above-band-below-cap"])
+def test_zero_steps_on_the_screen_edges(genus2, background, cap, edge, verdict):
+    # The flow's screen and the evaluator's u-band test read one min and max
+    # of each step.  A run whose target is the evaluator's own K at u0 takes
+    # steps of exactly 0, so every step lands on u0, whose vertex 0 sits on
+    # an edge: the hyperbolic floor, the radius cap (below the u-band's top
+    # radius at cap 2), or the band's top (below the cap at 300 and 1e200).
+    inversive = np.ones(genus2.edge_count)
+    u_cap, band_top = flow_module._u_cap(background, cap), _u_band(background, inversive)[1]
+    u0 = radii_to_u_array(np.ones(genus2.vertex_count), background)
+    u0[0] = {"floor": U_COORDINATE_FLOOR, "cap": u_cap,
+             "past the cap": np.nextafter(u_cap, np.inf), "band top": band_top,
+             "past the band top": np.nextafter(band_top, np.inf)}[edge]
+    start = UCoords(u0, background)
+    target = PotentialContext(genus2, inversive, start)._evaluate(u0)[0]
+    config = FlowConfig(variant="prescribed", target=target, max_time=0.05,
+                        record_potential=False, divergence_radius_cap=cap)
+    result = run_flow(genus2, inversive, start, config)
+    expected = ("diverged", 0) if verdict == "diverged" else ("max_time_reached", 1)
+    assert (result.status, result.iterations) == expected
+    assert np.array_equal(result.final_u.values, u0)
+
+
 def test_euclidean_certificate_is_the_smallest_eigenvalue_off_the_gauge(torus, rng):
     # Reference: the Jacobian restricted to an orthonormal basis of the
     # complement of the all-ones direction.
@@ -744,6 +787,35 @@ def test_prescribed_flow_and_newton_agree(case):
     ctx = PotentialContext(complex, inversive, start, target)
     newton_u, _ = newton_solve(ctx, start, tol=1e-11)
     assert np.max(np.abs(newton_u.values - result.final_u.values)) <= 1e-9
+
+
+@st.composite
+def _trace_cases(draw):
+    """A flipped genus-2 or 4 x 4 torus surface, I ~ U[0, 1], and a start
+    with radii log-uniform in [0.05, 5]."""
+    base = draw(st.sampled_from(_RIGIDITY_BASES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    complex = build_complex(flip_edges(base.faces, rng, draw(st.integers(0, 2 * base.face_count))))
+    inversive = rng.uniform(0.0, 1.0, complex.edge_count)
+    return complex, inversive, _u(np.exp(rng.uniform(np.log(0.05), np.log(5.0), complex.vertex_count)))
+
+
+@settings(max_examples=12)
+@given(_trace_cases())
+def test_extended_traces_keep_the_maximum_principle_and_gauss_bonnet(case):
+    # Along the extended flow the largest positive curvature never grows and
+    # the most negative never shrinks from one sample to the next, and the
+    # Gauss-Bonnet identity holds at every sample.
+    complex, inversive, start = case
+    config = FlowConfig(variant="extended", max_time=20.0, sample_every=5, record_potential=False)
+    trace = run_flow(complex, inversive, start, config).trace
+    assert len(trace) > 2
+    highs = np.array([sample.curvature_max for sample in trace])
+    lows = np.array([sample.curvature_min for sample in trace])
+    assert np.all(np.diff(highs) <= 0.0) and np.all(np.diff(lows) >= 0.0)
+    for sample in trace:
+        metric = from_u(UCoords(sample.u, HYP), inversive)
+        assert abs(gauss_bonnet_defect(complex, metric)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

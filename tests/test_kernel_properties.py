@@ -5,13 +5,16 @@ backgrounds, with radii log-uniform in [1e-12, 50] and inversive distances
 in [0, 5]: tiny, huge and degenerate triangles all occur.  The fused
 curvature pass is checked bit for bit against the unfused chain it replaced,
 kept here as the reference, and for continuity where faces degenerate.  The
-Jacobian blocks are checked against the per-face chain they came from, and
-for the symmetry and definiteness of a Hessian.
+per-corner angle derivatives, expanded into blocks, are checked against the
+per-face chain rule they replaced, for the symmetry (bit for bit) and
+definiteness of a Hessian, against central differences of the evaluator,
+and for refusing every degenerate face by name.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -41,7 +44,7 @@ from cpflow import (
     tetrahedron,
     triangulated_torus,
 )
-from cpflow.angles import angle_jacobians_batch
+from cpflow.angles import angle_jacobian_blocks, angle_jacobians_batch, extended_angles_batch
 from cpflow.curvature import make_curvature_evaluator
 from cpflow.potential import _crossings, _face_states
 from cpflow.packing import (
@@ -592,7 +595,7 @@ def test_face_states_are_the_evaluator_mask(segment):
 
 
 # ---------------------------------------------------------------------------
-# Jacobian blocks against the per-face chain they came from
+# Jacobian blocks against the per-face chain rule they replaced
 # ---------------------------------------------------------------------------
 
 #: [m, a] -> the third slot of {m, a, b} = {0, 1, 2} off the diagonal
@@ -602,11 +605,12 @@ _DIAGONAL = np.eye(3, dtype=bool)
 
 def _jacobian_blocks(complex, background, factors, inversive):
     """(F, 3, 3) blocks: [f, p, q] is face f's share of dK/du at (faces[f, p],
-    faces[f, q]), the negated angle Jacobians that ``curvature._hessian`` sums."""
+    faces[f, q]), the negated per-corner angle derivatives that
+    ``curvature._hessian`` sums, expanded into blocks."""
     edges = _edge_lengths_arrays(background, factors, *complex.edges.T, inversive)
-    return -angle_jacobians_batch(
-        background, factors, inversive, edges, complex.faces, complex.face_edge_tables
-    )
+    return -angle_jacobian_blocks(*angle_jacobians_batch(
+        background, factors, inversive, edges, complex.edges.T, complex.face_edge_tables
+    ))
 
 
 def _reference_jacobian_blocks(complex, background, radii, inversive):
@@ -711,6 +715,66 @@ def test_assembled_hessian_matches_the_block_scatter(case):
     assert np.max(np.abs(curvature_jacobian(complex, metric) - expected)) <= 1e-14 * np.max(
         np.abs(expected)
     )
+
+
+@settings(max_examples=40)
+@given(_jacobian_cases())
+def test_jacobians_equal_their_transposes_bit_for_bit(case):
+    # Each pair of corners takes one coupling, mirrored: a face's block and
+    # the assembled dK/du are symmetric bit for bit, not only to rounding.
+    complex, background, radii, inversive = case
+    try:
+        jacobian = curvature_jacobian(complex, PackingMetric(background, inversive, radii))
+    except BoundaryError:
+        return
+    assert np.array_equal(jacobian, jacobian.T)
+    for face, opposite in zip(complex.faces[:4], complex.face_opposite_edges):
+        block = angle_jacobian_u(background, radii[face], inversive[opposite])
+        assert np.array_equal(block, block.T)
+
+
+@settings(max_examples=20)
+@given(_jacobian_cases())
+def test_hessian_columns_match_central_differences_of_the_evaluator(case):
+    # Three columns of H = dK/du at u against (K(u + h e_q) - K(u - h e_q)) / 2h
+    # of the evaluator, h = 1e-6, at admissible points whose faces all stay
+    # admissible at both ends.
+    complex, background, radii, inversive = case
+    u = radii_to_u_array(radii, background)
+    ctx = PotentialContext(complex, inversive, UCoords(u, background))
+    try:
+        hessian = curvature_jacobian(complex, PackingMetric(background, inversive, radii))
+    except BoundaryError:
+        return
+    h = 1e-6
+    for q in np.random.default_rng(complex.face_count).choice(complex.vertex_count, 3, False):
+        step = np.zeros(complex.vertex_count)
+        step[q] = h
+        (k_plus, plus), (k_minus, minus) = ctx._evaluate(u + step), ctx._evaluate(u - step)
+        assume(not plus.any() and not minus.any())
+        column = (k_plus - k_minus) / (2.0 * h)
+        assert np.max(np.abs(column - hessian[:, q])) <= 1e-6 * np.max(np.abs(hessian))
+
+
+@settings(max_examples=40)
+@given(_jacobian_cases(), st.floats(1.0, 5.0))
+def test_every_degenerate_face_is_refused_and_named(case, inversive_scale):
+    # I up to 5 makes faces degenerate; every face that the kernel's mask
+    # calls degenerate is among the faces the BoundaryError names.
+    complex, background, radii, inversive = case
+    inversive = inversive * inversive_scale
+    factors = _radius_factors(background, radii)
+    edges = _edge_lengths_arrays(background, factors, *complex.edges.T, inversive)
+    degenerate = extended_angles_batch(background, *edges, complex.face_edge_tables)[1]
+    assume(degenerate.any())
+    with pytest.raises(BoundaryError, match=r"in faces \[[0-9, ]+\]$") as raised:
+        angle_jacobians_batch(
+            background, factors, inversive, edges, complex.edges.T, complex.face_edge_tables
+        )
+    named = json.loads(str(raised.value).rsplit("in faces ", 1)[1])
+    assert set(np.flatnonzero(degenerate).tolist()) <= set(named)
+    with pytest.raises(BoundaryError, match=r"in faces \[[0-9, ]+\]$"):
+        curvature_jacobian(complex, PackingMetric(background, inversive, radii))
 
 
 @pytest.mark.xfail(

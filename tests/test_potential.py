@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -535,6 +537,31 @@ def test_newton_direction_is_dense_up_to_the_limit():
             else:
                 patch.setattr(np.linalg, "cholesky", refused)
             assert _direction(complex, inversive, radii, grad) is not None
+
+
+#: counts and radii of two Newton paths as the chain-rule angle Jacobians gave them
+_NEWTON_PATHS = json.loads((Path(__file__).parent / "data" / "newton_paths.json").read_text())
+
+
+@pytest.mark.parametrize("name, complex, seed", [
+    ("genus2", genus2_surface(), 2801),  # N = 15: Cholesky on the dense matrix
+    ("torus12", triangulated_torus(12, 12), 2802),  # N = 144: conjugate gradients
+], ids=["genus2-dense", "torus12-cg"])
+def test_newton_path_is_pinned(name, complex, seed):
+    # The per-corner derivative kernel changes dK/du only by rounding, so
+    # Newton takes the same steps to the same radii as before it.
+    rng = np.random.default_rng(seed)
+    n = complex.vertex_count
+    inversive = rng.uniform(0.0, 1.0, complex.edge_count)
+    radii_bar = np.exp(rng.uniform(np.log(0.5), np.log(2.0), n))
+    target = curvature(complex, PackingMetric(HYP, inversive, radii_bar)).values
+    start = _u(np.exp(rng.uniform(np.log(0.05), np.log(5.0), n)))
+    u_star, report = newton_solve(PotentialContext(complex, inversive, start, target), start,
+                                  tol=1e-11)
+    pinned = _NEWTON_PATHS[name]
+    counts = (report.iterations, report.newton_steps, report.gradient_steps)
+    assert counts == (pinned["iterations"], pinned["newton_steps"], pinned["gradient_steps"])
+    assert np.max(np.abs(u_to_radii_array(u_star.values, HYP) - pinned["radii"])) <= 1e-12
 
 
 def test_newton_solve_at_scale():
