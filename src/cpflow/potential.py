@@ -13,17 +13,18 @@ nondecreasing, so Phi(u + s d) - Phi(u) <= s g(s), and the line search
 accepts a trial with g(s) <= c g(0) by Armijo's rule without integrating.
 
 Every potential difference is the integral of (K - Kbar) . d along a
-segment u_from + s d, s in [0, 1], by one rule: adaptive Romberg on nested
-midpoints (``_adaptive_romberg``).  The integrand is smooth except where a
-face crosses the degenerate boundary.  There an extended angle behaves like
-the square root of the distance to the crossing, which no extrapolation
-resolves, and adaptive refinement toward it costs thousands of nodes at
-tolerance 1e-10.  ``segment_integral`` therefore watches the degenerate-face
-masks of its evaluations.  Where two of them differ, it locates each
-flipping face's crossing from that face's three edges alone, splits
-the segment there, and integrates each piece with a crossing at an end in
-t, s = a + (b - a)(3t^2 - 2t^3), whose flat ends make the square root
-smooth.  A segment without a crossing stays one piece, without the
+segment u_from + s d, s in [0, 1], by one rule: adaptive Clenshaw-Curtis
+on nested Chebyshev points (``_adaptive_clenshaw_curtis``), which
+converges geometrically on an analytic integrand.  The integrand is smooth
+except where a face crosses the degenerate boundary.  There an extended
+angle behaves like the square root of the distance to the crossing, which
+no polynomial rule resolves, and bisection toward it costs about 2,100
+nodes at tolerance 1e-10.  ``segment_integral`` therefore watches the
+degenerate-face masks of its evaluations.  Where two of them differ, it
+locates each flipping face's crossing from that face's three edges alone,
+splits the segment there, and integrates each piece with a crossing at an
+end in t, s = a + (b - a)(3t^2 - 2t^3), whose flat ends make the square
+root smooth.  A segment without a crossing stays one piece, without the
 substitution, which would triple its nodes.  Callers pass the evaluations
 they already hold at the segment's ends, so a short smooth segment costs
 a handful of nodes.
@@ -59,8 +60,6 @@ from .packing import (
 _ARMIJO_SLOPE_FRACTION = 1e-4
 _MIN_STEP_FRACTION = 1e-12
 
-#: Romberg levels per piece before it is bisected; the last adds 32 nodes
-_ROMBERG_LEVELS = 6
 #: bisections below one piece, and evaluations per integral, before QuadratureError
 _MAX_DEPTH = 60
 _MAX_EVALS = 50000
@@ -149,21 +148,54 @@ class _Budget:
             raise QuadratureError("adaptive quadrature exceeded its evaluation budget")
 
 
-def _adaptive_romberg(
+def _clenshaw_curtis_rule(levels: int):
+    """Nested Clenshaw-Curtis nodes and weights on [0, 1].
+
+    Returns the nodes x_j = (1 - cos(j pi / n))/2 = sin(j pi / 2n)^2 of
+    n = 2^levels intervals, with the ends exactly 0 and 1, the middle
+    exactly 1/2 and x_(n-j) = 1 - x_j, and for each level l <= levels the
+    weights of its nodes, every (n / 2^l)-th of them.
+    """
+    n = 1 << levels
+    below = [math.sin(j * math.pi / (2 * n)) ** 2 for j in range(n // 2)]
+    nodes = (*below, 0.5, *(1.0 - x for x in reversed(below)))
+    weights = []
+    for level in range(levels + 1):
+        m = 1 << level
+        # w_k = (c_k / 2m)(1 - sum_j b_j cos(2 pi j k / m) / (4 j^2 - 1)), with
+        # c_k = 1 at the ends and 2 inside, b_j = 1 at j = m/2 and 2 below it;
+        # the upper half mirrors the lower, so that w_(m-k) = w_k exactly
+        lower = [
+            (1 if k == 0 else 2) / (2 * m) * math.fsum(
+                [1.0] + [-(1 if 2 * j == m else 2) * math.cos(2 * math.pi * (j * k % m) / m)
+                         / (4 * j * j - 1) for j in range(1, m // 2 + 1)]
+            )
+            for k in range(m // 2 + 1)
+        ]
+        weights.append((*lower, *reversed(lower[: (m + 1) // 2])))
+    return nodes, tuple(weights)
+
+
+#: Clenshaw-Curtis levels per piece before it is bisected; level l has 2^l
+#: intervals, and the last adds 16 nodes
+_CC_LEVELS = 5
+_CC_NODES, _CC_WEIGHTS = _clenshaw_curtis_rule(_CC_LEVELS)
+
+
+def _adaptive_clenshaw_curtis(
     f, tolerance: float, ends=(None, None), budget: _Budget | None = None,
     max_depth: int = _MAX_DEPTH,
 ) -> float:
-    """Integrate f over [0, 1] by adaptive Romberg extrapolation.
+    """Integrate f over [0, 1] by adaptive nested Clenshaw-Curtis quadrature.
 
-    Level k of a piece adds its 2^(k-1) new midpoints to the trapezoid sum,
-    and a Richardson table sits on top; the piece is accepted when two
-    successive diagonal entries agree within its tolerance.  After
-    _ROMBERG_LEVELS levels it is bisected with half the tolerance each, the
-    children inheriting its samples, so they start where it stopped.
-    ``ends`` holds f(0) and f(1) where the caller already has them.  Every
-    evaluation made here is charged to ``budget`` (a fresh one of
-    _MAX_EVALS evaluations if None); QuadratureError when it runs out or a
-    piece would need more than ``max_depth`` bisections.
+    Level l of a piece evaluates the 2^(l-1) nodes of the 2^l-interval
+    Chebyshev grid that level l - 1 lacks; the piece is accepted when two
+    successive levels agree within its tolerance.  After _CC_LEVELS levels
+    it is bisected with half the tolerance each, the children reusing its
+    ends and middle.  ``ends`` holds f(0) and f(1) where the caller
+    already has them.  Every evaluation made here is charged to ``budget``
+    (a fresh one of _MAX_EVALS evaluations if None); QuadratureError when
+    it runs out or a piece would need more than ``max_depth`` bisections.
     """
     budget = _Budget() if budget is None else budget
 
@@ -171,37 +203,29 @@ def _adaptive_romberg(
         budget.spend()
         return f(x)
 
-    samples = [feval(x) if given is None else given for x, given in zip((0.0, 1.0), ends)]
-    return _romberg_piece(feval, 0.0, 1.0, samples, tolerance, max_depth)
+    f0, f1 = (feval(x) if given is None else given for x, given in zip((0.0, 1.0), ends))
+    return _clenshaw_curtis_piece(feval, 0.0, 1.0, f0, f1, tolerance, max_depth)
 
 
-def _romberg_piece(f, a, b, samples, tol, depth) -> float:
-    """Romberg on [a, b] from ``samples``, f at 2^L + 1 equispaced points."""
+def _clenshaw_curtis_piece(f, a, b, fa, fb, tol, depth) -> float:
+    """Nested Clenshaw-Curtis on [a, b] from f(a) = fa and f(b) = fb."""
     width = b - a
-    previous = [0.5 * width * (samples[0] + samples[-1])]
-    for level in range(1, _ROMBERG_LEVELS + 1):
-        count = 1 << (level - 1)
-        h = width / (2 * count)
-        stride = (len(samples) - 1) // (2 * count)
-        if stride:  # a parent already sampled this level
-            new = samples[stride :: 2 * stride]
-        else:
-            new = [f(a + (2 * i + 1) * h) for i in range(count)]
-            merged = [0.0] * (2 * len(samples) - 1)
-            merged[::2], merged[1::2] = samples, new
-            samples = merged
-        row = [0.5 * previous[0] + h * math.fsum(new)]
-        for j in range(1, level + 1):
-            row.append(row[-1] + (row[-1] - previous[j - 1]) / (4**j - 1))
-        if abs(row[-1] - previous[-1]) <= tol:
-            return row[-1]
-        previous = row
+    n = 1 << _CC_LEVELS
+    values = [fa] + [0.0] * (n - 1) + [fb]
+    previous = 0.5 * width * (fa + fb)
+    for level in range(1, _CC_LEVELS + 1):
+        stride = n >> level
+        for j in range(stride, n, 2 * stride):
+            values[j] = f(a + width * _CC_NODES[j])
+        estimate = width * math.fsum(w * v for w, v in zip(_CC_WEIGHTS[level], values[::stride]))
+        if abs(estimate - previous) <= tol:
+            return estimate
+        previous = estimate
     if depth <= 0:
         raise QuadratureError("adaptive quadrature hit its depth cap before reaching tolerance")
-    half = len(samples) // 2
-    m = 0.5 * (a + b)
-    return _romberg_piece(f, a, m, samples[: half + 1], 0.5 * tol, depth - 1) + _romberg_piece(
-        f, m, b, samples[half:], 0.5 * tol, depth - 1
+    m, fm = a + width * 0.5, values[n // 2]
+    return _clenshaw_curtis_piece(f, a, m, fa, fm, 0.5 * tol, depth - 1) + _clenshaw_curtis_piece(
+        f, m, b, fm, fb, 0.5 * tol, depth - 1
     )
 
 
@@ -326,14 +350,14 @@ def segment_integral(
         if b == 1.0:
             check(1.0, mask_to)
         if a == 0.0 and b == 1.0:
-            return _adaptive_romberg(node, tolerance, (value(k_from), value(k_to)), budget)
+            return _adaptive_clenshaw_curtis(node, tolerance, (value(k_from), value(k_to)), budget)
         span = b - a
 
         def substituted(t: float) -> float:
             s = min(a + span * (t * t * (3.0 - 2.0 * t)), b)
             return node(s) * 6.0 * span * t * (1.0 - t)
 
-        return _adaptive_romberg(substituted, tolerance * span, (0.0, 0.0), budget)
+        return _adaptive_clenshaw_curtis(substituted, tolerance * span, (0.0, 0.0), budget)
 
     # The pieces run between consecutive cuts; an interior cut is a crossing,
     # so both pieces next to it have a kinked end.

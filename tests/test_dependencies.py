@@ -136,3 +136,63 @@ def test_only_the_evaluator_reaches_the_unscreened_stages():
     calls = set().union(*map(_unscreened_calls, sorted((ROOT / "src/cpflow").glob("*.py"))))
     assert calls == {("curvature.py", "make_curvature_evaluator", "_u_factors"),
                      ("curvature.py", "make_curvature_evaluator", "_edge_lengths_arrays")}
+
+
+def _calls(path: Path, callees: set[str]) -> set[tuple[str | None, str]]:
+    """(enclosing top-level function, callee) of each call in one module to a
+    name in ``callees``; None for a call in a module-level statement."""
+    found = set()
+    for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in callees:
+                    found.add((owner, callee))
+    return found
+
+
+def _words(path: Path) -> set[str]:
+    """The identifiers and string constants of one module, docstrings
+    included, in lower case."""
+    words = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        for field in ("id", "attr", "name", "arg", "module"):
+            value = getattr(node, field, None)
+            if isinstance(value, str):
+                words.add(value.lower())
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words.add(node.value.lower())
+    return words
+
+
+def test_every_potential_difference_takes_the_one_quadrature_rule():
+    # segment_integral, which splits a segment at its crossings, is the one
+    # caller of the adaptive Clenshaw-Curtis rule, and no second rule (a
+    # Romberg or Richardson table) is kept beside it.
+    paths = sorted((ROOT / "src/cpflow").glob("*.py"))
+    callers = {(path.name, *call) for path in paths
+               for call in _calls(path, {"_adaptive_clenshaw_curtis", "_clenshaw_curtis_piece"})}
+    assert callers == {("potential.py", "segment_integral", "_adaptive_clenshaw_curtis"),
+                       ("potential.py", "_adaptive_clenshaw_curtis", "_clenshaw_curtis_piece"),
+                       ("potential.py", "_clenshaw_curtis_piece", "_clenshaw_curtis_piece")}
+    stale = {path.name: sorted(word for word in _words(path)
+                               if "romberg" in word or "richardson" in word) for path in paths}
+    assert {name: words for name, words in stale.items() if words} == {}
+
+
+def test_quadrature_tables_are_built_once_at_import():
+    # The nodes and weights are module constants, computed by the one
+    # trigonometric function of potential.py when the module is imported;
+    # no function evaluates a cosine or sine per integral.
+    path = ROOT / "src/cpflow/potential.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assigned = {(top is node, name.id) for top in tree.body for node in ast.walk(top)
+                if isinstance(node, ast.Assign) for target in node.targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and name.id in ("_CC_NODES", "_CC_WEIGHTS")}
+    assert assigned == {(True, "_CC_NODES"), (True, "_CC_WEIGHTS")}
+    trigonometry = {"cos", "sin", "arccos", "arcsin", "cospi", "sinpi"}
+    assert _calls(path, trigonometry) == {("_clenshaw_curtis_rule", "sin"),
+                                          ("_clenshaw_curtis_rule", "cos")}
+    assert _calls(path, {"_clenshaw_curtis_rule"}) == {(None, "_clenshaw_curtis_rule")}

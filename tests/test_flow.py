@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import importlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,7 +278,7 @@ def test_degenerate_crossing_flow_keeps_its_potential(genus2, monkeypatch):
     nodes = _count_quadrature_nodes(monkeypatch)
     result = run_flow(genus2, inversive, start, config)
     # Adaptive Simpson took 2,588 nodes, Romberg without the split at the
-    # crossings 3,666 and with it 368.
+    # crossings 3,666 and with it 368; Clenshaw-Curtis with it takes 112.
     assert nodes[0] <= 2588
     assert result.status == "converged"
     assert is_admissible(genus2, from_u(result.final_u, inversive))[0]
@@ -382,10 +384,53 @@ def _quadrature_nodes(monkeypatch, complex, rng):
 def test_trace_quadrature_node_ceiling(genus2, monkeypatch):
     # Quadrature nodes of the trace potential, a deterministic count.  Adaptive
     # Simpson took 196 on genus2 and 351 on the 10 x 10 torus; the ceiling is
-    # 60 % of that (Romberg with the segment ends reused takes 58 and 93).
+    # 60 % of that (Romberg with the segment ends reused took 58 and 93,
+    # Clenshaw-Curtis takes 42 and 61).
     assert _quadrature_nodes(monkeypatch, genus2, np.random.default_rng(2)) <= 0.6 * 196
     torus = triangulated_torus(10, 10)
     assert _quadrature_nodes(monkeypatch, torus, np.random.default_rng(2)) <= 0.6 * 351
+
+
+#: trace potentials and quadrature nodes of three flows as adaptive Romberg gave them
+_TRACE_POTENTIALS = json.loads((Path(__file__).parent / "data" / "trace_potentials.json").read_text())
+
+
+def _pinned_flows(genus2):
+    """The three pinned flows, drawn with seed 4: a prescribed flow on the
+    12 x 12 torus, an extended flow on genus2 and a prescribed genus2 flow
+    from a degenerate start, whose potential crosses the boundary."""
+    torus = triangulated_torus(12, 12)
+    rng = np.random.default_rng(4)
+    metric = random_admissible_metric(torus, rng, HYP, (0.5, 2.0), (0.0, 1.0))
+    start = _u(np.exp(rng.uniform(np.log(0.5), np.log(2.0), torus.vertex_count)))
+    yield "torus12-prescribed", torus, metric.inversive, start, FlowConfig(
+        variant="prescribed", target=curvature(torus, metric).values)
+    rng = np.random.default_rng(4)
+    inversive = rng.uniform(0.0, 1.0, genus2.edge_count)
+    start = _u(np.exp(rng.uniform(np.log(0.5), np.log(2.0), genus2.vertex_count)))
+    yield "genus2-extended", genus2, inversive, start, FlowConfig(variant="extended")
+    inversive, start, target = _degenerate_start(genus2, np.random.default_rng(4))
+    assert not is_admissible(genus2, from_u(start, inversive))[0]
+    yield "genus2-degenerate", genus2, inversive, start, FlowConfig(
+        variant="prescribed", target=target, max_time=2000.0)
+
+
+def test_trace_potentials_are_pinned(genus2, monkeypatch):
+    # Clenshaw-Curtis moves each trace potential only in its last digits
+    # against the Romberg values pinned here (2.6e-12 or less when recorded),
+    # and takes at most 60 % of Romberg's 980 quadrature nodes (402 when
+    # recorded).
+    nodes = _count_quadrature_nodes(monkeypatch)
+    for name, complex, inversive, start, config in _pinned_flows(genus2):
+        pinned = _TRACE_POTENTIALS[name]
+        result = run_flow(complex, inversive, start, config)
+        assert result.status == pinned["status"] == "converged"
+        potentials = [s.potential for s in result.trace]
+        assert len(potentials) == len(pinned["potentials"])
+        assert np.max(np.abs(np.subtract(potentials, pinned["potentials"]))) <= 1e-10
+    assert name == "genus2-degenerate"
+    assert is_admissible(genus2, from_u(result.final_u, inversive))[0]
+    assert nodes[0] <= 0.6 * sum(flow["quadrature_nodes"] for flow in _TRACE_POTENTIALS.values())
 
 
 def test_max_principle_monitoring(zero_curvature_genus2, rng):

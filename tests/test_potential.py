@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -35,7 +36,9 @@ from cpflow.packing import UCoords, radii_to_u_array, u_to_radii_array
 from cpflow.potential import (
     _ARMIJO_SLOPE_FRACTION,
     PotentialContext,
-    _adaptive_romberg,
+    _CC_NODES,
+    _CC_WEIGHTS,
+    _adaptive_clenshaw_curtis,
     _Budget,
     _line_search,
     _newton_direction,
@@ -290,17 +293,67 @@ def test_euclidean_potential_computes(octa, rng):
     assert np.all(np.isfinite(grad))
 
 
-def test_adaptive_romberg_basics():
-    assert _adaptive_romberg(lambda s: s * s, 1e-12) == pytest.approx(1 / 3, abs=1e-12)
-    assert _adaptive_romberg(np.cos, 1e-12) == pytest.approx(np.sin(1.0), abs=1e-12)
+def test_clenshaw_curtis_nodes_are_nested_and_symmetric():
+    n = len(_CC_NODES) - 1
+    assert n == 1 << potential._CC_LEVELS
+    levels = [_CC_NODES[:: n >> level] for level in range(potential._CC_LEVELS + 1)]
+    for coarse, fine in zip(levels, levels[1:]):
+        assert fine[::2] == coarse  # each level holds every node of the one before
+    assert (_CC_NODES[0], _CC_NODES[n // 2], _CC_NODES[n]) == (0.0, 0.5, 1.0)
+    assert all(_CC_NODES[n - j] == 1.0 - _CC_NODES[j] for j in range(n // 2))
+    assert list(_CC_NODES) == sorted(set(_CC_NODES))
+    exact = [(1.0 - math.cos(j * math.pi / n)) / 2 for j in range(n + 1)]
+    assert np.max(np.abs(np.subtract(_CC_NODES, exact))) <= 4e-16
+
+
+def test_clenshaw_curtis_weights_integrate_polynomials_exactly():
+    n = len(_CC_NODES) - 1
+    for level, weights in enumerate(_CC_WEIGHTS):
+        nodes = _CC_NODES[:: n >> level]
+        assert len(weights) == len(nodes) == (1 << level) + 1
+        assert weights == weights[::-1]
+        assert math.fsum(weights) == pytest.approx(1.0, abs=4e-16)
+        # exact to rounding up to degree 2^l, on monomials and a fixed polynomial
+        for degree in range((1 << level) + 1):
+            integral = math.fsum(w * x**degree for w, x in zip(weights, nodes))
+            assert integral == pytest.approx(1.0 / (degree + 1), abs=4e-16)
+        coefficients = np.random.default_rng(level).uniform(-1.0, 1.0, (1 << level) + 1)
+        integral = math.fsum(w * np.polyval(coefficients, x) for w, x in zip(weights, nodes))
+        exact = float(np.polyval(np.polyint(coefficients), 1.0))
+        assert integral == pytest.approx(exact, abs=1e-14)
+
+
+def test_adaptive_clenshaw_curtis_basics():
+    assert _adaptive_clenshaw_curtis(lambda s: s * s, 1e-12) == pytest.approx(1 / 3, abs=1e-12)
+    assert _adaptive_clenshaw_curtis(np.cos, 1e-12) == pytest.approx(np.sin(1.0), abs=1e-12)
     # square-root kink converges with the default depth cap and budget
-    value = _adaptive_romberg(lambda s: np.sqrt(abs(s - 0.3)), 1e-10)
+    value = _adaptive_clenshaw_curtis(lambda s: np.sqrt(abs(s - 0.3)), 1e-10)
     exact = (0.3 ** 1.5 + 0.7 ** 1.5) * 2 / 3
     assert value == pytest.approx(exact, abs=1e-9)
     with pytest.raises(QuadratureError, match="depth cap"):
-        _adaptive_romberg(lambda s: np.sqrt(abs(s - 0.3)), 1e-10, max_depth=8)
+        _adaptive_clenshaw_curtis(lambda s: np.sqrt(abs(s - 0.3)), 1e-10, max_depth=8)
     with pytest.raises(QuadratureError, match="evaluation budget"):
-        _adaptive_romberg(lambda s: np.sqrt(abs(s - 0.3)), 1e-10, budget=_Budget(500))
+        _adaptive_clenshaw_curtis(lambda s: np.sqrt(abs(s - 0.3)), 1e-10, budget=_Budget(500))
+
+
+def test_clenshaw_curtis_reuses_the_given_ends_and_middles():
+    # Every node of a bisected integral is evaluated once: the given ends
+    # are not evaluated again, and the children reuse their parent's ends
+    # and middle.  (At 1e-10 the pieces next to the kink get so narrow that
+    # their outermost nodes round onto their ends.)
+    def kink(s):
+        return math.sqrt(abs(s - 0.3))
+
+    points = []
+
+    def recorded(s):
+        points.append(s)
+        return kink(s)
+
+    value = _adaptive_clenshaw_curtis(recorded, 1e-8, ends=(kink(0.0), kink(1.0)))
+    assert len(points) == len(set(points)) > 10 * len(_CC_NODES)
+    assert 0.0 not in points and 1.0 not in points
+    assert value == _adaptive_clenshaw_curtis(kink, 1e-8)
 
 
 def test_segment_tolerance_must_be_positive(ctx_genus2):
