@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import inspect
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from .io import (
     load_subsets,
     load_surface,
     load_target,
+    read_bytes,
     save_surface,
     write_check_report,
     write_curvature_report,
@@ -69,11 +71,18 @@ class _Run:
     def __init__(self, command: str, args: argparse.Namespace):
         self.command = command
         self.input_path = args.surface
+        self.input_digest = None
         self.config: dict = {}
         self.outputs: dict = {}
         self.status = "error"
         default = f"{Path(args.surface).stem}.{command}.manifest.json"
         self.manifest_path = args.manifest or default
+
+    def load_surface(self):
+        """The input surface, parsed from the one read whose bytes the digest names."""
+        data = read_bytes(self.input_path)
+        self.input_digest = "sha256:" + hashlib.sha256(data).hexdigest()
+        return load_surface(self.input_path, data)
 
     def write(self) -> None:
         write_manifest(
@@ -81,6 +90,7 @@ class _Run:
             self.command,
             self.config,
             self.input_path,
+            self.input_digest,
             self.outputs,
             self.status,
         )
@@ -98,7 +108,7 @@ def _save_radii(args, run: _Run, surface, radii) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_curvature(args, run: _Run) -> int:
-    surface = load_surface(args.surface)
+    surface = run.load_surface()
     metric = surface.require_metric()
     run.config = {"extended": bool(args.extended)}
 
@@ -127,7 +137,7 @@ def _cmd_curvature(args, run: _Run) -> int:
 
 
 def _cmd_gb(args, run: _Run) -> int:
-    surface = load_surface(args.surface)
+    surface = run.load_surface()
     metric = surface.require_metric()
     defect = gauss_bonnet_defect(surface.complex, metric)
     print(f"gauss-bonnet defect {defect!r}")
@@ -136,7 +146,7 @@ def _cmd_gb(args, run: _Run) -> int:
 
 
 def _cmd_flow(args, run: _Run) -> int:
-    surface = load_surface(args.surface)
+    surface = run.load_surface()
     metric = surface.require_metric()
     target = None
     if args.target_file:
@@ -170,7 +180,7 @@ def _cmd_flow(args, run: _Run) -> int:
 
 
 def _cmd_solve(args, run: _Run) -> int:
-    surface = load_surface(args.surface)
+    surface = run.load_surface()
     metric = surface.require_metric()
     if surface.background is not Background.HYPERBOLIC:
         raise ConfigError("solve requires a hyperbolic surface file")
@@ -206,7 +216,7 @@ def _cmd_solve(args, run: _Run) -> int:
 
 
 def _cmd_check(args, run: _Run) -> int:
-    surface = load_surface(args.surface)
+    surface = run.load_surface()
     run.config = {"subset_cap": args.subset_cap, "subsets_file": args.subsets_file}
     subsets = None
     if args.subsets_file:

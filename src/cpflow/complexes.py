@@ -268,8 +268,8 @@ def normalize_subset(vertex_count: int, subset: Iterable[int]) -> frozenset:
 
 def _subcomplex_counts(complex: SurfaceComplex, members: frozenset) -> tuple[int, int, int]:
     nv = len(members)
-    ne = int(sum(1 for i, j in complex.edges if int(i) in members and int(j) in members))
-    nf = int(sum(1 for face in complex.faces if all(int(v) in members for v in face)))
+    ne = sum(1 for i, j in complex.edges.tolist() if i in members and j in members)
+    nf = sum(1 for face in complex.faces.tolist() if all(v in members for v in face))
     return nv, ne, nf
 
 
@@ -295,12 +295,11 @@ def link_pairs(
     """
     members = normalize_subset(complex.vertex_count, subset)
     pairs = []
-    for face in complex.faces:
-        for m in range(3):
-            v = int(face[m])
+    for face in complex.faces.tolist():
+        for v in face:
             if v not in members:
                 continue
-            a, b = (int(w) for w in face if w != v)
+            a, b = (w for w in face if w != v)
             if a in members or b in members:
                 continue
             pairs.append(((a, b), v))

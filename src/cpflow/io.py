@@ -15,7 +15,6 @@ goes through one writer, and a path that cannot be written is a
 from __future__ import annotations
 
 import gc
-import hashlib
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -102,11 +101,19 @@ def _write_json(path, doc: dict, sort_keys: bool = False) -> None:
     _write_text(path, json.dumps(doc, sort_keys=sort_keys) + "\n")
 
 
-def _load_json(path) -> dict:
+def read_bytes(path) -> bytes:
+    """The bytes of an input file; ParseError if it cannot be read."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+def _load_json(path, data: bytes | None = None) -> dict:
+    """The document of ``path``, or of its bytes ``data``, with text mode's newlines."""
+    text = (read_bytes(path) if data is None else data).decode("utf-8")
+    if "\r" in text:  # a scan for one character costs far less than the replace
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -194,8 +201,8 @@ def _edge_rows(edges: list, complex: SurfaceComplex) -> np.ndarray:
     return rows
 
 
-def load_surface(path) -> SurfaceInput:
-    """Parse and validate a surface file.
+def load_surface(path, data: bytes | None = None) -> SurfaceInput:
+    """Parse and validate a surface file, or ``data``, its bytes already read.
 
     The cyclic garbage collector is paused meanwhile, and the caller's
     setting restored: the decoded document and all that is built from it
@@ -205,14 +212,14 @@ def load_surface(path) -> SurfaceInput:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _load_surface(path)
+        return _load_surface(path, data)
     finally:
         if enabled:
             gc.enable()
 
 
-def _load_surface(path) -> SurfaceInput:
-    doc = _load_json(path)
+def _load_surface(path, data: bytes | None) -> SurfaceInput:
+    doc = _load_json(path, data)
     _check_fields(doc, _SURFACE_FIELDS, "surface file")
 
     for req in ("background", "faces", "inversive"):
@@ -438,15 +445,8 @@ def write_check_report(path, zero, curvature_bounds=None) -> None:
 # Run manifest
 # ---------------------------------------------------------------------------
 
-def file_digest(path) -> str | None:
-    try:
-        data = Path(path).read_bytes()
-    except OSError:
-        return None
-    return "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-def write_manifest(path, command: str, config: dict, input_path, outputs: dict, status: str) -> None:
+def write_manifest(path, command: str, config: dict, input_path, input_digest: str | None,
+                   outputs: dict, status: str) -> None:
     """One manifest per CLI run: command, config echo, input digest, outputs, status."""
     doc = {
         "format": FORMAT_VERSION,
@@ -454,7 +454,7 @@ def write_manifest(path, command: str, config: dict, input_path, outputs: dict, 
         "config": config,
         "tool_version": __version__,
         "input": str(input_path),
-        "input_digest": file_digest(input_path),
+        "input_digest": input_digest,
         "outputs": outputs,
         "status": status,
     }

@@ -10,8 +10,8 @@ induced subcomplex.  The right side is ``subset_lower_bound``; the reports
 below evaluate the inequality for every subset, its contrapositive (a
 necessary condition for zero-curvature metrics), and the degeneration
 limit that makes the bound sharp.  These are necessary conditions only.
-A report is columnar: one member matrix per subset size, batched bounds
-bit-identical to ``subset_lower_bound``, and observed sums as arrays;
+A report is columnar: one member matrix per subset size, bounds from the
+one face-count rule of ``subset_lower_bound``, and observed sums as arrays;
 ``SubsetRecord``s are built only when a caller reads ``records``.
 """
 
@@ -26,8 +26,7 @@ import numpy as np
 
 from .angles import clamped_arccos
 from .complexes import (
-    _DOUBLE_TRIANGLE, SurfaceComplex, _is_integer, _is_positive_finite, _subcomplex_counts,
-    link_pairs, normalize_subset,
+    _DOUBLE_TRIANGLE, SurfaceComplex, _is_integer, _is_positive_finite, normalize_subset,
 )
 from .curvature import curvature, extended_curvature
 from .errors import ConfigError, DomainError, MaxIterationsError, NoDescentError, NotFoundError
@@ -147,39 +146,29 @@ def enumerate_subsets(
 def subset_lower_bound(
     complex: SurfaceComplex, inversive: np.ndarray, subset: Iterable[int]
 ) -> float:
-    """-sum over Lk(A) of (pi - L(I_e)) plus 2 pi chi(F_A)."""
+    """-sum over Lk(A) of (pi - L(I_e)) plus 2 pi chi(F_A), as the reports
+    compute it: ``_subset_lower_bounds`` on the one sorted subset."""
     inversive = check_inversive(inversive, complex)
-    members = normalize_subset(complex.vertex_count, subset)
-    link_sum = 0.0
-    for (a, b), _vertex in link_pairs(complex, members):
-        i_e = inversive[complex.edge_id(a, b)]
-        link_sum += np.pi - clamped_arccos(i_e)
-    nv, ne, nf = _subcomplex_counts(complex, members)
-    return -link_sum + 2.0 * np.pi * (nv - ne + nf)
+    members = sorted(normalize_subset(complex.vertex_count, subset))
+    return float(_subset_lower_bounds(complex, inversive, (np.array([members]),))[0])
 
 
 def _subset_lower_bounds(
     complex: SurfaceComplex, inversive: np.ndarray, subsets: tuple
 ) -> np.ndarray:
-    """``subset_lower_bound`` of the rows of each member matrix in turn, bit for bit.
-
-    Each subset gathers its members' face corners, ranked as ``link_pairs``
-    returns them, and a cumulative sum adds its link weights in that order;
-    adding 0.0 for a corner outside the link is exact.  chi counts the induced
-    faces three times over their corners and, as every edge lies in two
-    faces, the induced edges four times, two corners at each end.
+    """The bound 2 pi |A| - sum of h_f over the faces f meeting A, for the rows
+    of each member matrix in turn: h_f is pi - L(I_e) when A meets f in the
+    vertex opposite e alone, else pi, and each member's corner of a face with
+    k members adds h_f / k.  This is the link form, as 2 E_A = F_2 + 3 F_3.
     """
     n = complex.vertex_count
-    faces = complex.faces
-    vertex = faces.ravel()
-    other = faces[:, [[1, 2], [0, 2], [0, 1]]].reshape(-1, 2)
-    weight = np.pi - clamped_arccos(inversive[complex.face_opposite_edges.ravel()])
-    order = np.lexsort((vertex, other[:, 1], other[:, 0]))
-    # The ranked corners and a pad corner at vertex n, never a member, of weight 0.
-    a, b = (np.append(other[order, j], n) for j in (0, 1))
-    weight = np.append(weight[order], 0.0)
-    corners = np.full((n, complex.vertex_degree.max()), len(order))  # ranks per vertex
-    by_vertex, at = np.argsort(vertex[order], kind="stable"), np.sort(vertex)
+    vertex = complex.faces.ravel()
+    # Each corner's other two vertices and weight, and a pad corner at vertex
+    # n, never a member, of weight 0.
+    a, b = np.append(complex.faces[:, [[1, 2], [0, 2], [0, 1]]].reshape(-1, 2), [[n, n]], 0).T
+    weight = np.append(np.pi - clamped_arccos(inversive[complex.face_opposite_edges.ravel()]), 0.0)
+    corners = np.full((n, complex.vertex_degree.max()), len(vertex))  # corners per vertex
+    by_vertex, at = np.argsort(vertex, kind="stable"), np.sort(vertex)
     corners[at, np.arange(len(at)) - np.searchsorted(at, at)] = by_vertex
 
     bounds = []
@@ -191,11 +180,12 @@ def _subset_lower_bounds(
             line = np.arange(len(chunk))[:, None]
             inside = np.zeros((len(chunk), n + 1), dtype=bool)
             inside[line, chunk] = True
-            rank = np.sort(corners[chunk].reshape(len(chunk), -1), axis=1)
-            in_a, in_b = inside[line, a[rank]], inside[line, b[rank]]
-            link = np.cumsum(np.where(in_a | in_b, 0.0, weight[rank]), axis=1)[:, -1]
-            chi = size - (in_a.sum(axis=1) + in_b.sum(axis=1)) // 4 + (in_a & in_b).sum(axis=1) // 3
-            bounds.append(-link + 2.0 * np.pi * chi)
+            corner = corners[chunk].reshape(len(chunk), -1)
+            # A corner's face has 1 + others members; shares are set in place.
+            others = inside[line, a[corner]].view(np.uint8) + inside[line, b[corner]]
+            share = weight[corner]
+            np.divide(np.pi, others + 1, out=share, where=others > 0)
+            bounds.append(2.0 * np.pi * size - share.sum(axis=1))
     return np.concatenate(bounds)
 
 

@@ -4,8 +4,8 @@ oracles outside the repository, never from ``src/`` or ``tests/``.  Inside
 the package, only the angle kernel forms the cosine law that decides
 which faces are degenerate, only the curvature module sums its angle
 Jacobians into dK/du, only its curvature evaluator runs the per-vertex and
-per-edge stages without their refusal screens, and only one output helper
-opens a file to write."""
+per-edge stages without their refusal screens, only one output helper
+opens a file to write, and the subset bounds have one rule."""
 
 from __future__ import annotations
 
@@ -196,3 +196,13 @@ def test_quadrature_tables_are_built_once_at_import():
     assert _calls(path, trigonometry) == {("_clenshaw_curtis_rule", "sin"),
                                           ("_clenshaw_curtis_rule", "cos")}
     assert _calls(path, {"_clenshaw_curtis_rule"}) == {(None, "_clenshaw_curtis_rule")}
+
+
+def test_every_subset_bound_takes_the_one_rule():
+    # subset_lower_bound is the batched rule on one subset.  The link pairs
+    # and the induced subcomplex's counts, the tests' independent oracle,
+    # stay out of the package's bounds, as does a link-order cumulative sum.
+    path = ROOT / "src/cpflow/obstructions.py"
+    assert ("subset_lower_bound", "_subset_lower_bounds") in _calls(path, {"_subset_lower_bounds"})
+    old_rule = {"link_pairs", "_subcomplex_counts", "lexsort", "cumsum"}
+    assert sorted(_borrowed_names(path) & old_rule) == []

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import hashlib
 import importlib
 import inspect
 import itertools
@@ -279,6 +280,38 @@ def test_cli_curvature(workdir, capsys):
     assert manifest["status"] == "ok"
     assert manifest["input_digest"].startswith("sha256:")
     assert manifest["outputs"]["report"] == "out.json"
+
+
+@pytest.mark.parametrize("command", ["flow", "solve"])
+def test_manifest_digest_is_of_the_bytes_parsed(workdir, tetra, command):
+    # --radii-out aimed at the input overwrites it after the run parsed it;
+    # the manifest describes what the run read, not the file it left behind.
+    surface = _write(workdir / "t.json", _tetra_doc(inversive=1.0))
+    parsed = "sha256:" + hashlib.sha256(surface.read_bytes()).hexdigest()
+    target = curvature(tetra, PackingMetric(HYP, np.ones(6), [0.8, 1.0, 1.2, 0.9]))
+    save_target(workdir / "target.json", target.values)
+    variant = ["--variant", "prescribed"] if command == "flow" else []
+    assert main([command, "t.json", *variant, "--target-file", "target.json",
+                 "--radii-out", "t.json", "--manifest", "m.json"]) == 0
+    assert "sha256:" + hashlib.sha256(surface.read_bytes()).hexdigest() != parsed
+    assert load_surface(surface).radii == pytest.approx([0.8, 1.0, 1.2, 0.9], rel=1e-6)
+    assert json.loads((workdir / "m.json").read_text())["input_digest"] == parsed
+
+
+def test_manifest_digest_of_an_unreadable_input_is_null(workdir):
+    assert main(["gb", "missing.json", "--manifest", "m.json"]) == 2
+    manifest = json.loads((workdir / "m.json").read_text())
+    assert manifest["status"].startswith("parse_error: cannot read missing.json")
+    assert manifest["input_digest"] is None
+
+
+def test_parse_errors_count_positions_as_text_mode_reads_them(tmp_path):
+    # The bytes read once for the digest are parsed with \r\n and \r read as
+    # \n, so a message names the place it named when the file was read as text.
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{\r\n"format": 1,\r"faces": x}\r\n')
+    with pytest.raises(ParseError, match=r"line 3 column 10 \(char 24\)$"):
+        load_surface(path)
 
 
 @pytest.mark.parametrize("flags", [[], ["--extended"]])

@@ -1,8 +1,10 @@
-"""The reports' batched subset bounds against the scalar ``subset_lower_bound``.
+"""The subset bounds: one rule, checked against the paper's link form.
 
-The reports compute every bound in one numpy pass per chunk of subsets; the
-scalar function adds the same link weights in the same order, so the two must
-agree exactly, with no tolerance.
+The reports compute every bound in one numpy pass per chunk of subsets, each
+face's share summed over the subset's corners; ``subset_lower_bound`` is the
+same function on one subset, so the two must agree exactly, with no
+tolerance.  The paper's form, built from ``link_pairs`` and
+``subcomplex_euler``, adds in another order and is matched to 1e-12.
 """
 
 from __future__ import annotations
@@ -17,20 +19,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpflow import (
+    build_complex,
     check_curvature_bounds,
     check_zero_curvature_obstructions,
     curvature,
     genus2_surface,
+    icosahedron,
+    link_pairs,
     octahedron,
+    subcomplex_euler,
     subset_lower_bound,
     tetrahedron,
     triangulated_torus,
 )
 from cpflow import cli, obstructions
+from cpflow.angles import clamped_arccos
 from cpflow.cli import main
 from cpflow.io import load_surface, save_surface, write_check_report
 
-from conftest import random_admissible_metric
+from conftest import flip_edges, random_admissible_metric
 
 COMPLEXES = [tetrahedron(), octahedron(), genus2_surface()] + [
     triangulated_torus(n, n) for n in range(3, 8)
@@ -86,6 +93,64 @@ def test_both_reports_equal_scalar_across_default_chunks(genus2, rng):
         check_curvature_bounds(genus2, metric, subset_cap=4),
     ):
         assert [r.bound for r in report.records] == expected
+
+
+def _paper_bound(complex, weight, members):
+    """The paper's right side, -sum over Lk(A) of (pi - L(I_e)) + 2 pi chi(F_A),
+    from each edge's link weight pi - L(I_e)."""
+    link = sum(weight[complex.edge_id(a, b)] for (a, b), _vertex in link_pairs(complex, members))
+    return -link + 2.0 * np.pi * subcomplex_euler(complex, members)
+
+
+def _assert_paper_form(complex, inversive, subsets):
+    report = check_zero_curvature_obstructions(complex, inversive, subsets)
+    weight = np.pi - clamped_arccos(inversive)
+    expected = [_paper_bound(complex, weight, s) for s in subsets]
+    np.testing.assert_allclose(report.bounds, expected, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [tetrahedron, octahedron, icosahedron])
+def test_every_bound_of_a_stock_sphere_is_the_paper_form(make):
+    complex = make()
+    rng = np.random.default_rng(complex.vertex_count)
+    subsets = obstructions.enumerate_subsets(complex)
+    _assert_paper_form(complex, rng.uniform(0.0, 5.0, complex.edge_count), subsets)
+
+
+def test_sampled_genus2_bounds_are_the_paper_form(genus2):
+    rng = np.random.default_rng(31)
+    n = genus2.vertex_count
+    subsets = [frozenset(rng.choice(n, size, replace=False).tolist())
+               for size in rng.integers(1, n, 2000)]
+    _assert_paper_form(genus2, rng.uniform(0.0, 5.0, genus2.edge_count), subsets)
+
+
+@pytest.mark.parametrize("base", [genus2_surface(), triangulated_torus(4, 4)],
+                         ids=["genus2", "torus4"])
+def test_bounds_on_flipped_surfaces_are_the_paper_form(base):
+    # Edge flips give vertices of degree 3 up to about twice the base's, and
+    # faces whose corners a subset meets in every combination.
+    rng = np.random.default_rng(base.vertex_count)
+    n = base.vertex_count
+    for _ in range(4):
+        complex = build_complex(flip_edges(base.faces, rng, 2 * base.face_count))
+        subsets = [frozenset(rng.choice(n, size, replace=False).tolist())
+                   for size in rng.integers(1, n, 100)]
+        _assert_paper_form(complex, rng.uniform(0.0, 5.0, complex.edge_count), subsets)
+
+
+def test_the_bound_of_every_vertex_is_two_pi_chi():
+    # With A = V every face has three members, so the shares add to pi F
+    # whatever the inversive distances, and 2 pi N - pi F = 2 pi chi.
+    rng = np.random.default_rng(5)
+    surfaces = COMPLEXES + [icosahedron()] + [
+        build_complex(flip_edges(base.faces, rng, base.face_count)) for base in COMPLEXES[2:]]
+    for complex in surfaces:
+        everything = (np.arange(complex.vertex_count)[None, :],)
+        for inversive in (np.zeros(complex.edge_count), rng.uniform(0.0, 5.0, complex.edge_count)):
+            bound = obstructions._subset_lower_bounds(complex, inversive, everything)
+            assert bound.shape == (1,)
+            assert abs(bound[0] - 2.0 * np.pi * complex.euler_characteristic) <= 1e-12
 
 
 def test_observed_sums_equal_per_subset_sums():
