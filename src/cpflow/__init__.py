@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .angles import (
     GeneralizedAngles,
-    angle_jacobian_u,
     clamped_arccos,
     degenerate_threshold_radius,
     extended_angles,
@@ -28,6 +27,7 @@ from .complexes import (
 )
 from .curvature import (
     CurvatureVector,
+    angle_jacobian_u,
     curvature,
     curvature_jacobian,
     extended_curvature,

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexes import _DOUBLE_TRIANGLE
 from .errors import BoundaryError, DomainError
 from .packing import (
     _HYPERBOLIC,
@@ -49,9 +50,8 @@ from .packing import (
     triangle_inequality_violations,
 )
 
-#: vertex slots m, m + 1 and m + 2 (mod 3); the last two are the endpoints
-#: of the edge opposite m
-_SLOTS, _NEXT, _PREV = np.arange(3), np.array([1, 2, 0]), np.array([2, 0, 1])
+#: vertex slots m + 1 and m + 2 (mod 3), the endpoints of the edge opposite m
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def clamped_arccos(x):
@@ -72,11 +72,6 @@ class GeneralizedAngles:
     @property
     def total(self) -> float:
         return float(self.values.sum())
-
-
-#: face edge tables of a lone triangle whose edge m joins slots m + 1 and
-#: m + 2; the opposite table doubles as its face vertex table
-_TRIANGLE_TABLES = (_SLOTS.reshape(1, 3), _NEXT.reshape(1, 3), _PREV.reshape(1, 3))
 
 
 def _cosine_law(
@@ -147,8 +142,10 @@ def extended_angles(background: Background, lengths) -> GeneralizedAngles:
         excess = 2.0 * np.sinh(0.5 * arr) ** 2
     else:
         excess = 0.5 * arr**2
+    excess = excess[::-1]  # the triangle's double has its edges opposite slots 2, 1, 0
     sx = np.sqrt(excess * (background.area_weight * excess + 2.0))
-    angles = extended_angles_batch(background, excess, sx, _TRIANGLE_TABLES)[0][0]
+    tables = _DOUBLE_TRIANGLE.face_edge_tables
+    angles = extended_angles_batch(background, excess, sx, tables)[0][0]
     degenerate = bool(triangle_inequality_violations(arr.reshape(1, 3))[0])
     if degenerate:
         angles[:] = 0.0
@@ -184,8 +181,6 @@ def _boundary_error(refused: np.ndarray) -> BoundaryError:
 #: 1 where slot m + 1, and where slot m + 2, is the head of the edge opposite
 #: slot m, when every edge runs from the lower slot of a face to the higher
 _NEXT_AT_HEAD, _PREV_AT_HEAD = np.array([0, 1, 0]), np.array([1, 0, 1])
-#: (tail, head) of the edges of a lone triangle in that orientation
-_TRIANGLE_ENDS = (np.array([1, 0, 0]), np.array([2, 2, 1]))
 
 
 def angle_jacobians_batch(
@@ -203,11 +198,11 @@ def angle_jacobians_batch(
     the u-coordinate of its vertex p, and ``coupling[f, p]`` that of angle p
     with respect to vertex p + 1, which equals that of angle p + 1 with
     respect to vertex p (Guo 2011): the pair (p, p + 1) lies on the edge
-    opposite p + 2, and each face's 3 x 3 block, as ``angle_jacobian_blocks``
-    expands it, is symmetric by construction.  Every face must satisfy the
-    strict triangle inequalities, by the rule of ``extended_angles_batch``; on,
-    beyond or within rounding of that boundary the derivative blows up, and
-    a BoundaryError naming the refused rows of ``tables`` is raised instead.
+    opposite p + 2, and each face's 3 x 3 block is symmetric by construction.
+    Every face must satisfy the strict triangle inequalities, by the rule of
+    ``extended_angles_batch``; on, beyond or within rounding of that boundary
+    the derivative blows up, and a BoundaryError naming the refused rows of
+    ``tables`` is raised instead.
     """
     excess, sx = edges
     opposite = tables[0]
@@ -254,31 +249,6 @@ def angle_jacobians_batch(
     return diagonal, coupling
 
 
-def angle_jacobian_blocks(diagonal: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    """The (F, 3, 3) blocks of ``angle_jacobians_batch``'s per-corner arrays:
-    [f, p, q] is the derivative of angle p of face f with respect to the
-    u-coordinate of its vertex q, each block symmetric bit for bit."""
-    blocks = np.empty((len(diagonal), 3, 3))
-    blocks[:, _SLOTS, _SLOTS] = diagonal
-    blocks[:, _SLOTS, _NEXT] = coupling
-    blocks[:, _NEXT, _SLOTS] = coupling
-    return blocks
-
-
-def angle_jacobian_u(background: Background, radii, inversive) -> np.ndarray:
-    """d(angles)/d(u) for one triangle given vertex radii and the inversive
-    distances on the opposite edges.  Symmetric bit for bit and, for
-    inversive >= 0, negative definite."""
-    r = check_radii(np.reshape(radii, 3))
-    inv = check_inversive(np.reshape(inversive, 3), permissive=True)
-    # RangeError for radii and lengths past the size limit
-    factors = _radius_factors(background, r)
-    edges = _edge_lengths_arrays(background, factors, *_TRIANGLE_ENDS, inv)
-    return angle_jacobian_blocks(*angle_jacobians_batch(
-        background, factors, inv, edges, _TRIANGLE_ENDS, _TRIANGLE_TABLES
-    ))[0]
-
-
 # ---------------------------------------------------------------------------
 # Degenerate-threshold radius
 # ---------------------------------------------------------------------------
@@ -292,11 +262,11 @@ def degenerate_threshold_radius(
     minus the right is strictly increasing in r_i, negative at 0 exactly
     when inv_jk > 1, so the root is unique; for inv_jk in [0, 1] the face
     never degenerates by shrinking r_i and the threshold is 0.  The root is
-    bisected to rounding on the curvature kernel's own degeneracy rule, the
-    mask of ``extended_angles_batch``, which may see no root (threshold 0)
-    when inv_jk is within rounding of 1.  The bracket doubles to 256 at most:
-    l_ij >= r_i for I >= 0, so the gap is positive once r_i > 175, as
-    l_jk <= 350.
+    bisected to rounding on the kernel's rule at corner i alone, num_i +
+    den_i <= 0 of ``_cosine_law`` (threshold 0 if it sees no root, as when
+    inv_jk is within rounding of 1); corners j and k, which may stay
+    degenerate at every r_i, do not enter.  The bracket doubles to 256 at
+    most: l_ij >= r_i for I >= 0, so the gap is positive once r_i > 175, as l_jk <= 350.
     """
     check_radii([r_j, r_k])
     check_inversive([inv_ij, inv_ik, inv_jk])
@@ -304,21 +274,22 @@ def degenerate_threshold_radius(
         return 0.0
 
     bg = Background.HYPERBOLIC
-    # slot 0 is i, and inversive[m] lies on the edge opposite slot m
-    inversive = np.array([inv_jk, inv_ik, inv_ij])
+    # slots i, j, k = 0, 1, 2 of the triangle's double, whose edges are ij, ik, jk
+    inversive = np.array([inv_ij, inv_ik, inv_jk])
 
-    def admissible(r_i: float) -> bool:
+    def open_at_i(r_i: float) -> bool:
         factors = _radius_factors(bg, np.array([r_i, r_j, r_k]))
-        edges = _edge_lengths_arrays(bg, factors, _NEXT, _PREV, inversive)
-        return not extended_angles_batch(bg, *edges, _TRIANGLE_TABLES)[1][0]
+        edges = _edge_lengths_arrays(bg, factors, *_DOUBLE_TRIANGLE.edges.T, inversive)
+        num, den = _cosine_law(bg, *edges, _DOUBLE_TRIANGLE.face_edge_tables)
+        return num[0, 0] + den[0, 0] > 0.0
 
     lo, hi = 0.0, 1.0
-    if admissible(lo):
+    if open_at_i(lo):
         return 0.0
-    while not admissible(hi):
+    while not open_at_i(hi):
         lo, hi = hi, 2.0 * hi
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if admissible(mid):
+        if open_at_i(mid):
             hi = mid
         else:
             lo = mid

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .angles import angle_jacobians_batch, extended_angles_batch
-from .complexes import SurfaceComplex
+from .complexes import _DOUBLE_TRIANGLE, SurfaceComplex
 from .errors import NotAdmissibleError
 from .packing import (
     Background,
@@ -29,6 +29,7 @@ from .packing import (
     _u_band,
     _u_factors,
     check_inversive,
+    check_radii,
 )
 
 
@@ -188,3 +189,16 @@ def curvature_jacobian(complex: SurfaceComplex, metric: PackingMetric) -> np.nda
     _check_fits(complex, metric)
     factors = _radius_factors(metric.background, metric.radii)
     return _dense_hessian(*_hessian(complex, metric.background, factors, metric.inversive))
+
+
+def angle_jacobian_u(background: Background, radii, inversive) -> np.ndarray:
+    """d(angles)/d(u) for one triangle given vertex radii and the inversive
+    distances on the opposite edges: -1/2 dK/du of the triangle's double,
+    exactly, as its two faces add equal shares.  Symmetric bit for bit and,
+    for inversive >= 0, negative definite."""
+    r = check_radii(np.reshape(radii, 3))
+    inv = check_inversive(np.reshape(inversive, 3), permissive=True)
+    # RangeError for radii and lengths past the size limit; the double's
+    # edges (0, 1), (0, 2), (1, 2) lie opposite slots 2, 1, 0
+    factors = _radius_factors(background, r)
+    return -0.5 * _dense_hessian(*_hessian(_DOUBLE_TRIANGLE, background, factors, inv[::-1]))

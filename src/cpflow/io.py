@@ -111,11 +111,13 @@ def read_bytes(path) -> bytes:
 
 def _load_json(path, data: bytes | None = None) -> dict:
     """The document of ``path``, or of its bytes ``data``, with text mode's newlines."""
-    text = (read_bytes(path) if data is None else data).decode("utf-8")
-    if "\r" in text:  # a scan for one character costs far less than the replace
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
+        text = (read_bytes(path) if data is None else data).decode("utf-8")
+        if "\r" in text:  # a scan for one character costs far less than the replace
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         return json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 

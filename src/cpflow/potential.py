@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import _NEXT, _PREV, extended_angles_batch
-from .complexes import SurfaceComplex, _is_integer, _is_positive_finite
+from .angles import extended_angles_batch
+from .complexes import _DOUBLE_TRIANGLE, SurfaceComplex, _is_integer, _is_positive_finite
 from .curvature import _dense_hessian, _hessian, make_curvature_evaluator
 from .errors import (
     BoundaryError,
@@ -240,21 +240,21 @@ class _Crossing(Exception):
 def _face_states(ctx, u_from, direction, faces):
     """Whether each of ``faces`` is degenerate at u_from + s direction, as a
     function of an (faces, points) array of parameters s: the mask of
-    ``extended_angles_batch`` on the faces' own three edges."""
-    opposite = ctx.complex.face_opposite_edges[faces]
-    vertices = ctx.complex.edges[opposite][:, None]  # (faces, 1, 3 edges, 2 ends)
-    u_ends, d_ends = u_from[vertices], direction[vertices]
-    inversive = ctx.inversive[opposite][:, None]
+    ``extended_angles_batch``, each (face, point) as the double's first face."""
+    vertices = ctx.complex.faces[faces][:, None]  # (faces, 1, 3 slots)
+    u_corners, d_corners = u_from[vertices], direction[vertices]
+    # the double's edges (0, 1), (0, 2), (1, 2) lie opposite slots 2, 1, 0
+    inversive = ctx.inversive[ctx.complex.face_opposite_edges[faces, ::-1]][:, None]
 
     def states(s: np.ndarray) -> np.ndarray:
-        # u_from[v] + s d[v], as the evaluator computes it at s
-        u = (u_ends + s[:, :, None, None] * d_ends).ravel()
-        pairs = np.arange(0, len(u), 2)
+        # u_from[v] + s d[v], as the evaluator computes it at s; copy c holds
+        # the vertices and the edges 3c, 3c + 1 and 3c + 2
+        u = (u_corners + s[:, :, None] * d_corners).ravel()
+        copies = np.arange(0, len(u), 3)[:, None]
         inv = np.broadcast_to(inversive, s.shape + (3,)).ravel()
-        factors = _u_factors(ctx.background, u)
-        edges = _edge_lengths_arrays(ctx.background, factors, pairs, pairs + 1, inv)
-        corners = np.arange(len(pairs)).reshape(-1, 3)
-        tables = corners, corners[:, _NEXT], corners[:, _PREV]
+        ends = [(copies + end).ravel() for end in _DOUBLE_TRIANGLE.edges.T]
+        edges = _edge_lengths_arrays(ctx.background, _u_factors(ctx.background, u), *ends, inv)
+        tables = [copies + table[0] for table in _DOUBLE_TRIANGLE.face_edge_tables]
         return extended_angles_batch(ctx.background, *edges, tables)[1].reshape(s.shape)
 
     return states

@@ -71,6 +71,18 @@ def random_admissible_metric(complex, rng, background=Background.HYPERBOLIC,
     raise AssertionError("could not sample an admissible metric")
 
 
+def angle_jacobian_blocks(diagonal, coupling):
+    """The (F, 3, 3) blocks of ``angle_jacobians_batch``'s per-corner arrays:
+    [f, p, q] is the derivative of angle p of face f with respect to the
+    u-coordinate of its vertex q, each block symmetric bit for bit."""
+    slots, following = np.arange(3), np.array([1, 2, 0])
+    blocks = np.empty((len(diagonal), 3, 3))
+    blocks[:, slots, slots] = diagonal
+    blocks[:, slots, following] = coupling
+    blocks[:, following, slots] = coupling
+    return blocks
+
+
 def flip_edges(faces, rng, flips):
     """A closed surface made from ``faces`` by up to ``flips`` random edge flips.
 

@@ -39,7 +39,7 @@ from cpflow import (
     tetrahedron,
     triangle_from_angles,
 )
-from cpflow.angles import angle_jacobian_blocks, angle_jacobians_batch
+from cpflow.angles import angle_jacobians_batch
 from cpflow.cli import main as cli_main
 from cpflow.io import save_surface, save_target
 from cpflow.obstructions import enumerate_subsets
@@ -52,6 +52,8 @@ from cpflow.packing import (
     u_to_radii_array,
 )
 from cpflow.potential import PotentialContext
+
+from conftest import angle_jacobian_blocks
 
 HYP = Background.HYPERBOLIC
 EUC = Background.EUCLIDEAN

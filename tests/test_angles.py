@@ -292,6 +292,37 @@ def test_threshold_radius_root(rng):
         assert gap(root * (1 - 1e-6)) < 0 < gap(root * (1 + 1e-6))
 
 
+def _threshold_cases():
+    """The two worked examples, then 200 draws with r_j, r_k log-uniform in
+    [e^-3, e^2] and I uniform in [0, 3].  In both examples corner k is
+    degenerate (l_ik + l_jk < l_ij) at every r_i >= 0.5, and 14 of the
+    draws also keep a second corner degenerate as r_i grows, where a
+    bisection on the whole face's mask ran past the size limit."""
+    rng = np.random.default_rng(7)
+    cases = [((3.93, 0.05, 2.5, 2.4, 1.4), 0.003986369223748811),
+             ((2.0, 0.1, 3.0, 1.0, 1.5), 0.011162727712182432)]
+    for _ in range(200):
+        r_j, r_k = np.exp(rng.uniform(-3.0, 2.0, 2))
+        cases.append(((r_j, r_k, *rng.uniform(0.0, 3.0, 3)), None))
+    return cases
+
+
+def test_threshold_radius_solves_corner_i_whatever_the_other_corners_do():
+    # The threshold is the root of l_ij + l_ik = l_jk alone; a degenerate
+    # corner j or k must neither hide it nor push the bracket past the size limit.
+    for (r_j, r_k, inv_ij, inv_ik, inv_jk), expected in _threshold_cases():
+        root = degenerate_threshold_radius(r_j, r_k, inv_ij, inv_ik, inv_jk)
+        assert np.isfinite(root) and root >= 0.0
+        if expected is not None:
+            assert root == pytest.approx(expected, rel=1e-12)
+        if inv_jk > 1.0:
+            gap = (edge_length(HYP, root, r_j, inv_ij) + edge_length(HYP, root, r_k, inv_ik)
+                   - edge_length(HYP, r_j, r_k, inv_jk))
+            assert abs(gap) <= 1e-12
+        else:
+            assert root == 0.0
+
+
 def test_small_radius_limit(rng):
     # as r_i -> 0 the angle at i tends to pi minus the clamped arccos of
     # the opposite inversive distance

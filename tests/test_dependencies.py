@@ -66,14 +66,26 @@ def test_only_the_angle_kernel_forms_the_cosine_law():
 def test_only_the_curvature_module_sums_angle_jacobians():
     # dK/du is built in curvature._hessian alone, from the per-corner arrays
     # of angle_jacobians_batch; the package's other modules read it through
-    # curvature_jacobian or PotentialContext._hessian.  Only angles.py (for
-    # angle_jacobian_u) expands the arrays into 3 x 3 blocks.
+    # curvature_jacobian or PotentialContext._hessian, and a lone triangle's
+    # 3 x 3 block is -1/2 dK/du of its double (curvature.angle_jacobian_u).
     paths = sorted((ROOT / "src/cpflow").glob("*.py"))
     readers = [path.name for path in paths if "angle_jacobians_batch" in _borrowed_names(path)]
     assert readers == ["curvature.py"]
-    expanders = [path.name for path in paths
-                 if path.name != "angles.py" and "angle_jacobian_blocks" in _borrowed_names(path)]
-    assert expanders == []
+
+
+def test_a_lone_triangle_is_laid_out_as_the_double_alone():
+    # complexes._DOUBLE_TRIANGLE is the one layout of a lone triangle: no
+    # module keeps its own triangle tables or expands per-corner derivatives
+    # into blocks beside curvature._dense_hessian, the crossing search lays
+    # out its faces as the double's without the kernel's slot tables, and
+    # angle_jacobian_u differentiates the double through _hessian.
+    paths = sorted((ROOT / "src/cpflow").glob("*.py"))
+    retired = {"_triangle_tables", "_triangle_ends", "angle_jacobian_blocks"}
+    kept = {path.name: sorted(_words(path) & retired) for path in paths}
+    assert {name: words for name, words in kept.items() if words} == {}
+    assert sorted(_borrowed_names(ROOT / "src/cpflow/potential.py") & {"_NEXT", "_PREV"}) == []
+    calls = _calls(ROOT / "src/cpflow/curvature.py", {"_hessian"})
+    assert ("angle_jacobian_u", "_hessian") in calls
 
 
 @pytest.mark.parametrize("module", ["flow.py", "potential.py"])

@@ -314,6 +314,23 @@ def test_parse_errors_count_positions_as_text_mode_reads_them(tmp_path):
         load_surface(path)
 
 
+@pytest.mark.parametrize("argv", [
+    ["gb", "bad.json"],
+    ["solve", "t.json", "--target-file", "bad.json"],
+    ["check", "t.json", "--subsets-file", "bad.json"],
+], ids=["surface", "target", "subsets"])
+def test_cli_input_that_is_not_utf8_is_a_parse_error(workdir, capsys, argv):
+    # 0xff starts no UTF-8 sequence; the file is refused like one that is not
+    # JSON, with exit 2 and a parse_error manifest, not a traceback.
+    _write(workdir / "t.json", _tetra_doc(inversive=1.0))
+    (workdir / "bad.json").write_bytes(b"\xff{}")
+    assert main([*argv, "--manifest", "m.json"]) == 2
+    message = "bad.json is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0"
+    assert f"error: {message}" in capsys.readouterr().err
+    manifest = json.loads((workdir / "m.json").read_text())
+    assert manifest["status"].startswith(f"parse_error: {message}")
+
+
 @pytest.mark.parametrize("flags", [[], ["--extended"]])
 def test_cli_curvature_evaluates_once(workdir, monkeypatch, flags):
     # The package re-exports the function `curvature`, which hides the module.

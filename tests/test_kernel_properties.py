@@ -44,7 +44,7 @@ from cpflow import (
     tetrahedron,
     triangulated_torus,
 )
-from cpflow.angles import angle_jacobian_blocks, angle_jacobians_batch, extended_angles_batch
+from cpflow.angles import angle_jacobians_batch, extended_angles_batch
 from cpflow.curvature import make_curvature_evaluator
 from cpflow.potential import _crossings, _face_states
 from cpflow.packing import (
@@ -60,7 +60,7 @@ from cpflow.packing import (
     u_to_radii_array,
 )
 
-from conftest import flip_edges
+from conftest import angle_jacobian_blocks, flip_edges
 
 HYP = Background.HYPERBOLIC
 EUC = Background.EUCLIDEAN
@@ -783,7 +783,8 @@ def test_every_degenerate_face_is_refused_and_named(case, inversive_scale):
     reason="open FOUND in CHANGES.md: at a large radius between tiny neighbours "
     "the 2e-10 angle at the large vertex rounds to 0, so angle_jacobians_batch "
     "raises BoundaryError (angle derivatives are undefined on or next to the "
-    "degenerate boundary in faces [0]) on an admissible face",
+    "degenerate boundary in faces [0, 1], the two faces of the triangle's double "
+    "that angle_jacobian_u differentiates) on an admissible face",
 )
 def test_jacobian_of_a_large_radius_between_tiny_neighbours():
     # The reference value is a 60-digit finite difference of the angle.

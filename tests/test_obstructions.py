@@ -28,7 +28,7 @@ from cpflow import (
 )
 import cpflow.obstructions as obstructions_module
 import cpflow.potential as potential_module
-from cpflow.angles import _NEXT, _PREV, _TRIANGLE_TABLES, extended_angles_batch
+from cpflow.angles import extended_angles_batch
 from cpflow.complexes import _DOUBLE_TRIANGLE
 from cpflow.obstructions import enumerate_subsets
 from cpflow.packing import (
@@ -48,9 +48,12 @@ HYP = Background.HYPERBOLIC
 def _triangle_angles(radii, inversive):
     """Inner angles of the hyperbolic triangle with these radii, inversive
     distance m on the edge opposite vertex m, through the curvature kernel's
-    own length and angle stages."""
-    edges = _edge_lengths_arrays(HYP, _radius_factors(HYP, radii), _NEXT, _PREV, inversive)
-    return extended_angles_batch(HYP, *edges, _TRIANGLE_TABLES)[0][0]
+    own length and angle stages on the triangle's double, whose edges (0, 1),
+    (0, 2), (1, 2) lie opposite slots 2, 1, 0."""
+    inversive = np.asarray(inversive, dtype=float)[::-1]
+    edges = _edge_lengths_arrays(HYP, _radius_factors(HYP, radii), *_DOUBLE_TRIANGLE.edges.T,
+                                 inversive)
+    return extended_angles_batch(HYP, *edges, _DOUBLE_TRIANGLE.face_edge_tables)[0][0]
 
 
 def test_subset_lower_bound_examples(tetra):
