@@ -142,7 +142,6 @@ def extended_angles(background: Background, lengths) -> GeneralizedAngles:
         excess = 2.0 * np.sinh(0.5 * arr) ** 2
     else:
         excess = 0.5 * arr**2
-    excess = excess[::-1]  # the triangle's double has its edges opposite slots 2, 1, 0
     sx = np.sqrt(excess * (background.area_weight * excess + 2.0))
     tables = _DOUBLE_TRIANGLE.face_edge_tables
     angles = extended_angles_batch(background, excess, sx, tables)[0][0]
@@ -274,8 +273,8 @@ def degenerate_threshold_radius(
         return 0.0
 
     bg = Background.HYPERBOLIC
-    # slots i, j, k = 0, 1, 2 of the triangle's double, whose edges are ij, ik, jk
-    inversive = np.array([inv_ij, inv_ik, inv_jk])
+    # slots i, j, k = 0, 1, 2 of the triangle's double, edge m opposite slot m
+    inversive = np.array([inv_jk, inv_ik, inv_ij])
 
     def open_at_i(r_i: float) -> bool:
         factors = _radius_factors(bg, np.array([r_i, r_j, r_k]))

@@ -33,7 +33,9 @@ class SurfaceComplex:
     faces : (F, 3) int array
         Vertex triples, each row sorted ascending, rows in lexicographic order.
     edges : (E, 2) int array
-        Canonical (min, max) vertex pairs in lexicographic order.
+        Canonical (min, max) vertex pairs in lexicographic order; only the
+        triangle's double (``_DOUBLE_TRIANGLE``) lists them in slot order
+        instead, edge m opposite vertex m.
     edge_faces : (E, 2) int array
         The two faces incident to each edge.
     vertex_degree : (N,) int array
@@ -379,12 +381,15 @@ def _frozen(rows) -> np.ndarray:
 
 # Two copies of face (0, 1, 2) glued along their three edges: a sphere whose
 # curvature at vertex m is 2 pi minus twice the triangle's angle m.  Built
-# directly because build_complex refuses a repeated face.
-_DOUBLE_TABLES = tuple(_frozen([row] * 2) for row in ([2, 1, 0], [1, 0, 2], [0, 2, 1]))
+# directly because build_complex refuses a repeated face.  The one complex
+# whose edges are not in lexicographic order: edge m joins the two slots
+# other than m, lower slot first, so it lies opposite slot m and a lone
+# triangle's per-slot values (inversive, excess, lengths) are its per-edge ones.
+_DOUBLE_TABLES = tuple(_frozen([row] * 2) for row in ([0, 1, 2], [1, 2, 0], [2, 0, 1]))
 _DOUBLE_TRIANGLE = SurfaceComplex(
     vertex_count=3,
     faces=_frozen([[0, 1, 2]] * 2),
-    edges=_frozen([[0, 1], [0, 2], [1, 2]]),
+    edges=_frozen([[1, 2], [0, 2], [0, 1]]),
     edge_faces=_frozen([[0, 1]] * 3),
     vertex_degree=_frozen([2, 2, 2]),
     euler_characteristic=2,

@@ -198,7 +198,5 @@ def angle_jacobian_u(background: Background, radii, inversive) -> np.ndarray:
     for inversive >= 0, negative definite."""
     r = check_radii(np.reshape(radii, 3))
     inv = check_inversive(np.reshape(inversive, 3), permissive=True)
-    # RangeError for radii and lengths past the size limit; the double's
-    # edges (0, 1), (0, 2), (1, 2) lie opposite slots 2, 1, 0
-    factors = _radius_factors(background, r)
-    return -0.5 * _dense_hessian(*_hessian(_DOUBLE_TRIANGLE, background, factors, inv[::-1]))
+    factors = _radius_factors(background, r)  # RangeError past the size limit
+    return -0.5 * _dense_hessian(*_hessian(_DOUBLE_TRIANGLE, background, factors, inv))

@@ -372,10 +372,7 @@ def triangle_from_angles(inversive, target_angles) -> np.ndarray:
     if not space.contains(target):
         raise DomainError("target angles are outside the admissible angle space")
     start = UCoords(radii_to_u_array(np.ones(3), Background.HYPERBOLIC), Background.HYPERBOLIC)
-    # The double's edges (0, 1), (0, 2), (1, 2) lie opposite slots 2, 1, 0.
-    ctx = PotentialContext(
-        _DOUBLE_TRIANGLE, space.inversive[::-1], start, 2.0 * np.pi - 2.0 * target
-    )
+    ctx = PotentialContext(_DOUBLE_TRIANGLE, space.inversive, start, 2.0 * np.pi - 2.0 * target)
     try:
         u, _ = newton_solve(ctx, start, tol=2e-9)  # 1e-9 per angle, doubled
     except (MaxIterationsError, NoDescentError) as exc:

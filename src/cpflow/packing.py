@@ -282,8 +282,12 @@ def _edge_lengths_arrays(
           = ((T_i + T_j) + T_i T_j) + I P_i P_j,
 
     a sum of nonnegative terms for I >= 0, so free of cancellation, with
-    no per-edge transcendental call; it is symmetric in the two ends bit for
-    bit.  Every returned excess is positive and finite: a hyperbolic edge
+    no per-edge transcendental call.  The excess is symmetric in the two
+    ends in exact arithmetic, but the products (I P_tail) P_head and, in
+    euclidean background, (2 (1 + I) r_tail) r_head round by orientation, so
+    every caller orients each edge from its lower vertex or slot to its
+    higher one, as ``SurfaceComplex`` and the triangle's double do.  Every
+    returned excess is positive and finite: a hyperbolic edge
     longer than the size limit raises RangeError, however far its length
     would overflow, and any other undefined length (an overflowing euclidean
     one too) raises DomainError with the index of the first such edge as ``edge``.

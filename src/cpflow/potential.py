@@ -243,8 +243,7 @@ def _face_states(ctx, u_from, direction, faces):
     ``extended_angles_batch``, each (face, point) as the double's first face."""
     vertices = ctx.complex.faces[faces][:, None]  # (faces, 1, 3 slots)
     u_corners, d_corners = u_from[vertices], direction[vertices]
-    # the double's edges (0, 1), (0, 2), (1, 2) lie opposite slots 2, 1, 0
-    inversive = ctx.inversive[ctx.complex.face_opposite_edges[faces, ::-1]][:, None]
+    inversive = ctx.inversive[ctx.complex.face_opposite_edges[faces]][:, None]
 
     def states(s: np.ndarray) -> np.ndarray:
         # u_from[v] + s d[v], as the evaluator computes it at s; copy c holds

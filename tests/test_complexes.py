@@ -18,7 +18,7 @@ from cpflow import (
     tetrahedron,
     triangulated_torus,
 )
-from cpflow.complexes import _subcomplex_counts, normalize_subset
+from cpflow.complexes import _DOUBLE_TRIANGLE, _subcomplex_counts, normalize_subset
 
 from conftest import flip_edges
 
@@ -364,6 +364,28 @@ def test_edges_canonical_and_indexed(tetra):
     for k, (i, j) in enumerate(tetra.edges):
         assert tetra.edge_id(int(i), int(j)) == k
         assert tetra.edge_id(int(j), int(i)) == k
+
+
+def test_the_double_triangle_lists_edge_m_opposite_slot_m():
+    # Two copies of face (0, 1, 2); edge m joins the other two slots, lower
+    # slot first, so a lone triangle's per-slot values are per-edge values.
+    double = _DOUBLE_TRIANGLE
+    assert double.faces.tolist() == [[0, 1, 2]] * 2
+    assert double.edges.tolist() == [sorted({0, 1, 2} - {m}) for m in range(3)]
+    assert (double.edges[:, 0] < double.edges[:, 1]).all()
+    opposite, after_next, after_prev = double.face_edge_tables
+    assert opposite is double.face_opposite_edges
+    for f, face in enumerate(double.faces.tolist()):
+        for m in range(3):
+            assert double.edges[opposite[f, m]].tolist() == face[:m] + face[m + 1:]
+            assert after_next[f, m] == opposite[f, (m + 1) % 3]
+            assert after_prev[f, m] == opposite[f, (m + 2) % 3]
+    for e, pair in enumerate(double.edges.tolist()):
+        assert sorted(double.edge_faces[e].tolist()) == [
+            f for f, face in enumerate(double.faces.tolist()) if set(pair) <= set(face)]
+    assert double.vertex_degree.tolist() == np.bincount(double.faces.ravel()).tolist()
+    chi = double.vertex_count - double.edge_count + double.face_count
+    assert double.euler_characteristic == chi == 2
 
 
 def test_subcomplex_euler_examples(tetra):

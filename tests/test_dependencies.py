@@ -73,11 +73,20 @@ def test_only_the_curvature_module_sums_angle_jacobians():
     assert readers == ["curvature.py"]
 
 
+def _reversals(path: Path) -> int:
+    """The slices with step -1 in one module, as ``a[::-1]``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return sum(isinstance(node, ast.Slice) and node.step is not None
+               and ast.unparse(node.step) == "-1" for node in ast.walk(tree))
+
+
 def test_a_lone_triangle_is_laid_out_as_the_double_alone():
-    # complexes._DOUBLE_TRIANGLE is the one layout of a lone triangle: no
-    # module keeps its own triangle tables or expands per-corner derivatives
-    # into blocks beside curvature._dense_hessian, the crossing search lays
-    # out its faces as the double's without the kernel's slot tables, and
+    # complexes._DOUBLE_TRIANGLE is the one layout of a lone triangle, and
+    # its edge m lies opposite slot m, so a triangle's per-slot values are
+    # the double's per-edge values and no caller reverses them.  No module
+    # keeps its own triangle tables or expands per-corner derivatives into
+    # blocks beside curvature._dense_hessian, the crossing search lays out
+    # its faces as the double's without the kernel's slot tables, and
     # angle_jacobian_u differentiates the double through _hessian.
     paths = sorted((ROOT / "src/cpflow").glob("*.py"))
     retired = {"_triangle_tables", "_triangle_ends", "angle_jacobian_blocks"}
@@ -86,6 +95,9 @@ def test_a_lone_triangle_is_laid_out_as_the_double_alone():
     assert sorted(_borrowed_names(ROOT / "src/cpflow/potential.py") & {"_NEXT", "_PREV"}) == []
     calls = _calls(ROOT / "src/cpflow/curvature.py", {"_hessian"})
     assert ("angle_jacobian_u", "_hessian") in calls
+    callers = ["angles.py", "curvature.py", "obstructions.py", "potential.py"]
+    reversed_in = {name: _reversals(ROOT / "src/cpflow" / name) for name in callers}
+    assert {name: count for name, count in reversed_in.items() if count} == {}
 
 
 @pytest.mark.parametrize("module", ["flow.py", "potential.py"])

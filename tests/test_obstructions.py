@@ -48,11 +48,10 @@ HYP = Background.HYPERBOLIC
 def _triangle_angles(radii, inversive):
     """Inner angles of the hyperbolic triangle with these radii, inversive
     distance m on the edge opposite vertex m, through the curvature kernel's
-    own length and angle stages on the triangle's double, whose edges (0, 1),
-    (0, 2), (1, 2) lie opposite slots 2, 1, 0."""
-    inversive = np.asarray(inversive, dtype=float)[::-1]
+    own length and angle stages on the triangle's double, whose edge m lies
+    opposite slot m."""
     edges = _edge_lengths_arrays(HYP, _radius_factors(HYP, radii), *_DOUBLE_TRIANGLE.edges.T,
-                                 inversive)
+                                 np.asarray(inversive, dtype=float))
     return extended_angles_batch(HYP, *edges, _DOUBLE_TRIANGLE.face_edge_tables)[0][0]
 
 
@@ -395,7 +394,7 @@ def test_double_triangle_curvature_is_twice_the_angle_defect(rng):
     for _ in range(5):
         inversive = rng.uniform(0.0, 2.0, 3)
         radii = np.exp(rng.uniform(np.log(0.1), np.log(5.0), 3))
-        metric = PackingMetric(HYP, inversive[::-1], radii)
+        metric = PackingMetric(HYP, inversive, radii)
         values = extended_curvature(_DOUBLE_TRIANGLE, metric).values
         expected = 2.0 * np.pi - 2.0 * _triangle_angles(radii, inversive)
         assert np.max(np.abs(values - expected)) <= 1e-14

@@ -4,7 +4,9 @@ A fixed command set runs in process through ``cli.main`` on seeded genus2
 surfaces: ``curvature`` with and without ``--extended``, ``gb``, an extended
 ``flow`` with every trace and radii output, a prescribed ``flow`` from a
 degenerate start whose trace potentials cross the degenerate boundary,
-``solve``, and ``check`` with a subset cap and with a subsets file.  The
+``solve``, and ``check`` with a subset cap and with a subsets file; and on a
+seeded euclidean 4 x 4 torus: ``curvature --extended`` and an extended
+``flow`` with a trace and radii output.  The
 SHA-256 of every file in the run's directory, inputs and manifests included,
 and of each command's exit status and standard output, with the directory
 replaced by a fixed token, must equal ``tests/data/cli_digests.txt``.
@@ -14,6 +16,8 @@ names the numpy and CPython versions that wrote it.  Regenerate it, after a
 change whose output bytes are meant to move, with
 
     python tests/test_output_digests.py
+
+which prints the names whose digest changed, appeared or vanished.
 """
 
 from __future__ import annotations
@@ -33,7 +37,9 @@ if __name__ == "__main__":
     sys.path.insert(0, str(ROOT / "src"))
 
 import cpflow.potential as potential_module
-from cpflow import Background, PackingMetric, curvature, genus2_surface, is_admissible
+from cpflow import (
+    Background, PackingMetric, curvature, genus2_surface, is_admissible, triangulated_torus,
+)
 from cpflow.cli import main
 from cpflow.io import save_surface, save_target
 
@@ -70,6 +76,11 @@ def _commands(directory: Path):
     save_target(directory / "d_target.json", target)
     start = _radii(complex, rng, wide, 0.1, 5.0, False)
     save_surface(directory / "d.json", complex, HYP, wide, start)
+    # a euclidean torus, from its own generator so the genus2 inputs stay put
+    torus, rng = triangulated_torus(4, 4), np.random.default_rng(3)
+    save_surface(directory / "e.json", torus, Background.EUCLIDEAN,
+                 rng.uniform(0.0, 1.0, torus.edge_count),
+                 np.exp(rng.uniform(np.log(0.5), np.log(2.0), torus.vertex_count)))
 
     def out(name):
         return str(directory / name)
@@ -90,6 +101,11 @@ def _commands(directory: Path):
                         "--report", out("check_cap.json")]
     yield "check-subsets", ["check", out("g.json"), "--subsets-file", out("subsets.json"),
                             "--report", out("check_subsets.json")]
+    yield "euclidean-curvature-extended", ["curvature", out("e.json"), "--extended",
+                                           "--report", out("e_curvature_extended.json")]
+    yield "euclidean-flow-extended", ["flow", out("e.json"), "--variant", "extended",
+                                      "--trace", out("e_flow.csv"),
+                                      "--radii-out", out("e_flow_radii.json")]
 
 
 def run_digests() -> dict[str, str]:
@@ -123,6 +139,15 @@ def _read_digests() -> tuple[str, dict[str, str]]:
     return versions, {name: digest for digest, name in pairs}
 
 
+def _moved(old: dict[str, str], new: dict[str, str]) -> str:
+    """The names whose digest changed, appeared or vanished from ``old`` to
+    ``new``, by kind; empty if none moved."""
+    kinds = {"changed": sorted(name for name in old.keys() & new.keys() if old[name] != new[name]),
+             "appeared": sorted(new.keys() - old.keys()),
+             "vanished": sorted(old.keys() - new.keys())}
+    return "; ".join(f"{kind}: {', '.join(names)}" for kind, names in kinds.items() if names)
+
+
 def test_cli_outputs_are_pinned(monkeypatch):
     crossings = []
     face_states = potential_module._face_states
@@ -135,10 +160,9 @@ def test_cli_outputs_are_pinned(monkeypatch):
     found = run_digests()
     assert crossings, "no trace potential crossed the degenerate boundary"
     versions, expected = _read_digests()
-    moved = sorted(name for name in expected.keys() | found.keys()
-                   if expected.get(name) != found.get(name))
+    moved = _moved(expected, found)
     assert not moved, (
-        f"output bytes moved in {', '.join(moved)}; the digests were written with "
+        f"output bytes moved ({moved}); the digests were written with "
         f"{versions}, this is {_versions()}; if the change is meant, regenerate "
         f"them with `{REGENERATE}`"
     )
@@ -146,9 +170,12 @@ def test_cli_outputs_are_pinned(monkeypatch):
 
 if __name__ == "__main__":
     DIGESTS.parent.mkdir(exist_ok=True)
+    previous = _read_digests()[1] if DIGESTS.exists() else {}
+    found = run_digests()
     lines = [f"# SHA-256 of the outputs of tests/test_output_digests.py, "
              f"written with {_versions()}",
              f"# regenerate: {REGENERATE}"]
-    lines += [f"{digest}  {name}" for name, digest in run_digests().items()]
+    lines += [f"{digest}  {name}" for name, digest in found.items()]
     DIGESTS.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {len(lines) - 2} digests to {DIGESTS.relative_to(ROOT)}")
+    print(f"wrote {len(found)} digests to {DIGESTS.relative_to(ROOT)}")
+    print(_moved(previous, found) or "no digest moved")
