@@ -30,13 +30,8 @@ from .errors import (
     QuadratureError,
     StepError,
 )
-from .packing import (
-    U_COORDINATE_FLOOR,
-    Background,
-    UCoords,
-    radii_to_u_array,
-)
-from .potential import PotentialContext, _domain_ok, potential_gradient, segment_integral
+from .packing import Background, UCoords, _u_domain
+from .potential import PotentialContext, potential_gradient, segment_integral
 
 VARIANTS = ("classical", "extended", "prescribed")
 INTEGRATORS = ("rk4", "euler")
@@ -112,15 +107,6 @@ def _validate_config(config: FlowConfig) -> None:
         raise ConfigError("extended flow has a zero target; use variant='prescribed'")
 
 
-def _u_cap(background: Background, radius_cap: float) -> float:
-    """ln tanh(cap/2) or ln cap: a radius is above the cap when its u is
-    above this.  0 where ln tanh(cap/2) rounds to 0, as no u < 0 is then."""
-    try:
-        return float(radii_to_u_array(np.array([radius_cap]), background)[0])
-    except DomainError:  # "radius too large for the u-coordinate change"
-        return 0.0
-
-
 def residual(
     complex: SurfaceComplex,
     inversive: np.ndarray,
@@ -153,14 +139,10 @@ def run_flow(
     ctx = PotentialContext(complex, inversive, u0, config.target)
     target, background = ctx.target, ctx.background
     classical = config.variant == "classical"
-    u_cap = _u_cap(background, config.divergence_radius_cap)
     # A step whose min and max lie in (floor, ceiling] is finite, in the
-    # domain and within the cap; any other takes the exact checks.  The
+    # domain and within the cap; a finite step outside has diverged.  The
     # evaluator's u-band test reads the same min and max.
-    if background is Background.HYPERBOLIC:
-        floor, ceiling = U_COORDINATE_FLOOR, min(u_cap, -5e-324)
-    else:
-        floor, ceiling = -math.inf, u_cap
+    floor, ceiling = _u_domain(background, config.divergence_radius_cap)
 
     evaluate = ctx._evaluate
     if classical:
@@ -214,7 +196,7 @@ def run_flow(
             )
         )
 
-    # A stage's u + h f may overflow to inf, which the checks below refuse.
+    # A stage's u + h f may overflow to inf, which the screen below refuses.
     with np.errstate(over="ignore"):
         for step_index in range(n_steps + 1):
             if step_index % config.sample_every == 0:
@@ -229,6 +211,7 @@ def run_flow(
                 break
 
             f1 = target - now[0]
+            # A refusal by any evaluation of the step, a stage's or its own, ends the run.
             try:
                 if euler:
                     u_next = u + h * f1
@@ -237,27 +220,21 @@ def run_flow(
                     f3 = target - evaluate(u + half_h * f2)[0]
                     f4 = target - evaluate(u + h * f3)[0]
                     u_next = u + sixth_h * (f1 + two * f2 + two * f3 + f4)
+                extrema = np.minimum.reduce(u_next), np.maximum.reduce(u_next)
+                if not (extrema[0] > floor and extrema[1] <= ceiling):
+                    if not np.isfinite(u_next).all():
+                        raise StepError(f"non-finite state at t={(step_index + 1) * dt:g}")
+                    status = "diverged"
+                    break
+                now = evaluate(u_next, extrema)
             except NotAdmissibleError:
                 status = "left_admissible"
                 break
             except DomainError:
-                # A stage point left the representable u-domain, in either direction.
+                # The kernel refused a point past the ends of u-space, in either direction.
                 status = "diverged"
                 break
-            extrema = np.minimum.reduce(u_next), np.maximum.reduce(u_next)
-            if not (extrema[0] > floor and extrema[1] <= ceiling):
-                if not np.isfinite(u_next).all():
-                    raise StepError(f"non-finite state at t={(step_index + 1) * dt:g}")
-                if not _domain_ok(background, u_next) or np.count_nonzero(u_next > u_cap):
-                    status = "diverged"
-                    break
-
-            try:
-                at_next = evaluate(u_next, extrema)
-            except NotAdmissibleError:
-                status = "left_admissible"
-                break
-            u, now = u_next, at_next
+            u = u_next
 
     if step_index % config.sample_every != 0:
         record(step_index)

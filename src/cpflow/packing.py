@@ -35,15 +35,19 @@ _EXCESS_LIMIT = float(np.cosh(HYPERBOLIC_SIZE_LIMIT)) - 1.0
 #: above the size limit exactly when its u is above this.
 _U_SIZE_LIMIT = -2.0 * float(np.exp(-HYPERBOLIC_SIZE_LIMIT))
 
-#: the lowest u-coordinate the Newton line search admits: radius 1.03e-130,
-#: where the length kernel is still exact.  The real floor of that kernel
-#: lies lower: an excess of order r^2 goes subnormal below a radius of about
-#: 1.5e-154, an edge length is 5.6e-6 off in relative terms at 1e-160, and
-#: from about 1e-162 the excess underflows to 0, a DomainError.
+#: the floor of hyperbolic u-space in ``_u_domain`` (radius 1.03e-130), and
+#: the low end of ``_u_band`` in both backgrounds.  The length kernel goes on
+#: below it, exactly, until an excess of order r^2 leaves the normal doubles.
 U_COORDINATE_FLOOR = -300.0
 
 #: the largest u whose e^u is finite: ln of the largest double.
 _U_EXP_LIMIT = float(np.log(np.finfo(float).max))
+
+#: the largest negative double, the top of hyperbolic u-space (u < 0).
+_U_NEGATIVE_MAX = -math.ulp(0.0)
+
+#: the smallest normal double: a smaller excess has lost bits to underflow.
+_TINY = float(np.finfo(float).tiny)
 
 
 class Background(Enum):
@@ -189,7 +193,7 @@ def _radius_factors(background: Background, radii: np.ndarray):
     return t, np.sinh(radii)
 
 
-def _hyperbolic_x(u: np.ndarray, u_max: float = -5e-324) -> np.ndarray:
+def _hyperbolic_x(u: np.ndarray, u_max: float = _U_NEGATIVE_MAX) -> np.ndarray:
     """x = e^u = tanh(r/2) of hyperbolic u-coordinates, refused in this order:
     DomainError for u >= 0 and for an x that underflows to 0, RangeError for
     another u above ``u_max`` (by default the largest negative double)."""
@@ -236,6 +240,21 @@ def _u_factors(background: Background, u: np.ndarray, *, screen: bool = True):
     return x * p, p
 
 
+def _u_domain(background: Background, radius_cap: float = math.inf) -> tuple[float, float]:
+    """(floor, ceiling], where every flow step and Newton trial must land.
+    Hyperbolic: above ``U_COORDINATE_FLOOR``, below 0 and at most
+    ln tanh(cap/2).  Euclidean: no floor, as the kernel refuses a collapsed
+    length, and at most ln cap, or ln of the largest double.  A cap that
+    ``radii_to_u_array`` refuses (inf, or ln tanh(cap/2) = 0) bounds no u."""
+    try:
+        u_cap = float(radii_to_u_array(np.array([radius_cap]), background)[0])
+    except DomainError:
+        u_cap = math.inf
+    if background is _EUCLIDEAN:
+        return -math.inf, min(u_cap, _U_EXP_LIMIT)
+    return U_COORDINATE_FLOOR, min(u_cap, _U_NEGATIVE_MAX)
+
+
 def _u_band(background: Background, inv: np.ndarray) -> tuple[float, float]:
     """[lo, hi]: while every u lies in it, no refusal of ``_u_factors`` or
     ``_edge_lengths_arrays`` can fire for the inversive distances ``inv``
@@ -244,7 +263,7 @@ def _u_band(background: Background, inv: np.ndarray) -> tuple[float, float]:
 
     Hyperbolic, for I >= 0 (empty otherwise, as I P_i P_j < 0 can cancel
     the excess): at u >= lo, T >= 2 e^(2u) >= 1e-261, so the excess is
-    positive.  hi = ln tanh(r*/2) with r* = (350 - log1p(I_max)) / 2 - 2,
+    a normal double.  hi = ln tanh(r*/2) with r* = (350 - log1p(I_max)) / 2 - 2,
     so cosh l <= (1 + I_max) cosh^2 r* <= e^346 < cosh 350 - 1 with a
     margin of 27 for rounding, and I P_i P_j, T_i T_j and the angle
     stage's products of excesses stay below e^692.  Empty where r* <= 0.
@@ -269,9 +288,7 @@ def _edge_lengths_arrays(
     """Excesses e and x' = sinh l or l of the edges joining the vertices
     ``tail`` and ``head`` (index arrays into the per-vertex ``factors``):
     the per-edge stage of every curvature evaluation, from which the lengths
-    follow as ``_lengths``.  Exact for radii from the one at
-    ``U_COORDINATE_FLOOR`` (about 1e-130; see there for the real floor) up to
-    the size limit.
+    follow as ``_lengths``, exactly wherever it returns.
 
     The excess is cosh l - 1 (hyperbolic) or l^2 / 2 (euclidean), the
     quantity the cosine law of the angle kernel works in, and
@@ -287,10 +304,11 @@ def _edge_lengths_arrays(
     euclidean background, (2 (1 + I) r_tail) r_head round by orientation, so
     every caller orients each edge from its lower vertex or slot to its
     higher one, as ``SurfaceComplex`` and the triangle's double do.  Every
-    returned excess is positive and finite: a hyperbolic edge
+    returned excess is a finite normal double: a hyperbolic edge
     longer than the size limit raises RangeError, however far its length
     would overflow, and any other undefined length (an overflowing euclidean
-    one too) raises DomainError with the index of the first such edge as ``edge``.
+    one too, or an excess below the normal doubles, whose bits underflow)
+    raises DomainError with the index of the first such edge as ``edge``.
     ``screen=False`` leaves out these refusals and ``np.errstate``, for
     factors of u inside the ``_u_band`` of ``inv``, where none can fire.
     """
@@ -300,9 +318,12 @@ def _edge_lengths_arrays(
         ri, rj = factors[tail], factors[head]
         with quiet:
             sq = (ri - rj) ** 2 + 2.0 * (1.0 + inv) * ri * rj
-        if screen:
+        if screen and not (np.minimum.reduce(sq, axis=None) >= 2.0 * _TINY
+                           and np.maximum.reduce(sq, axis=None) < np.inf):
             _require_defined((sq > 0) & (sq < np.inf),
                              "euclidean edge length is not defined (l^2 <= 0 or not finite)")
+            _require_defined(sq >= 2.0 * _TINY, "euclidean edge length is not defined in "
+                                                "double precision (l^2 / 2 subnormal)")
         excess = 0.5 * sq
         return excess, np.sqrt(2.0 * excess)
     t, p = factors
@@ -315,9 +336,11 @@ def _edge_lengths_arrays(
         product *= p[head]
     excess += product
     # Screen, then diagnose: a NaN fails the screen too, as min and max propagate it.
-    if screen and not (np.minimum.reduce(excess, axis=None) > 0.0
+    if screen and not (np.minimum.reduce(excess, axis=None) >= _TINY
                        and np.maximum.reduce(excess, axis=None) <= _EXCESS_LIMIT):
         _require_defined(excess > 0, "hyperbolic edge length is not defined (cosh l - 1 not > 0)")
+        _require_defined(excess >= _TINY, "hyperbolic edge length is not defined in "
+                                          "double precision (cosh l - 1 subnormal)")
         if np.count_nonzero(excess > _EXCESS_LIMIT):
             raise _size_error("lengths")
     return excess, np.sqrt(excess * (excess + _TWO))

@@ -49,10 +49,10 @@ from .errors import (
 )
 from .packing import (
     Background,
-    U_COORDINATE_FLOOR,
     UCoords,
     _edge_lengths_arrays,
     _misfit,
+    _u_domain,
     _u_factors,
     check_inversive,
 )
@@ -480,11 +480,9 @@ def _conjugate_gradient(diagonal, rows, cols, couplings, mu, rhs):
 
 
 def _domain_ok(background: Background, u: np.ndarray) -> bool:
-    if not np.isfinite(u).all():
-        return False
-    if background is Background.HYPERBOLIC:
-        return bool((u < 0).all() and (u > U_COORDINATE_FLOOR).all())
-    return True
+    """Whether every u lies in ``_u_domain(background)``; a NaN does not."""
+    floor, ceiling = _u_domain(background)
+    return bool(floor < np.minimum.reduce(u) and np.maximum.reduce(u) <= ceiling)
 
 
 def _line_search(ctx, u, direction, grad, residual, at_u):

@@ -5,7 +5,8 @@ the package, only the angle kernel forms the cosine law that decides
 which faces are degenerate, only the curvature module sums its angle
 Jacobians into dK/du, only its curvature evaluator runs the per-vertex and
 per-edge stages without their refusal screens, only one output helper
-opens a file to write, and the subset bounds have one rule."""
+opens a file to write, the subset bounds have one rule, and u-space ends
+where ``packing._u_domain`` says."""
 
 from __future__ import annotations
 
@@ -230,3 +231,18 @@ def test_every_subset_bound_takes_the_one_rule():
     assert ("subset_lower_bound", "_subset_lower_bounds") in _calls(path, {"_subset_lower_bounds"})
     old_rule = {"link_pairs", "_subcomplex_counts", "lexsort", "cumsum"}
     assert sorted(_borrowed_names(path) & old_rule) == []
+
+
+@pytest.mark.parametrize("module", ["flow.py", "potential.py"])
+def test_u_space_ends_where_the_one_domain_says(module):
+    # packing._u_domain is the one statement of the interval a flow step or
+    # a Newton trial may land in: neither module restates its floor or the
+    # largest negative double, and the flow takes neither the line search's
+    # domain test nor its own conversion of the radius cap.
+    path = ROOT / "src/cpflow" / module
+    assert "u_coordinate_floor" not in _words(path)
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and type(node.value) is float and node.value == 5e-324]
+    if module == "flow.py":
+        assert sorted(_borrowed_names(path) & {"_domain_ok", "radii_to_u_array"}) == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import json
 from pathlib import Path
 
@@ -34,17 +35,18 @@ from cpflow import (
     to_u,
     triangulated_torus,
 )
-import cpflow.flow as flow_module
 from cpflow.io import write_trace_csv
 from cpflow.packing import (
     U_COORDINATE_FLOOR,
     UCoords,
+    _U_EXP_LIMIT,
     _u_band,
+    _u_domain,
     from_u,
     radii_to_u_array,
     u_to_radii_array,
 )
-from cpflow.potential import PotentialContext, segment_integral
+from cpflow.potential import PotentialContext, _domain_ok, segment_integral
 
 from conftest import flip_edges, random_admissible_metric, segment_reference
 
@@ -632,10 +634,11 @@ def test_euclidean_u_whose_radius_is_not_a_positive_double_is_refused(torus, ent
 
 @pytest.mark.parametrize("background", [HYP, EUC])
 def test_divergence_cap_in_u_is_the_radius_cap(background):
-    # u > _u_cap(cap) exactly where the radius of u is above the cap, away
-    # from rounding at the cap itself; for caps above about 745, where
-    # ln tanh(cap/2) rounds to 0, no u < 0 is past the cap and no finite
-    # radius is either.  Hyperbolic u cover radii from 1e-130 up to about
+    # u is above the ceiling of _u_domain(cap) exactly where the radius of
+    # u is above the cap, away from rounding at the cap itself; for caps
+    # above about 745, where ln tanh(cap/2) rounds to 0, the ceiling is the
+    # largest negative double, so no u < 0 is past it and no finite radius
+    # is past the cap either.  Hyperbolic u cover radii from 1e-130 up to about
     # 691, where u_to_radii_array stays finite.
     if background is HYP:
         u = -np.logspace(np.log10(300.0), -300.0, 4001)
@@ -643,9 +646,9 @@ def test_divergence_cap_in_u_is_the_radius_cap(background):
         u = np.linspace(-300.0, 300.0, 4001)
     radii = u_to_radii_array(u, background)
     for cap in (1e-100, 1e-3, 0.5, 1.0, 20.0, 300.0, 350.0, 650.0, 745.0, 746.0, 1e12, 1e300):
-        bound = flow_module._u_cap(background, cap)
+        bound = _u_domain(background, cap)[1]
         if background is HYP and cap >= 746.0:
-            assert bound == 0.0
+            assert bound == -5e-324
         clear = np.abs(radii / cap - 1.0) > 1e-12
         assert np.array_equal((u > bound)[clear], (radii > cap)[clear])
 
@@ -725,7 +728,7 @@ def test_zero_steps_on_the_screen_edges(genus2, background, cap, edge, verdict):
     # an edge: the hyperbolic floor, the radius cap (below the u-band's top
     # radius at cap 2), or the band's top (below the cap at 300 and 1e200).
     inversive = np.ones(genus2.edge_count)
-    u_cap, band_top = flow_module._u_cap(background, cap), _u_band(background, inversive)[1]
+    u_cap, band_top = _u_domain(background, cap)[1], _u_band(background, inversive)[1]
     u0 = radii_to_u_array(np.ones(genus2.vertex_count), background)
     u0[0] = {"floor": U_COORDINATE_FLOOR, "cap": u_cap,
              "past the cap": np.nextafter(u_cap, np.inf), "band top": band_top,
@@ -738,6 +741,87 @@ def test_zero_steps_on_the_screen_edges(genus2, background, cap, edge, verdict):
     expected = ("diverged", 0) if verdict == "diverged" else ("max_time_reached", 1)
     assert (result.status, result.iterations) == expected
     assert np.array_equal(result.final_u.values, u0)
+
+
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+def test_collapsing_euclidean_flow_diverges(tetra, integrator):
+    # The euclidean tetrahedron with unit radii and I = 0 has K = pi at
+    # every vertex, so the zero-target flow shrinks all radii alike and has
+    # no fixed point.  Once an l^2 leaves the normal doubles the kernel
+    # refuses it, and the run ends as diverged whichever evaluation of the
+    # step refused, a stage's or the step's own; no sample records the
+    # angles of a subnormal length, and no numpy warning escapes.
+    result = run_flow(tetra, np.zeros(6), UCoords(np.zeros(4), EUC),
+                      FlowConfig(integrator=integrator))
+    assert (result.status, result.iterations) == ("diverged", 2254)
+    assert np.max(np.abs(np.array([s.curvature for s in result.trace]) - np.pi)) <= 1e-12
+
+
+def _exact_step_verdict(background, cap, landing) -> str:
+    """The verdict of elementwise checks on one flow landing point: a
+    non-finite state raises, a u at or above 0 or at or below the floor
+    (hyperbolic) or above the cap's u ends the run as diverged."""
+    if not np.isfinite(landing).all():
+        return "non-finite"
+    try:
+        u_cap = radii_to_u_array(np.array([cap]), background)[0]
+    except DomainError:
+        u_cap = 0.0
+    in_domain = background is EUC or bool((landing < 0).all()
+                                         and (landing > U_COORDINATE_FLOOR).all())
+    return "goes on" if in_domain and not (landing > u_cap).any() else "diverged"
+
+
+def _edge_values(edges) -> list[float]:
+    """The values of ``edges`` with their neighbouring doubles, and the
+    non-finite values and both zeros."""
+    values = [np.nan, np.inf, -np.inf, -0.0, 0.0]
+    for edge in edges:
+        values += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+    return values
+
+
+@pytest.mark.parametrize("background", [HYP, EUC])
+def test_u_domain_verdicts_are_those_of_the_exact_checks(tetra, background, monkeypatch):
+    # The flow's screen and the line search's domain test both read
+    # _u_domain's (floor, ceiling].  On the domain's edges, their
+    # neighbours, the zeros and the non-finite values, each must give the
+    # verdict of the elementwise finiteness, domain and cap checks.  The
+    # flow runs one Euler step of exactly u_next - u on a stub field, from
+    # u_next where that is a valid start point and from -1 or 0 where it
+    # is not.
+    field, potential_module = {}, importlib.import_module("cpflow.potential")
+    monkeypatch.setattr(potential_module, "make_curvature_evaluator",
+                        lambda *args: lambda u, extrema=None: (-field["step"], np.zeros(4, bool)))
+    for cap in (1e-100, 1e-3, 0.5, 1.0, 2.0, 20.0, 300.0, 350.0, 745.0, 746.0, 1e12, 1e300):
+        floor, ceiling = _u_domain(background, cap)
+        values = _edge_values([U_COORDINATE_FLOOR, ceiling, -5e-324, -1.0])
+        for first, second in itertools.product(values, repeat=2):
+            u_next = np.array([first, second, second, first])
+            start = np.where(np.isfinite(u_next) & ((u_next < 0) | (background is EUC)),
+                             u_next, -1.0 if background is HYP else 0.0)
+            field["step"] = u_next - start
+            landing = start + field["step"]
+            verdict = _exact_step_verdict(background, cap, landing)
+            config = FlowConfig(integrator="euler", step=1.0, max_time=1.0,
+                                record_potential=False, divergence_radius_cap=cap)
+            if verdict == "non-finite":
+                with pytest.raises(StepError):
+                    run_flow(tetra, np.zeros(6), UCoords(start, background), config)
+                continue
+            result = run_flow(tetra, np.zeros(6), UCoords(start, background), config)
+            expected = ("diverged", 0) if verdict == "diverged" else ("max_time_reached", 1)
+            assert (result.status, result.iterations) == expected, (cap, u_next)
+    # The line search's test, with no cap: the exact one in hyperbolic
+    # background; in euclidean background, where no Newton step runs, it
+    # also refuses a u whose e^u overflows, which the evaluator refuses.
+    values = _edge_values([U_COORDINATE_FLOOR, -5e-324, -1.0, _U_EXP_LIMIT])
+    for first, second in itertools.product(values, repeat=2):
+        u = np.array([first, second])
+        exact = bool(np.isfinite(u).all()) and (
+            bool((u < 0).all() and (u > U_COORDINATE_FLOOR).all()) if background is HYP
+            else not (u > _U_EXP_LIMIT).any())
+        assert _domain_ok(background, u) == exact, u
 
 
 def test_euclidean_certificate_is_the_smallest_eigenvalue_off_the_gauge(torus, rng):

@@ -600,6 +600,19 @@ def test_cli_flow_classical_exit(workdir):
     assert manifest["outputs"]["final_time"] > 0
 
 
+@pytest.mark.parametrize("integrator", INTEGRATORS)
+def test_cli_collapsing_euclidean_flow_exits_diverged(workdir, integrator):
+    # The zero-target flow of the euclidean tetrahedron with unit radii and
+    # I = 0 shrinks every radius alike until the kernel refuses a length:
+    # exit 5, status diverged, and K = pi at every vertex of every sample.
+    _write(workdir / "t.json", _tetra_doc(background="euclidean"))
+    code = main(["flow", "t.json", "--integrator", integrator, "--trace-json", "trace.json"])
+    assert code == 5
+    assert json.loads((workdir / "t.flow.manifest.json").read_text())["status"] == "diverged"
+    samples = json.loads((workdir / "trace.json").read_text())["samples"]
+    assert np.max(np.abs(np.array([sample["K"] for sample in samples]) - np.pi)) <= 1e-12
+
+
 def test_cli_flow_bad_flags(workdir, capsys):
     surface = _write(workdir / "t.json", _tetra_doc())
     assert main(["flow", "t.json", "--variant", "prescribed"]) == 2

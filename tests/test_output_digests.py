@@ -6,7 +6,9 @@ surfaces: ``curvature`` with and without ``--extended``, ``gb``, an extended
 degenerate start whose trace potentials cross the degenerate boundary,
 ``solve``, and ``check`` with a subset cap and with a subsets file; and on a
 seeded euclidean 4 x 4 torus: ``curvature --extended`` and an extended
-``flow`` with a trace and radii output.  The
+``flow`` with a trace and radii output; and an Euler ``flow`` of the
+euclidean tetrahedron with unit radii and I = 0, which collapses and exits
+5 as diverged.  The
 SHA-256 of every file in the run's directory, inputs and manifests included,
 and of each command's exit status and standard output, with the directory
 replaced by a fixed token, must equal ``tests/data/cli_digests.txt``.
@@ -38,7 +40,8 @@ if __name__ == "__main__":
 
 import cpflow.potential as potential_module
 from cpflow import (
-    Background, PackingMetric, curvature, genus2_surface, is_admissible, triangulated_torus,
+    Background, PackingMetric, curvature, genus2_surface, is_admissible, tetrahedron,
+    triangulated_torus,
 )
 from cpflow.cli import main
 from cpflow.io import save_surface, save_target
@@ -81,6 +84,9 @@ def _commands(directory: Path):
     save_surface(directory / "e.json", torus, Background.EUCLIDEAN,
                  rng.uniform(0.0, 1.0, torus.edge_count),
                  np.exp(rng.uniform(np.log(0.5), np.log(2.0), torus.vertex_count)))
+    # a euclidean tetrahedron whose zero-target flow has no fixed point
+    save_surface(directory / "c.json", tetrahedron(), Background.EUCLIDEAN, np.zeros(6),
+                 np.ones(4))
 
     def out(name):
         return str(directory / name)
@@ -106,6 +112,7 @@ def _commands(directory: Path):
     yield "euclidean-flow-extended", ["flow", out("e.json"), "--variant", "extended",
                                       "--trace", out("e_flow.csv"),
                                       "--radii-out", out("e_flow_radii.json")]
+    yield "euclidean-collapse-flow-euler", ["flow", out("c.json"), "--integrator", "euler"]
 
 
 def run_digests() -> dict[str, str]:

@@ -84,15 +84,22 @@ def test_edge_length_stable_at_tiny_radii():
 
 
 def test_edge_length_floor():
-    # Exact down to the radius at the u-coordinate floor; below ~1.5e-154 the
-    # excess ~ r^2 goes subnormal, and from ~1e-162 it underflows to 0.
+    # Exact down to the radius at the u-coordinate floor, and on down to
+    # where the excess 1.5 r^2 (hyperbolic; l^2 / 2 in euclidean) leaves the
+    # normal doubles, at r = 1.218e-154.  Below, a subnormal excess would
+    # put a length 5.6e-6 off at 1e-160, so it is refused, as is one that
+    # underflows to 0 from about 1e-162.
     r = u_to_radii_array(np.array([U_COORDINATE_FLOOR]), HYP)[0]
     assert r == pytest.approx(1.03e-130, rel=1e-3)
     assert edge_length(HYP, r, r, 0.5) == pytest.approx(np.sqrt(3.0) * r, rel=4e-16)
-    off = edge_length(HYP, 1e-160, 1e-160, 0.5) / (np.sqrt(3.0) * 1e-160) - 1.0
-    assert 1e-6 < abs(off) < 1e-5
+    for background in (HYP, EUC):
+        for r in (1.22e-154, 1.3e-154, 1e-150):
+            assert edge_length(background, r, r, 0.5) == pytest.approx(np.sqrt(3.0) * r, rel=4e-16)
+        for r in (1.21e-154, 1e-160):
+            with pytest.raises(DomainError, match="not defined in double precision"):
+                edge_length(background, r, r, 0.5)
     for r in (1e-162, 1e-170):
-        with pytest.raises(DomainError, match="not defined"):
+        with pytest.raises(DomainError, match=r"not defined \(cosh l - 1 not > 0\)"):
             edge_length(HYP, r, r, 0.5)
 
 
