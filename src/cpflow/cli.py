@@ -38,9 +38,7 @@ from .io import (
     write_trace_csv,
     write_trace_json,
 )
-from .obstructions import (
-    DEFAULT_SUBSET_CAP, EXHAUSTIVE_VERTEX_LIMIT, _with_observed, check_zero_curvature_obstructions,
-)
+from .obstructions import _decided_report, _with_observed, check_zero_curvature_obstructions
 from .packing import Background, from_u, to_u
 from .potential import PotentialContext, newton_solve
 
@@ -158,7 +156,7 @@ def _cmd_flow(args, run: _Run) -> int:
 
     result = run_flow(surface.complex, surface.inversive, to_u(metric), config)
     run.status = result.status
-    final_res = float(result.residuals()[-1])
+    final_res = float(abs(result.trace[-1].curvature - result.target).max())
     run.outputs["final_time"] = result.trace[-1].t
     run.outputs["iterations"] = result.iterations
     run.outputs["final_residual"] = final_res
@@ -226,16 +224,18 @@ def _cmd_check(args, run: _Run) -> int:
         surface.complex, surface.inversive, subsets, args.subset_cap
     )
 
-    # The bounds report is the zero report with observed sums, for an
-    # admissible hyperbolic metric only.
+    # The bounds report, for an admissible hyperbolic metric only, is the
+    # zero report with observed sums, or for a decided report its own flow's.
     bounds_report = None
     metric = surface.metric
     if metric is not None and surface.background is Background.HYPERBOLIC:
         curv = extended_curvature(surface.complex, metric)
         if not curv.extended:
-            bounds_report = _with_observed(zero_report, curv.values)
+            bounds_report = (_decided_report(surface.complex, surface.inversive, curv.values)
+                             if zero_report.decided else _with_observed(zero_report, curv.values))
 
-    print(f"subsets checked            {len(zero_report.records)}")
+    checked = "all nonempty" if zero_report.decided else len(zero_report.records)
+    print(f"subsets checked            {checked}")
     print(f"zero-curvature necessary   {zero_report.verdict}")
     if bounds_report is not None:
         print(f"curvature bounds           {bounds_report.verdict}")
@@ -309,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "[--subset-cap N | --subsets-file S.json] [--report OUT.json] [--manifest M.json]")
     add_common(p)
     p.add_argument("--subset-cap", type=int, default=None, metavar="N",
-                   help=f"max subset size (default: exhaustive up to "
-                        f"{EXHAUSTIVE_VERTEX_LIMIT} vertices, size {DEFAULT_SUBSET_CAP} beyond)")
+                   help="check the proper subsets of at most N vertices (default: decide every "
+                        "nonempty subset, V included, by one maximum flow, and record the "
+                        "least-margin subset where a margin is <= 0, and V)")
     p.add_argument("--subsets-file", metavar="S.json",
                    help="explicit subsets (JSON), in file order; not with --subset-cap")
     p.add_argument("--report", help="JSON report path")

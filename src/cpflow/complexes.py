@@ -252,9 +252,10 @@ def _build_complex(faces: list) -> SurfaceComplex:
 
 
 def normalize_subset(vertex_count: int, subset: Iterable[int]) -> frozenset:
-    """The one subset rule: a nonempty proper subset of ``0..vertex_count-1``
-    whose members are integers, Python or numpy, not booleans, floats or
-    strings; returned as a frozenset of ints, else ValueError."""
+    """The one subset rule: a nonempty subset of ``0..vertex_count-1``, all
+    of it allowed, whose members are integers, Python or numpy, not
+    booleans, floats or strings; returned as a frozenset of ints, else
+    ValueError."""
     members = list(subset)
     if not all(map(_is_integer, members)):
         raise ValueError("vertex subset members must be integers")
@@ -263,8 +264,6 @@ def normalize_subset(vertex_count: int, subset: Iterable[int]) -> frozenset:
         raise ValueError("vertex subset is empty")
     if not all(0 <= v < vertex_count for v in members):
         raise ValueError(f"vertex subset {sorted(members)} references unknown vertices")
-    if len(members) >= vertex_count:
-        raise ValueError(f"vertex subset {sorted(members)} is not a proper subset of the vertices")
     return members
 
 

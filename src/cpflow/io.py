@@ -412,20 +412,33 @@ def _check_section(verdict: bool, records: list[str]) -> str:
     return f'{{"verdict": {"true" if verdict else "false"}, "records": [{", ".join(records)}]}}'
 
 
+def _check_texts(report) -> tuple[list[str], list[str]]:
+    """Each subset's and bound's text, in report order."""
+    return list(map(str, report.subset_lists())), list(map(repr, report.bounds.tolist()))
+
+
+#: what a decided report's records stand for, in place of its subset count
+_DECIDED_SCOPE = ("every nonempty subset, V included, by one maximum flow; records: the "
+                  "least-margin subset where a margin is <= 0, then V")
+
+
 def write_check_report(path, zero, curvature_bounds=None) -> None:
     """The ``check`` report: the zero-curvature section and, when given, the
-    curvature-bounds section, whose report shares ``zero``'s subsets and bounds.
+    curvature-bounds section.  A capped or listed bounds report shares
+    ``zero``'s subsets and bounds; a decided one has its own records, and
+    the report says what they stand for in place of a subset count.
 
     The text is ``json.dumps`` of the per-subset records, byte for byte,
     built from the columns with one ``repr`` per printed float: each subset's
-    and bound's text serves both sections.  The zero section observes 0.0, so
-    its margin 0.0 - bound is the bound's text with the sign flipped, and
-    "0.0" for a zero bound.  Every value is finite (inversive distances are
-    checked finite and angles lie in [0, pi]), so ``repr`` is the text
-    ``json.dumps`` would write.
+    and bound's text serves both sections where they share it.  The zero
+    section observes 0.0, so its margin 0.0 - bound is the bound's text with
+    the sign flipped, and "0.0" for a zero bound.  Every value is finite
+    (inversive distances are checked finite and angles lie in [0, pi]), so
+    ``repr`` is the text ``json.dumps`` would write.
     """
-    subsets = list(map(str, zero.subset_lists()))
-    texts = list(map(repr, zero.bounds.tolist()))
+    subsets, texts = _check_texts(zero)
+    scope = (f'"subsets": "{_DECIDED_SCOPE}"' if zero.decided
+             else f'"subset_count": {len(texts)}')
     zero_section = _check_section(zero.verdict, [
         f'{{"subset": {s}, "bound": {b}, "observed": 0.0, "margin": '
         f'{b[1:] if b[0] == "-" else "0.0" if b == "0.0" else "-" + b}}}'
@@ -433,12 +446,14 @@ def write_check_report(path, zero, curvature_bounds=None) -> None:
     ])
     bounds_section = "null"
     if curvature_bounds is not None:
+        if curvature_bounds.subsets is not zero.subsets:
+            subsets, texts = _check_texts(curvature_bounds)
         observed, margins = curvature_bounds.observed.tolist(), curvature_bounds.margins.tolist()
         bounds_section = _check_section(curvature_bounds.verdict, [
             f'{{"subset": {s}, "bound": {b}, "observed": {o!r}, "margin": {m!r}}}'
             for s, b, o, m in zip(subsets, texts, observed, margins)
         ])
-    _write_text(path, f'{{"format": {FORMAT_VERSION}, "subset_count": {len(texts)}, '
+    _write_text(path, f'{{"format": {FORMAT_VERSION}, {scope}, '
                       f'"zero_curvature_necessary": {zero_section}, '
                       f'"curvature_bounds": {bounds_section}}}\n')
 

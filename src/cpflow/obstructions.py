@@ -1,15 +1,18 @@
 """Combinatorial-topological obstructions to prescribed curvatures.
 
-For every nonempty proper vertex subset A, the curvatures of an admissible
+For every nonempty vertex subset A, the curvatures of an admissible
 hyperbolic packing metric satisfy
 
     sum_{i in A} K_i  >  -sum_{(e,v) in Lk(A)} (pi - L(I_e)) + 2 pi chi(F_A)
 
 where L is the clamped arccos, Lk(A) the link pairs of A and F_A the
-induced subcomplex.  The right side is ``subset_lower_bound``; the reports
-below evaluate the inequality for every subset, its contrapositive (a
-necessary condition for zero-curvature metrics), and the degeneration
-limit that makes the bound sharp.  These are necessary conditions only.
+induced subcomplex; for A = V the right side is 2 pi chi(M) and the
+inequality is Gauss-Bonnet.  The right side is ``subset_lower_bound``; the
+reports below evaluate the inequality, its contrapositive (a necessary
+condition for zero-curvature metrics), and the degeneration limit that
+makes the bound sharp.  These are necessary conditions only.  Without a
+subset list or cap, a report decides every nonempty subset by one maximum
+flow and records the least-margin subset, if some margin is <= 0, and V.
 A report is columnar: one member matrix per subset size, bounds from the
 one face-count rule of ``subset_lower_bound``, and observed sums as arrays;
 ``SubsetRecord``s are built only when a caller reads ``records``.
@@ -18,7 +21,7 @@ one face-count rule of ``subset_lower_bound``, and observed sums as arrays;
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, combinations
 
@@ -41,11 +44,10 @@ from .packing import (
 )
 from .potential import PotentialContext, newton_solve
 
-#: default subset-size cap for complexes too large to enumerate exhaustively
-DEFAULT_SUBSET_CAP = 3
-
-#: complexes with at most this many vertices are enumerated exhaustively
-EXHAUSTIVE_VERTEX_LIMIT = 16
+#: residual capacity at or below which ``_min_margin_cut`` counts an edge as
+#: saturated: the flow's pushes leave rounding of about 1e-15 on edges the
+#: exact flow saturates, as on a torus at K = 0, where V ties with the empty set
+_SATURATED = 1e-12
 
 #: subset x (corner + vertex) cells per chunk of the batched bounds; keeps
 #: the per-chunk temporaries near a megabyte on complexes of any size
@@ -74,13 +76,16 @@ class ObstructionReport:
     the admissible-metric check the verdict is "every margin positive".  For
     the zero-curvature necessary condition the observed sums are all 0 (the
     hypothesis), so the verdict is "every bound negative"; a False verdict
-    certifies that no admissible zero-curvature metric exists.
+    certifies that no admissible zero-curvature metric exists.  A
+    ``decided`` report's verdict covers every nonempty subset: its records
+    are the maximum flow's least-margin subset, if it found one, and V.
     """
 
     subsets: tuple
     order: np.ndarray
     bounds: np.ndarray
     observed: np.ndarray
+    decided: bool = False
 
     @property
     def margins(self) -> np.ndarray:
@@ -153,6 +158,11 @@ def subset_lower_bound(
     return float(_subset_lower_bounds(complex, inversive, (np.array([members]),))[0])
 
 
+def _corner_shares(complex: SurfaceComplex, inversive: np.ndarray) -> np.ndarray:
+    """Each face corner's h_f for A holding that corner alone: pi - L(I opposite)."""
+    return np.pi - clamped_arccos(inversive[complex.face_opposite_edges.ravel()])
+
+
 def _subset_lower_bounds(
     complex: SurfaceComplex, inversive: np.ndarray, subsets: tuple
 ) -> np.ndarray:
@@ -166,7 +176,7 @@ def _subset_lower_bounds(
     # Each corner's other two vertices and weight, and a pad corner at vertex
     # n, never a member, of weight 0.
     a, b = np.append(complex.faces[:, [[1, 2], [0, 2], [0, 1]]].reshape(-1, 2), [[n, n]], 0).T
-    weight = np.append(np.pi - clamped_arccos(inversive[complex.face_opposite_edges.ravel()]), 0.0)
+    weight = np.append(_corner_shares(complex, inversive), 0.0)
     corners = np.full((n, complex.vertex_degree.max()), len(vertex))  # corners per vertex
     by_vertex, at = np.argsort(vertex, kind="stable"), np.sort(vertex)
     corners[at, np.arange(len(at)) - np.searchsorted(at, at)] = by_vertex
@@ -174,6 +184,9 @@ def _subset_lower_bounds(
     bounds = []
     for members in subsets:
         size = members.shape[1]
+        if size == n:  # A = V: Gauss-Bonnet's 2 pi chi(M), exactly
+            bounds.append(np.full(len(members), 2.0 * np.pi * complex.euler_characteristic))
+            continue
         step = max(1, _CHUNK_CELLS // (size * corners.shape[1] + n))
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
@@ -196,7 +209,109 @@ def _with_observed(report: ObstructionReport, values: np.ndarray) -> Obstruction
     numpy adds as it adds ``values[list(subset)]``, so bit for bit the same.
     """
     observed = np.concatenate([values[m].sum(axis=1) for m in report.subsets])[report.order]
-    return ObstructionReport(report.subsets, report.order, report.bounds, observed)
+    return replace(report, observed=observed)
+
+
+def _min_margin_cut(complex: SurfaceComplex, inversive: np.ndarray,
+                    curvature: np.ndarray) -> tuple[float, list]:
+    """min(0, the least margin sum_A K - bound(A) over nonempty subsets A,
+    A = V included) and the largest subset attaining it, empty where every
+    margin is positive; for I >= 0 and every K_v <= 2 pi.
+
+    The margin is the cut function, less its value C = sum_V (2 pi - K_v)
+    at A = {}, of the network source -> v (capacity 2 pi - K_v), v -> f
+    (the face share pi - L(I of the edge opposite v), at least pi / 2),
+    f -> sink (pi): a face on the sink's side costs the shares of its
+    members in A, on the source's side pi, and the cheaper is h_f
+    (Kolmogorov & Zabih 2004).  A maximum flow is therefore C + min(0,
+    least margin).  Dinic's algorithm finds it, each blocking flow by an
+    iterative depth-first search.  The least margin is minus the residual
+    left on the source's edges, and the largest minimizer is the vertices
+    that cannot reach the sink through unsaturated edges.
+    """
+    n, nf = complex.vertex_count, complex.face_count
+    source, sink = n + nf, n + nf + 1
+    faces = np.arange(n, n + nf)
+    tails = np.concatenate([np.full(n, source), complex.faces.ravel(), faces])
+    heads = np.concatenate([np.arange(n), np.repeat(faces, 3), np.full(nf, sink)])
+    capacity = np.concatenate([2.0 * np.pi - curvature, _corner_shares(complex, inversive),
+                               np.full(nf, np.pi)])
+    # Edge 2k is arc k and edge 2k + 1 its reverse, of no capacity.
+    residual = np.stack([capacity, np.zeros_like(capacity)], 1).ravel().tolist()
+    head = np.stack([heads, tails], 1).ravel().tolist()
+    tail = np.stack([tails, heads], 1).ravel()
+    by_tail = np.argsort(tail, kind="stable")
+    starts = np.searchsorted(tail[by_tail], np.arange(sink + 2)).tolist()
+    by_tail = by_tail.tolist()
+    out = [by_tail[starts[x] : starts[x + 1]] for x in range(sink + 1)]  # edges leaving x
+
+    while True:
+        level = [-1] * (sink + 1)
+        level[source] = 0
+        queue = [source]
+        for x in queue:
+            for e in out[x]:
+                if residual[e] > 0.0 and level[head[e]] < 0:
+                    level[head[e]] = level[x] + 1
+                    queue.append(head[e])
+        if level[sink] < 0:
+            break
+        arc, path, x = [0] * (sink + 1), [], source
+        while True:
+            if x == sink:
+                push = min(residual[e] for e in path)
+                for e in path:
+                    residual[e] -= push
+                    residual[e ^ 1] += push
+                path, x = [], source
+                continue
+            edges, i, deeper = out[x], arc[x], level[x] + 1
+            while i < len(edges) and not (residual[edges[i]] > 0.0 and level[head[edges[i]]] == deeper):
+                i += 1
+            arc[x] = i
+            if i < len(edges):
+                path.append(edges[i])
+                x = head[edges[i]]
+            elif x == source:
+                break
+            else:  # a dead end: drop it from the level graph and back up
+                level[x] = -1
+                x = head[path.pop() ^ 1]
+                arc[x] += 1
+
+    reaches = [False] * (sink + 1)
+    reaches[sink] = True
+    queue = [sink]
+    for y in queue:
+        for e in out[y]:  # e runs y -> x, so e ^ 1 runs x -> y
+            if not reaches[head[e]] and residual[e ^ 1] > _SATURATED:
+                reaches[head[e]] = True
+                queue.append(head[e])
+    return -sum(residual[0 : 2 * n : 2]), [v for v in range(n) if not reaches[v]]
+
+
+def _decided_report(complex: SurfaceComplex, inversive: np.ndarray,
+                    values: np.ndarray) -> ObstructionReport:
+    """The verdict over every nonempty subset, A = V included, for the
+    curvatures ``values``: records for the flow's least-margin subset, if it
+    found one, and for V, each bound by the face-count rule (V's is 2 pi
+    chi), so that no verdict rests on the flow's value."""
+    n = complex.vertex_count
+    _, witness = _min_margin_cut(complex, inversive, values)
+    listed = [witness, range(n)] if 0 < len(witness) < n else [range(n)]
+    return replace(_with_observed(_listed_report(complex, inversive, listed), values), decided=True)
+
+
+def _listed_report(complex: SurfaceComplex, inversive: np.ndarray, subsets) -> ObstructionReport:
+    """The zero-curvature report on explicit subsets, in their order, repeats kept."""
+    resolved = [sorted(normalize_subset(complex.vertex_count, s)) for s in subsets]
+    if not resolved:
+        raise ConfigError("no subsets to check")
+    sizes = list(map(len, resolved))
+    matrices = tuple(np.array([s for s in resolved if len(s) == k]) for k in sorted(set(sizes)))
+    order = np.argsort(np.argsort(sizes, kind="stable"))  # inverse of the grouping
+    bounds = _subset_lower_bounds(complex, inversive, matrices)[order]
+    return ObstructionReport(matrices, order, bounds, np.zeros(len(bounds)))
 
 
 def check_curvature_bounds(
@@ -209,12 +324,15 @@ def check_curvature_bounds(
 
     Holds for every admissible metric with inversive distances >= 0; a
     nonpositive margin therefore signals a bug, not a property of the
-    metric.
+    metric.  Without subsets or a cap the report is decided over every
+    nonempty subset, as in ``check_zero_curvature_obstructions``.
     """
     if metric.background is not Background.HYPERBOLIC:
         raise ConfigError("the subset bounds are proved in hyperbolic background")
     check_inversive(metric.inversive, complex)
     curv = curvature(complex, metric)  # raises NotAdmissibleError if outside
+    if subsets is None and subset_cap is None:
+        return _decided_report(complex, metric.inversive, curv.values)
     zero = check_zero_curvature_obstructions(complex, metric.inversive, subsets, subset_cap)
     return _with_observed(zero, curv.values)
 
@@ -227,31 +345,23 @@ def check_zero_curvature_obstructions(
 ) -> ObstructionReport:
     """Necessary condition for a zero-curvature metric to exist.
 
-    Checks sum over Lk(A) of (pi - L(I_e)) > 2 pi chi(F_A) for every
-    subset, i.e. every subset bound is negative.  A False verdict proves no
-    admissible zero-curvature metric exists; a True verdict proves nothing
-    (the conditions are necessary only).
+    Checks sum over Lk(A) of (pi - L(I_e)) > 2 pi chi(F_A) for each
+    subset, i.e. every subset bound is negative: the explicit subsets, or
+    the proper subsets of at most ``subset_cap`` members, or else every
+    nonempty subset, A = V included, decided by one maximum flow.  A False
+    verdict proves no admissible zero-curvature metric exists; a True
+    verdict proves nothing (the conditions are necessary only).
     """
     inversive = check_inversive(inversive, complex)
-    # Explicit subsets in their order, repeats kept; else a cap, explicit, or
-    # none (<= EXHAUSTIVE_VERTEX_LIMIT vertices) or DEFAULT_SUBSET_CAP.
-    n = complex.vertex_count
+    if subsets is not None and subset_cap is not None:
+        raise ConfigError("give explicit subsets or a subset cap, not both")
     if subsets is not None:
-        if subset_cap is not None:
-            raise ConfigError("give explicit subsets or a subset cap, not both")
-        resolved = [sorted(normalize_subset(n, s)) for s in subsets]
-        if not resolved:
-            raise ConfigError("no subsets to check")
-        sizes = list(map(len, resolved))
-        matrices = tuple(np.array([s for s in resolved if len(s) == k]) for k in sorted(set(sizes)))
-        order = np.argsort(np.argsort(sizes, kind="stable"))  # inverse of the grouping
-    else:
-        if subset_cap is None:
-            subset_cap = n - 1 if n <= EXHAUSTIVE_VERTEX_LIMIT else DEFAULT_SUBSET_CAP
-        matrices = _size_matrices(n, subset_cap)
-        order = np.arange(sum(map(len, matrices)))
-    bounds = _subset_lower_bounds(complex, inversive, matrices)[order]
-    return ObstructionReport(matrices, order, bounds, np.zeros(len(bounds)))
+        return _listed_report(complex, inversive, subsets)
+    if subset_cap is None:
+        return _decided_report(complex, inversive, np.zeros(complex.vertex_count))
+    matrices = _size_matrices(complex.vertex_count, subset_cap)
+    bounds = _subset_lower_bounds(complex, inversive, matrices)
+    return ObstructionReport(matrices, np.arange(len(bounds)), bounds, np.zeros(len(bounds)))
 
 
 @dataclass(frozen=True)

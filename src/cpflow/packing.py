@@ -244,12 +244,15 @@ def _u_domain(background: Background, radius_cap: float = math.inf) -> tuple[flo
     """(floor, ceiling], where every flow step and Newton trial must land.
     Hyperbolic: above ``U_COORDINATE_FLOOR``, below 0 and at most
     ln tanh(cap/2).  Euclidean: no floor, as the kernel refuses a collapsed
-    length, and at most ln cap, or ln of the largest double.  A cap that
-    ``radii_to_u_array`` refuses (inf, or ln tanh(cap/2) = 0) bounds no u."""
-    try:
-        u_cap = float(radii_to_u_array(np.array([radius_cap]), background)[0])
-    except DomainError:
-        u_cap = math.inf
+    length, and at most ln cap, or ln of the largest double.  An infinite
+    cap, the line search's, bounds no u, nor does one that
+    ``radii_to_u_array`` refuses (ln tanh(cap/2) = 0)."""
+    u_cap = math.inf
+    if radius_cap < math.inf:
+        try:
+            u_cap = float(radii_to_u_array(np.array([radius_cap]), background)[0])
+        except DomainError:
+            pass
     if background is _EUCLIDEAN:
         return -math.inf, min(u_cap, _U_EXP_LIMIT)
     return U_COORDINATE_FLOOR, min(u_cap, _U_NEGATIVE_MAX)

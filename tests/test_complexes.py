@@ -397,9 +397,11 @@ def test_subcomplex_euler_examples(tetra):
 
 def test_subset_validation(tetra):
     n = tetra.vertex_count
-    for bad in (set(), {0, 1, 2, 3}, {0, 7}, [1.7], ["1"], [True], [np.float64(1.0)]):
+    for bad in (set(), {0, 7}, [1.7], ["1"], [True], [np.float64(1.0)]):
         with pytest.raises(ValueError):
             normalize_subset(n, bad)
+    # A = V is a subset too: its bound is Gauss-Bonnet's
+    assert normalize_subset(n, [3, 2, 1, 0]) == frozenset(range(n))
     assert normalize_subset(n, np.array([2, 0], dtype=np.int64)) == {0, 2}
     assert all(type(v) is int for v in normalize_subset(n, np.arange(3)))
 

@@ -5,8 +5,10 @@ the package, only the angle kernel forms the cosine law that decides
 which faces are degenerate, only the curvature module sums its angle
 Jacobians into dK/du, only its curvature evaluator runs the per-vertex and
 per-edge stages without their refusal screens, only one output helper
-opens a file to write, the subset bounds have one rule, and u-space ends
-where ``packing._u_domain`` says."""
+opens a file to write, the subset bounds have one rule, u-space ends
+where ``packing._u_domain`` says, and the one maximum flow,
+``obstructions._min_margin_cut``, decides the default check without a
+member matrix."""
 
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import ast
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -246,3 +249,55 @@ def test_u_space_ends_where_the_one_domain_says(module):
                 and type(node.value) is float and node.value == 5e-324]
     if module == "flow.py":
         assert sorted(_borrowed_names(path) & {"_domain_ok", "radii_to_u_array"}) == []
+
+
+def _owners(path: Path, fragment: str) -> set[str | None]:
+    """The top-level functions of one module, None for module-level code,
+    with an identifier or string that contains ``fragment``, in lower case."""
+    owners = set()
+    for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = ast.Module(body=top.body, type_ignores=[])
+            owner = top.name
+        else:
+            body, owner = top, None
+        text = ast.unparse(body).lower()
+        if fragment in text:
+            owners.add(owner)
+    return owners
+
+
+def test_the_max_flow_has_one_home(tmp_path, monkeypatch):
+    # obstructions._min_margin_cut is the one maximum flow: no other code
+    # under src/ names a sink or Dinic's algorithm, and only
+    # _decided_report calls it.  The default check and check_curvature_bounds
+    # decide every subset without _size_matrices, so no member matrix of
+    # all subsets up to some size is built, and the retired enumeration
+    # limits are gone.
+    paths = sorted((ROOT / "src/cpflow").glob("*.py"))
+    for fragment in ("sink", "dinic"):
+        homes = {(path.name, owner) for path in paths for owner in _owners(path, fragment)}
+        assert homes == {("obstructions.py", "_min_margin_cut")}, fragment
+    callers = {(path.name, *call) for path in paths for call in _calls(path, {"_min_margin_cut"})}
+    assert callers == {("obstructions.py", "_decided_report", "_min_margin_cut")}
+    retired = {"exhaustive_vertex_limit", "default_subset_cap"}
+    left = {path.name: sorted(w for w in _words(path) for r in retired if r in w) for path in paths}
+    assert {name: words for name, words in left.items() if words} == {}
+
+    from cpflow import check_curvature_bounds, genus2_surface, obstructions
+    from cpflow.cli import main
+    from cpflow.io import save_surface
+    from cpflow.packing import Background, PackingMetric
+
+    def refused(*args):
+        raise AssertionError("the default check built a member matrix")
+
+    monkeypatch.setattr(obstructions, "_size_matrices", refused)
+    genus2 = genus2_surface()
+    metric = PackingMetric(Background.HYPERBOLIC, np.ones(genus2.edge_count),
+                           np.ones(genus2.vertex_count))
+    assert check_curvature_bounds(genus2, metric).verdict
+    surface = tmp_path / "genus2.json"
+    save_surface(surface, genus2, metric.background, metric.inversive, metric.radii)
+    assert main(["check", str(surface), "--report", str(tmp_path / "check.json"),
+                 "--manifest", str(tmp_path / "manifest.json")]) == 0

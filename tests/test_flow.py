@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -812,9 +813,12 @@ def test_u_domain_verdicts_are_those_of_the_exact_checks(tetra, background, monk
             result = run_flow(tetra, np.zeros(6), UCoords(start, background), config)
             expected = ("diverged", 0) if verdict == "diverged" else ("max_time_reached", 1)
             assert (result.status, result.iterations) == expected, (cap, u_next)
-    # The line search's test, with no cap: the exact one in hyperbolic
-    # background; in euclidean background, where no Newton step runs, it
-    # also refuses a u whose e^u overflows, which the evaluator refuses.
+    # The line search's test, with no cap, which is the infinite cap that
+    # the flow's settings refuse: the exact one in hyperbolic background; in
+    # euclidean background, where no Newton step runs, it also refuses a u
+    # whose e^u overflows, which the evaluator refuses.
+    floor, ceiling = _u_domain(background, math.inf)
+    assert (floor, ceiling) == _u_domain(background)
     values = _edge_values([U_COORDINATE_FLOOR, -5e-324, -1.0, _U_EXP_LIMIT])
     for first, second in itertools.product(values, repeat=2):
         u = np.array([first, second])
@@ -822,6 +826,7 @@ def test_u_domain_verdicts_are_those_of_the_exact_checks(tetra, background, monk
             bool((u < 0).all() and (u > U_COORDINATE_FLOOR).all()) if background is HYP
             else not (u > _U_EXP_LIMIT).any())
         assert _domain_ok(background, u) == exact, u
+        assert bool(floor < u.min() and u.max() <= ceiling) == exact, u
 
 
 def test_euclidean_certificate_is_the_smallest_eigenvalue_off_the_gauge(torus, rng):

@@ -702,17 +702,26 @@ def test_cli_solve_refuses_a_euclidean_surface(workdir, capsys):
 
 def test_cli_check(workdir):
     surface = _write(workdir / "t.json", _tetra_doc(inversive=1.0))
-    code = main(["check", "t.json", "--report", "check.json"])
-    assert code == 0
+    # By default every nonempty subset is decided.  Sphere: no zero-curvature
+    # metric can exist, and V, whose bound is 2 pi chi = 4 pi, has the least
+    # margin, so it is the one record.
+    assert main(["check", "t.json", "--report", "check.json"]) == 0
     report = json.loads((workdir / "check.json").read_text())
+    assert "subset_count" not in report and report["subsets"].startswith("every nonempty subset")
+    assert report["zero_curvature_necessary"] == {"verdict": False, "records": [
+        {"subset": [0, 1, 2, 3], "bound": 4 * np.pi, "observed": 0.0, "margin": -4 * np.pi}]}
+    # admissible metric present: strict bounds hold over every subset
+    assert report["curvature_bounds"]["verdict"] is True
+    assert [r["subset"] for r in report["curvature_bounds"]["records"]] == [[0, 1, 2, 3]]
+    # With a cap, each proper subset of at most that many vertices is a record.
+    assert main(["check", "t.json", "--subset-cap", "3", "--report", "capped.json"]) == 0
+    report = json.loads((workdir / "capped.json").read_text())
     assert report["subset_count"] == 14
-    # sphere: no zero-curvature metric can exist
     assert report["zero_curvature_necessary"]["verdict"] is False
     singles = [
         r for r in report["zero_curvature_necessary"]["records"] if len(r["subset"]) == 1
     ]
     assert all(r["bound"] == pytest.approx(-np.pi) for r in singles)
-    # admissible metric present: strict bounds hold subset by subset
     assert report["curvature_bounds"]["verdict"] is True
 
 
@@ -729,13 +738,16 @@ def test_cli_check_refuses_a_cap_with_a_subsets_file(workdir, capsys):
 
 
 def test_cli_check_computes_once(workdir, monkeypatch):
-    # Both reports share one subset list, one bounds array and one curvature.
+    # A capped check's two reports share one subset list, one bounds array
+    # and one curvature; a default check runs one flow and bounds its
+    # records once per report, from the same one curvature.
     packing_module = importlib.import_module("cpflow.packing")
     curvature_module = importlib.import_module("cpflow.curvature")
     obstructions_module = importlib.import_module("cpflow.obstructions")
     calls = []
     for module, name in [
         (obstructions_module, "_subset_lower_bounds"),
+        (obstructions_module, "_min_margin_cut"),
         (packing_module, "_edge_lengths_arrays"),
         (curvature_module, "extended_angles_batch"),
     ]:
@@ -745,9 +757,15 @@ def test_cli_check_computes_once(workdir, monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     _write(workdir / "t.json", _tetra_doc(inversive=1.0))
-    assert main(["check", "t.json", "--report", "check.json"]) == 0
+    assert main(["check", "t.json", "--subset-cap", "3", "--report", "check.json"]) == 0
     assert json.loads((workdir / "check.json").read_text())["curvature_bounds"] is not None
     assert sorted(calls) == ["_edge_lengths_arrays", "_subset_lower_bounds", "extended_angles_batch"]
+    calls.clear()
+    assert main(["check", "t.json", "--report", "check.json"]) == 0
+    assert json.loads((workdir / "check.json").read_text())["curvature_bounds"] is not None
+    assert sorted(calls) == ["_edge_lengths_arrays", "_min_margin_cut", "_min_margin_cut",
+                             "_subset_lower_bounds", "_subset_lower_bounds",
+                             "extended_angles_batch"]
 
 
 @pytest.mark.parametrize(
@@ -773,21 +791,28 @@ def test_cli_check_without_curvature_bounds(workdir, capsys, overrides):
     assert report["curvature_bounds"] is None
     assert report["zero_curvature_necessary"]["verdict"] is False
     assert "curvature bounds" not in capsys.readouterr().out
-    # The whole report, byte for byte, against the scalar bound per subset.
+    # The whole report, byte for byte, against the scalar bound per subset:
+    # by default V alone, whose margin -4 pi is the least; with a cap, every
+    # subset of at most 3 vertices.
     parsed = load_surface(workdir / "t.json")
-    records = []
-    for size in (1, 2, 3):
-        for subset in itertools.combinations(range(4), size):
+    assert main(["check", "t.json", "--subset-cap", "3", "--report", "capped.json"]) == 0
+    for path, subsets in (("check.json", [range(4)]),
+                          ("capped.json", [c for size in (1, 2, 3)
+                                           for c in itertools.combinations(range(4), size)])):
+        records = []
+        for subset in subsets:
             bound = subset_lower_bound(parsed.complex, parsed.inversive, subset)
             records.append({"subset": list(subset), "bound": bound, "observed": 0.0,
                             "margin": 0.0 - bound})
-    expected = {
-        "format": 1,
-        "subset_count": len(records),
-        "zero_curvature_necessary": {"verdict": False, "records": records},
-        "curvature_bounds": None,
-    }
-    assert text == json.dumps(expected) + "\n"
+        scope = ({"subset_count": len(records)} if path == "capped.json"
+                 else {"subsets": json.loads(text)["subsets"]})
+        expected = {
+            "format": 1,
+            **scope,
+            "zero_curvature_necessary": {"verdict": False, "records": records},
+            "curvature_bounds": None,
+        }
+        assert (workdir / path).read_text(encoding="utf-8") == json.dumps(expected) + "\n"
 
 
 @pytest.mark.parametrize(

@@ -35,7 +35,7 @@ from cpflow import (
 from cpflow import cli, obstructions
 from cpflow.angles import clamped_arccos
 from cpflow.cli import main
-from cpflow.io import load_surface, save_surface, write_check_report
+from cpflow.io import load_subsets, load_surface, save_surface, write_check_report
 
 from conftest import flip_edges, random_admissible_metric
 
@@ -139,18 +139,26 @@ def test_bounds_on_flipped_surfaces_are_the_paper_form(base):
         _assert_paper_form(complex, rng.uniform(0.0, 5.0, complex.edge_count), subsets)
 
 
-def test_the_bound_of_every_vertex_is_two_pi_chi():
+def test_the_bound_of_every_vertex_is_two_pi_chi(tmp_path):
     # With A = V every face has three members, so the shares add to pi F
-    # whatever the inversive distances, and 2 pi N - pi F = 2 pi chi.
+    # whatever the inversive distances, and 2 pi N - pi F = 2 pi chi: the
+    # rule states it as Gauss-Bonnet's 2 pi chi exactly, and a subsets file
+    # may list V.
     rng = np.random.default_rng(5)
     surfaces = COMPLEXES + [icosahedron()] + [
         build_complex(flip_edges(base.faces, rng, base.face_count)) for base in COMPLEXES[2:]]
     for complex in surfaces:
-        everything = (np.arange(complex.vertex_count)[None, :],)
+        n, two_pi_chi = complex.vertex_count, 2.0 * np.pi * complex.euler_characteristic
+        everything = (np.arange(n)[None, :],)
         for inversive in (np.zeros(complex.edge_count), rng.uniform(0.0, 5.0, complex.edge_count)):
             bound = obstructions._subset_lower_bounds(complex, inversive, everything)
-            assert bound.shape == (1,)
-            assert abs(bound[0] - 2.0 * np.pi * complex.euler_characteristic) <= 1e-12
+            assert bound.tolist() == [two_pi_chi]
+            assert subset_lower_bound(complex, inversive, range(n)) == two_pi_chi
+            weight = np.pi - clamped_arccos(inversive)
+            assert abs(_paper_bound(complex, weight, range(n)) - two_pi_chi) <= 1e-12
+        path = tmp_path / "subsets.json"
+        path.write_text(json.dumps({"format": 1, "subsets": [list(range(n))[::-1], [0]]}))
+        assert load_subsets(path, n) == [frozenset(range(n)), frozenset({0})]
 
 
 def test_observed_sums_equal_per_subset_sums():
@@ -212,8 +220,9 @@ def _combinations_order(n, top):
 
 @pytest.mark.parametrize(
     "name, options, stride",
-    [("tetra", (), 1), ("octa", (), 1), ("genus2", (), 331), ("genus2", ("--subset-cap", "3"), 1),
-     ("torus5", (), 13), ("genus2", ("--subsets-file",), 1)],
+    [("tetra", ("--subset-cap", "3"), 1), ("octa", ("--subset-cap", "5"), 1),
+     ("genus2", ("--subset-cap", "14"), 331), ("genus2", ("--subset-cap", "3"), 1),
+     ("torus5", ("--subset-cap", "3"), 13), ("genus2", ("--subsets-file",), 1)],
     ids=["tetra", "octa", "genus2", "genus2-cap3", "torus5", "genus2-file"],
 )
 def test_check_report_equals_per_subset_reference(tmp_path, name, options, stride):
@@ -233,8 +242,7 @@ def test_check_report_equals_per_subset_reference(tmp_path, name, options, strid
         options = ("--subsets-file", str(path))
         order = [sorted(s) for s in order]
     else:
-        top = int(options[1]) if options else (n - 1 if n <= 16 else 3)
-        order = _combinations_order(n, top)
+        order = _combinations_order(n, int(options[1]))
     text, parsed, report = _check_report(tmp_path, complex, metric, *options)
     values = curvature(parsed.complex, parsed.require_metric()).values
     doc = json.loads(text)
@@ -305,3 +313,105 @@ def test_cli_check_builds_no_subset_records(tmp_path, genus2, rng, monkeypatch):
     # The report's records view does build them, so the patch would see a fallback.
     assert len(report.records) == 120 and built == []
     assert report.records[0].subset == (0,) and len(built) == 120
+
+
+# ---------------------------------------------------------------------------
+# The default check: every nonempty subset, decided by one maximum flow
+# ---------------------------------------------------------------------------
+
+def _brute_force(complex, inversive):
+    """Every nonempty subset, V last, with a function giving each one's
+    margin sum_A K - bound(A) for curvatures K; the bounds are the
+    face-count rule's, which ``subset_lower_bound`` applies to one subset."""
+    n = complex.vertex_count
+    matrices = obstructions._size_matrices(n, n - 1)
+    bounds = np.append(obstructions._subset_lower_bounds(complex, inversive, matrices),
+                       subset_lower_bound(complex, inversive, range(n)))
+    subsets = [row for m in matrices for row in m.tolist()] + [list(range(n))]
+
+    def margins(values):
+        sums = [values[m].sum(axis=1) for m in matrices] + [[values.sum()]]
+        return np.concatenate(sums) - bounds
+
+    return subsets, margins
+
+
+@pytest.mark.parametrize("base", [tetrahedron(), octahedron(), icosahedron(), genus2_surface(),
+                                  triangulated_torus(3, 3), triangulated_torus(4, 4), "flipped"],
+                         ids=["tetra", "octa", "icosa", "genus2", "torus3", "torus4", "flipped"])
+def test_min_margin_cut_equals_brute_force(base):
+    # On K = 0, on the curvature of an admissible metric and on K drawn
+    # from [-2 pi, 2 pi], the flow's least margin is min(0, the least of
+    # all 2^N - 1 margins) and, where one subset attains it and some margin
+    # is negative, the flow's witness is that subset; where every margin is
+    # positive the witness is empty.
+    rng = np.random.default_rng(2004)
+    surfaces = [base] if base != "flipped" else [
+        build_complex(flip_edges(b.faces, rng, b.face_count)) for b in (icosahedron(), genus2_surface())]
+    for complex in surfaces:
+        n = complex.vertex_count
+        metric = random_admissible_metric(complex, rng, inversive_range=(0.0, 2.0))
+        subsets, margins_of = _brute_force(complex, metric.inversive)
+        for values in (np.zeros(n), curvature(complex, metric).values,
+                       *rng.uniform(-2.0 * np.pi, 2.0 * np.pi, (2, n))):
+            margins = margins_of(values)
+            least, witness = obstructions._min_margin_cut(complex, metric.inversive, values)
+            assert abs(least - min(0.0, margins.min())) <= 1e-12
+            ranked = np.sort(margins)
+            if ranked[0] > 1e-9:
+                assert witness == []
+            elif ranked[0] < -1e-9 and ranked[1] - ranked[0] > 1e-9:
+                assert witness == subsets[int(margins.argmin())]
+
+
+@pytest.mark.parametrize("size", [3, 20])
+def test_a_torus_at_zero_curvature_has_witness_v(size):
+    # Gauss-Bonnet makes margin(V) = 0 at K = 0 on a torus, a tie with the
+    # empty set that rounding in the flow must not hide: the witness is V,
+    # and the default report says False with V its one record.
+    torus = triangulated_torus(size, size)
+    rng = np.random.default_rng(size)
+    inversive = rng.uniform(0.0, 1.0, torus.edge_count)
+    least, witness = obstructions._min_margin_cut(torus, inversive, np.zeros(size * size))
+    assert abs(least) <= 1e-12 and witness == list(range(size * size))
+    report = check_zero_curvature_obstructions(torus, inversive)
+    assert not report.verdict
+    assert [(r.subset, r.bound, r.margin) for r in report.records] == [
+        (tuple(range(size * size)), 0.0, 0.0)]
+
+
+def test_decided_report_records_the_witness_then_v(genus2):
+    # Each record's bound is the face-count rule's and its sum the
+    # curvatures', so the verdict rests on them and not on the flow's value.
+    rng = np.random.default_rng(35)
+    inversive = rng.uniform(0.0, 1.0, genus2.edge_count)
+    everything = tuple(range(genus2.vertex_count))
+    for _ in range(5):
+        values = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, genus2.vertex_count)
+        _, witness = obstructions._min_margin_cut(genus2, inversive, values)
+        report = obstructions._decided_report(genus2, inversive, values)
+        expected = [tuple(witness), everything] if witness and len(witness) < 15 else [everything]
+        assert report.decided and [r.subset for r in report.records] == expected
+        for record in report.records:
+            assert record.bound == subset_lower_bound(genus2, inversive, record.subset)
+            assert record.observed == float(values[list(record.subset)].sum())
+        assert report.verdict == all(r.margin > 0 for r in report.records)
+
+
+def test_default_check_of_a_torus_40_by_40_passes(tmp_path):
+    # 1,600 vertices: the enumeration of subsets of up to 3 vertices would
+    # build a 682,240,800-row member matrix; the flow decides all subsets.
+    torus = triangulated_torus(40, 40)
+    rng = np.random.default_rng(40)
+    metric = random_admissible_metric(torus, rng, radius_range=(0.5, 2.0),
+                                      inversive_range=(0.0, 1.0))
+    text, parsed, _ = _check_report(tmp_path, torus, metric)
+    doc = json.loads(text)
+    everything = list(range(1600))
+    zero, bounds = doc["zero_curvature_necessary"], doc["curvature_bounds"]
+    assert doc["subsets"].startswith("every nonempty subset, V included")
+    assert zero == {"verdict": False, "records": [
+        {"subset": everything, "bound": 0.0, "observed": 0.0, "margin": 0.0}]}
+    values = curvature(parsed.complex, parsed.require_metric()).values
+    assert bounds["verdict"] is True and [r["subset"] for r in bounds["records"]] == [everything]
+    assert bounds["records"][0]["observed"] == float(values.sum()) > 0.0

@@ -104,7 +104,12 @@ def test_enumerate_subsets_counts(tetra, octa):
 
 def test_curvature_bounds_tetrahedron(tetra):
     metric = PackingMetric(HYP, np.zeros(6), np.ones(4))
-    report = check_curvature_bounds(tetra, metric)
+    # by default every nonempty subset is decided, and V alone is recorded:
+    # its bound is Gauss-Bonnet's 2 pi chi = 4 pi
+    decided = check_curvature_bounds(tetra, metric)
+    assert decided.verdict and decided.decided
+    assert [(r.subset, r.bound) for r in decided.records] == [((0, 1, 2, 3), 4 * np.pi)]
+    report = check_curvature_bounds(tetra, metric, subset_cap=3)
     assert len(report.records) == 14
     assert report.verdict
     assert all(record.margin > 0 for record in report.records)
@@ -116,9 +121,11 @@ def test_curvature_bounds_tetrahedron(tetra):
 def test_curvature_bounds_random_metrics(octa, rng):
     for _ in range(10):
         metric = random_admissible_metric(octa, rng)
-        report = check_curvature_bounds(octa, metric)
+        report = check_curvature_bounds(octa, metric, subset_cap=5)
         assert report.verdict
         assert len(report.records) == 62
+        decided = check_curvature_bounds(octa, metric)
+        assert decided.verdict and [r.subset for r in decided.records] == [tuple(range(6))]
 
 
 def test_curvature_bounds_genus2_capped(genus2, rng):
@@ -161,7 +168,11 @@ def test_closure_inequality_unrestricted(tetra, rng):
 def test_zero_curvature_necessary_tetrahedron(tetra):
     # the three-vertex subsets have empty links and positive bounds, so the
     # necessary condition fails: no admissible zero-curvature metric exists
-    report = check_zero_curvature_obstructions(tetra, np.ones(6))
+    decided = check_zero_curvature_obstructions(tetra, np.ones(6))
+    assert not decided.verdict
+    # V has the least margin, -4 pi, so it is the witness and the one record
+    assert [(r.subset, r.margin) for r in decided.records] == [((0, 1, 2, 3), -4 * np.pi)]
+    report = check_zero_curvature_obstructions(tetra, np.ones(6), subset_cap=3)
     assert not report.verdict
     failing = [r for r in report.records if r.margin <= 0]
     assert {r.subset for r in failing} >= {(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)}
@@ -171,14 +182,18 @@ def test_zero_curvature_necessary_tetrahedron(tetra):
     assert singleton.margin > 0
 
 
-def test_default_subsets_above_the_exhaustive_limit(rng):
-    # torus 6x6 has 36 vertices, above the limit of 16, so the default
-    # enumerates the subsets of at most DEFAULT_SUBSET_CAP = 3 vertices
+def test_default_check_gives_a_torus_false_with_witness_v(rng):
+    # A = V is Gauss-Bonnet: on a torus its bound 2 pi chi is 0, so K = 0
+    # has margin 0 there, and the default check, decided over every
+    # nonempty subset, says False with V as its one record.  The subsets
+    # of at most 3 vertices, which leave V out, all pass.
     torus = triangulated_torus(6, 6)
     inversive = rng.uniform(0.0, 3.0, torus.edge_count)
     report = check_zero_curvature_obstructions(torus, inversive)
-    assert len(report.records) == 7806
-    assert report == check_zero_curvature_obstructions(torus, inversive, subset_cap=3)
+    assert not report.verdict and report.decided
+    assert [(r.subset, r.bound, r.margin) for r in report.records] == [(tuple(range(36)), 0.0, 0.0)]
+    capped = check_zero_curvature_obstructions(torus, inversive, subset_cap=3)
+    assert len(capped.records) == 7806 and capped.verdict and not capped.decided
 
 
 def test_explicit_subsets_refuse_a_cap_and_an_empty_list(octa):

@@ -263,5 +263,5 @@ def test_load_subsets_parses_or_raises_parse_error(tmp_path_factory, doc):
     except ParseError:
         return
     assert subsets and all(type(s) is frozenset for s in subsets)
-    assert all(0 < len(s) < _N_VERTICES for s in subsets)
+    assert all(0 < len(s) <= _N_VERTICES for s in subsets)  # V is a subset too
     assert all(type(v) is int and 0 <= v < _N_VERTICES for s in subsets for v in s)
