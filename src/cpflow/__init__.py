@@ -68,7 +68,6 @@ from .obstructions import (
     check_curvature_bounds,
     check_zero_curvature_obstructions,
     degeneration_limit_table,
-    enumerate_subsets,
     subset_lower_bound,
     triangle_from_angles,
 )

@@ -38,8 +38,10 @@ from .io import (
     write_trace_csv,
     write_trace_json,
 )
-from .obstructions import _decided_report, _with_observed, check_zero_curvature_obstructions
-from .packing import Background, from_u, to_u
+from .obstructions import (
+    _capped_report, _decided_report, _with_observed, check_zero_curvature_obstructions,
+)
+from .packing import Background, check_inversive, from_u, to_u
 from .potential import PotentialContext, newton_solve
 
 _EXIT_OK = 0
@@ -153,6 +155,8 @@ def _cmd_flow(args, run: _Run) -> int:
     settings = {dest: getattr(args, dest) for dest in _FLOW_SETTINGS}
     run.config = {"target_file": args.target_file, **settings}
     config = FlowConfig(target=target, **{_FLOW_SETTINGS[d]: v for d, v in settings.items()})
+    # The trace potential reaches no output but a trace file.
+    config.record_potential = config.record_potential and bool(args.trace or args.trace_json)
 
     result = run_flow(surface.complex, surface.inversive, to_u(metric), config)
     run.status = result.status
@@ -220,9 +224,13 @@ def _cmd_check(args, run: _Run) -> int:
     if args.subsets_file:
         subsets = load_subsets(args.subsets_file, surface.complex.vertex_count)
 
-    zero_report = check_zero_curvature_obstructions(
-        surface.complex, surface.inversive, subsets, args.subset_cap
-    )
+    if args.subset_cap is None:
+        zero_report = check_zero_curvature_obstructions(surface.complex, surface.inversive, subsets)
+    else:  # the capped builder takes checked distances; their refusal comes first
+        inversive = check_inversive(surface.inversive, surface.complex)
+        if subsets is not None:
+            raise ConfigError("give explicit subsets or a subset cap, not both")
+        zero_report = _capped_report(surface.complex, inversive, args.subset_cap)
 
     # The bounds report, for an admissible hyperbolic metric only, is the
     # zero report with observed sums, or for a decided report its own flow's.
@@ -234,7 +242,7 @@ def _cmd_check(args, run: _Run) -> int:
             bounds_report = (_decided_report(surface.complex, surface.inversive, curv.values)
                              if zero_report.decided else _with_observed(zero_report, curv.values))
 
-    checked = "all nonempty" if zero_report.decided else len(zero_report.records)
+    checked = "all nonempty" if zero_report.decided else len(zero_report.bounds)
     print(f"subsets checked            {checked}")
     print(f"zero-curvature necessary   {zero_report.verdict}")
     if bounds_report is not None:

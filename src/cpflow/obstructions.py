@@ -20,7 +20,7 @@ one face-count rule of ``subset_lower_bound``, and observed sums as arrays;
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, combinations
@@ -95,9 +95,11 @@ class ObstructionReport:
     def verdict(self) -> bool:
         return bool((self.margins > 0).all())
 
-    @property
-    def records(self) -> _Records:
-        return _Records(self)
+    @cached_property
+    def records(self) -> tuple:
+        """The report's entries as ``SubsetRecord``s, built on first read."""
+        return tuple(map(SubsetRecord, map(tuple, self.subset_lists()), self.bounds.tolist(),
+                         self.observed.tolist()))
 
     def subset_lists(self) -> list:
         """Each subset's sorted members as a list, in report order."""
@@ -105,47 +107,10 @@ class ObstructionReport:
         return [rows[i] for i in self.order.tolist()]
 
     def __eq__(self, other):
-        return isinstance(other, ObstructionReport) and list(self.records) == list(other.records)
-
-
-class _Records(Sequence):
-    """A report's subsets as ``SubsetRecord``s, built on first access."""
-
-    def __init__(self, report: ObstructionReport):
-        self._report = report
-
-    def __len__(self) -> int:
-        return len(self._report.bounds)
-
-    def __getitem__(self, index):
-        return self._built[index]
-
-    @cached_property
-    def _built(self) -> tuple:
-        r = self._report
-        return tuple(map(SubsetRecord, map(tuple, r.subset_lists()), r.bounds.tolist(),
-                         r.observed.tolist()))
-
-
-def _size_matrices(n: int, cap) -> tuple:
-    """Proper subsets of n vertices with 1 .. cap members: a matrix of sorted members
-    per size, rows in ``combinations`` order (ConfigError unless cap is an integer >= 1)."""
-    if not _is_integer(cap):
-        raise ConfigError(f"subset cap must be an integer, got {cap!r}")
-    if cap < 1:
-        raise ConfigError(f"subset cap must be at least 1, got {cap}")
-    return tuple(
-        np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64).reshape(-1, k)
-        for k in range(1, min(cap, n - 1) + 1))
-
-
-def enumerate_subsets(
-    complex: SurfaceComplex, max_size: int | None = None
-) -> list[frozenset]:
-    """Nonempty proper vertex subsets, optionally capped by size."""
-    n = complex.vertex_count
-    matrices = _size_matrices(n, n - 1 if max_size is None else max_size)
-    return [frozenset(row) for members in matrices for row in members.tolist()]
+        return (isinstance(other, ObstructionReport)
+                and self.subset_lists() == other.subset_lists()
+                and self.bounds.tolist() == other.bounds.tolist()
+                and self.observed.tolist() == other.observed.tolist())
 
 
 def subset_lower_bound(
@@ -314,54 +279,68 @@ def _listed_report(complex: SurfaceComplex, inversive: np.ndarray, subsets) -> O
     return ObstructionReport(matrices, order, bounds, np.zeros(len(bounds)))
 
 
+def enumerate_subsets(n: int, cap) -> tuple:
+    """The proper subsets of n vertices with 1 .. cap members, for
+    ``_capped_report`` alone: a matrix of sorted members per size, rows in
+    ``combinations`` order (ConfigError unless cap is an integer >= 1).
+    ``bench/tracing.py`` times the enumeration under this name."""
+    if not _is_integer(cap):
+        raise ConfigError(f"subset cap must be an integer, got {cap!r}")
+    if cap < 1:
+        raise ConfigError(f"subset cap must be at least 1, got {cap}")
+    return tuple(
+        np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64).reshape(-1, k)
+        for k in range(1, min(cap, n - 1) + 1))
+
+
+def _capped_report(complex: SurfaceComplex, inversive: np.ndarray, cap) -> ObstructionReport:
+    """``cpflow check --subset-cap``'s zero-curvature report, on checked
+    inversive distances: every proper subset of at most ``cap`` members, as
+    a subsets file listing them size by size in ``combinations`` order gives."""
+    matrices = enumerate_subsets(complex.vertex_count, cap)
+    bounds = _subset_lower_bounds(complex, inversive, matrices)
+    return ObstructionReport(matrices, np.arange(len(bounds)), bounds, np.zeros(len(bounds)))
+
+
 def check_curvature_bounds(
     complex: SurfaceComplex,
     metric: PackingMetric,
     subsets: Iterable[Iterable[int]] | None = None,
-    subset_cap: int | None = None,
 ) -> ObstructionReport:
     """Verify the strict subset bounds for an admissible hyperbolic metric.
 
     Holds for every admissible metric with inversive distances >= 0; a
     nonpositive margin therefore signals a bug, not a property of the
-    metric.  Without subsets or a cap the report is decided over every
-    nonempty subset, as in ``check_zero_curvature_obstructions``.
+    metric.  Without subsets the report is decided over every nonempty
+    subset, as in ``check_zero_curvature_obstructions``.
     """
     if metric.background is not Background.HYPERBOLIC:
         raise ConfigError("the subset bounds are proved in hyperbolic background")
     check_inversive(metric.inversive, complex)
     curv = curvature(complex, metric)  # raises NotAdmissibleError if outside
-    if subsets is None and subset_cap is None:
+    if subsets is None:
         return _decided_report(complex, metric.inversive, curv.values)
-    zero = check_zero_curvature_obstructions(complex, metric.inversive, subsets, subset_cap)
-    return _with_observed(zero, curv.values)
+    return _with_observed(_listed_report(complex, metric.inversive, subsets), curv.values)
 
 
 def check_zero_curvature_obstructions(
     complex: SurfaceComplex,
     inversive: np.ndarray,
     subsets: Iterable[Iterable[int]] | None = None,
-    subset_cap: int | None = None,
 ) -> ObstructionReport:
     """Necessary condition for a zero-curvature metric to exist.
 
     Checks sum over Lk(A) of (pi - L(I_e)) > 2 pi chi(F_A) for each
     subset, i.e. every subset bound is negative: the explicit subsets, or
-    the proper subsets of at most ``subset_cap`` members, or else every
-    nonempty subset, A = V included, decided by one maximum flow.  A False
-    verdict proves no admissible zero-curvature metric exists; a True
-    verdict proves nothing (the conditions are necessary only).
+    else every nonempty subset, A = V included, decided by one maximum
+    flow.  A False verdict proves no admissible zero-curvature metric
+    exists; a True verdict proves nothing (the conditions are necessary
+    only).
     """
     inversive = check_inversive(inversive, complex)
-    if subsets is not None and subset_cap is not None:
-        raise ConfigError("give explicit subsets or a subset cap, not both")
-    if subsets is not None:
-        return _listed_report(complex, inversive, subsets)
-    if subset_cap is None:
+    if subsets is None:
         return _decided_report(complex, inversive, np.zeros(complex.vertex_count))
-    matrices = _size_matrices(complex.vertex_count, subset_cap)
-    bounds = _subset_lower_bounds(complex, inversive, matrices)
-    return ObstructionReport(matrices, np.arange(len(bounds)), bounds, np.zeros(len(bounds)))
+    return _listed_report(complex, inversive, subsets)
 
 
 @dataclass(frozen=True)

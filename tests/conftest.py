@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -49,6 +51,14 @@ def torus():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240911)
+
+
+def proper_subsets(n, cap=None):
+    """The nonempty proper subsets of n vertices with at most ``cap``
+    members (all of them without a cap), size by size in ``combinations``
+    order: the order of ``cpflow check --subset-cap``."""
+    top = n - 1 if cap is None else cap
+    return [c for size in range(1, top + 1) for c in itertools.combinations(range(n), size)]
 
 
 def random_metric(complex, rng, background=Background.HYPERBOLIC,

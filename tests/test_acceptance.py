@@ -42,7 +42,6 @@ from cpflow import (
 from cpflow.angles import angle_jacobians_batch
 from cpflow.cli import main as cli_main
 from cpflow.io import save_surface, save_target
-from cpflow.obstructions import enumerate_subsets
 from cpflow.packing import (
     UCoords,
     _metric_edge_arrays,
@@ -53,7 +52,7 @@ from cpflow.packing import (
 )
 from cpflow.potential import PotentialContext
 
-from conftest import angle_jacobian_blocks
+from conftest import angle_jacobian_blocks, proper_subsets
 
 HYP = Background.HYPERBOLIC
 EUC = Background.EUCLIDEAN
@@ -328,7 +327,7 @@ def test_criterion_07_obstruction_suite(genus2):
         start = time.perf_counter()
         rng = np.random.default_rng(707)
         for complex, expected in ((tetrahedron(), 14), (octahedron(), 62)):
-            subsets = enumerate_subsets(complex)
+            subsets = proper_subsets(complex.vertex_count)
             assert len(subsets) == expected
             produced = 0
             while produced < 50:

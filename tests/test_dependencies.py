@@ -6,13 +6,15 @@ which faces are degenerate, only the curvature module sums its angle
 Jacobians into dK/du, only its curvature evaluator runs the per-vertex and
 per-edge stages without their refusal screens, only one output helper
 opens a file to write, the subset bounds have one rule, u-space ends
-where ``packing._u_domain`` says, and the one maximum flow,
+where ``packing._u_domain`` says, the one maximum flow,
 ``obstructions._min_margin_cut``, decides the default check without a
-member matrix."""
+member matrix, and the subset cap is the CLI's alone."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -271,7 +273,7 @@ def test_the_max_flow_has_one_home(tmp_path, monkeypatch):
     # obstructions._min_margin_cut is the one maximum flow: no other code
     # under src/ names a sink or Dinic's algorithm, and only
     # _decided_report calls it.  The default check and check_curvature_bounds
-    # decide every subset without _size_matrices, so no member matrix of
+    # decide every subset without enumerate_subsets, so no member matrix of
     # all subsets up to some size is built, and the retired enumeration
     # limits are gone.
     paths = sorted((ROOT / "src/cpflow").glob("*.py"))
@@ -292,7 +294,7 @@ def test_the_max_flow_has_one_home(tmp_path, monkeypatch):
     def refused(*args):
         raise AssertionError("the default check built a member matrix")
 
-    monkeypatch.setattr(obstructions, "_size_matrices", refused)
+    monkeypatch.setattr(obstructions, "enumerate_subsets", refused)
     genus2 = genus2_surface()
     metric = PackingMetric(Background.HYPERBOLIC, np.ones(genus2.edge_count),
                            np.ones(genus2.vertex_count))
@@ -301,3 +303,44 @@ def test_the_max_flow_has_one_home(tmp_path, monkeypatch):
     save_surface(surface, genus2, metric.background, metric.inversive, metric.radii)
     assert main(["check", str(surface), "--report", str(tmp_path / "check.json"),
                  "--manifest", str(tmp_path / "manifest.json")]) == 0
+
+
+def _public_signatures():
+    """(qualified name, parameter names) of every public function, and of
+    each public method and ``__init__`` of a public class, that the package's
+    modules define."""
+    for path in sorted((ROOT / "src/cpflow").glob("*.py")):
+        module = importlib.import_module("cpflow" if path.stem == "__init__" else f"cpflow.{path.stem}")
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = [(name, value)] if inspect.isfunction(value) else []
+            if inspect.isclass(value):
+                members += [(f"{name}.{attr}", member) for attr, member in vars(value).items()
+                            if inspect.isfunction(member)
+                            and (attr == "__init__" or not attr.startswith("_"))]
+            for qualified, member in members:
+                yield f"{module.__name__}.{qualified}", list(inspect.signature(member).parameters)
+
+
+def test_the_subset_cap_is_the_clis_alone():
+    # The library checks listed subsets or decides every one.  The subsets
+    # of `cpflow check --subset-cap` are built by one private builder, which
+    # only the CLI calls and which alone calls enumerate_subsets, no longer
+    # exported; the CLI counts checked subsets by the bounds column, so it
+    # never builds a report's records, and no records view class is left.
+    signatures = dict(_public_signatures())
+    assert "cpflow.obstructions.check_zero_curvature_obstructions" in signatures
+    assert "cpflow.obstructions.ObstructionReport.__init__" in signatures
+    assert {name: params for name, params in signatures.items() if "subset_cap" in params} == {}
+    paths = sorted((ROOT / "src/cpflow").glob("*.py"))
+    builders = {"_capped_report", "enumerate_subsets"}
+    callers = {(path.name, *call) for path in paths for call in _calls(path, builders)}
+    assert callers == {("cli.py", "_cmd_check", "_capped_report"),
+                       ("obstructions.py", "_capped_report", "enumerate_subsets")}
+    assert "enumerate_subsets" not in _borrowed_names(ROOT / "src/cpflow/__init__.py")
+    assert sorted(w for path in paths for w in _words(path) if w == "_records") == []
+    cli = ast.parse((ROOT / "src/cpflow/cli.py").read_text(encoding="utf-8"))
+    check = next(node for node in cli.body if getattr(node, "name", None) == "_cmd_check")
+    assert [node.lineno for node in ast.walk(check)
+            if isinstance(node, ast.Attribute) and node.attr == "records"] == []

@@ -36,7 +36,7 @@ from cpflow.io import (
     write_trace_json,
 )
 
-from conftest import flip_edges
+from conftest import flip_edges, proper_subsets, random_admissible_metric
 
 HYP = Background.HYPERBOLIC
 
@@ -577,6 +577,32 @@ def test_trace_json_is_the_dumped_document_held_about_one_sample_at_a_time(tmp_p
     assert (tmp_path / "empty.json").read_text() == json.dumps({**doc, "samples": []}) + "\n"
 
 
+@pytest.mark.parametrize("outputs, recorded", [
+    ([], False), (["--trace", "t.csv"], True), (["--trace-json", "t.json"], True),
+    (["--trace", "t.csv", "--no-potential"], False)], ids=["none", "csv", "json", "no-potential"])
+def test_cli_flow_records_the_potential_for_a_trace_file_only(workdir, monkeypatch, capsys,
+                                                              outputs, recorded):
+    # Only a trace file shows the potential, so the run skips its quadrature
+    # without one; the manifest echoes the option as given, and the printed
+    # line and the final radii are those of a run that records it.
+    configs = []
+
+    def kept(complex, inversive, u0, config):
+        configs.append(config.record_potential)
+        return run_flow(complex, inversive, u0, config)
+
+    monkeypatch.setattr(cli_module, "run_flow", kept)
+    _write(workdir / "s.json", _tetra_doc(inversive=1.0))
+    assert main(["flow", "s.json", "--max-time", "2", "--radii-out", "r0.json"]) in (0, 4)
+    printed = capsys.readouterr().out
+    assert main(["flow", "s.json", "--max-time", "2", "--radii-out", "r.json", *outputs]) in (0, 4)
+    assert configs == [False, recorded]
+    assert capsys.readouterr().out == printed
+    assert (workdir / "r.json").read_bytes() == (workdir / "r0.json").read_bytes()
+    manifest = json.loads((workdir / "s.flow.manifest.json").read_text())
+    assert manifest["config"]["record_potential"] is ("--no-potential" not in outputs)
+
+
 def test_cli_flow_classical_exit(workdir):
     doc = _tetra_doc(
         inversive={"default": 0.0, "edges": [{"edge": [2, 3], "value": 3.0}]},
@@ -735,6 +761,45 @@ def test_cli_check_refuses_a_cap_with_a_subsets_file(workdir, capsys):
     assert not (workdir / "check.json").exists()
     manifest = json.loads((workdir / "t.check.manifest.json").read_text())
     assert manifest["status"].startswith("config_error:")
+
+
+def test_cli_check_cap_equals_its_subsets_file_in_combinations_order(workdir, capsys, genus2):
+    # `--subset-cap N` checks what a subsets file listing the proper subsets
+    # of at most N vertices, size by size in combinations order, checks: the
+    # reports and the printed lines are the same bytes.
+    metric = random_admissible_metric(genus2, np.random.default_rng(36), radius_range=(0.5, 2.0),
+                                      inversive_range=(0.0, 1.0))
+    save_surface(workdir / "g.json", genus2, HYP, metric.inversive, metric.radii)
+    _write(workdir / "s.json", {"format": 1, "subsets": proper_subsets(15, 3)})
+    assert main(["check", "g.json", "--subset-cap", "3", "--report", "capped.json"]) == 0
+    capped = capsys.readouterr().out
+    assert main(["check", "g.json", "--subsets-file", "s.json", "--report", "listed.json"]) == 0
+    assert capsys.readouterr().out == capped and "subsets checked            575\n" in capped
+    report = (workdir / "capped.json").read_bytes()
+    assert (workdir / "listed.json").read_bytes() == report
+    assert json.loads(report)["curvature_bounds"]["verdict"] is True
+
+
+def test_cli_check_refusals_come_in_order(workdir, capsys):
+    # A subsets file that does not parse, then inversive distances the
+    # bounds refuse, then a cap beside a subsets file, then a cap below 1.
+    _write(workdir / "bad.json", {"format": 1, "subsets": [["a"]]})
+    _write(workdir / "s.json", {"format": 1, "subsets": [[0]]})
+    _write(workdir / "neg.json", _tetra_doc(inversive=-0.5, permissive=True))
+    _write(workdir / "t.json", _tetra_doc(inversive=1.0))
+    cases = [
+        (["neg.json", "--subsets-file", "bad.json"], 2, "parse_error: "),
+        (["neg.json", "--subsets-file", "s.json"], 3,
+         "domain_error: negative inversive distances require permissive=True"),
+        (["t.json", "--subsets-file", "s.json"], 2,
+         "config_error: give explicit subsets or a subset cap, not both"),
+        (["t.json"], 2, "config_error: subset cap must be at least 1, got 0"),
+    ]
+    for argv, code, status in cases:
+        assert main(["check", *argv, "--subset-cap", "0", "--manifest", "m.json"]) == code
+        assert json.loads((workdir / "m.json").read_text())["status"].startswith(status)
+        assert capsys.readouterr().err.startswith("error: " + status.split(": ", 1)[1])
+    assert not list(workdir.glob("*.check.json"))
 
 
 def test_cli_check_computes_once(workdir, monkeypatch):

@@ -37,7 +37,7 @@ from cpflow.angles import clamped_arccos
 from cpflow.cli import main
 from cpflow.io import load_subsets, load_surface, save_surface, write_check_report
 
-from conftest import flip_edges, random_admissible_metric
+from conftest import flip_edges, proper_subsets, random_admissible_metric
 
 COMPLEXES = [tetrahedron(), octahedron(), genus2_surface()] + [
     triangulated_torus(n, n) for n in range(3, 8)
@@ -85,12 +85,12 @@ def test_batched_bounds_equal_scalar(case):
 def test_both_reports_equal_scalar_across_default_chunks(genus2, rng):
     # 1,940 subsets span several chunks at the default chunk size.
     metric = random_admissible_metric(genus2, rng, inversive_range=(0.0, 1.0))
-    subsets = obstructions.enumerate_subsets(genus2, max_size=4)
+    subsets = proper_subsets(15, 4)
     assert len(subsets) == 1940
     expected = [subset_lower_bound(genus2, metric.inversive, s) for s in subsets]
     for report in (
-        check_zero_curvature_obstructions(genus2, metric.inversive, subset_cap=4),
-        check_curvature_bounds(genus2, metric, subset_cap=4),
+        check_zero_curvature_obstructions(genus2, metric.inversive, subsets),
+        check_curvature_bounds(genus2, metric, subsets),
     ):
         assert [r.bound for r in report.records] == expected
 
@@ -113,7 +113,7 @@ def _assert_paper_form(complex, inversive, subsets):
 def test_every_bound_of_a_stock_sphere_is_the_paper_form(make):
     complex = make()
     rng = np.random.default_rng(complex.vertex_count)
-    subsets = obstructions.enumerate_subsets(complex)
+    subsets = proper_subsets(complex.vertex_count)
     _assert_paper_form(complex, rng.uniform(0.0, 5.0, complex.edge_count), subsets)
 
 
@@ -197,7 +197,8 @@ def _reference_record(complex, inversive, values, subset):
 
 def _check_report(tmp_path, complex, metric, *options):
     """``cpflow check`` on a surface file of the metric: its report text,
-    the surface as parsed and the zero-curvature report the command built."""
+    the surface as parsed and the zero-curvature report the command built,
+    capped or not."""
     surface = tmp_path / "s.json"
     save_surface(surface, complex, metric.background, metric.inversive, metric.radii)
     report = tmp_path / "s.check.json"
@@ -205,17 +206,17 @@ def _check_report(tmp_path, complex, metric, *options):
             "--manifest", str(tmp_path / "s.manifest.json"), *options]
     built = []
 
-    def keep(*args):
-        built.append(check_zero_curvature_obstructions(*args))
-        return built[-1]
+    def keeping(build):
+        def keep(*args):
+            built.append(build(*args))
+            return built[-1]
+        return keep
 
-    with mock.patch.object(cli, "check_zero_curvature_obstructions", keep):
+    with mock.patch.object(cli, "check_zero_curvature_obstructions",
+                           keeping(check_zero_curvature_obstructions)), \
+            mock.patch.object(cli, "_capped_report", keeping(obstructions._capped_report)):
         assert main(argv) == 0
     return report.read_text(encoding="utf-8"), load_surface(surface), built[0]
-
-
-def _combinations_order(n, top):
-    return [list(c) for size in range(1, top + 1) for c in itertools.combinations(range(n), size)]
 
 
 @pytest.mark.parametrize(
@@ -242,12 +243,12 @@ def test_check_report_equals_per_subset_reference(tmp_path, name, options, strid
         options = ("--subsets-file", str(path))
         order = [sorted(s) for s in order]
     else:
-        order = _combinations_order(n, int(options[1]))
+        order = list(map(list, proper_subsets(n, int(options[1]))))
     text, parsed, report = _check_report(tmp_path, complex, metric, *options)
     values = curvature(parsed.complex, parsed.require_metric()).values
     doc = json.loads(text)
 
-    assert doc["subset_count"] == len(order) == len(report.records)
+    assert doc["subset_count"] == len(order) == len(report.bounds)
     sections = (doc["zero_curvature_necessary"], doc["curvature_bounds"])
     for section in sections:
         assert [r["subset"] for r in section["records"]] == order
@@ -309,10 +310,11 @@ def test_cli_check_builds_no_subset_records(tmp_path, genus2, rng, monkeypatch):
                                       inversive_range=(0.0, 1.0))
     text, _, report = _check_report(tmp_path, genus2, metric, "--subset-cap", "2")
     assert json.loads(text)["curvature_bounds"] is not None
-    assert built == []
-    # The report's records view does build them, so the patch would see a fallback.
-    assert len(report.records) == 120 and built == []
+    assert built == [] and len(report.bounds) == 120
+    # The report's records do build them, once, on first read, so the
+    # patch would see a fallback.
     assert report.records[0].subset == (0,) and len(built) == 120
+    assert report.records is report.records and len(built) == 120
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +326,7 @@ def _brute_force(complex, inversive):
     margin sum_A K - bound(A) for curvatures K; the bounds are the
     face-count rule's, which ``subset_lower_bound`` applies to one subset."""
     n = complex.vertex_count
-    matrices = obstructions._size_matrices(n, n - 1)
+    matrices = tuple(np.array(list(itertools.combinations(range(n), k))) for k in range(1, n))
     bounds = np.append(obstructions._subset_lower_bounds(complex, inversive, matrices),
                        subset_lower_bound(complex, inversive, range(n)))
     subsets = [row for m in matrices for row in m.tolist()] + [list(range(n))]

@@ -30,7 +30,6 @@ import cpflow.obstructions as obstructions_module
 import cpflow.potential as potential_module
 from cpflow.angles import extended_angles_batch
 from cpflow.complexes import _DOUBLE_TRIANGLE
-from cpflow.obstructions import enumerate_subsets
 from cpflow.packing import (
     UCoords,
     _edge_lengths_arrays,
@@ -40,7 +39,7 @@ from cpflow.packing import (
 )
 from cpflow.potential import PotentialContext
 
-from conftest import random_admissible_metric, random_metric
+from conftest import proper_subsets, random_admissible_metric, random_metric
 
 HYP = Background.HYPERBOLIC
 
@@ -90,16 +89,24 @@ def test_subset_bounds_refuse_bad_inputs(tetra, entry, inversive, subset, error)
         entry(tetra, inversive, subset)
 
 
-def test_enumerate_subsets_counts(tetra, octa):
-    assert len(enumerate_subsets(tetra)) == 2**4 - 2 == 14
-    assert len(enumerate_subsets(octa)) == 2**6 - 2 == 62
+def _enumerated(n, cap):
+    """The rows of ``enumerate_subsets``' member matrices, in turn."""
+    return [row for members in obstructions_module.enumerate_subsets(n, cap)
+            for row in members.tolist()]
+
+
+def test_enumerate_subsets_counts():
+    # The subsets of `cpflow check --subset-cap`: every proper subset of at
+    # most cap vertices.
+    assert len(_enumerated(4, 3)) == 2**4 - 2 == 14
+    assert len(_enumerated(6, 5)) == len(_enumerated(6, 9)) == 2**6 - 2 == 62
     brute = [
         frozenset(c)
         for size in range(1, 6)
         for c in itertools.combinations(range(6), size)
     ]
-    assert sorted(map(sorted, enumerate_subsets(octa))) == sorted(map(sorted, brute))
-    assert all(len(s) <= 2 for s in enumerate_subsets(octa, max_size=2))
+    assert sorted(_enumerated(6, 5)) == sorted(map(sorted, brute))
+    assert all(len(s) <= 2 for s in _enumerated(6, 2))
 
 
 def test_curvature_bounds_tetrahedron(tetra):
@@ -109,7 +116,7 @@ def test_curvature_bounds_tetrahedron(tetra):
     decided = check_curvature_bounds(tetra, metric)
     assert decided.verdict and decided.decided
     assert [(r.subset, r.bound) for r in decided.records] == [((0, 1, 2, 3), 4 * np.pi)]
-    report = check_curvature_bounds(tetra, metric, subset_cap=3)
+    report = check_curvature_bounds(tetra, metric, proper_subsets(4))
     assert len(report.records) == 14
     assert report.verdict
     assert all(record.margin > 0 for record in report.records)
@@ -121,7 +128,7 @@ def test_curvature_bounds_tetrahedron(tetra):
 def test_curvature_bounds_random_metrics(octa, rng):
     for _ in range(10):
         metric = random_admissible_metric(octa, rng)
-        report = check_curvature_bounds(octa, metric, subset_cap=5)
+        report = check_curvature_bounds(octa, metric, proper_subsets(6))
         assert report.verdict
         assert len(report.records) == 62
         decided = check_curvature_bounds(octa, metric)
@@ -132,7 +139,7 @@ def test_curvature_bounds_genus2_capped(genus2, rng):
     # larger complex: sampled verification over all subsets of size <= 3
     for _ in range(3):
         metric = random_admissible_metric(genus2, rng, HYP, (0.3, 3.0), (0.0, 2.0))
-        report = check_curvature_bounds(genus2, metric, subset_cap=3)
+        report = check_curvature_bounds(genus2, metric, proper_subsets(15, 3))
         expected = sum(
             len(list(itertools.combinations(range(15), k))) for k in (1, 2, 3)
         )
@@ -156,7 +163,7 @@ def test_curvature_bounds_preconditions(octa, rng):
 
 def test_closure_inequality_unrestricted(tetra, rng):
     # extended curvature sums never drop below the subset bounds
-    subsets = enumerate_subsets(tetra)
+    subsets = proper_subsets(4)
     for _ in range(50):
         metric = random_metric(tetra, rng)
         values = extended_curvature(tetra, metric).values
@@ -172,7 +179,7 @@ def test_zero_curvature_necessary_tetrahedron(tetra):
     assert not decided.verdict
     # V has the least margin, -4 pi, so it is the witness and the one record
     assert [(r.subset, r.margin) for r in decided.records] == [((0, 1, 2, 3), -4 * np.pi)]
-    report = check_zero_curvature_obstructions(tetra, np.ones(6), subset_cap=3)
+    report = check_zero_curvature_obstructions(tetra, np.ones(6), proper_subsets(4))
     assert not report.verdict
     failing = [r for r in report.records if r.margin <= 0]
     assert {r.subset for r in failing} >= {(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)}
@@ -192,17 +199,18 @@ def test_default_check_gives_a_torus_false_with_witness_v(rng):
     report = check_zero_curvature_obstructions(torus, inversive)
     assert not report.verdict and report.decided
     assert [(r.subset, r.bound, r.margin) for r in report.records] == [(tuple(range(36)), 0.0, 0.0)]
-    capped = check_zero_curvature_obstructions(torus, inversive, subset_cap=3)
+    capped = check_zero_curvature_obstructions(torus, inversive, proper_subsets(36, 3))
     assert len(capped.records) == 7806 and capped.verdict and not capped.decided
 
 
 def test_explicit_subsets_refuse_a_cap_and_an_empty_list(octa):
+    # The library takes listed subsets or none; a subset cap is a CLI option.
     inversive = np.ones(octa.edge_count)
-    with pytest.raises(ConfigError, match="not both"):
-        check_zero_curvature_obstructions(octa, inversive, [[0], [1, 2]], subset_cap=1)
     metric = PackingMetric(HYP, inversive, np.ones(6))
     for entry, first in ((check_zero_curvature_obstructions, inversive),
                          (check_curvature_bounds, metric)):
+        with pytest.raises(TypeError, match="subset_cap"):
+            entry(octa, first, [[0], [1, 2]], subset_cap=1)
         with pytest.raises(ConfigError, match="no subsets"):
             entry(octa, first, subsets=[])
         with pytest.raises(ConfigError, match="no subsets"):
@@ -213,31 +221,31 @@ def test_explicit_subsets_refuse_a_cap_and_an_empty_list(octa):
 def test_subset_cap_is_an_integer_of_at_least_one(octa, cap):
     # booleans, floats and strings are refused even where they compare like a cap
     with pytest.raises(ConfigError, match="subset cap must be"):
-        check_zero_curvature_obstructions(octa, np.ones(octa.edge_count), subset_cap=cap)
+        obstructions_module._capped_report(octa, np.ones(octa.edge_count), cap)
 
 
 @pytest.mark.parametrize("cap", [0, -1, 2.5, "2", True, np.float64(2.0)])
-def test_enumerate_subsets_takes_the_subset_cap_rule(tetra, cap):
+def test_enumerate_subsets_takes_the_subset_cap_rule(cap):
     with pytest.raises(ConfigError, match="subset cap must be"):
-        enumerate_subsets(tetra, cap)
+        obstructions_module.enumerate_subsets(4, cap)
 
 
 def test_enumerate_subsets_lists_the_reports_subsets_in_order(genus2):
-    report = check_zero_curvature_obstructions(genus2, np.ones(genus2.edge_count), subset_cap=3)
-    assert enumerate_subsets(genus2, np.int64(3)) == list(map(frozenset, report.subset_lists()))
-
-
-def test_subset_cap_may_be_a_numpy_integer(octa):
-    inversive = np.ones(octa.edge_count)
-    assert (check_zero_curvature_obstructions(octa, inversive, subset_cap=np.int64(2))
-            == check_zero_curvature_obstructions(octa, inversive, subset_cap=2))
+    # The capped report checks the enumerated subsets in their order, and
+    # is the listed report of the same subsets in combinations order, size
+    # by size: the same columns, value for value.
+    inversive = np.random.default_rng(36).uniform(0.0, 1.0, genus2.edge_count)
+    capped = obstructions_module._capped_report(genus2, inversive, 3)
+    listed = check_zero_curvature_obstructions(genus2, inversive, proper_subsets(15, 3))
+    assert capped.subset_lists() == _enumerated(15, 3) == list(map(list, proper_subsets(15, 3)))
+    assert capped == listed and capped.order.tolist() == listed.order.tolist() == list(range(575))
 
 
 def test_zero_curvature_necessary_consistent_with_solver(genus2):
     # tangency packing on the genus-2 surface: a zero-curvature metric
     # exists (found by Newton), so every necessary condition must hold
     inversive = np.ones(genus2.edge_count)
-    report = check_zero_curvature_obstructions(genus2, inversive, subset_cap=2)
+    report = check_zero_curvature_obstructions(genus2, inversive, proper_subsets(15, 2))
     assert report.verdict
     seed = UCoords(
         radii_to_u_array(np.full(genus2.vertex_count, 1.0), HYP), HYP

@@ -4,11 +4,12 @@ A fixed command set runs in process through ``cli.main`` on seeded genus2
 surfaces: ``curvature`` with and without ``--extended``, ``gb``, an extended
 ``flow`` with every trace and radii output, a prescribed ``flow`` from a
 degenerate start whose trace potentials cross the degenerate boundary,
-``solve``, and ``check`` with a subset cap and with a subsets file; and on a
-seeded euclidean 4 x 4 torus: ``curvature --extended`` and an extended
-``flow`` with a trace and radii output; and an Euler ``flow`` of the
-euclidean tetrahedron with unit radii and I = 0, which collapses and exits
-5 as diverged.  The
+``solve``, and ``check`` with a subset cap, with a subsets file and by
+default, decided over every subset (True); and on a seeded euclidean 4 x 4
+torus: ``curvature --extended``, an extended ``flow`` with a trace and radii
+output, and a default ``check``, whose zero-curvature section is False with
+witness V; and an Euler ``flow`` of the euclidean tetrahedron with unit
+radii and I = 0, which collapses and exits 5 as diverged.  The
 SHA-256 of every file in the run's directory, inputs and manifests included,
 and of each command's exit status and standard output, with the directory
 replaced by a fixed token, must equal ``tests/data/cli_digests.txt``.
@@ -107,11 +108,13 @@ def _commands(directory: Path):
                         "--report", out("check_cap.json")]
     yield "check-subsets", ["check", out("g.json"), "--subsets-file", out("subsets.json"),
                             "--report", out("check_subsets.json")]
+    yield "check-decided", ["check", out("g.json"), "--report", out("check_decided.json")]
     yield "euclidean-curvature-extended", ["curvature", out("e.json"), "--extended",
                                            "--report", out("e_curvature_extended.json")]
     yield "euclidean-flow-extended", ["flow", out("e.json"), "--variant", "extended",
                                       "--trace", out("e_flow.csv"),
                                       "--radii-out", out("e_flow_radii.json")]
+    yield "euclidean-check-decided", ["check", out("e.json"), "--report", out("e_check_decided.json")]
     yield "euclidean-collapse-flow-euler", ["flow", out("c.json"), "--integrator", "euler"]
 
 
